@@ -42,8 +42,8 @@ from .potts import (
     zk_all,
     zk_eval,
 )
-from .scalars import EXACT, FLOAT, parse_rational, scalar_to_json, vector_to_json
-from .spectral import float_eigenvalues, signature
+from .scalars import EXACT, FLOAT, parse_rational, rat, scalar_to_json, vector_to_json
+from .spectral import EigenSignature, float_eigenvalues, signature
 from .verify import (
     ALL_THEOREMS,
     CampaignConfig,
@@ -74,11 +74,11 @@ EXIT_RESOURCE = 3
 
 
 def _parse_scalar(text, mode):
-    if mode == EXACT:
-        return parse_rational(text)
     try:
         return parse_rational(text)
     except ParseError:
+        if mode == EXACT:
+            raise
         try:
             return float(text)
         except ValueError as exc:
@@ -159,11 +159,7 @@ def _hessian_inputs(args):
     mode = args.mode
     q = _parse_scalar(args.q, mode)
     w = _parse_vector(args.w, mode, "--w")
-    if args.c is not None:
-        c = _parse_vector(args.c, mode, "--c")
-    else:
-        c = tuple([1] * (matroid.n + 1)) if mode == FLOAT else \
-            tuple(parse_rational("1") for _ in range(matroid.n + 1))
+    c = _parse_vector(args.c, mode, "--c") if args.c is not None else (1,) * (matroid.n + 1)
     alpha = _parse_alpha(args.alpha) if args.alpha is not None else \
         tuple([0] * (matroid.n + 1))
     return matroid, c, q, alpha, w
@@ -182,9 +178,11 @@ def _cmd_hessian(args):
 
 def _cmd_spectrum(args):
     matroid, c, q, alpha, w = _hessian_inputs(args)
-    zero = args.mode == EXACT and is_identically_zero(matroid, c, q, alpha)
     mat = hessian(matroid, c, q, alpha, w, args.mode)
-    sig = signature(mat)
+    # the test is symbolic in alpha: c and q only need validating, which
+    # the Hessian did in the given mode; pass on their exact forms
+    zero = is_identically_zero(matroid, validate_coeffs(c, matroid.n, args.mode), rat(q), alpha)
+    sig = EigenSignature(0, 0, mat.dim) if zero else signature(mat)
     eigs = [] if zero else list(float_eigenvalues(mat))
     payload = {
         "signature": [sig.n_pos, sig.n_neg, sig.n_zero],

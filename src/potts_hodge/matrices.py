@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from .errors import InvalidParametersError
 from .scalars import (
     EXACT,
-    FLOAT,
     coerce_scalar,
     is_exact_scalar,
     rat,
@@ -72,11 +71,6 @@ class SymMatrix:
     @staticmethod
     def from_rows(rows, mode=EXACT):
         return SymMatrix(tuple(tuple(coerce_scalar(x, mode) for x in row) for row in rows))
-
-    @staticmethod
-    def zero(dim, mode=EXACT):
-        z = rat(0) if mode == EXACT else 0.0
-        return SymMatrix(tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
 
     def scaled(self, factor):
         return SymMatrix(tuple(tuple(x * factor for x in row) for row in self.entries))

@@ -12,44 +12,65 @@ and the full weighted polynomial in n+1 variables w_0..w_n is
 homogeneous of degree n, multiaffine in each of w_1..w_n.  The independent
 set generating polynomial f[m] keeps only the subsets with rk(A) = |A|.
 
-Every evaluator runs a single pass over the subset lattice, accumulating
-all strata (or all Hessian entries) simultaneously.  Exact mode is the
-default and produces bit-reproducible rationals.  Float mode rescales
-q^(-rk(A)) by q^(rank(M)) inside the pass, so intermediate magnitudes stay
-bounded, and undoes the positive rescaling once at the end.
+Every evaluator reads one subset pass, _size_rank_sums: for a set S it
+sums prod_{i in A - S} w_i over the subsets A containing S into a table
+T_S[k][r], by size k = |A| and rank r = rk(A).  The strata, f[m] and the
+dependent masses are read off T for S empty.  For S the inner support of
+alpha and a_0 = alpha_0, the alpha-derivative of Z_c is
+
+    sum_k c_k (n-k)_{a_0} w_0^(n-k-a_0) sum_r q^(-r) T_S[k][r],
+
+and the gradient and the Hessian are that sum at alpha + e_i and at
+alpha + e_i + e_j.  A zero coordinate zeroes the products it enters and
+needs no other care.  All arithmetic is exact: float mode converts its
+float inputs exactly, evaluates exactly and rounds each output once.
 """
 from __future__ import annotations
+
+import math
 
 from .errors import InvalidParametersError
 from .matrices import SymMatrix
 from .scalars import EXACT, RAT_ONE, RAT_ZERO, coerce_scalar, coerce_vector, ensure_mode, rat
 
 
-def _zero(mode):
-    return RAT_ZERO if mode == EXACT else 0.0
+def _exact(values, mode):
+    """Coerce a vector in the given mode, then convert it exactly."""
+    vals = coerce_vector(values, mode)
+    if mode == EXACT:
+        return vals
+    return tuple(rat(x) for x in vals)
 
 
-def _one(mode):
-    return RAT_ONE if mode == EXACT else 1.0
+def _rounded(value, mode):
+    """An exact result in the output form of the mode: float mode rounds it
+    once, to +-inf outside the double range."""
+    if mode == EXACT:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _validate_q(q, mode):
-    qv = coerce_scalar(q, mode)
+    (qv,) = _exact((q,), mode)
     if qv <= 0:
         raise InvalidParametersError(f"q must be positive, got {q!r}")
     return qv
 
 
 def _validate_point(w, length, mode, name="w"):
-    wv = coerce_vector(w, mode)
+    wv = _exact(w, mode)
     if len(wv) != length:
         raise InvalidParametersError(f"{name} must have length {length}, got {len(wv)}")
     return wv
 
 
 def validate_coeffs(c, n, mode=EXACT):
-    """Coefficient sequence c_0..c_n: right length, strictly positive."""
-    cv = coerce_vector(c, mode)
+    """Coefficient sequence c_0..c_n: right length, strictly positive.
+    Returned as exact rationals in either mode."""
+    cv = _exact(c, mode)
     if len(cv) != n + 1:
         raise InvalidParametersError(f"coefficient sequence must have length n+1 = {n + 1}, got {len(cv)}")
     if any(x <= 0 for x in cv):
@@ -85,48 +106,40 @@ def is_log_concave(c):
     return all(cv[m] * cv[m] >= cv[m - 1] * cv[m + 1] for m in range(1, len(cv) - 1))
 
 
-def _q_inverse_powers(q, max_rank, mode):
-    """powers[r] plays the role of q^(-r); in float mode everything is
-    pre-scaled by q^max_rank and the second return value undoes that."""
-    if mode == EXACT:
-        qinv = RAT_ONE / q
-        powers = [RAT_ONE]
-        for _ in range(max_rank):
-            powers.append(powers[-1] * qinv)
-        return powers, RAT_ONE
-    qf = float(q)
-    powers = [qf ** (max_rank - r) for r in range(max_rank + 1)]
-    return powers, qf ** (-max_rank)
+def _q_inverse_powers(q, max_rank):
+    """[q^0, q^(-1), ..., q^(-max_rank)]."""
+    return [q ** -r for r in range(max_rank + 1)]
 
 
-def _w_product_tables(values, mode):
-    """For every subset mask: product of the nonzero entries, and zero count."""
-    n = len(values)
-    size = 1 << n
-    prod_nz = [_one(mode)] * size
-    zcount = [0] * size
-    for mask in range(1, size):
+def _products(values):
+    """prod[mask]: the product of the values at the set bits of mask."""
+    prod = [RAT_ONE] * (1 << len(values))
+    for mask in range(1, len(prod)):
         low = mask & -mask
-        rest = mask ^ low
-        v = values[low.bit_length() - 1]
-        if v == 0:
-            prod_nz[mask] = prod_nz[rest]
-            zcount[mask] = zcount[rest] + 1
-        else:
-            prod_nz[mask] = prod_nz[rest] * v
-            zcount[mask] = zcount[rest]
-    return prod_nz, zcount
+        prod[mask] = prod[mask ^ low] * values[low.bit_length() - 1]
+    return prod
 
 
-def _bits(mask):
-    out = []
-    e = 0
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return out
+def _size_rank_sums(matroid, prod, smask):
+    """T[k][r]: the sum of prod[A - S] over the subsets A containing the set
+    S given by smask, with |A| = k and rk(A) = r.  The only subset loop."""
+    n = matroid.n
+    ranks = matroid.ranks
+    table = [[RAT_ZERO] * (n + 1) for _ in range(n + 1)]
+    comp = ((1 << n) - 1) ^ smask
+    sub = comp
+    while True:
+        mask = sub | smask
+        table[mask.bit_count()][ranks[mask]] += prod[sub]
+        if not sub:
+            break
+        sub = (sub - 1) & comp
+    return table
+
+
+def _dot(weights, row):
+    """sum_r weights[r] * row[r], skipping the (many) empty cells of row."""
+    return sum((x * t for x, t in zip(weights, row) if t), RAT_ZERO)
 
 
 def zk_all(matroid, q, w, mode=EXACT):
@@ -134,48 +147,17 @@ def zk_all(matroid, q, w, mode=EXACT):
     ensure_mode(mode)
     qv = _validate_q(q, mode)
     wv = _validate_point(w, matroid.n, mode)
-    powers, scale = _q_inverse_powers(qv, matroid.full_rank, mode)
-    prod_nz, zcount = _w_product_tables(wv, mode)
-    acc = [_zero(mode)] * (matroid.n + 1)
-    ranks = matroid.ranks
-    for mask in range(1 << matroid.n):
-        if zcount[mask] == 0:
-            acc[mask.bit_count()] += powers[ranks[mask]] * prod_nz[mask]
-    if scale != 1:
-        acc = [x * scale for x in acc]
-    return tuple(acc)
+    powers = _q_inverse_powers(qv, matroid.full_rank)
+    table = _size_rank_sums(matroid, _products(wv), 0)
+    return tuple(_rounded(_dot(powers, row), mode) for row in table)
 
 
 def zk_eval(matroid, k, q, w, mode=EXACT):
     """Single stratum Z[k]; k > n gives 0 (there are no such subsets)."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {k!r}")
-    if k > matroid.n:
-        _validate_q(q, mode)
-        _validate_point(w, matroid.n, mode)
-        return _zero(mode)
-    return zk_all(matroid, q, w, mode)[k]
-
-
-def z_weighted_eval(matroid, c, q, w, mode=EXACT):
-    """Weighted polynomial Z_c at the length-(n+1) point (w_0, ..., w_n)."""
-    n = matroid.n
-    cv = validate_coeffs(c, n, mode)
-    wv = _validate_point(w, n + 1, mode)
-    strata = zk_all(matroid, q, wv[1:], mode)
-    w0 = wv[0]
-    w0pow = _powers(w0, n, mode)
-    total = _zero(mode)
-    for m in range(n + 1):
-        total += cv[m] * strata[m] * w0pow[n - m]
-    return total
-
-
-def _powers(x, top, mode):
-    out = [_one(mode)]
-    for _ in range(top):
-        out.append(out[-1] * x)
-    return out
+    strata = zk_all(matroid, q, w, mode)
+    return strata[k] if k <= matroid.n else _rounded(RAT_ZERO, mode)
 
 
 def _falling(k, j):
@@ -199,6 +181,62 @@ def _alpha_split(alpha, n):
     if a0 + smask.bit_count() > n:
         return None
     return a0, smask
+
+
+def _w0_weights(cv, powers, w0, a0):
+    """W[k][r] = c_k (n-k)_{a0} w_0^(n-k-a0) q^(-r): the factor a subset of
+    size k and rank r carries in a derivative of order a0 in w_0.  Sizes
+    k > n - a0 lose their whole w_0 power and are left out."""
+    n = len(cv) - 1
+    weights = []
+    for k in range(n - a0 + 1):
+        coef = cv[k] * _falling(n - k, a0) * w0 ** (n - k - a0)
+        weights.append([coef * p for p in powers])
+    return weights
+
+
+def _derivatives(matroid, c, q, w, mode):
+    """Validate c, q and the length-(n+1) point w in the given mode, and
+    return alpha -> the exact alpha-derivative of Z_c at w.  Calls share the
+    product table, one T table per inner support and one weight table per
+    alpha_0."""
+    n = matroid.n
+    cv = validate_coeffs(c, n, mode)
+    powers = _q_inverse_powers(_validate_q(q, mode), matroid.full_rank)
+    wv = _validate_point(w, n + 1, mode)
+    prod = None
+    tables = {}
+    weights = {}
+
+    def derivative(alpha):
+        nonlocal prod
+        split = _alpha_split(alpha, n)
+        if split is None:
+            return RAT_ZERO
+        a0, smask = split
+        if smask not in tables:
+            if prod is None:
+                prod = _products(wv[1:])
+            tables[smask] = _size_rank_sums(matroid, prod, smask)
+        if a0 not in weights:
+            weights[a0] = _w0_weights(cv, powers, wv[0], a0)
+        return sum(map(_dot, weights[a0], tables[smask]), RAT_ZERO)
+
+    return derivative
+
+
+def _bump(alpha, *indices):
+    out = list(alpha)
+    for i in indices:
+        out[i] += 1
+    return tuple(out)
+
+
+def z_weighted_eval(matroid, c, q, w, mode=EXACT):
+    """Weighted polynomial Z_c at the length-(n+1) point (w_0, ..., w_n)."""
+    ensure_mode(mode)
+    derivative = _derivatives(matroid, c, q, w, mode)
+    return _rounded(derivative((0,) * (matroid.n + 1)), mode)
 
 
 def is_identically_zero(matroid, c, q, alpha):
@@ -230,188 +268,53 @@ def partial_eval(matroid, c, q, alpha, w, mode=EXACT):
     support of alpha sits inside A and a_0 is at most the w_0-exponent
     n - |A|; it then carries the falling-factorial factor from w_0^(n-|A|).
     """
-    n = matroid.n
     ensure_mode(mode)
-    cv = validate_coeffs(c, n, mode)
-    qv = _validate_q(q, mode)
-    av = validate_alpha(alpha, n)
-    wv = _validate_point(w, n + 1, mode)
-    split = _alpha_split(av, n)
-    if split is None:
-        return _zero(mode)
-    a0, smask = split
-    powers, scale = _q_inverse_powers(qv, matroid.full_rank, mode)
-    prod_nz, zcount = _w_product_tables(wv[1:], mode)
-    w0pow = _powers(wv[0], n, mode)
-    ff = [_falling(k0, a0) for k0 in range(n + 1)]
-    ranks = matroid.ranks
-    comp = ((1 << n) - 1) & ~smask
-    total = _zero(mode)
-    sub = comp
-    while True:
-        a_mask = sub | smask
-        k0 = n - a_mask.bit_count()
-        if k0 >= a0 and zcount[sub] == 0:
-            total += cv[n - k0] * powers[ranks[a_mask]] * ff[k0] * w0pow[k0 - a0] * prod_nz[sub]
-        if sub == 0:
-            break
-        sub = (sub - 1) & comp
-    return total * scale
+    derivative = _derivatives(matroid, c, q, w, mode)
+    return _rounded(derivative(validate_alpha(alpha, matroid.n)), mode)
 
 
 def gradient(matroid, c, q, alpha, w, mode=EXACT):
-    """All first partials of the alpha-derivative of Z_c at w, one pass."""
-    n = matroid.n
+    """All first partials of the alpha-derivative of Z_c at w: entry i is
+    the (alpha + e_i)-derivative."""
     ensure_mode(mode)
-    cv = validate_coeffs(c, n, mode)
-    qv = _validate_q(q, mode)
-    av = validate_alpha(alpha, n)
-    wv = _validate_point(w, n + 1, mode)
-    zero = _zero(mode)
-    split = _alpha_split(av, n)
-    if split is None:
-        return tuple([zero] * (n + 1))
-    a0, smask = split
-    powers, scale = _q_inverse_powers(qv, matroid.full_rank, mode)
-    inner = wv[1:]
-    prod_nz, zcount = _w_product_tables(inner, mode)
-    w0pow = _powers(wv[0], n, mode)
-    ff0 = [_falling(k0, a0) for k0 in range(n + 1)]
-    ff1 = [_falling(k0, a0 + 1) for k0 in range(n + 1)]
-    ranks = matroid.ranks
-    comp = ((1 << n) - 1) & ~smask
-    grad = [zero] * (n + 1)
-    sub = comp
-    while True:
-        a_mask = sub | smask
-        k0 = n - a_mask.bit_count()
-        if k0 >= a0:
-            base = cv[n - k0] * powers[ranks[a_mask]]
-            pz = zcount[sub]
-            pnz = prod_nz[sub]
-            if k0 >= a0 + 1 and pz == 0:
-                grad[0] += base * ff1[k0] * w0pow[k0 - a0 - 1] * pnz
-            if pz <= 1:
-                t0 = base * ff0[k0] * w0pow[k0 - a0]
-                for e in _bits(sub):
-                    we = inner[e]
-                    if we == 0:
-                        if pz == 1:
-                            grad[e + 1] += t0 * pnz
-                    elif pz == 0:
-                        grad[e + 1] += t0 * pnz / we
-        if sub == 0:
-            break
-        sub = (sub - 1) & comp
-    if scale != 1:
-        grad = [g * scale for g in grad]
-    return tuple(grad)
+    derivative = _derivatives(matroid, c, q, w, mode)
+    av = validate_alpha(alpha, matroid.n)
+    return tuple(_rounded(derivative(_bump(av, i)), mode) for i in range(matroid.n + 1))
 
 
 def hessian(matroid, c, q, alpha, w, mode=EXACT):
     """Hessian of the alpha-derivative of Z_c at w, as a SymMatrix.
 
-    Entry (i, j) equals the (alpha + e_i + e_j)-derivative at w.  All
-    entries are accumulated in one pass over the subsets containing the
-    inner support of alpha.  Inner diagonal entries are identically zero
-    (the polynomial is multiaffine in w_1..w_n), and the whole matrix is
-    zero when the derivative has degree below two.
+    Entry (i, j) equals the (alpha + e_i + e_j)-derivative at w.  Inner
+    diagonal entries are identically zero (the polynomial is multiaffine in
+    w_1..w_n), and the whole matrix is zero when the derivative has degree
+    below two.
     """
-    n = matroid.n
     ensure_mode(mode)
-    cv = validate_coeffs(c, n, mode)
-    qv = _validate_q(q, mode)
-    av = validate_alpha(alpha, n)
-    wv = _validate_point(w, n + 1, mode)
-    d = n + 1
-    split = _alpha_split(av, n)
-    if split is None:
-        return SymMatrix.zero(d, mode)
-    a0, smask = split
-    powers, scale = _q_inverse_powers(qv, matroid.full_rank, mode)
-    inner = wv[1:]
-    prod_nz, zcount = _w_product_tables(inner, mode)
-    w0pow = _powers(wv[0], n, mode)
-    ff0 = [_falling(k0, a0) for k0 in range(n + 1)]
-    ff1 = [_falling(k0, a0 + 1) for k0 in range(n + 1)]
-    ff2 = [_falling(k0, a0 + 2) for k0 in range(n + 1)]
-    ranks = matroid.ranks
-    comp = ((1 << n) - 1) & ~smask
-    zero = _zero(mode)
-    hess = [[zero] * d for _ in range(d)]
-    row0 = hess[0]
-    sub = comp
-    while True:
-        a_mask = sub | smask
-        k0 = n - a_mask.bit_count()
-        if k0 >= a0:
-            pz = zcount[sub]
-            if pz <= 2:
-                base = cv[n - k0] * powers[ranks[a_mask]]
-                pnz = prod_nz[sub]
-                if k0 >= a0 + 2 and pz == 0:
-                    row0[0] += base * ff2[k0] * w0pow[k0 - a0 - 2] * pnz
-                elems = _bits(sub)
-                if k0 >= a0 + 1 and pz <= 1:
-                    t1 = base * ff1[k0] * w0pow[k0 - a0 - 1]
-                    for e in elems:
-                        we = inner[e]
-                        if we == 0:
-                            if pz == 1:
-                                row0[e + 1] += t1 * pnz
-                        elif pz == 0:
-                            row0[e + 1] += t1 * pnz / we
-                t0 = base * ff0[k0] * w0pow[k0 - a0]
-                for x in range(len(elems)):
-                    e = elems[x]
-                    we = inner[e]
-                    ze = 1 if we == 0 else 0
-                    zrow = pz - ze
-                    if zrow > 1:
-                        continue
-                    row_base = pnz if ze else pnz / we
-                    hrow = hess[e + 1]
-                    for y in range(x + 1, len(elems)):
-                        f = elems[y]
-                        wf = inner[f]
-                        if wf == 0:
-                            if zrow == 1:
-                                hrow[f + 1] += t0 * row_base
-                        elif zrow == 0:
-                            hrow[f + 1] += t0 * row_base / wf
-        if sub == 0:
-            break
-        sub = (sub - 1) & comp
+    derivative = _derivatives(matroid, c, q, w, mode)
+    av = validate_alpha(alpha, matroid.n)
+    d = matroid.n + 1
+    rows = [[None] * d for _ in range(d)]
     for i in range(d):
-        for j in range(i):
-            hess[i][j] = hess[j][i]
-    if scale != 1:
-        hess = [[x * scale for x in row] for row in hess]
-    return SymMatrix(tuple(tuple(row) for row in hess))
+        for j in range(i, d):
+            rows[i][j] = rows[j][i] = _rounded(derivative(_bump(av, i, j)), mode)
+    return SymMatrix(tuple(tuple(row) for row in rows))
 
 
 def f_all(matroid, w, mode=EXACT):
     """All strata of the independent-set generating polynomial at w."""
     ensure_mode(mode)
     wv = _validate_point(w, matroid.n, mode)
-    prod_nz, zcount = _w_product_tables(wv, mode)
-    acc = [_zero(mode)] * (matroid.n + 1)
-    ranks = matroid.ranks
-    for mask in range(1 << matroid.n):
-        size = mask.bit_count()
-        if ranks[mask] == size and zcount[mask] == 0:
-            acc[size] += prod_nz[mask]
-    return tuple(acc)
+    table = _size_rank_sums(matroid, _products(wv), 0)
+    return tuple(_rounded(row[k], mode) for k, row in enumerate(table))
 
 
 def f_m_eval(matroid, m, w, mode=EXACT):
     """Stratum f[m]: sum over independent m-subsets of the weight products."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {m!r}")
-    if m > matroid.n:
-        _validate_point(w, matroid.n, mode)
-        return _zero(mode)
-    return f_all(matroid, w, mode)[m]
+    strata = f_all(matroid, w, mode)
+    return strata[m] if m <= matroid.n else _rounded(RAT_ZERO, mode)
 
 
 def f_limit_residual(matroid, m, w, q, mode=EXACT):
@@ -421,8 +324,8 @@ def f_limit_residual(matroid, m, w, q, mode=EXACT):
     qv = _validate_q(q, mode)
     wv = _validate_point(w, matroid.n, mode)
     scaled = tuple(qv * x for x in wv)
-    diff = zk_eval(matroid, m, qv, scaled, mode) - f_m_eval(matroid, m, wv, mode)
-    return diff if diff >= 0 else -diff
+    diff = zk_eval(matroid, m, qv, scaled) - f_m_eval(matroid, m, wv)
+    return _rounded(diff if diff >= 0 else -diff, mode)
 
 
 def dependent_mass(matroid, m, w, nullity=None, mode=EXACT):
@@ -438,19 +341,13 @@ def dependent_mass(matroid, m, w, nullity=None, mode=EXACT):
     ensure_mode(mode)
     wv = _validate_point(w, matroid.n, mode)
     if m > matroid.n:
-        return _zero(mode)
-    prod_nz, zcount = _w_product_tables(wv, mode)
-    ranks = matroid.ranks
-    total = _zero(mode)
-    for mask in range(1 << matroid.n):
-        if mask.bit_count() != m or zcount[mask]:
-            continue
-        gap = m - ranks[mask]
-        if gap == 0:
-            continue
-        if nullity is None or gap == nullity:
-            total += prod_nz[mask]
-    return total
+        return _rounded(RAT_ZERO, mode)
+    row = _size_rank_sums(matroid, _products(wv), 0)[m]
+    if nullity is None:
+        total = sum(row[:m], RAT_ZERO)
+    else:
+        total = row[m - nullity] if nullity <= m else RAT_ZERO
+    return _rounded(total, mode)
 
 
 def elementary_symmetric(indices, k, w, mode=EXACT):
@@ -459,7 +356,7 @@ def elementary_symmetric(indices, k, w, mode=EXACT):
     ensure_mode(mode)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise InvalidParametersError(f"degree must be a nonnegative integer, got {k!r}")
-    wv = coerce_vector(w, mode)
+    wv = _exact(w, mode)
     idx = list(indices)
     if len(set(idx)) != len(idx):
         raise InvalidParametersError("index set contains repeats")
@@ -467,10 +364,10 @@ def elementary_symmetric(indices, k, w, mode=EXACT):
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= len(wv):
             raise InvalidParametersError(f"index {i!r} outside 1..{len(wv)}")
     if k > len(idx):
-        return _zero(mode)
-    acc = [_one(mode)] + [_zero(mode)] * k
+        return _rounded(RAT_ZERO, mode)
+    acc = [RAT_ONE] + [RAT_ZERO] * k
     for i in idx:
         v = wv[i - 1]
         for j in range(k, 0, -1):
             acc[j] += acc[j - 1] * v
-    return acc[k]
+    return _rounded(acc[k], mode)

@@ -3,12 +3,14 @@
 Exact mode computes over arbitrary-precision rationals.  gmpy2.mpq is used
 when available because it is several times faster than fractions.Fraction;
 the Fraction fallback keeps the package functional without it.  Float mode
-is an opt-in IEEE-double path for diagnostics.  Mixing a float into an
-exact computation is rejected rather than silently coerced, so results in
-exact mode are bit-reproducible.
+is an opt-in diagnostic mode: it accepts finite floats, and the evaluators
+convert them exactly, compute exactly and round each result once.  Mixing
+a float into an exact computation is rejected rather than silently
+coerced, so results in exact mode are bit-reproducible.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 
@@ -25,10 +27,12 @@ MODES = (EXACT, FLOAT)
 
 
 def rat(numerator, denominator=1):
-    """Exact rational from integers, Fractions, or another rational."""
-    if _mpq is not None:
-        return _mpq(numerator, denominator)
-    return Fraction(numerator, denominator)
+    """Exact rational from integers, Fractions, another rational, or a finite
+    float (converted exactly, to the binary fraction it stores)."""
+    backend = Fraction if _mpq is None else _mpq
+    if denominator == 1:
+        return backend(numerator)
+    return backend(numerator, denominator)
 
 
 #: multiplicative/additive identities in exact mode
@@ -56,6 +60,7 @@ def coerce_scalar(value, mode):
 
     Exact mode accepts ints and rationals only; floats raise, because a float
     smuggled into a rational pipeline would silently poison exactness.
+    Float mode accepts anything float() takes, except nan and +-inf.
     """
     if mode == EXACT:
         if not is_exact_scalar(value):
@@ -65,9 +70,12 @@ def coerce_scalar(value, mode):
         return rat(value)
     if mode == FLOAT:
         try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
+            x = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidParametersError(f"cannot convert {value!r} to float") from exc
+        if not math.isfinite(x):
+            raise InvalidParametersError(f"float mode requires finite inputs, got {value!r}")
+        return x
     ensure_mode(mode)
 
 

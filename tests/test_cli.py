@@ -63,6 +63,15 @@ def test_eval_float_mode(capsys):
     assert abs(float(out) - 140.0) < 1e-9
 
 
+@pytest.mark.parametrize("q,w", [("nan", "1,2,3,4"), ("inf", "1,2,3,4"), ("-inf", "1,2,3,4"),
+                                 ("1/2", "1,nan,3,4"), ("1/2", "1,2,-inf,4")])
+def test_float_mode_rejects_non_finite(capsys, q, w):
+    code, out, err = run(capsys, "eval", "--matroid", U24, f"--q={q}", f"--w={w}",
+                         "--mode", "float")
+    assert code == EXIT_USAGE
+    assert out == "" and "finite" in err
+
+
 def test_exact_mode_rejects_float_literal(capsys):
     code, _, err = run(capsys, "eval", "--matroid", U24, "--q", "0.5",
                        "--w", "1,2,3,4")
@@ -102,9 +111,10 @@ def test_spectrum_output(capsys):
     assert sum(1 for e in eigs if e > 0) == 1 and all(abs(e) > 1e-9 for e in eigs)
 
 
-def test_spectrum_identically_zero(capsys):
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_spectrum_identically_zero(capsys, mode):
     code, out, _ = run(capsys, "spectrum", "--matroid", U12, "--q", "1",
-                       "--w", "1,1,1", "--alpha", "0,2,0")
+                       "--w", "1,1,1", "--alpha", "0,2,0", "--mode", mode)
     assert code == EXIT_OK
     lines = out.splitlines()
     assert lines[0] == "the derivative is identically zero; its Hessian is the zero matrix"

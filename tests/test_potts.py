@@ -6,6 +6,7 @@ substitutes exact rationals.  The package evaluates the same quantities
 through subset-mask passes; the two routes share no code.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,12 @@ ORACLE_CASES = [
     (K3, (2, 1, 3, 1), rat(1), (rat(2), rat(5), rat(1, 2), rat(3))),
     (LIN, (1, 1, 1, 1, 1), rat(1, 5), (rat(1), rat(3), rat(1, 2), rat(2), rat(1))),
     (LOOPY, (3, 2, 1, 1), rat(2, 3), (rat(1), rat(1, 3), rat(4), rat(0))),
+    # two zero inner coordinates
+    (U24, (1, 2, 3, 2, 1), rat(1, 2), (rat(2), rat(0), rat(3), rat(0), rat(5))),
+    # w_0 = 0
+    (K3, (1, 2, 2, 1), rat(1, 2), (rat(0), rat(2), rat(3), rat(1, 2))),
+    # a sign-mixed point
+    (LIN, (2, 3, 3, 2, 1), rat(1, 3), (rat(1), rat(-2), rat(3), rat(-1, 2), rat(2))),
 ]
 
 
@@ -172,18 +179,22 @@ def test_oracle_partials(matroid, c, q, w, alpha):
 def test_oracle_gradient_and_hessian(matroid, c, q, w):
     n = matroid.n
     expr, qs, ws = oracle_weighted(matroid, c)
-    alpha = (0,) * (n + 1)
-    g = gradient(matroid, c, q, alpha, w)
-    h = hessian(matroid, c, q, alpha, w)
-    rows = h.rows()
-    for i in range(n + 1):
-        gi = sympy.diff(expr, ws[i])
-        assert frac(g[i]) == oracle_eval(gi, qs, ws, q, w)
-        for j in range(i, n + 1):
-            hij = sympy.diff(gi, ws[j])
-            val = oracle_eval(hij, qs, ws, q, w)
-            assert frac(rows[i][j]) == val
-            assert frac(rows[j][i]) == val
+    # the polynomial itself, and a mixed derivative in w_0 and w_2
+    for alpha in ((0,) * (n + 1), (1, 0, 1) + (0,) * (n - 2)):
+        deriv = expr
+        for i, a in enumerate(alpha):
+            deriv = sympy.diff(deriv, ws[i], a)
+        g = gradient(matroid, c, q, alpha, w)
+        h = hessian(matroid, c, q, alpha, w)
+        rows = h.rows()
+        for i in range(n + 1):
+            gi = sympy.diff(deriv, ws[i])
+            assert frac(g[i]) == oracle_eval(gi, qs, ws, q, w)
+            for j in range(i, n + 1):
+                hij = sympy.diff(gi, ws[j])
+                val = oracle_eval(hij, qs, ws, q, w)
+                assert frac(rows[i][j]) == val
+                assert frac(rows[j][i]) == val
 
 
 def test_oracle_gradient_of_nontrivial_alpha():
@@ -273,7 +284,7 @@ def test_contraction_derivative_identity():
 
 
 def test_zero_weights():
-    # zero entries exercise the zero-count product tables on every path
+    # a zero entry zeroes every product it enters, on every path
     w = (rat(1), rat(0), rat(2), rat(0), rat(3))
     c = (1, 2, 3, 2, 1)
     q = rat(1, 2)
@@ -302,13 +313,19 @@ def test_float_mode_matches_exact():
 
 
 def test_float_mode_small_q_prescaling():
-    # tiny q must not overflow: the q^rank prefactor is pulled out exactly
+    # tiny q must not overflow: float inputs are evaluated exactly
     m = make_uniform(4, 8)
     w = tuple(float(i + 1) for i in range(8))
     strata = zk_all(m, 1e-6, w, mode=FLOAT)
     exact = zk_all(m, rat(1, 10**6), tuple(rat(i + 1) for i in range(8)))
     for a, b in zip(strata, exact):
         assert abs(a - float(b)) <= 1e-12 * float(b)
+
+
+def test_float_mode_rounds_out_of_range_to_inf():
+    # Z[2] of U(1,2) is 1e400 / q here, beyond the double range
+    assert zk_all(U12, 1.0, (1e200, 1e200), mode=FLOAT)[2] == math.inf
+    assert z_weighted_eval(U12, (1.0, 1.0, 1.0), 1.0, (0.0, 1e200, -1e200), mode=FLOAT) == -math.inf
 
 
 def test_exact_mode_rejects_floats():
