@@ -2,9 +2,9 @@
 
 The package evaluates the stratified partition function of a matroid and
 its weighted homogenization, takes exact derivatives and Hessians, computes
-eigenvalue signatures by rational congruence, and runs seeded verification
-campaigns for spectral and log-concavity properties over corpora of small
-matroids.
+eigenvalue signatures by fraction-free integer elimination, and runs seeded
+verification campaigns for spectral and log-concavity properties over
+corpora of small matroids.
 """
 from .errors import (
     ConfigError,

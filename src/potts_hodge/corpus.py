@@ -34,16 +34,16 @@ class CorpusSpec:
     families: tuple = ("uniform", "graphic", "linear", "structured")
 
 
+def _relabelings(num_vertices, edges):
+    """The sorted edge list under every relabeling of the vertices."""
+    for perm in itertools.permutations(range(num_vertices)):
+        yield tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+
+
 def _canonical_graph(num_vertices, edges):
     """Isomorphism-canonical form: the lexicographically smallest edge list
     over all relabelings of the vertices."""
-    best = None
-    verts = list(range(num_vertices))
-    for perm in itertools.permutations(verts):
-        relabeled = tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
-        if best is None or relabeled < best:
-            best = relabeled
-    return best
+    return min(_relabelings(num_vertices, edges))
 
 
 def _is_connected(num_vertices, edges):
@@ -71,13 +71,18 @@ def connected_graphs(max_edges, min_edges=2):
 
     A connected graph with m edges spans at most m+1 vertices, so the
     enumeration runs over vertex counts 2..m+1 and keeps the graphs whose
-    edges cover every vertex.
+    edges cover every vertex.  Each new isomorphism class is canonicalized
+    once, and all its relabelings are recorded, so every later edge set of
+    that class is skipped after one set lookup.
     """
     found = {}
+    seen = set()
     for m in range(min_edges, max_edges + 1):
         for nv in range(2, m + 2):
             pairs = list(itertools.combinations(range(nv), 2))
             for combo in itertools.combinations(pairs, m):
+                if combo in seen:
+                    continue
                 covered = set()
                 for u, v in combo:
                     covered.add(u)
@@ -87,8 +92,8 @@ def connected_graphs(max_edges, min_edges=2):
                 if not _is_connected(nv, combo):
                     continue
                 key = _canonical_graph(nv, combo)
-                if key not in found:
-                    found[key] = (nv, key)
+                seen.update(_relabelings(nv, key))
+                found[key] = (nv, key)
     return tuple(sorted(found.values()))
 
 

@@ -1,14 +1,17 @@
-"""Symmetric matrices and exact rational linear algebra.
+"""Symmetric matrices and exact linear algebra.
 
 Everything here is dimension-small (matrices are (n+1) x (n+1) for ground
-sets capped at n <= 20), so clarity beats asymptotics: plain Gaussian
-elimination over exact rationals, no pivoting heuristics.
+sets capped at n <= 20), so clarity beats asymptotics and there are no
+pivoting heuristics.  Inertia comes from a symmetric fraction-free
+(Bareiss) elimination over Python ints.  Rank, nullspace and the congruence
+diagonalization with its transform use Gaussian elimination over exact
+rationals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidParametersError
+from .errors import ImpossibleStateError, InvalidParametersError
 from .scalars import (
     EXACT,
     coerce_scalar,
@@ -162,6 +165,15 @@ def same_subspace(basis_a, basis_b, dim):
     return exact_rank(joint) == ra
 
 
+def _zero_diagonal_pair(a, active):
+    """An active pair (i, j), i != j, with a[i][j] != 0, or None."""
+    for i in active:
+        for j in active:
+            if j != i and a[i][j]:
+                return i, j
+    return None
+
+
 def congruence_diagonalize(matrix):
     """Exact congruence X^T A X = diag(d); returns (columns of X, diagonal).
 
@@ -169,7 +181,9 @@ def congruence_diagonalize(matrix):
     zero but some off-diagonal a_ij is not, adding column j to column i
     creates the nonzero diagonal entry 2*a_ij; the subsequent pair of 1x1
     pivots contributes one positive and one negative inertia index, exactly
-    as the hyperbolic 2x2 block would.
+    as the hyperbolic 2x2 block would.  signature() counts inertia with
+    bareiss_inertia; this routine serves callers that need the transform X,
+    and is an independent reference for that count.
     """
     rows = matrix.rows() if isinstance(matrix, SymMatrix) else [list(r) for r in matrix]
     d = len(rows)
@@ -181,14 +195,7 @@ def congruence_diagonalize(matrix):
     while active:
         pivot = next((i for i in active if a[i][i] != 0), None)
         if pivot is None:
-            pair = None
-            for i in active:
-                for j in active:
-                    if j != i and a[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
+            pair = _zero_diagonal_pair(a, active)
             if pair is None:
                 for i in active:
                     out_vectors.append(tuple(basis[i]))
@@ -216,6 +223,57 @@ def congruence_diagonalize(matrix):
                 for k in range(d):
                     a[k][i] = a[k][i] - coef * a[k][p]
     return out_vectors, out_diag
+
+
+def bareiss_inertia(rows):
+    """(n_pos, n_neg, n_zero) of a symmetric integer matrix.
+
+    Symmetric fraction-free elimination (Bareiss 1968).  Pivoting on a
+    nonzero diagonal entry d_p updates the active entries as
+    a_ik <- (d_p a_ik - a_ip a_pk) / d_prev, where d_prev is the previous
+    pivot (1 at the start).  Every active entry is then a minor of the
+    input, by Sylvester's identity, so the division is exact; it is checked
+    all the same.  The pivots are leading principal minors in pivot order,
+    so the k-th diagonal entry of an LDL^T factorization has the sign of
+    d_p d_prev.  When every active diagonal entry is zero but some a_ij
+    is not, row i += row j and column i += column j make a_ii = 2 a_ij, as
+    in congruence_diagonalize; this congruence leaves the pivot block alone,
+    so the later divisions stay exact.
+    """
+    a = [list(row) for row in rows]
+    active = list(range(len(a)))
+    prev = 1
+    pos = neg = 0
+    while active:
+        p = next((i for i in active if a[i][i]), None)
+        if p is None:
+            pair = _zero_diagonal_pair(a, active)
+            if pair is None:
+                break
+            i, j = pair
+            for k in active:
+                a[i][k] += a[j][k]
+            for k in active:
+                a[k][i] += a[k][j]
+            continue
+        piv = a[p][p]
+        if (piv > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        active.remove(p)
+        row_p = a[p]
+        for x, i in enumerate(active):
+            row_i = a[i]
+            a_ip = row_i[p]
+            for k in active[x:]:
+                value, rem = divmod(piv * row_i[k] - a_ip * row_p[k], prev)
+                if rem:
+                    raise ImpossibleStateError(
+                        f"inexact Bareiss division by {prev} at ({i},{k})")
+                row_i[k] = a[k][i] = value
+        prev = piv
+    return pos, neg, len(a) - pos - neg
 
 
 def stack_rows(matrices):

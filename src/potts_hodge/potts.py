@@ -22,8 +22,21 @@ alpha and a_0 = alpha_0, the alpha-derivative of Z_c is
 
 and the gradient and the Hessian are that sum at alpha + e_i and at
 alpha + e_i + e_j.  A zero coordinate zeroes the products it enters and
-needs no other care.  All arithmetic is exact: float mode converts its
-float inputs exactly, evaluates exactly and rounds each output once.
+needs no other care.
+
+The pass and the reductions run on Python ints.  Each call clears the
+denominators of its inputs once: the point becomes W/L with integer W and
+common denominator L, q = a/b in lowest terms, q^(-r) is b^r a^(R-r) / a^R
+for the full rank R, and c becomes C/L_c.  Each output is one integer over
+its scale factor:
+
+    Z[k]                     (integer) / (a^R L^k),
+    f[m], dependent masses   (integer) / L^m,
+    alpha-derivative of Z_c  (integer) / (L_c a^R L^(n-|alpha|)).
+
+By homogeneity the last factor is the same for every entry of a Hessian.
+Float mode converts its float inputs exactly, evaluates exactly and rounds
+each output once.
 """
 from __future__ import annotations
 
@@ -31,7 +44,7 @@ import math
 
 from .errors import InvalidParametersError
 from .matrices import SymMatrix
-from .scalars import EXACT, RAT_ONE, RAT_ZERO, coerce_scalar, coerce_vector, ensure_mode, rat
+from .scalars import EXACT, clear_denominators, coerce_scalar, coerce_vector, ensure_mode, rat
 
 
 def _exact(values, mode):
@@ -42,9 +55,10 @@ def _exact(values, mode):
     return tuple(rat(x) for x in vals)
 
 
-def _rounded(value, mode):
-    """An exact result in the output form of the mode: float mode rounds it
-    once, to +-inf outside the double range."""
+def _rounded(value, mode, den=1):
+    """The exact result value/den in the output form of the mode: float mode
+    rounds it once, to +-inf outside the double range."""
+    value = rat(value, den)
     if mode == EXACT:
         return value
     try:
@@ -107,13 +121,15 @@ def is_log_concave(c):
 
 
 def _q_inverse_powers(q, max_rank):
-    """[q^0, q^(-1), ..., q^(-max_rank)]."""
-    return [q ** -r for r in range(max_rank + 1)]
+    """([b^r a^(R-r) for r = 0..R], a^R) for q = a/b and R = max_rank: the
+    integers a^R q^(-r) and their common denominator a^R."""
+    a, b = int(q.numerator), int(q.denominator)
+    return [b ** r * a ** (max_rank - r) for r in range(max_rank + 1)], a ** max_rank
 
 
 def _products(values):
-    """prod[mask]: the product of the values at the set bits of mask."""
-    prod = [RAT_ONE] * (1 << len(values))
+    """prod[mask]: the product of the integers at the set bits of mask."""
+    prod = [1] * (1 << len(values))
     for mask in range(1, len(prod)):
         low = mask & -mask
         prod[mask] = prod[mask ^ low] * values[low.bit_length() - 1]
@@ -125,7 +141,7 @@ def _size_rank_sums(matroid, prod, smask):
     S given by smask, with |A| = k and rk(A) = r.  The only subset loop."""
     n = matroid.n
     ranks = matroid.ranks
-    table = [[RAT_ZERO] * (n + 1) for _ in range(n + 1)]
+    table = [[0] * (n + 1) for _ in range(n + 1)]
     comp = ((1 << n) - 1) ^ smask
     sub = comp
     while True:
@@ -139,17 +155,17 @@ def _size_rank_sums(matroid, prod, smask):
 
 def _dot(weights, row):
     """sum_r weights[r] * row[r], skipping the (many) empty cells of row."""
-    return sum((x * t for x, t in zip(weights, row) if t), RAT_ZERO)
+    return sum(x * t for x, t in zip(weights, row) if t)
 
 
 def zk_all(matroid, q, w, mode=EXACT):
     """All strata (Z[0], ..., Z[n]) at the length-n point w, one subset pass."""
     ensure_mode(mode)
     qv = _validate_q(q, mode)
-    wv = _validate_point(w, matroid.n, mode)
-    powers = _q_inverse_powers(qv, matroid.full_rank)
+    wv, den = clear_denominators(_validate_point(w, matroid.n, mode))
+    powers, qden = _q_inverse_powers(qv, matroid.full_rank)
     table = _size_rank_sums(matroid, _products(wv), 0)
-    return tuple(_rounded(_dot(powers, row), mode) for row in table)
+    return tuple(_rounded(_dot(powers, row), mode, qden * den ** k) for k, row in enumerate(table))
 
 
 def zk_eval(matroid, k, q, w, mode=EXACT):
@@ -157,7 +173,7 @@ def zk_eval(matroid, k, q, w, mode=EXACT):
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {k!r}")
     strata = zk_all(matroid, q, w, mode)
-    return strata[k] if k <= matroid.n else _rounded(RAT_ZERO, mode)
+    return strata[k] if k <= matroid.n else _rounded(0, mode)
 
 
 def _falling(k, j):
@@ -184,9 +200,10 @@ def _alpha_split(alpha, n):
 
 
 def _w0_weights(cv, powers, w0, a0):
-    """W[k][r] = c_k (n-k)_{a0} w_0^(n-k-a0) q^(-r): the factor a subset of
-    size k and rank r carries in a derivative of order a0 in w_0.  Sizes
-    k > n - a0 lose their whole w_0 power and are left out."""
+    """W[k][r] = c_k (n-k)_{a0} w_0^(n-k-a0) q^(-r), in the integers of the
+    cleared c, w_0 and q: the factor a subset of size k and rank r carries
+    in a derivative of order a0 in w_0.  Sizes k > n - a0 lose their whole
+    w_0 power and are left out."""
     n = len(cv) - 1
     weights = []
     for k in range(n - a0 + 1):
@@ -197,13 +214,13 @@ def _w0_weights(cv, powers, w0, a0):
 
 def _derivatives(matroid, c, q, w, mode):
     """Validate c, q and the length-(n+1) point w in the given mode, and
-    return alpha -> the exact alpha-derivative of Z_c at w.  Calls share the
-    product table, one T table per inner support and one weight table per
-    alpha_0."""
+    return alpha -> the alpha-derivative of Z_c at w, in the output form of
+    the mode.  Calls share the product table, one T table per inner support
+    and one weight table per alpha_0."""
     n = matroid.n
-    cv = validate_coeffs(c, n, mode)
-    powers = _q_inverse_powers(_validate_q(q, mode), matroid.full_rank)
-    wv = _validate_point(w, n + 1, mode)
+    cv, cden = clear_denominators(validate_coeffs(c, n, mode))
+    powers, qden = _q_inverse_powers(_validate_q(q, mode), matroid.full_rank)
+    wv, den = clear_denominators(_validate_point(w, n + 1, mode))
     prod = None
     tables = {}
     weights = {}
@@ -212,7 +229,7 @@ def _derivatives(matroid, c, q, w, mode):
         nonlocal prod
         split = _alpha_split(alpha, n)
         if split is None:
-            return RAT_ZERO
+            return _rounded(0, mode)
         a0, smask = split
         if smask not in tables:
             if prod is None:
@@ -220,7 +237,8 @@ def _derivatives(matroid, c, q, w, mode):
             tables[smask] = _size_rank_sums(matroid, prod, smask)
         if a0 not in weights:
             weights[a0] = _w0_weights(cv, powers, wv[0], a0)
-        return sum(map(_dot, weights[a0], tables[smask]), RAT_ZERO)
+        value = sum(map(_dot, weights[a0], tables[smask]))
+        return _rounded(value, mode, cden * qden * den ** (n - a0 - smask.bit_count()))
 
     return derivative
 
@@ -236,7 +254,7 @@ def z_weighted_eval(matroid, c, q, w, mode=EXACT):
     """Weighted polynomial Z_c at the length-(n+1) point (w_0, ..., w_n)."""
     ensure_mode(mode)
     derivative = _derivatives(matroid, c, q, w, mode)
-    return _rounded(derivative((0,) * (matroid.n + 1)), mode)
+    return derivative((0,) * (matroid.n + 1))
 
 
 def is_identically_zero(matroid, c, q, alpha):
@@ -270,7 +288,7 @@ def partial_eval(matroid, c, q, alpha, w, mode=EXACT):
     """
     ensure_mode(mode)
     derivative = _derivatives(matroid, c, q, w, mode)
-    return _rounded(derivative(validate_alpha(alpha, matroid.n)), mode)
+    return derivative(validate_alpha(alpha, matroid.n))
 
 
 def gradient(matroid, c, q, alpha, w, mode=EXACT):
@@ -279,7 +297,7 @@ def gradient(matroid, c, q, alpha, w, mode=EXACT):
     ensure_mode(mode)
     derivative = _derivatives(matroid, c, q, w, mode)
     av = validate_alpha(alpha, matroid.n)
-    return tuple(_rounded(derivative(_bump(av, i)), mode) for i in range(matroid.n + 1))
+    return tuple(derivative(_bump(av, i)) for i in range(matroid.n + 1))
 
 
 def hessian(matroid, c, q, alpha, w, mode=EXACT):
@@ -297,16 +315,16 @@ def hessian(matroid, c, q, alpha, w, mode=EXACT):
     rows = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            rows[i][j] = rows[j][i] = _rounded(derivative(_bump(av, i, j)), mode)
+            rows[i][j] = rows[j][i] = derivative(_bump(av, i, j))
     return SymMatrix(tuple(tuple(row) for row in rows))
 
 
 def f_all(matroid, w, mode=EXACT):
     """All strata of the independent-set generating polynomial at w."""
     ensure_mode(mode)
-    wv = _validate_point(w, matroid.n, mode)
+    wv, den = clear_denominators(_validate_point(w, matroid.n, mode))
     table = _size_rank_sums(matroid, _products(wv), 0)
-    return tuple(_rounded(row[k], mode) for k, row in enumerate(table))
+    return tuple(_rounded(row[k], mode, den ** k) for k, row in enumerate(table))
 
 
 def f_m_eval(matroid, m, w, mode=EXACT):
@@ -314,7 +332,7 @@ def f_m_eval(matroid, m, w, mode=EXACT):
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {m!r}")
     strata = f_all(matroid, w, mode)
-    return strata[m] if m <= matroid.n else _rounded(RAT_ZERO, mode)
+    return strata[m] if m <= matroid.n else _rounded(0, mode)
 
 
 def f_limit_residual(matroid, m, w, q, mode=EXACT):
@@ -339,15 +357,15 @@ def dependent_mass(matroid, m, w, nullity=None, mode=EXACT):
     if nullity is not None and (not isinstance(nullity, int) or isinstance(nullity, bool) or nullity < 1):
         raise InvalidParametersError(f"nullity must be a positive integer, got {nullity!r}")
     ensure_mode(mode)
-    wv = _validate_point(w, matroid.n, mode)
+    wv, den = clear_denominators(_validate_point(w, matroid.n, mode))
     if m > matroid.n:
-        return _rounded(RAT_ZERO, mode)
+        return _rounded(0, mode)
     row = _size_rank_sums(matroid, _products(wv), 0)[m]
     if nullity is None:
-        total = sum(row[:m], RAT_ZERO)
+        total = sum(row[:m])
     else:
-        total = row[m - nullity] if nullity <= m else RAT_ZERO
-    return _rounded(total, mode)
+        total = row[m - nullity] if nullity <= m else 0
+    return _rounded(total, mode, den ** m)
 
 
 def elementary_symmetric(indices, k, w, mode=EXACT):
@@ -356,7 +374,7 @@ def elementary_symmetric(indices, k, w, mode=EXACT):
     ensure_mode(mode)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise InvalidParametersError(f"degree must be a nonnegative integer, got {k!r}")
-    wv = _exact(w, mode)
+    wv, den = clear_denominators(_exact(w, mode))
     idx = list(indices)
     if len(set(idx)) != len(idx):
         raise InvalidParametersError("index set contains repeats")
@@ -364,10 +382,10 @@ def elementary_symmetric(indices, k, w, mode=EXACT):
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= len(wv):
             raise InvalidParametersError(f"index {i!r} outside 1..{len(wv)}")
     if k > len(idx):
-        return _rounded(RAT_ZERO, mode)
-    acc = [RAT_ONE] + [RAT_ZERO] * k
+        return _rounded(0, mode)
+    acc = [1] + [0] * k
     for i in idx:
         v = wv[i - 1]
         for j in range(k, 0, -1):
             acc[j] += acc[j - 1] * v
-    return _rounded(acc[k], mode)
+    return _rounded(acc[k], mode, den ** k)

@@ -1,8 +1,10 @@
 """Scalar handling for the two arithmetic modes.
 
-Exact mode computes over arbitrary-precision rationals.  gmpy2.mpq is used
-when available because it is several times faster than fractions.Fraction;
-the Fraction fallback keeps the package functional without it.  Float mode
+Exact mode computes over arbitrary-precision rationals: gmpy2.mpq when
+gmpy2 is installed, fractions.Fraction otherwise.  Rationals are the
+interface type only.  The evaluators and the exact signature clear the
+denominators of their inputs once (clear_denominators) and run on Python
+ints, so the hot paths do not depend on the rational backend.  Float mode
 is an opt-in diagnostic mode: it accepts finite floats, and the evaluators
 convert them exactly, compute exactly and round each result once.  Mixing
 a float into an exact computation is rejected rather than silently
@@ -35,9 +37,15 @@ def rat(numerator, denominator=1):
     return backend(numerator, denominator)
 
 
-#: multiplicative/additive identities in exact mode
+#: multiplicative identity in exact mode
 RAT_ONE = rat(1)
-RAT_ZERO = rat(0)
+
+
+def clear_denominators(values):
+    """(ints, den) for exact rationals: den is the least common multiple of
+    their denominators and ints[i] = den * values[i], each a Python int."""
+    den = math.lcm(*(int(x.denominator) for x in values))
+    return [int(x.numerator) * (den // int(x.denominator)) for x in values], den
 
 
 def is_exact_scalar(value):

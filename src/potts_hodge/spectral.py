@@ -1,10 +1,10 @@
 """Signatures of symmetric matrices and the spectral identities used by the
 verification campaigns.
 
-Exact signatures come from a rational congruence diagonalization, so they
-are never subject to rounding.  Float matrices fall back to a symmetric
-eigendecomposition with an explicit indeterminacy error when an eigenvalue
-is too close to zero to classify.
+Exact signatures come from a fraction-free symmetric elimination over
+integers, so they are never subject to rounding.  Float matrices fall back
+to a symmetric eigendecomposition with an explicit indeterminacy error when
+an eigenvalue is too close to zero to classify.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .errors import (
 )
 from .matrices import (
     SymMatrix,
+    bareiss_inertia,
     bilinear,
     congruence_diagonalize,
     exact_nullspace,
@@ -34,7 +35,7 @@ from .potts import (
     validate_alpha,
     validate_coeffs,
 )
-from .scalars import coerce_vector, rat
+from .scalars import clear_denominators, coerce_vector, rat
 
 FLOAT_TOL_FACTOR = 1e-9
 
@@ -54,7 +55,8 @@ class EigenSignature(NamedTuple):
 def signature(matrix, tol=None):
     """Inertia of a SymMatrix (or raw rows).
 
-    Exact entries: congruence diagonalization, exact sign counts.  Float
+    Exact entries: the matrix times the lcm of its denominators, then a
+    fraction-free elimination over ints (bareiss_inertia).  Float
     entries: eigendecomposition with zero-threshold tol (default 1e-9 times
     the largest absolute entry); an eigenvalue within tol of zero cannot be
     classified and raises IndeterminateSignatureError rather than guessing.
@@ -63,10 +65,9 @@ def signature(matrix, tol=None):
     if mat.dim == 0:
         return EigenSignature(0, 0, 0)
     if mat.is_exact:
-        _, diag = congruence_diagonalize(mat)
-        pos = sum(1 for x in diag if x > 0)
-        neg = sum(1 for x in diag if x < 0)
-        return EigenSignature(pos, neg, mat.dim - pos - neg)
+        d = mat.dim
+        ints, _ = clear_denominators([x for row in mat.entries for x in row])
+        return EigenSignature(*bareiss_inertia(ints[i:i + d] for i in range(0, d * d, d)))
     import numpy as np
 
     arr = np.array([[float(x) for x in row] for row in mat.entries], dtype=float)

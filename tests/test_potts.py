@@ -89,6 +89,16 @@ ORACLE_CASES = [
     (K3, (1, 2, 2, 1), rat(1, 2), (rat(0), rat(2), rat(3), rat(1, 2))),
     # a sign-mixed point
     (LIN, (2, 3, 3, 2, 1), rat(1, 3), (rat(1), rat(-2), rat(3), rat(-1, 2), rat(2))),
+    # the evaluators clear denominators: q = 1 with pairwise coprime
+    # denominators in w and non-integer c,
+    (U24, (rat(1, 2), rat(3, 5), rat(7, 3), 2, rat(5, 4)), rat(1),
+     (rat(1, 2), rat(2, 3), rat(5, 7), rat(3, 11), rat(13, 4))),
+    # q just below 1 with a large numerator and denominator,
+    (K3, (rat(3, 7), rat(2, 9), 5, rat(1, 11)), rat(10 ** 12 - 11, 10 ** 12 + 39),
+     (rat(7, 5), rat(1, 3), rat(4, 9), rat(11, 2))),
+    # and all three at once on a matroid with loops
+    (LOOPY, (rat(5, 6), rat(1, 10), rat(9, 4), rat(2, 15)), rat(999983, 1000003),
+     (rat(2, 3), rat(5, 7), rat(1, 11), rat(13, 17))),
 ]
 
 
@@ -179,7 +189,8 @@ def test_oracle_partials(matroid, c, q, w, alpha):
 def test_oracle_gradient_and_hessian(matroid, c, q, w):
     n = matroid.n
     expr, qs, ws = oracle_weighted(matroid, c)
-    # the polynomial itself, and a mixed derivative in w_0 and w_2
+    # the polynomial itself, and a mixed derivative in w_0 and w_2 (whose
+    # gradient has the scale factor of the second-order derivatives)
     for alpha in ((0,) * (n + 1), (1, 0, 1) + (0,) * (n - 2)):
         deriv = expr
         for i, a in enumerate(alpha):
@@ -195,17 +206,6 @@ def test_oracle_gradient_and_hessian(matroid, c, q, w):
                 val = oracle_eval(hij, qs, ws, q, w)
                 assert frac(rows[i][j]) == val
                 assert frac(rows[j][i]) == val
-
-
-def test_oracle_gradient_of_nontrivial_alpha():
-    matroid, c, q, w = ORACLE_CASES[1]
-    alpha = (1, 0, 1, 0, 0)
-    expr, qs, ws = oracle_weighted(matroid, c)
-    deriv = sympy.diff(sympy.diff(expr, ws[0]), ws[2])
-    g = gradient(matroid, c, q, alpha, w)
-    for i in range(matroid.n + 1):
-        gi = sympy.diff(deriv, ws[i])
-        assert frac(g[i]) == oracle_eval(gi, qs, ws, q, w)
 
 
 def test_identically_zero_classification():

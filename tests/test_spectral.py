@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potts_hodge import (
     EigenSignature,
@@ -25,6 +27,8 @@ from potts_hodge import (
     rat,
     signature,
 )
+from potts_hodge.errors import ImpossibleStateError
+from potts_hodge.matrices import bareiss_inertia
 from potts_hodge.scalars import FLOAT
 
 U12 = make_uniform(1, 2)
@@ -101,6 +105,59 @@ def test_congruence_diagonalize_is_a_congruence():
         for i in range(dim):
             for j in range(i + 1, dim):
                 assert bilinear(vectors[i], mat, vectors[j]) == 0
+
+
+def reference_signature(rows):
+    _, diag = congruence_diagonalize(SymMatrix.from_rows(rows))
+    pos = sum(1 for x in diag if x > 0)
+    neg = sum(1 for x in diag if x < 0)
+    return EigenSignature(pos, neg, len(diag) - pos - neg)
+
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3).map(rat),
+    st.builds(rat, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12)),
+)
+
+
+@st.composite
+def symmetric_rational_matrices(draw):
+    """A = M[m(r)][m(s)] for a random symmetric M.  With m onto, A is M;
+    otherwise indices of A that m sends to the same index of M give
+    duplicated rows and columns, hence rank deficiency.  A zero diagonal
+    of M leaves no 1x1 pivot at the start, so the hyperbolic step runs."""
+    dim = draw(st.integers(0, 9))
+    base = draw(st.integers(1, dim)) if dim else 0
+    index = [draw(st.integers(0, base - 1)) for _ in range(dim - base)]
+    index = draw(st.permutations(list(range(base)) + index))
+    zero_diagonal = draw(st.booleans())
+    m = [[None] * base for _ in range(base)]
+    for i in range(base):
+        for j in range(i, base):
+            m[i][j] = m[j][i] = rat(0) if i == j and zero_diagonal else draw(ENTRIES)
+    return [[m[r][s] for s in index] for r in index]
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_rational_matrices())
+def test_signature_matches_congruence_reference(rows):
+    assert signature(rows) == reference_signature(rows)
+
+
+def test_bareiss_hyperbolic_step_after_a_pivot():
+    # after the first pivot the active block is zero on the diagonal but
+    # not off it, so the hyperbolic step runs between two 1x1 pivots
+    # (eigenvalues -1 and 2 +- sqrt(3))
+    rows = [[1, 1, 1], [1, 1, 2], [1, 2, 1]]
+    assert bareiss_inertia(rows) == (2, 1, 0)
+    assert reference_signature([[rat(x) for x in row] for row in rows]) == (2, 1, 0)
+
+
+def test_bareiss_checks_its_divisions():
+    # not symmetric, so Sylvester's identity does not hold and the second
+    # pivot step divides 1 by 2: the check raises instead of truncating
+    with pytest.raises(ImpossibleStateError):
+        bareiss_inertia([[2, 1, 1], [1, 1, 1], [0, 1, 1]])
 
 
 def test_float_signature_and_indeterminate():

@@ -1,5 +1,6 @@
 """Theorem checks, campaign plumbing, replay, and the corpus generators."""
 
+import itertools
 import json
 
 import pytest
@@ -239,6 +240,31 @@ def test_connected_graph_counts():
     assert len(connected_graphs(3)) - len(connected_graphs(2)) == 3
     assert len(connected_graphs(4)) - len(connected_graphs(3)) == 5
     assert len(connected_graphs(5)) - len(connected_graphs(4)) == 12
+
+
+def test_connected_graphs_match_brute_force():
+    # canonicalize every connected edge set on 2..5 vertices by trying all
+    # vertex relabelings, with no memo of the classes found so far
+    classes = set()
+    for m in range(2, 5):
+        for nv in range(2, m + 2):
+            pairs = list(itertools.combinations(range(nv), 2))
+            for combo in itertools.combinations(pairs, m):
+                if len({v for e in combo for v in e}) != nv:
+                    continue
+                adj = {v: {u for e in combo if v in e for u in e} for v in range(nv)}
+                reached = {0}
+                while True:
+                    grown = reached.union(*(adj[v] for v in reached))
+                    if grown == reached:
+                        break
+                    reached = grown
+                if len(reached) != nv:
+                    continue
+                key = min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in combo))
+                          for p in itertools.permutations(range(nv)))
+                classes.add((nv, key))
+    assert connected_graphs(4) == tuple(sorted(classes))
 
 
 def test_default_corpus_composition():
