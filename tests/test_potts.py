@@ -208,6 +208,17 @@ def test_oracle_gradient_and_hessian(matroid, c, q, w):
                 assert frac(rows[j][i]) == val
 
 
+def test_oracle_gradient_of_nontrivial_alpha():
+    matroid, c, q, w = ORACLE_CASES[1]
+    alpha = (1, 0, 1, 0, 0)
+    expr, qs, ws = oracle_weighted(matroid, c)
+    deriv = sympy.diff(sympy.diff(expr, ws[0]), ws[2])
+    g = gradient(matroid, c, q, alpha, w)
+    for i in range(matroid.n + 1):
+        gi = sympy.diff(deriv, ws[i])
+        assert frac(g[i]) == oracle_eval(gi, qs, ws, q, w)
+
+
 def test_identically_zero_classification():
     c = (1, 1, 1, 1, 1)
     q = rat(1)
