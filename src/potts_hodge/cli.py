@@ -46,23 +46,14 @@ from .scalars import EXACT, FLOAT, parse_rational, rat, scalar_to_json, vector_t
 from .spectral import EigenSignature, float_eigenvalues, signature
 from .verify import (
     ALL_THEOREMS,
+    CHECKS,
     CampaignConfig,
     FAIL,
-    TAG_COUNT_LOG_CONCAVITY,
     TAG_DEGREE_TWO,
     TAG_DERIVATIVE_ONE_POSITIVE,
-    TAG_LOG_CONCAVITY,
-    TAG_ONE_POSITIVE,
-    TAG_SIMPLIFICATION,
-    TAG_STRATA_ULC,
     VerificationReport,
+    call_check,
     check_count_log_concavity,
-    check_degree_two,
-    check_derivative_one_positive,
-    check_log_concavity_at,
-    check_one_positive,
-    check_simplification_bound,
-    check_strata_ultra_log_concave,
     run_campaign,
     summarize,
 )
@@ -201,50 +192,34 @@ def _cmd_spectrum(args):
     return EXIT_OK
 
 
-_SINGLE_CHECKS = {
-    TAG_ONE_POSITIVE: ("q", "w"),
-    TAG_DERIVATIVE_ONE_POSITIVE: ("c", "q", "alpha", "w"),
-    TAG_DEGREE_TWO: ("c", "q", "w"),
-    TAG_STRATA_ULC: ("q", "w"),
-    TAG_COUNT_LOG_CONCAVITY: (),
-    TAG_SIMPLIFICATION: (),
-    TAG_LOG_CONCAVITY: ("c", "q", "w"),
+# parse one --c/--q/--alpha/--w argument of a single check
+_PARSE_INPUT = {
+    "c": lambda text: _parse_vector(text, EXACT, "--c"),
+    "q": lambda text: _parse_scalar(text, EXACT),
+    "alpha": _parse_alpha,
+    "w": lambda text: _parse_vector(text, EXACT, "--w"),
 }
 
 
 def _run_single_check(args):
-    if len(args.theorem) != 1:
+    if len(args.theorem or ()) != 1:
         raise InvalidParametersError("--matroid verification takes exactly one --theorem")
     tag = args.theorem[0]
-    needed = _SINGLE_CHECKS[tag]
-    for name in needed:
-        if getattr(args, name) is None:
-            raise InvalidParametersError(f"theorem {tag} needs --{name}")
+    # a theorem's first CHECKS row is the one a single input runs
+    name, keys = next(row for (theorem, _), row in CHECKS.items() if theorem == tag)
+    for key in keys:
+        if getattr(args, key) is None:
+            raise InvalidParametersError(f"theorem {tag} needs --{key}")
     matroid = _load_matroid(args.matroid)
-    q = _parse_scalar(args.q, EXACT) if "q" in needed else None
-    w = _parse_vector(args.w, EXACT, "--w") if "w" in needed else None
-    c = _parse_vector(args.c, EXACT, "--c") if "c" in needed else None
-    if c is not None:
+    values = [_PARSE_INPUT[key](getattr(args, key)) for key in keys]
+    if "c" in keys:
         # configuration is validated before any check runs
+        c = values[keys.index("c")]
         validate_coeffs(c, matroid.n, EXACT)
         if tag in (TAG_DERIVATIVE_ONE_POSITIVE, TAG_DEGREE_TWO) and not is_strictly_log_concave(c):
             raise InvalidParametersError(
                 "coefficient sequence must be strictly log-concave for this theorem")
-    if tag == TAG_ONE_POSITIVE:
-        check = check_one_positive(matroid, q, w)
-    elif tag == TAG_DERIVATIVE_ONE_POSITIVE:
-        check = check_derivative_one_positive(matroid, c, q, _parse_alpha(args.alpha), w)
-    elif tag == TAG_DEGREE_TWO:
-        check = check_degree_two(matroid, c, q, w)
-    elif tag == TAG_STRATA_ULC:
-        check = check_strata_ultra_log_concave(matroid, q, w)
-    elif tag == TAG_COUNT_LOG_CONCAVITY:
-        check = check_count_log_concavity(matroid)
-    elif tag == TAG_SIMPLIFICATION:
-        check = check_simplification_bound(matroid)
-    else:
-        check = check_log_concavity_at(matroid, c, q, w)
-    checks = (check,)
+    checks = (call_check(name, (matroid, *values)),)
     return VerificationReport(
         campaign={"name": "single-check", "theorems": [tag]},
         checks=checks, summary=summarize(checks))

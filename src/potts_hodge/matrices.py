@@ -75,9 +75,6 @@ class SymMatrix:
     def from_rows(rows, mode=EXACT):
         return SymMatrix(tuple(tuple(coerce_scalar(x, mode) for x in row) for row in rows))
 
-    def scaled(self, factor):
-        return SymMatrix(tuple(tuple(x * factor for x in row) for row in self.entries))
-
     def submatrix(self, indices):
         idx = list(indices)
         return SymMatrix(tuple(tuple(self.entries[i][j] for j in idx) for i in idx))

@@ -28,13 +28,6 @@ def default_q_grid():
     return (rat(1), rat(1, 2), rat(1, 4), rat(1, 10), rat(1, 100))
 
 
-def sample_q(rng):
-    """Random rational in (0, 1]."""
-    den = rng.randint(1, 100)
-    num = rng.randint(1, den)
-    return rat(num, den)
-
-
 def sample_positive_rational(rng, lo=1, hi=100):
     return rat(rng.randint(lo, hi), rng.randint(lo, hi))
 
@@ -96,11 +89,6 @@ def log_concave_coeffs(n, ratio=2):
 def default_c_ratios():
     """Five generator ratios for strictly log-concave sequences."""
     return (rat(2), rat(3), rat(4), rat(3, 2), rat(5, 2))
-
-
-def near_constant_ratio_schedule(steps=8):
-    """Ratios 1 + 2^-j, j = 1..steps, approaching the constant sequence."""
-    return tuple(rat(2 ** j + 1, 2 ** j) for j in range(1, steps + 1))
 
 
 def sample_alpha(rng, n, min_degree=2):

@@ -48,11 +48,14 @@ def clear_denominators(values):
     return [int(x.numerator) * (den // int(x.denominator)) for x in values], den
 
 
+_EXACT_TYPES = (int, Fraction) if _mpq is None else (int, Fraction, type(_mpq()))
+
+
 def is_exact_scalar(value):
     """True for ints and exact rationals, False for floats and everything else."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, float):
+    if type(value) in _EXACT_TYPES:  # bool is a subclass, not one of these
+        return True
+    if isinstance(value, (bool, float)):
         return False
     return isinstance(value, numbers.Rational)
 

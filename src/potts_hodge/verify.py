@@ -9,10 +9,13 @@ verdicts:
   vacuous         the claim quantifies over an empty range here
   not-applicable  a hypothesis is not met (q > 1, degree too low, ...)
 
-Campaign drivers generate seeded input streams over a matroid corpus and
-execute the checks, optionally across processes.  Reports are plain data:
-serializing with sort_keys produces byte-identical output for identical
-(corpus, seed, counts), independent of the worker count.
+Each theorem has one task generator that draws seeded inputs for one
+corpus member; run_campaign executes the tasks of every requested theorem
+in one batch, optionally across processes.  One table (CHECKS) maps a
+theorem and aspect to its check and input keys for campaigns, replay and
+the CLI.  Reports are plain data: serializing with sort_keys produces
+byte-identical output for identical (corpus, seed, samples), independent
+of the worker count.
 
 Theorem tags used on the wire:
 
@@ -580,7 +583,13 @@ def log_slice_second_difference(matroid, c, q, w, direction, rel_step=0.25):
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Knobs for run_campaign; samples scales every randomized stream.
+    """Knobs for run_campaign; samples s is the one count.
+
+    Per matroid, s sizes each theorem's checks as: qHR |grid|*(s+3)
+    (three deterministic stress points per q), cqHR min(5,s)*s*s
+    (coefficient sets x multi-indices x points), deg2 2s (s bound points
+    and s zero-line points; none when n < 2), ulc s+1 (plus the q = 1
+    all-ones reference), mason and simplification 1, logconcavity s.
 
     q_grid overrides the default q cycle for the campaigns that sweep one
     (empty tuple = default grid); count-based checks ignore it."""
@@ -593,56 +602,67 @@ class CampaignConfig:
     q_grid: tuple = ()
 
 
-def _call_task(task):
-    fn, args = task
-    return fn(*args)
+# (theorem, aspect) -> (check function name, input keys after the matroid,
+# in call order).  Campaign tasks, replay_check and the CLI's single check
+# all call through it; aspect is the "aspect" input of the record (None
+# when the theorem has one check), and a theorem's first row is its
+# single-check default.  Functions are looked up in this module's globals
+# at call time, so a wrapper installed on a check_* name is what runs.
+CHECKS = {
+    (TAG_ONE_POSITIVE, None): ("check_one_positive", ("q", "w")),
+    (TAG_DERIVATIVE_ONE_POSITIVE, None):
+        ("check_derivative_one_positive", ("c", "q", "alpha", "w")),
+    (TAG_DEGREE_TWO, "positive-point"): ("check_degree_two", ("c", "q", "w")),
+    (TAG_DEGREE_TWO, "zero-line"): ("check_degree_two_zero_line", ("q", "w")),
+    (TAG_STRATA_ULC, None): ("check_strata_ultra_log_concave", ("q", "w")),
+    (TAG_COUNT_LOG_CONCAVITY, None): ("check_count_log_concavity", ()),
+    (TAG_SIMPLIFICATION, None): ("check_simplification_bound", ()),
+    (TAG_LOG_CONCAVITY, None): ("check_log_concavity_at", ("c", "q", "w")),
+}
+
+
+def call_check(name, args):
+    """Run the check named in a CHECKS row on (matroid, *inputs)."""
+    return globals()[name](*args)
 
 
 def _execute(tasks, workers):
     if workers <= 1 or len(tasks) < 2:
-        return [fn(*args) for fn, args in tasks]
+        return [call_check(name, args) for name, args in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_call_task, tasks, chunksize=chunk))
+        return list(pool.map(call_check, *zip(*tasks), chunksize=chunk))
 
 
-def campaign_one_positive(corpus, seed=0, samples=5, q_grid=None,
-                          include_adversarial=True, workers=1):
-    qs = default_q_grid() if q_grid is None else tuple(q_grid)
-    tasks = []
-    for mi, matroid in enumerate(corpus):
-        dim = matroid.n + 1
-        for qi, q in enumerate(qs):
-            points = list(adversarial_points(dim)) if include_adversarial else []
-            points += [sample_positive_point(child_rng(seed, 11, mi, qi, j), dim)
-                       for j in range(samples)]
-            tasks.extend((check_one_positive, (matroid, q, w)) for w in points)
-    return _execute(tasks, workers)
+# Task generators: (mi, matroid, seed, samples, q_grid) -> (check name,
+# args) tasks for corpus member mi.  Every sample draws from its own
+# child_rng(seed, stream, mi, ...), so a task does not depend on the order
+# in which the others were generated.
 
 
-def campaign_derivative_one_positive(corpus, seed=0, coeff_sets=5, alphas=10,
-                                     pairs=10, q_grid=None, workers=1):
-    ratios = default_c_ratios()
-    qs = default_q_grid() if q_grid is None else tuple(q_grid)
-    tasks = []
-    for mi, matroid in enumerate(corpus):
-        n = matroid.n
-        coeffs = [log_concave_coeffs(n, ratios[i % len(ratios)])
-                  for i in range(min(coeff_sets, len(ratios)))]
-        for i in range(len(coeffs), coeff_sets):
-            coeffs.append(sample_log_concave_coeffs(child_rng(seed, 20, mi, i), n))
-        alpha_list = distinct_alphas(child_rng(seed, 21, mi).randrange(2 ** 32),
-                                     n, alphas, min_degree=2)
-        for ci, c in enumerate(coeffs):
-            for ai, alpha in enumerate(alpha_list):
-                for t in range(pairs):
-                    rng = child_rng(seed, 22, mi, ci, ai, t)
-                    q = qs[t % len(qs)]
-                    w = sample_positive_point(rng, n + 1)
-                    tasks.append((check_derivative_one_positive, (matroid, c, q, alpha, w)))
-    return _execute(tasks, workers)
+def _tasks_one_positive(mi, matroid, seed, samples, q_grid):
+    dim = matroid.n + 1
+    for qi, q in enumerate(q_grid):
+        points = list(adversarial_points(dim))
+        points += [sample_positive_point(child_rng(seed, 11, mi, qi, j), dim)
+                   for j in range(samples)]
+        for w in points:
+            yield "check_one_positive", (matroid, q, w)
+
+
+def _tasks_derivative_one_positive(mi, matroid, seed, samples, q_grid):
+    n = matroid.n
+    coeffs = [log_concave_coeffs(n, ratio) for ratio in default_c_ratios()[:samples]]
+    alphas = distinct_alphas(child_rng(seed, 21, mi).randrange(2 ** 32),
+                             n, samples, min_degree=2)
+    for ci, c in enumerate(coeffs):
+        for ai, alpha in enumerate(alphas):
+            for t in range(samples):
+                w = sample_positive_point(child_rng(seed, 22, mi, ci, ai, t), n + 1)
+                yield ("check_derivative_one_positive",
+                       (matroid, c, q_grid[t % len(q_grid)], alpha, w))
 
 
 def _zero_line_point(matroid, q, rng, attempts=32):
@@ -661,107 +681,79 @@ def _zero_line_point(matroid, q, rng, attempts=32):
     raise InvalidParametersError("could not sample a nonzero point on the Z[1] = 0 plane")
 
 
-def campaign_degree_two(corpus, seed=0, triples=5, points=5, q_grid=None,
-                        workers=1):
-    qs = default_q_grid() if q_grid is None else tuple(q_grid)
-    tasks = []
-    for mi, matroid in enumerate(corpus):
-        n = matroid.n
-        if n < 2:
-            continue
-        for j in range(triples):
-            rng = child_rng(seed, 31, mi, j)
-            c = sample_log_concave_coeffs(rng, n)
-            q = qs[j % len(qs)]
-            # the strict bound quantifies over all nonzero w: alternate
-            # positive and sign-mixed samples
-            w = sample_positive_point(rng, n) if j % 2 == 0 else \
-                sample_sign_mixed_point(rng, n)
-            tasks.append((check_degree_two, (matroid, c, q, w)))
-        for j in range(points):
-            rng = child_rng(seed, 32, mi, j)
-            q = qs[j % len(qs)]
-            w = _zero_line_point(matroid, q, rng)
-            tasks.append((check_degree_two_zero_line, (matroid, q, w)))
-    return _execute(tasks, workers)
+def _tasks_degree_two(mi, matroid, seed, samples, q_grid):
+    n = matroid.n
+    if n < 2:
+        return
+    for j in range(samples):
+        rng = child_rng(seed, 31, mi, j)
+        c = sample_log_concave_coeffs(rng, n)
+        # the strict bound quantifies over all nonzero w: alternate
+        # positive and sign-mixed samples
+        w = sample_positive_point(rng, n) if j % 2 == 0 else \
+            sample_sign_mixed_point(rng, n)
+        yield "check_degree_two", (matroid, c, q_grid[j % len(q_grid)], w)
+    for j in range(samples):
+        q = q_grid[j % len(q_grid)]
+        w = _zero_line_point(matroid, q, child_rng(seed, 32, mi, j))
+        yield "check_degree_two_zero_line", (matroid, q, w)
 
 
-def campaign_strata_ulc(corpus, seed=0, samples=5, q_grid=None, workers=1):
-    qs = default_q_grid() if q_grid is None else tuple(q_grid)
-    tasks = []
-    for mi, matroid in enumerate(corpus):
-        n = matroid.n
-        # reference point first: q = 1 at all-ones is tight at every index
-        tasks.append((check_strata_ultra_log_concave, (matroid, rat(1), _ones(n))))
-        for j in range(samples):
-            rng = child_rng(seed, 41, mi, j)
-            q = qs[j % len(qs)]
-            w = sample_nonneg_point(rng, n)
-            tasks.append((check_strata_ultra_log_concave, (matroid, q, w)))
-    return _execute(tasks, workers)
+def _tasks_strata_ulc(mi, matroid, seed, samples, q_grid):
+    n = matroid.n
+    # reference point first: q = 1 at all-ones is tight at every index
+    yield "check_strata_ultra_log_concave", (matroid, rat(1), _ones(n))
+    for j in range(samples):
+        w = sample_nonneg_point(child_rng(seed, 41, mi, j), n)
+        yield "check_strata_ultra_log_concave", (matroid, q_grid[j % len(q_grid)], w)
 
 
-def campaign_count_log_concavity(corpus, workers=1):
-    return _execute([(check_count_log_concavity, (m,)) for m in corpus], workers)
+def _tasks_count_log_concavity(mi, matroid, seed, samples, q_grid):
+    yield "check_count_log_concavity", (matroid,)
 
 
-def campaign_simplification(corpus, workers=1):
-    return _execute([(check_simplification_bound, (m,)) for m in corpus], workers)
+def _tasks_simplification(mi, matroid, seed, samples, q_grid):
+    yield "check_simplification_bound", (matroid,)
 
 
-def campaign_log_concavity(corpus, seed=0, samples=5, q_grid=None, workers=1):
-    qs = default_q_grid() if q_grid is None else tuple(q_grid)
-    tasks = []
-    for mi, matroid in enumerate(corpus):
-        n = matroid.n
-        for j in range(samples):
-            rng = child_rng(seed, 71, mi, j)
-            c = _ones(n + 1) if j == 0 else sample_log_concave_coeffs(rng, n)
-            q = qs[j % len(qs)]
-            w = sample_positive_point(rng, n + 1)
-            tasks.append((check_log_concavity_at, (matroid, c, q, w)))
-    return _execute(tasks, workers)
+def _tasks_log_concavity(mi, matroid, seed, samples, q_grid):
+    n = matroid.n
+    for j in range(samples):
+        rng = child_rng(seed, 71, mi, j)
+        c = _ones(n + 1) if j == 0 else sample_log_concave_coeffs(rng, n)
+        w = sample_positive_point(rng, n + 1)
+        yield "check_log_concavity_at", (matroid, c, q_grid[j % len(q_grid)], w)
 
 
-_CAMPAIGNS = {
-    TAG_ONE_POSITIVE: lambda corpus, cfg: campaign_one_positive(
-        corpus, seed=cfg.seed, samples=cfg.samples, q_grid=cfg.q_grid or None,
-        workers=cfg.workers),
-    TAG_DERIVATIVE_ONE_POSITIVE: lambda corpus, cfg: campaign_derivative_one_positive(
-        corpus, seed=cfg.seed, coeff_sets=min(5, cfg.samples), alphas=cfg.samples,
-        pairs=cfg.samples, q_grid=cfg.q_grid or None, workers=cfg.workers),
-    TAG_DEGREE_TWO: lambda corpus, cfg: campaign_degree_two(
-        corpus, seed=cfg.seed, triples=cfg.samples, points=cfg.samples,
-        q_grid=cfg.q_grid or None, workers=cfg.workers),
-    TAG_STRATA_ULC: lambda corpus, cfg: campaign_strata_ulc(
-        corpus, seed=cfg.seed, samples=cfg.samples, q_grid=cfg.q_grid or None,
-        workers=cfg.workers),
-    TAG_COUNT_LOG_CONCAVITY: lambda corpus, cfg: campaign_count_log_concavity(
-        corpus, workers=cfg.workers),
-    TAG_SIMPLIFICATION: lambda corpus, cfg: campaign_simplification(
-        corpus, workers=cfg.workers),
-    TAG_LOG_CONCAVITY: lambda corpus, cfg: campaign_log_concavity(
-        corpus, seed=cfg.seed, samples=cfg.samples, q_grid=cfg.q_grid or None,
-        workers=cfg.workers),
+THEOREM_TASKS = {
+    TAG_ONE_POSITIVE: _tasks_one_positive,
+    TAG_DERIVATIVE_ONE_POSITIVE: _tasks_derivative_one_positive,
+    TAG_DEGREE_TWO: _tasks_degree_two,
+    TAG_STRATA_ULC: _tasks_strata_ulc,
+    TAG_COUNT_LOG_CONCAVITY: _tasks_count_log_concavity,
+    TAG_SIMPLIFICATION: _tasks_simplification,
+    TAG_LOG_CONCAVITY: _tasks_log_concavity,
 }
 
 
 def run_campaign(corpus, config=None):
-    """Run the configured campaigns over a corpus and aggregate a report.
+    """Run the configured theorems over a corpus and aggregate a report.
 
-    The worker count affects wall time only: tasks are generated and merged
-    in a fixed order, so the report content is a function of (corpus, seed,
-    samples, theorems) alone.
+    Tasks are generated theorem by theorem (in ALL_THEOREMS order), matroid
+    by matroid, and executed in one batch; the worker count affects wall
+    time only, so the report content is a function of (corpus, seed,
+    samples, theorems, q_grid) alone.
     """
     cfg = config or CampaignConfig()
-    unknown = [t for t in cfg.theorems if t not in _CAMPAIGNS]
+    unknown = [t for t in cfg.theorems if t not in THEOREM_TASKS]
     if unknown:
         raise InvalidParametersError(f"unknown theorem tags {unknown!r}")
     start = time.perf_counter()
-    checks = []
-    for tag in ALL_THEOREMS:
-        if tag in cfg.theorems:
-            checks.extend(_CAMPAIGNS[tag](corpus, cfg))
+    theorems = [t for t in ALL_THEOREMS if t in cfg.theorems]
+    q_grid = tuple(cfg.q_grid) or default_q_grid()
+    tasks = [task for tag in theorems for mi, matroid in enumerate(corpus)
+             for task in THEOREM_TASKS[tag](mi, matroid, cfg.seed, cfg.samples, q_grid)]
+    checks = _execute(tasks, cfg.workers)
     elapsed = time.perf_counter() - start
     campaign = {
         "name": "verification-campaign",
@@ -769,7 +761,7 @@ def run_campaign(corpus, config=None):
         "matroids": len(corpus),
         "seed": cfg.seed,
         "samples": cfg.samples,
-        "theorems": [t for t in ALL_THEOREMS if t in cfg.theorems],
+        "theorems": theorems,
     }
     if cfg.q_grid:
         campaign["q_grid"] = [scalar_to_json(q) for q in cfg.q_grid]
@@ -780,8 +772,8 @@ def run_campaign(corpus, config=None):
 # -------------------------------------------------------------- replay
 
 
-def _replay_scalar(inputs, key):
-    return scalar_from_json(inputs[key])
+_FROM_JSON = {"c": vector_from_json, "q": scalar_from_json, "alpha": tuple,
+              "w": vector_from_json}
 
 
 def replay_check(check):
@@ -790,33 +782,12 @@ def replay_check(check):
     if isinstance(check, dict):
         check = CheckResult.from_json(check)
     inputs = check.inputs
+    key = (check.theorem, inputs.get("aspect"))
+    if key not in CHECKS:
+        raise InvalidParametersError(f"cannot replay theorem {key[0]!r} with aspect {key[1]!r}")
+    name, keys = CHECKS[key]
     matroid = matroid_from_json(inputs["matroid"])
-    tag = check.theorem
-    if tag == TAG_ONE_POSITIVE:
-        return check_one_positive(matroid, _replay_scalar(inputs, "q"),
-                                  vector_from_json(inputs["w"]))
-    if tag == TAG_DERIVATIVE_ONE_POSITIVE:
-        return check_derivative_one_positive(
-            matroid, vector_from_json(inputs["c"]), _replay_scalar(inputs, "q"),
-            tuple(inputs["alpha"]), vector_from_json(inputs["w"]))
-    if tag == TAG_DEGREE_TWO:
-        if inputs.get("aspect") == "zero-line":
-            return check_degree_two_zero_line(matroid, _replay_scalar(inputs, "q"),
-                                              vector_from_json(inputs["w"]))
-        return check_degree_two(matroid, vector_from_json(inputs["c"]),
-                                _replay_scalar(inputs, "q"), vector_from_json(inputs["w"]))
-    if tag == TAG_STRATA_ULC:
-        return check_strata_ultra_log_concave(matroid, _replay_scalar(inputs, "q"),
-                                              vector_from_json(inputs["w"]))
-    if tag == TAG_COUNT_LOG_CONCAVITY:
-        return check_count_log_concavity(matroid)
-    if tag == TAG_SIMPLIFICATION:
-        return check_simplification_bound(matroid)
-    if tag == TAG_LOG_CONCAVITY:
-        return check_log_concavity_at(matroid, vector_from_json(inputs["c"]),
-                                      _replay_scalar(inputs, "q"),
-                                      vector_from_json(inputs["w"]))
-    raise InvalidParametersError(f"cannot replay theorem tag {tag!r}")
+    return call_check(name, (matroid, *(_FROM_JSON[k](inputs[k]) for k in keys)))
 
 
 def replay_report(report):

@@ -31,20 +31,27 @@ from potts_hodge.spectral import euler_hessian_residual
 from potts_hodge.verify import (
     FAIL,
     PASS,
+    TAG_DEGREE_TWO,
+    TAG_DERIVATIVE_ONE_POSITIVE,
+    TAG_LOG_CONCAVITY,
+    TAG_ONE_POSITIVE,
+    TAG_STRATA_ULC,
+    CampaignConfig,
     binomial_dominance,
-    campaign_degree_two,
-    campaign_derivative_one_positive,
-    campaign_log_concavity,
-    campaign_one_positive,
-    campaign_strata_ulc,
     check_count_log_concavity,
     check_simplification_bound,
     dependent_mass_ratio,
     log_slice_second_difference,
-    summarize,
+    run_campaign,
 )
 
 CORPUS = generate_corpus()
+
+
+def campaign(tag, samples):
+    """One theorem's campaign over the default corpus at seed 0."""
+    report = run_campaign(CORPUS, CampaignConfig(theorems=(tag,), seed=0, samples=samples))
+    return report.checks, report.summary
 
 
 def report(num, name, ok, detail):
@@ -53,11 +60,10 @@ def report(num, name, ok, detail):
 
 
 def test_criterion_01_hessian_one_positive():
-    # corpus x q-grid x 20 seeded positive points, all exactly one positive
-    checks = campaign_one_positive(CORPUS, seed=0, samples=20,
-                                   include_adversarial=False)
-    s = summarize(checks)
-    expected = len(CORPUS) * len(default_q_grid()) * 20
+    # corpus x q-grid x (3 deterministic stress points + 20 seeded
+    # positive points), all exactly one positive
+    _, s = campaign(TAG_ONE_POSITIVE, 20)
+    expected = len(CORPUS) * len(default_q_grid()) * 23
     ok = s["total"] == expected and s[PASS] == expected
     report(1, "one-positive Hessian", ok,
            f"{s[PASS]}/{s['total']} pass, expected {expected}")
@@ -68,9 +74,7 @@ def test_criterion_02_derivative_one_positive():
     # x 10 (q, w) pairs; nondegenerate one-positive signature on the active
     # variables, which is the full (1, n, 0) form whenever no inner variable
     # was differentiated
-    checks = campaign_derivative_one_positive(CORPUS, seed=0, coeff_sets=5,
-                                              alphas=10, pairs=10)
-    s = summarize(checks)
+    checks, s = campaign(TAG_DERIVATIVE_ONE_POSITIVE, 10)
     full_form = 0
     for c in checks:
         if c.verdict != PASS:
@@ -119,18 +123,17 @@ def test_criterion_03_equivalence_agreement():
 def test_criterion_04_degree_two():
     # per matroid: 100 seeded (c, q, w) triples checking the exact
     # parallel-class decomposition and the strict quadratic bound at
-    # nonzero w (half the samples sign-mixed), plus 5 constructed points
+    # nonzero w (half the samples sign-mixed), plus 100 constructed points
     # on the Z[1] = 0 plane checking Z[2] < 0
     assert any(structure(m).loops for m in CORPUS)
     assert any(len(cls) > 1 for m in CORPUS
                for cls in structure(m).parallel_classes)
-    checks = campaign_degree_two(CORPUS, seed=0, triples=100, points=5)
-    s = summarize(checks)
+    checks, s = campaign(TAG_DEGREE_TWO, 100)
     zero_line = sum(1 for c in checks if c.inputs.get("aspect") == "zero-line")
     routed = sum(1 for c in checks if "route-match" in c.annotations)
-    expected = len(CORPUS) * 105
+    expected = len(CORPUS) * 200
     ok = (s["total"] == expected and s[PASS] == expected
-          and zero_line == len(CORPUS) * 5 and routed == len(CORPUS) * 100)
+          and zero_line == len(CORPUS) * 100 and routed == len(CORPUS) * 100)
     report(4, "quadratic stratum bounds", ok,
            f"{s[PASS]}/{s['total']} pass, {routed} exact decompositions, "
            f"{zero_line} zero-line points")
@@ -187,8 +190,7 @@ def test_criterion_05_euler_and_kernel_identities():
 def test_criterion_06_ultra_log_concavity():
     # corpus x q-grid x 20 boundary-inclusive nonnegative points, plus the
     # q = 1 all-ones reference point where every interior index is tight
-    checks = campaign_strata_ulc(CORPUS, seed=0, samples=20)
-    s = summarize(checks)
+    checks, s = campaign(TAG_STRATA_ULC, 20)
     references = checks[:: 21]  # one reference + 20 samples per matroid
     tight = sum(1 for c in references if "zero-slack-everywhere" in c.annotations)
     ok = (s[FAIL] == 0 and s["total"] == len(CORPUS) * 21
@@ -277,8 +279,7 @@ def test_criterion_10_log_concavity():
     # curvature matrix Z*H - grad grad^T has no positive eigenvalue on
     # corpus x q-grid x 20 positive points with the exact ray identity;
     # float second-difference slices confirm within 1e-8
-    checks = campaign_log_concavity(CORPUS, seed=0, samples=20)
-    s = summarize(checks)
+    checks, s = campaign(TAG_LOG_CONCAVITY, 20)
     rays = sum(1 for c in checks if "ray-identity" in c.annotations)
     slice_ok = 0
     for idx in range(20):

@@ -13,6 +13,7 @@ from potts_hodge.cli import (
     main,
 )
 from potts_hodge.matroids import MAX_N_ENV_VAR
+from potts_hodge.verify import ALL_THEOREMS
 
 U24 = '{"type": "uniform", "rank": 2, "n": 4}'
 U12 = '{"type": "uniform", "rank": 1, "n": 2}'
@@ -145,6 +146,38 @@ def test_verify_single_check_missing_args(capsys):
                        "--q", "1")
     assert code == EXIT_USAGE
     assert "needs --w" in err
+
+
+def test_verify_single_check_needs_a_theorem(capsys):
+    code, _, err = run(capsys, "verify", "--matroid", U12, "--q", "1", "--w", "1,1,1")
+    assert code == EXIT_USAGE
+    assert "exactly one --theorem" in err
+
+
+def _cli_text(value):
+    """A recorded input in the syntax of --c/--q/--alpha/--w."""
+    if isinstance(value, list):
+        return ",".join(_cli_text(x) for x in value)
+    if isinstance(value, dict):
+        return f"{value['num']}/{value['den']}"
+    return str(value)
+
+
+@pytest.mark.parametrize("theorem", ALL_THEOREMS)
+def test_verify_single_check_reproduces_campaign_check(capsys, theorem):
+    code, out, _ = run(capsys, "verify", "--corpus", "graphic,K3", "--theorem", theorem,
+                       "--samples", "1", "--json")
+    assert code == EXIT_OK
+    first = json.loads(out)["checks"][0]
+    inputs = first["inputs"]
+    argv = ["verify", "--matroid", json.dumps(inputs["matroid"]), "--theorem", theorem,
+            "--json"]
+    for key in ("c", "q", "alpha", "w"):
+        if key in inputs:
+            argv += [f"--{key}", _cli_text(inputs[key])]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["checks"] == [first]
 
 
 def test_verify_rejects_bad_coefficients_before_checking(capsys):

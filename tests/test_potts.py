@@ -35,7 +35,7 @@ from potts_hodge import (
     zk_all,
     zk_eval,
 )
-from potts_hodge.scalars import EXACT, FLOAT
+from potts_hodge.scalars import EXACT, FLOAT, is_exact_scalar
 
 U24 = make_uniform(2, 4)
 U12 = make_uniform(1, 2)
@@ -346,6 +346,18 @@ def test_exact_mode_rejects_floats():
         zk_all(U12, rat(1, 2), (0.5, rat(1)))
     with pytest.raises(InvalidParametersError):
         z_weighted_eval(U12, (1.0, 1, 1), rat(1), (rat(1),) * 3)
+
+
+@pytest.mark.parametrize("value, exact", [
+    (True, False),               # bool is an int subclass, but not a scalar
+    (1.0, False),
+    (3, True),
+    (Fraction(1, 3), True),
+    (sympy.Rational(1, 3), True),  # other Rationals take the ABC route
+    ("1/3", False),
+])
+def test_is_exact_scalar(value, exact):
+    assert is_exact_scalar(value) is exact
 
 
 def test_parameter_validation():

@@ -371,6 +371,37 @@ def test_report_round_trip_and_replay():
     assert fresh == report.checks[0]
 
 
+def test_replay_report_names_exactly_the_edited_checks():
+    corpus = generate_corpus("uniform,n<=3;graphic,K3")
+    stored = run_campaign(corpus, CampaignConfig(seed=3, samples=2)).to_json()
+    edited = json.loads(json.dumps(stored))
+    checks = edited["checks"]
+    flip = 1
+    edit = next(i for i, c in enumerate(checks) if c["theorem"] == TAG_LOG_CONCAVITY)
+    checks[flip]["verdict"] = FAIL if checks[flip]["verdict"] != FAIL else PASS
+    checks[edit]["witness"]["signature"][0] += 1
+    mismatches = replay_report(VerificationReport.from_json(edited))
+    assert [i for i, _, _ in mismatches] == [flip, edit]
+    # the fresh runs reproduce the unedited records
+    assert [fresh.to_json() for _, _, fresh in mismatches] == \
+        [stored["checks"][flip], stored["checks"][edit]]
+
+
+@pytest.mark.parametrize("theorem, aspect", [
+    ("nope", None),
+    (TAG_DEGREE_TWO, None),
+    (TAG_DEGREE_TWO, "sideways"),
+    (TAG_ONE_POSITIVE, "zero-line"),
+])
+def test_replay_check_rejects_unknown_theorem_or_aspect(theorem, aspect):
+    inputs = {"matroid": U12.to_json(), "q": {"num": "1", "den": "1"},
+              "w": [{"num": "1", "den": "1"}] * 3}
+    if aspect is not None:
+        inputs["aspect"] = aspect
+    with pytest.raises(InvalidParametersError):
+        replay_check(CheckResult(theorem, inputs, PASS))
+
+
 def test_check_result_parsing_errors():
     with pytest.raises(ParseError):
         CheckResult.from_json({"theorem": "qHR", "inputs": {}})
