@@ -207,6 +207,9 @@ def _run_single_check(args):
     tag = args.theorem[0]
     # a theorem's first CHECKS row is the one a single input runs
     name, keys = next(row for (theorem, _), row in CHECKS.items() if theorem == tag)
+    for key in _PARSE_INPUT:
+        if key not in keys and getattr(args, key) is not None:
+            raise InvalidParametersError(f"theorem {tag} takes no --{key}")
     for key in keys:
         if getattr(args, key) is None:
             raise InvalidParametersError(f"theorem {tag} needs --{key}")
@@ -250,7 +253,7 @@ def _parse_q_grid(args):
 
 
 def _single_check_args_given(args):
-    return any(getattr(args, name) is not None for name in ("c", "q", "alpha", "w"))
+    return any(getattr(args, name) is not None for name in _PARSE_INPUT)
 
 
 def _cmd_verify(args):

@@ -2,10 +2,11 @@
 
 Everything here is dimension-small (matrices are (n+1) x (n+1) for ground
 sets capped at n <= 20), so clarity beats asymptotics and there are no
-pivoting heuristics.  Inertia comes from a symmetric fraction-free
-(Bareiss) elimination over Python ints.  Rank, nullspace and the congruence
-diagonalization with its transform use Gaussian elimination over exact
-rationals.
+pivoting heuristics.  One routine does all the elimination: a symmetric
+fraction-free (Bareiss) elimination over Python ints, bareiss_eliminate.
+Inertia counts its pivot signs; the congruence diagonalization reads its
+transform, carried along as a border of the matrix; rank and nullspace
+come from the same elimination of the Gram matrix M^T M.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from .errors import ImpossibleStateError, InvalidParametersError
 from .scalars import (
     EXACT,
+    clear_denominators,
     coerce_scalar,
     is_exact_scalar,
     rat,
@@ -91,77 +93,6 @@ def bilinear(u, matrix, v):
     return sum(ui * x for ui, x in zip(u, av))
 
 
-def _echelon(rows):
-    """Row-reduce in place over exact rationals; returns list of pivot columns."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rat(1) / rat(rows[r][col])
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                coef = rows[i][col]
-                rows[i] = [a - coef * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def exact_rank(rows):
-    """Rank of a rational matrix given as an iterable of rows."""
-    work = [[rat(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    return len(_echelon(work))
-
-
-def exact_nullspace(rows):
-    """Basis of the right nullspace of a rational matrix, as tuples.
-
-    The basis is in the standard reduced-echelon parametrization (one vector
-    per free column, with a 1 in that column), so it is deterministic.
-    """
-    work = [[rat(x) for x in row] for row in rows]
-    if not work:
-        return []
-    ncols = len(work[0])
-    pivots = _echelon(work)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [rat(0)] * ncols
-        vec[fc] = rat(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(tuple(vec))
-    return basis
-
-
-def same_subspace(basis_a, basis_b, dim):
-    """Do two lists of vectors span the same subspace of R^dim?"""
-    ra = exact_rank(list(basis_a)) if basis_a else 0
-    rb = exact_rank(list(basis_b)) if basis_b else 0
-    if ra != rb:
-        return False
-    joint = [list(v) for v in basis_a] + [list(v) for v in basis_b]
-    if not joint:
-        return True
-    return exact_rank(joint) == ra
-
-
 def _zero_diagonal_pair(a, active):
     """An active pair (i, j), i != j, with a[i][j] != 0, or None."""
     for i in active:
@@ -171,76 +102,35 @@ def _zero_diagonal_pair(a, active):
     return None
 
 
-def congruence_diagonalize(matrix):
-    """Exact congruence X^T A X = diag(d); returns (columns of X, diagonal).
+def bareiss_eliminate(a, d):
+    """Symmetric fraction-free elimination (Bareiss 1968) of the leading
+    d x d block of the symmetric integer matrix a, in place.
 
-    Symmetric Gaussian reduction.  When every remaining diagonal entry is
-    zero but some off-diagonal a_ij is not, adding column j to column i
-    creates the nonzero diagonal entry 2*a_ij; the subsequent pair of 1x1
-    pivots contributes one positive and one negative inertia index, exactly
-    as the hyperbolic 2x2 block would.  signature() counts inertia with
-    bareiss_inertia; this routine serves callers that need the transform X,
-    and is an independent reference for that count.
-    """
-    rows = matrix.rows() if isinstance(matrix, SymMatrix) else [list(r) for r in matrix]
-    d = len(rows)
-    a = [[rat(x) for x in row] for row in rows]
-    basis = [[rat(1) if i == j else rat(0) for i in range(d)] for j in range(d)]
-    active = list(range(d))
-    out_vectors = []
-    out_diag = []
-    while active:
-        pivot = next((i for i in active if a[i][i] != 0), None)
-        if pivot is None:
-            pair = _zero_diagonal_pair(a, active)
-            if pair is None:
-                for i in active:
-                    out_vectors.append(tuple(basis[i]))
-                    out_diag.append(rat(0))
-                break
-            i, j = pair
-            # column operation col_i += col_j, mirrored on rows to stay congruent
-            basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
-            for k in range(d):
-                a[i][k] = a[i][k] + a[j][k]
-            for k in range(d):
-                a[k][i] = a[k][i] + a[k][j]
-            continue
-        p = pivot
-        dval = a[p][p]
-        out_vectors.append(tuple(basis[p]))
-        out_diag.append(dval)
-        active.remove(p)
-        for i in active:
-            coef = a[i][p] / dval
-            if coef != 0:
-                basis[i] = [x - coef * y for x, y in zip(basis[i], basis[p])]
-                for k in range(d):
-                    a[i][k] = a[i][k] - coef * a[p][k]
-                for k in range(d):
-                    a[k][i] = a[k][i] - coef * a[k][p]
-    return out_vectors, out_diag
-
-
-def bareiss_inertia(rows):
-    """(n_pos, n_neg, n_zero) of a symmetric integer matrix.
-
-    Symmetric fraction-free elimination (Bareiss 1968).  Pivoting on a
-    nonzero diagonal entry d_p updates the active entries as
+    Pivoting on a nonzero diagonal entry d_p updates the active entries as
     a_ik <- (d_p a_ik - a_ip a_pk) / d_prev, where d_prev is the previous
     pivot (1 at the start).  Every active entry is then a minor of the
     input, by Sylvester's identity, so the division is exact; it is checked
-    all the same.  The pivots are leading principal minors in pivot order,
-    so the k-th diagonal entry of an LDL^T factorization has the sign of
-    d_p d_prev.  When every active diagonal entry is zero but some a_ij
-    is not, row i += row j and column i += column j make a_ii = 2 a_ij, as
-    in congruence_diagonalize; this congruence leaves the pivot block alone,
-    so the later divisions stay exact.
+    all the same.  When every active diagonal entry is zero but some a_ij is
+    not, row i += row j and column i += column j make a_ii = 2 a_ij; this
+    congruence leaves the pivot block alone, so the later divisions stay
+    exact.
+
+    Rows and columns beyond d are never pivoted on; they ride along with the
+    same updates.  Bordering A as [[A, I], [I, 0]] therefore carries the
+    integer transform: entries d.. of an active row i are the column
+    basis_i of the rational transform X times the last pivot, updated as
+    basis_i <- (d_p basis_i - a_ip basis_p) / d_prev at a pivot and
+    basis_i += basis_j at a hyperbolic step.  Row p stops changing when p
+    is pivoted on.
+
+    Returns (pivots, radical, last): pivots lists (p, d_p, d_prev) in pivot
+    order, radical the indices left when the active block is zero, and last
+    the last pivot (1 when there is none).
     """
-    a = [list(row) for row in rows]
-    active = list(range(len(a)))
+    active = list(range(d))
+    border = list(range(d, len(a)))
     prev = 1
-    pos = neg = 0
+    pivots = []
     while active:
         p = next((i for i in active if a[i][i]), None)
         if p is None:
@@ -248,29 +138,113 @@ def bareiss_inertia(rows):
             if pair is None:
                 break
             i, j = pair
-            for k in active:
+            for k in active + border:
                 a[i][k] += a[j][k]
-            for k in active:
+            for k in active + border:
                 a[k][i] += a[k][j]
             continue
         piv = a[p][p]
-        if (piv > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
+        pivots.append((p, piv, prev))
         active.remove(p)
+        cols = active + border
         row_p = a[p]
         for x, i in enumerate(active):
             row_i = a[i]
             a_ip = row_i[p]
-            for k in active[x:]:
+            for k in cols[x:]:
                 value, rem = divmod(piv * row_i[k] - a_ip * row_p[k], prev)
                 if rem:
                     raise ImpossibleStateError(
                         f"inexact Bareiss division by {prev} at ({i},{k})")
                 row_i[k] = a[k][i] = value
         prev = piv
-    return pos, neg, len(a) - pos - neg
+    return pivots, active, prev
+
+
+def bareiss_inertia(rows):
+    """(n_pos, n_neg, n_zero) of a symmetric integer matrix.
+
+    The pivots of bareiss_eliminate are leading principal minors in pivot
+    order, so the k-th diagonal entry of an LDL^T factorization has the
+    sign of d_p d_prev.
+    """
+    a = [list(row) for row in rows]
+    pivots, _, _ = bareiss_eliminate(a, len(a))
+    pos = sum(1 for _, piv, prev in pivots if (piv > 0) == (prev > 0))
+    return pos, len(pivots) - pos, len(a) - len(pivots)
+
+
+def _bordered(square, d):
+    """[[S, I], [I, 0]] for a d x d list of rows S."""
+    top = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(square)]
+    return top + [[int(i == j) for j in range(d)] + [0] * d for i in range(d)]
+
+
+def congruence_diagonalize(matrix):
+    """Exact congruence X^T A X = diag(D); returns (columns of X, D).
+
+    A times the lcm L of its denominators is eliminated by
+    bareiss_eliminate with the transform bordered on: a pivot p gives the
+    column basis_p / d_prev and D entry d_p / (d_prev L), and each index
+    left in the radical gives basis_i / last and 0.  These are the columns
+    and the diagonal of the symmetric Gaussian reduction over rationals,
+    with its choice of pivots and of hyperbolic steps.
+    """
+    rows = matrix.rows() if isinstance(matrix, SymMatrix) else [list(r) for r in matrix]
+    d = len(rows)
+    ints, den = clear_denominators([rat(x) for row in rows for x in row])
+    a = _bordered([ints[i * d:(i + 1) * d] for i in range(d)], d)
+    pivots, radical, last = bareiss_eliminate(a, d)
+    vectors = [tuple(rat(x, prev) for x in a[p][d:]) for p, _, prev in pivots]
+    vectors += [tuple(rat(x, last) for x in a[i][d:]) for i in radical]
+    diag = [rat(piv, prev * den) for _, piv, prev in pivots] + [rat(0)] * len(radical)
+    return vectors, diag
+
+
+def _gram(rows):
+    """M^T M for the rows of a rational matrix, each scaled to integers.
+
+    Scaling a row keeps the row space, so M^T M has the rank and the right
+    nullspace of the input.  It is positive semidefinite: a zero diagonal
+    entry of it, or of a Schur complement of it, has a zero row, so
+    bareiss_eliminate never takes a hyperbolic step on it, and its pivots
+    are the columns of M from left to right that are not in the span of
+    the earlier columns.
+    """
+    m = [clear_denominators([rat(x) for x in row])[0] for row in rows]
+    d = len(m[0]) if m else 0
+    return [[sum(row[i] * row[j] for row in m) for j in range(d)] for i in range(d)]
+
+
+def exact_rank(rows):
+    """Rank of a rational matrix given as an iterable of rows."""
+    gram = _gram(rows)
+    pivots, _, _ = bareiss_eliminate(gram, len(gram))
+    return len(pivots)
+
+
+def exact_nullspace(rows):
+    """Basis of the right nullspace of a rational matrix, as tuples.
+
+    The basis is in the standard reduced-echelon parametrization (one vector
+    per free column, with a 1 in that column), so it is deterministic.  It
+    is the radical of the Gram matrix (_gram): the transform column of a
+    free column i is 1 at i, zero at the other free columns, and in the
+    kernel of M, which is that reduced-echelon vector.
+    """
+    gram = _gram(rows)
+    d = len(gram)
+    a = _bordered(gram, d)
+    _, radical, last = bareiss_eliminate(a, d)
+    return [tuple(rat(x, last) for x in a[i][d:]) for i in radical]
+
+
+def same_subspace(basis_a, basis_b):
+    """Do two lists of vectors span the same subspace?"""
+    ra = exact_rank(basis_a)
+    if ra != exact_rank(basis_b):
+        return False
+    return exact_rank(list(basis_a) + list(basis_b)) == ra
 
 
 def stack_rows(matrices):

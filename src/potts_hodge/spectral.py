@@ -1,10 +1,11 @@
 """Signatures of symmetric matrices and the spectral identities used by the
 verification campaigns.
 
-Exact signatures come from a fraction-free symmetric elimination over
-integers, so they are never subject to rounding.  Float matrices fall back
-to a symmetric eigendecomposition with an explicit indeterminacy error when
-an eigenvalue is too close to zero to classify.
+Exact signatures, congruence transforms, ranks and nullspaces all come from
+the one fraction-free symmetric elimination over integers in matrices.py,
+so they are never subject to rounding.  Float matrices fall back to a
+symmetric eigendecomposition with an explicit indeterminacy error when an
+eigenvalue is too close to zero to classify.
 """
 from __future__ import annotations
 
@@ -169,25 +170,28 @@ def _sample_positive_form_vector(rng, mat, budget=1000):
 def one_positive_equivalence_check(matrix, trials=100, seed=0):
     """Check agreement of the three one-positive-eigenvalue criteria.
 
-    Requires at least one positive eigenvalue; otherwise the equivalence is
-    about nothing and the report comes back not applicable.  Statements 2
-    and 3 are sampled over integer vectors, augmented with deterministic
-    probes from a congruence diagonalization so the sampled verdicts cannot
-    come out true by accident: with two positive axes p1, p2 the pair
-    (p1, p2) violates statement 2 outright (their cross form vanishes), and
-    every statement-3 candidate u is also tested against a vector in
-    span(p1, p2) chosen so u^T A v = 0 while v^T A v > 0, which exists for
-    every u with positive form whenever the positive index is at least two.
+    The signature (statement 1) is read off the diagonal of the congruence
+    diagonalization.  Requires at least one positive eigenvalue; otherwise
+    the equivalence is about nothing and the report comes back not
+    applicable.  Statements 2 and 3 are sampled over integer vectors,
+    augmented with deterministic probes from the same diagonalization so
+    the sampled verdicts cannot come out true by accident: with two
+    positive axes p1, p2 the pair (p1, p2) violates statement 2 outright
+    (their cross form vanishes), and every statement-3 candidate u is also
+    tested against a vector in span(p1, p2) chosen so u^T A v = 0 while
+    v^T A v > 0, which exists for every u with positive form whenever the
+    positive index is at least two.
     """
     mat = matrix if isinstance(matrix, SymMatrix) else SymMatrix.from_rows(matrix)
     if not mat.is_exact:
         raise InvalidParametersError("one_positive_equivalence_check requires exact entries")
-    sig = signature(mat)
+    vectors, diag = congruence_diagonalize(mat)
+    positive_axes = [v for v, d in zip(vectors, diag) if d > 0]
+    n_neg = sum(1 for d in diag if d < 0)
+    sig = EigenSignature(len(positive_axes), n_neg, mat.dim - len(positive_axes) - n_neg)
     if sig.n_pos == 0:
         return EquivalenceReport(applicable=False, signature=sig)
     rng = random.Random(seed)
-    vectors, diag = congruence_diagonalize(mat)
-    positive_axes = [v for v, d in zip(vectors, diag) if d > 0]
     statement1 = sig.n_pos == 1
 
     # statement 2: all pairs with positive u-form
@@ -314,7 +318,7 @@ def kernel_identity_check(matroid, c, q, alpha, w):
     else:
         # no constraints at all: the joint kernel is the whole space
         ker_stack = [tuple(rat(1) if i == j else rat(0) for i in range(dim)) for j in range(dim)]
-    equal = same_subspace(ker_f, ker_stack, dim)
+    equal = same_subspace(ker_f, ker_stack)
     return KernelIdentityReport(
         hypothesis_ok=hypothesis_ok,
         hypothesis_failures=tuple(failures),

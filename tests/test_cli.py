@@ -154,6 +154,17 @@ def test_verify_single_check_needs_a_theorem(capsys):
     assert "exactly one --theorem" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["--theorem", "mason", "--q", "7", "--alpha", "x"], "--q"),
+    (["--theorem", "qHR", "--q", "1/2", "--w", "1,1,1,1", "--alpha", "x", "--c", "1"], "--c"),
+])
+def test_verify_single_check_rejects_arguments_the_check_does_not_take(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", "--matroid", K3, *argv, "--json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"takes no {flag}" in err
+
+
 def _cli_text(value):
     """A recorded input in the syntax of --c/--q/--alpha/--w."""
     if isinstance(value, list):

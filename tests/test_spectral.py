@@ -3,7 +3,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from potts_hodge import (
@@ -15,6 +16,8 @@ from potts_hodge import (
     bilinear,
     congruence_diagonalize,
     euler_hessian_residual,
+    exact_nullspace,
+    exact_rank,
     float_eigenvalues,
     hessian,
     hr_discriminant,
@@ -107,8 +110,57 @@ def test_congruence_diagonalize_is_a_congruence():
                 assert bilinear(vectors[i], mat, vectors[j]) == 0
 
 
+def rational_congruence_diagonalize(matrix):
+    """Test reference for congruence_diagonalize: symmetric Gaussian
+    reduction over rationals, X^T A X = diag(d); returns (columns of X, d).
+
+    When every remaining diagonal entry is zero but some off-diagonal a_ij
+    is not, adding column j to column i creates the nonzero diagonal entry
+    2*a_ij; the subsequent pair of 1x1 pivots contributes one positive and
+    one negative inertia index, exactly as the hyperbolic 2x2 block would.
+    """
+    rows = matrix.rows() if isinstance(matrix, SymMatrix) else [list(r) for r in matrix]
+    d = len(rows)
+    a = [[rat(x) for x in row] for row in rows]
+    basis = [[rat(1) if i == j else rat(0) for i in range(d)] for j in range(d)]
+    active = list(range(d))
+    out_vectors = []
+    out_diag = []
+    while active:
+        pivot = next((i for i in active if a[i][i] != 0), None)
+        if pivot is None:
+            pair = next(((i, j) for i in active for j in active if j != i and a[i][j]), None)
+            if pair is None:
+                for i in active:
+                    out_vectors.append(tuple(basis[i]))
+                    out_diag.append(rat(0))
+                break
+            i, j = pair
+            # column operation col_i += col_j, mirrored on rows to stay congruent
+            basis[i] = [x + y for x, y in zip(basis[i], basis[j])]
+            for k in range(d):
+                a[i][k] = a[i][k] + a[j][k]
+            for k in range(d):
+                a[k][i] = a[k][i] + a[k][j]
+            continue
+        p = pivot
+        dval = a[p][p]
+        out_vectors.append(tuple(basis[p]))
+        out_diag.append(dval)
+        active.remove(p)
+        for i in active:
+            coef = a[i][p] / dval
+            if coef != 0:
+                basis[i] = [x - coef * y for x, y in zip(basis[i], basis[p])]
+                for k in range(d):
+                    a[i][k] = a[i][k] - coef * a[p][k]
+                for k in range(d):
+                    a[k][i] = a[k][i] - coef * a[k][p]
+    return out_vectors, out_diag
+
+
 def reference_signature(rows):
-    _, diag = congruence_diagonalize(SymMatrix.from_rows(rows))
+    _, diag = rational_congruence_diagonalize(SymMatrix.from_rows(rows))
     pos = sum(1 for x in diag if x > 0)
     neg = sum(1 for x in diag if x < 0)
     return EigenSignature(pos, neg, len(diag) - pos - neg)
@@ -142,6 +194,58 @@ def symmetric_rational_matrices(draw):
 @given(symmetric_rational_matrices())
 def test_signature_matches_congruence_reference(rows):
     assert signature(rows) == reference_signature(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_rational_matrices())
+@example([])
+@example([[rat(0), rat(1, 2)], [rat(1, 2), rat(0)]])
+def test_congruence_diagonalize_matches_rational_reference(rows):
+    # the same columns and diagonal, not just a congruence
+    assert congruence_diagonalize(rows) == rational_congruence_diagonalize(rows)
+
+
+@st.composite
+def known_rank_matrices(draw):
+    """(rows, r): M = B C with r of the rows of B, and r of the columns of
+    C, those of the r x r identity, so M has rank exactly r.  The other
+    rows of B are random or copies of earlier rows (duplicated rows of M),
+    and a column of M outside C's identity columns may be zeroed."""
+    nrows = draw(st.one_of(st.just(1), st.integers(1, 7)))
+    ncols = draw(st.one_of(st.just(1), st.integers(1, 7)))
+    r = draw(st.integers(0, min(nrows, ncols)))
+    unit_rows = draw(st.permutations(range(nrows)))[:r]
+    unit_cols = draw(st.permutations(range(ncols)))[:r]
+    b = []
+    for i in range(nrows):
+        if i in unit_rows:
+            b.append([rat(int(k == unit_rows.index(i))) for k in range(r)])
+        elif b and draw(st.booleans()):
+            b.append(list(b[draw(st.integers(0, len(b) - 1))]))
+        else:
+            b.append([draw(ENTRIES) for _ in range(r)])
+    c = [[rat(int(j == unit_cols[k])) if j in unit_cols else draw(ENTRIES)
+          for j in range(ncols)] for k in range(r)]
+    rows = [[sum((b[i][k] * c[k][j] for k in range(r)), rat(0)) for j in range(ncols)]
+            for i in range(nrows)]
+    others = [j for j in range(ncols) if j not in unit_cols]
+    if others and draw(st.booleans()):
+        zeroed = draw(st.sampled_from(others))
+        for row in rows:
+            row[zeroed] = rat(0)
+    return rows, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(known_rank_matrices())
+def test_rank_and_nullspace_match_sympy(case):
+    rows, r = case
+    oracle = sympy.Matrix(rows)
+    assert exact_rank(rows) == r == oracle.rank()
+    # sympy's nullspace is the reduced-echelon basis, one vector per free
+    # column in column order: the list must be the same, not only its span
+    expected = [tuple(rat(int(x.p), int(x.q)) for x in v) for v in oracle.nullspace()]
+    assert exact_nullspace(rows) == expected
 
 
 def test_bareiss_hyperbolic_step_after_a_pivot():
