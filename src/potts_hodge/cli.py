@@ -13,9 +13,11 @@ Exit codes: 0 success / all checks passed, 1 a verification check failed,
 2 usage or configuration error, 3 resource limit exceeded.
 
 Scalar arguments are rationals written as "num/den" (or plain integers).
-Floats are accepted only with --mode float.  All JSON output is printed
-with sorted keys so identical inputs give byte-identical output; timing
-is only written to --out report files, never to stdout.
+Floats are accepted only with --mode float, a format: each scalar is
+rounded to a double and converted exactly, the library evaluates exactly,
+and each printed result is rounded once.  All JSON output is printed with
+sorted keys so identical inputs give byte-identical output; timing is
+only written to --out report files, never to stdout.
 """
 from __future__ import annotations
 
@@ -33,24 +35,16 @@ from .errors import (
     ResourceLimitError,
 )
 from .matroids import from_json as matroid_from_json
-from .potts import (
-    hessian,
-    is_identically_zero,
-    is_strictly_log_concave,
-    validate_coeffs,
-    z_weighted_eval,
-    zk_all,
-    zk_eval,
-)
-from .scalars import EXACT, FLOAT, parse_rational, rat, scalar_to_json, vector_to_json
+from .matrices import SymMatrix
+from .potts import derivative_degree, hessian, z_weighted_eval, zk_all, zk_eval
+from .scalars import EXACT, FLOAT, from_float, parse_rational, to_float
+from .scalars import scalar_to_json, vector_to_json
 from .spectral import EigenSignature, float_eigenvalues, signature
 from .verify import (
     ALL_THEOREMS,
     CHECKS,
     CampaignConfig,
     FAIL,
-    TAG_DEGREE_TWO,
-    TAG_DERIVATIVE_ONE_POSITIVE,
     VerificationReport,
     call_check,
     check_count_log_concavity,
@@ -65,15 +59,18 @@ EXIT_RESOURCE = 3
 
 
 def _parse_scalar(text, mode):
+    """A rational literal; in float mode also a float literal, and either is
+    rounded to a double and then converted exactly."""
     try:
-        return parse_rational(text)
+        value = parse_rational(text)
     except ParseError:
         if mode == EXACT:
             raise
         try:
-            return float(text)
+            value = float(text)
         except ValueError as exc:
             raise ParseError(f"cannot parse scalar {text!r}") from exc
+    return from_float(value) if mode == FLOAT else value
 
 
 def _parse_vector(text, mode, name):
@@ -113,6 +110,12 @@ def _format_scalar(x):
     return f"{x.numerator}/{x.denominator}"
 
 
+def _shown(value, mode):
+    """An exact result in the output form of the mode: rounded once in
+    float mode."""
+    return to_float(value) if mode == FLOAT else value
+
+
 # ------------------------------------------------------------ commands
 
 
@@ -123,20 +126,20 @@ def _cmd_eval(args):
     w = _parse_vector(args.w, mode, "--w")
     if args.c is not None:
         c = _parse_vector(args.c, mode, "--c")
-        value = z_weighted_eval(matroid, c, q, w, mode)
+        value = _shown(z_weighted_eval(matroid, c, q, w), mode)
         if args.json:
             _dump_json({"value": scalar_to_json(value)})
         else:
             print(_format_scalar(value))
         return EXIT_OK
     if args.k is not None:
-        value = zk_eval(matroid, args.k, q, w, mode)
+        value = _shown(zk_eval(matroid, args.k, q, w), mode)
         if args.json:
             _dump_json({"k": args.k, "value": scalar_to_json(value)})
         else:
             print(_format_scalar(value))
         return EXIT_OK
-    strata = zk_all(matroid, q, w, mode)
+    strata = [_shown(x, mode) for x in zk_all(matroid, q, w)]
     if args.json:
         _dump_json({"strata": vector_to_json(strata)})
     else:
@@ -156,9 +159,18 @@ def _hessian_inputs(args):
     return matroid, c, q, alpha, w
 
 
-def _cmd_hessian(args):
+def _shown_hessian(args):
+    """The Hessian of the parsed inputs, rounded entry by entry in float
+    mode; also returns the matroid and alpha."""
     matroid, c, q, alpha, w = _hessian_inputs(args)
-    mat = hessian(matroid, c, q, alpha, w, args.mode)
+    mat = hessian(matroid, c, q, alpha, w)
+    if args.mode == FLOAT:
+        mat = SymMatrix(tuple(tuple(map(to_float, row)) for row in mat.entries))
+    return matroid, alpha, mat
+
+
+def _cmd_hessian(args):
+    _, _, mat = _shown_hessian(args)
     if args.json:
         _dump_json(mat.to_json())
     else:
@@ -168,11 +180,9 @@ def _cmd_hessian(args):
 
 
 def _cmd_spectrum(args):
-    matroid, c, q, alpha, w = _hessian_inputs(args)
-    mat = hessian(matroid, c, q, alpha, w, args.mode)
-    # the test is symbolic in alpha: c and q only need validating, which
-    # the Hessian did in the given mode; pass on their exact forms
-    zero = is_identically_zero(matroid, validate_coeffs(c, matroid.n, args.mode), rat(q), alpha)
+    matroid, alpha, mat = _shown_hessian(args)
+    # symbolic in alpha; the Hessian has validated every input
+    zero = derivative_degree(matroid, alpha) is None
     sig = EigenSignature(0, 0, mat.dim) if zero else signature(mat)
     eigs = [] if zero else list(float_eigenvalues(mat))
     payload = {
@@ -215,13 +225,6 @@ def _run_single_check(args):
             raise InvalidParametersError(f"theorem {tag} needs --{key}")
     matroid = _load_matroid(args.matroid)
     values = [_PARSE_INPUT[key](getattr(args, key)) for key in keys]
-    if "c" in keys:
-        # configuration is validated before any check runs
-        c = values[keys.index("c")]
-        validate_coeffs(c, matroid.n, EXACT)
-        if tag in (TAG_DERIVATIVE_ONE_POSITIVE, TAG_DEGREE_TWO) and not is_strictly_log_concave(c):
-            raise InvalidParametersError(
-                "coefficient sequence must be strictly log-concave for this theorem")
     checks = (call_check(name, (matroid, *values)),)
     return VerificationReport(
         campaign={"name": "single-check", "theorems": [tag]},

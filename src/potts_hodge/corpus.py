@@ -30,7 +30,6 @@ class CorpusSpec:
     linear_count: int = 50
     linear_max_n: int = 8
     linear_seed: int = DEFAULT_LINEAR_SEED
-    include_structured: bool = True
     families: tuple = ("uniform", "graphic", "linear", "structured")
 
 
@@ -200,9 +199,9 @@ def parse_corpus_spec(text):
             families.append("linear")
             for clause in parts[1:]:
                 if clause.startswith("count="):
-                    kwargs["linear_count"] = int(clause[len("count="):])
+                    kwargs["linear_count"] = _parse_bound(clause, "count", text)
                 elif clause.startswith("seed="):
-                    kwargs["linear_seed"] = int(clause[len("seed="):])
+                    kwargs["linear_seed"] = _parse_bound(clause, "seed", text)
                 else:
                     kwargs["linear_max_n"] = _parse_bound(clause, "n", text)
         elif family == "structured":

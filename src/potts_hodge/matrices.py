@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .errors import ImpossibleStateError, InvalidParametersError
 from .scalars import (
-    EXACT,
+    as_rational,
+    as_rationals,
     clear_denominators,
-    coerce_scalar,
     is_exact_scalar,
     rat,
     scalar_from_json,
@@ -74,8 +74,9 @@ class SymMatrix:
         return mat
 
     @staticmethod
-    def from_rows(rows, mode=EXACT):
-        return SymMatrix(tuple(tuple(coerce_scalar(x, mode) for x in row) for row in rows))
+    def from_rows(rows):
+        """Exact matrix from rows of ints or rationals; floats raise."""
+        return SymMatrix(tuple(as_rationals(row) for row in rows))
 
     def submatrix(self, indices):
         idx = list(indices)
@@ -192,7 +193,7 @@ def congruence_diagonalize(matrix):
     """
     rows = matrix.rows() if isinstance(matrix, SymMatrix) else [list(r) for r in matrix]
     d = len(rows)
-    ints, den = clear_denominators([rat(x) for row in rows for x in row])
+    ints, den = clear_denominators([as_rational(x) for row in rows for x in row])
     a = _bordered([ints[i * d:(i + 1) * d] for i in range(d)], d)
     pivots, radical, last = bareiss_eliminate(a, d)
     vectors = [tuple(rat(x, prev) for x in a[p][d:]) for p, _, prev in pivots]
@@ -211,7 +212,7 @@ def _gram(rows):
     are the columns of M from left to right that are not in the span of
     the earlier columns.
     """
-    m = [clear_denominators([rat(x) for x in row])[0] for row in rows]
+    m = [clear_denominators(as_rationals(row))[0] for row in rows]
     d = len(m[0]) if m else 0
     return [[sum(row[i] * row[j] for row in m) for j in range(d)] for i in range(d)]
 

@@ -35,56 +35,38 @@ its scale factor:
     alpha-derivative of Z_c  (integer) / (L_c a^R L^(n-|alpha|)).
 
 By homogeneity the last factor is the same for every entry of a Hessian.
-Float mode converts its float inputs exactly, evaluates exactly and rounds
-each output once.
+Inputs are ints or exact rationals (scalars.as_rational) and outputs are
+Fractions; a caller with float inputs converts them with scalars.from_float.
 """
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 
 from .errors import InvalidParametersError
 from .matrices import SymMatrix
-from .scalars import EXACT, clear_denominators, coerce_scalar, coerce_vector, ensure_mode, rat
+from .scalars import as_rational, as_rationals, clear_denominators
+
+ZERO = Fraction(0)
 
 
-def _exact(values, mode):
-    """Coerce a vector in the given mode, then convert it exactly."""
-    vals = coerce_vector(values, mode)
-    if mode == EXACT:
-        return vals
-    return tuple(rat(x) for x in vals)
-
-
-def _rounded(value, mode, den=1):
-    """The exact result value/den in the output form of the mode: float mode
-    rounds it once, to +-inf outside the double range."""
-    value = rat(value, den)
-    if mode == EXACT:
-        return value
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
-def _validate_q(q, mode):
-    (qv,) = _exact((q,), mode)
+def _validate_q(q):
+    qv = as_rational(q)
     if qv <= 0:
         raise InvalidParametersError(f"q must be positive, got {q!r}")
     return qv
 
 
-def _validate_point(w, length, mode, name="w"):
-    wv = _exact(w, mode)
+def _validate_point(w, length, name="w"):
+    wv = as_rationals(w)
     if len(wv) != length:
         raise InvalidParametersError(f"{name} must have length {length}, got {len(wv)}")
     return wv
 
 
-def validate_coeffs(c, n, mode=EXACT):
+def validate_coeffs(c, n):
     """Coefficient sequence c_0..c_n: right length, strictly positive.
-    Returned as exact rationals in either mode."""
-    cv = _exact(c, mode)
+    Returned as Fractions."""
+    cv = as_rationals(c)
     if len(cv) != n + 1:
         raise InvalidParametersError(f"coefficient sequence must have length n+1 = {n + 1}, got {len(cv)}")
     if any(x <= 0 for x in cv):
@@ -106,7 +88,7 @@ def validate_alpha(alpha, n):
 
 def is_strictly_log_concave(c):
     """True when c is positive with c_m^2 > c_{m-1} c_{m+1} strictly inside."""
-    cv = [coerce_scalar(x, EXACT) for x in c]
+    cv = as_rationals(c)
     if any(x <= 0 for x in cv):
         return False
     return all(cv[m] * cv[m] > cv[m - 1] * cv[m + 1] for m in range(1, len(cv) - 1))
@@ -114,7 +96,7 @@ def is_strictly_log_concave(c):
 
 def is_log_concave(c):
     """Non-strict variant: positive with c_m^2 >= c_{m-1} c_{m+1} inside."""
-    cv = [coerce_scalar(x, EXACT) for x in c]
+    cv = as_rationals(c)
     if any(x <= 0 for x in cv):
         return False
     return all(cv[m] * cv[m] >= cv[m - 1] * cv[m + 1] for m in range(1, len(cv) - 1))
@@ -158,22 +140,21 @@ def _dot(weights, row):
     return sum(x * t for x, t in zip(weights, row) if t)
 
 
-def zk_all(matroid, q, w, mode=EXACT):
+def zk_all(matroid, q, w):
     """All strata (Z[0], ..., Z[n]) at the length-n point w, one subset pass."""
-    ensure_mode(mode)
-    qv = _validate_q(q, mode)
-    wv, den = clear_denominators(_validate_point(w, matroid.n, mode))
+    qv = _validate_q(q)
+    wv, den = clear_denominators(_validate_point(w, matroid.n))
     powers, qden = _q_inverse_powers(qv, matroid.full_rank)
     table = _size_rank_sums(matroid, _products(wv), 0)
-    return tuple(_rounded(_dot(powers, row), mode, qden * den ** k) for k, row in enumerate(table))
+    return tuple(Fraction(_dot(powers, row), qden * den ** k) for k, row in enumerate(table))
 
 
-def zk_eval(matroid, k, q, w, mode=EXACT):
+def zk_eval(matroid, k, q, w):
     """Single stratum Z[k]; k > n gives 0 (there are no such subsets)."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {k!r}")
-    strata = zk_all(matroid, q, w, mode)
-    return strata[k] if k <= matroid.n else _rounded(0, mode)
+    strata = zk_all(matroid, q, w)
+    return strata[k] if k <= matroid.n else ZERO
 
 
 def _falling(k, j):
@@ -212,15 +193,14 @@ def _w0_weights(cv, powers, w0, a0):
     return weights
 
 
-def _derivatives(matroid, c, q, w, mode):
-    """Validate c, q and the length-(n+1) point w in the given mode, and
-    return alpha -> the alpha-derivative of Z_c at w, in the output form of
-    the mode.  Calls share the product table, one T table per inner support
-    and one weight table per alpha_0."""
+def _derivatives(matroid, c, q, w):
+    """Validate c, q and the length-(n+1) point w, and return alpha -> the
+    alpha-derivative of Z_c at w.  Calls share the product table, one T
+    table per inner support and one weight table per alpha_0."""
     n = matroid.n
-    cv, cden = clear_denominators(validate_coeffs(c, n, mode))
-    powers, qden = _q_inverse_powers(_validate_q(q, mode), matroid.full_rank)
-    wv, den = clear_denominators(_validate_point(w, n + 1, mode))
+    cv, cden = clear_denominators(validate_coeffs(c, n))
+    powers, qden = _q_inverse_powers(_validate_q(q), matroid.full_rank)
+    wv, den = clear_denominators(_validate_point(w, n + 1))
     prod = None
     tables = {}
     weights = {}
@@ -229,7 +209,7 @@ def _derivatives(matroid, c, q, w, mode):
         nonlocal prod
         split = _alpha_split(alpha, n)
         if split is None:
-            return _rounded(0, mode)
+            return ZERO
         a0, smask = split
         if smask not in tables:
             if prod is None:
@@ -238,7 +218,7 @@ def _derivatives(matroid, c, q, w, mode):
         if a0 not in weights:
             weights[a0] = _w0_weights(cv, powers, wv[0], a0)
         value = sum(map(_dot, weights[a0], tables[smask]))
-        return _rounded(value, mode, cden * qden * den ** (n - a0 - smask.bit_count()))
+        return Fraction(value, cden * qden * den ** (n - a0 - smask.bit_count()))
 
     return derivative
 
@@ -250,10 +230,9 @@ def _bump(alpha, *indices):
     return tuple(out)
 
 
-def z_weighted_eval(matroid, c, q, w, mode=EXACT):
+def z_weighted_eval(matroid, c, q, w):
     """Weighted polynomial Z_c at the length-(n+1) point (w_0, ..., w_n)."""
-    ensure_mode(mode)
-    derivative = _derivatives(matroid, c, q, w, mode)
+    derivative = _derivatives(matroid, c, q, w)
     return derivative((0,) * (matroid.n + 1))
 
 
@@ -265,8 +244,8 @@ def is_identically_zero(matroid, c, q, alpha):
     order a_0 + |support| exceeds n.
     """
     n = matroid.n
-    validate_coeffs(c, n, EXACT)
-    _validate_q(q, EXACT)
+    validate_coeffs(c, n)
+    _validate_q(q)
     av = validate_alpha(alpha, n)
     return _alpha_split(av, n) is None
 
@@ -279,28 +258,26 @@ def derivative_degree(matroid, alpha):
     return matroid.n - sum(av)
 
 
-def partial_eval(matroid, c, q, alpha, w, mode=EXACT):
+def partial_eval(matroid, c, q, alpha, w):
     """Partial derivative of Z_c of multi-index alpha, evaluated at w.
 
     A monomial indexed by the subset A survives exactly when the inner
     support of alpha sits inside A and a_0 is at most the w_0-exponent
     n - |A|; it then carries the falling-factorial factor from w_0^(n-|A|).
     """
-    ensure_mode(mode)
-    derivative = _derivatives(matroid, c, q, w, mode)
+    derivative = _derivatives(matroid, c, q, w)
     return derivative(validate_alpha(alpha, matroid.n))
 
 
-def gradient(matroid, c, q, alpha, w, mode=EXACT):
+def gradient(matroid, c, q, alpha, w):
     """All first partials of the alpha-derivative of Z_c at w: entry i is
     the (alpha + e_i)-derivative."""
-    ensure_mode(mode)
-    derivative = _derivatives(matroid, c, q, w, mode)
+    derivative = _derivatives(matroid, c, q, w)
     av = validate_alpha(alpha, matroid.n)
     return tuple(derivative(_bump(av, i)) for i in range(matroid.n + 1))
 
 
-def hessian(matroid, c, q, alpha, w, mode=EXACT):
+def hessian(matroid, c, q, alpha, w):
     """Hessian of the alpha-derivative of Z_c at w, as a SymMatrix.
 
     Entry (i, j) equals the (alpha + e_i + e_j)-derivative at w.  Inner
@@ -308,8 +285,7 @@ def hessian(matroid, c, q, alpha, w, mode=EXACT):
     w_1..w_n), and the whole matrix is zero when the derivative has degree
     below two.
     """
-    ensure_mode(mode)
-    derivative = _derivatives(matroid, c, q, w, mode)
+    derivative = _derivatives(matroid, c, q, w)
     av = validate_alpha(alpha, matroid.n)
     d = matroid.n + 1
     rows = [[None] * d for _ in range(d)]
@@ -319,34 +295,32 @@ def hessian(matroid, c, q, alpha, w, mode=EXACT):
     return SymMatrix(tuple(tuple(row) for row in rows))
 
 
-def f_all(matroid, w, mode=EXACT):
+def f_all(matroid, w):
     """All strata of the independent-set generating polynomial at w."""
-    ensure_mode(mode)
-    wv, den = clear_denominators(_validate_point(w, matroid.n, mode))
+    wv, den = clear_denominators(_validate_point(w, matroid.n))
     table = _size_rank_sums(matroid, _products(wv), 0)
-    return tuple(_rounded(row[k], mode, den ** k) for k, row in enumerate(table))
+    return tuple(Fraction(row[k], den ** k) for k, row in enumerate(table))
 
 
-def f_m_eval(matroid, m, w, mode=EXACT):
+def f_m_eval(matroid, m, w):
     """Stratum f[m]: sum over independent m-subsets of the weight products."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {m!r}")
-    strata = f_all(matroid, w, mode)
-    return strata[m] if m <= matroid.n else _rounded(0, mode)
+    strata = f_all(matroid, w)
+    return strata[m] if m <= matroid.n else ZERO
 
 
-def f_limit_residual(matroid, m, w, q, mode=EXACT):
+def f_limit_residual(matroid, m, w, q):
     """|Z[m](q; q*w) - f[m](w)|: the deviation of the rescaled stratum from
     its independent-set limit.  Each dependent subset contributes with a
     factor q^(|A| - rk(A)), so the residual is O(q) as q -> 0."""
-    qv = _validate_q(q, mode)
-    wv = _validate_point(w, matroid.n, mode)
+    qv = _validate_q(q)
+    wv = _validate_point(w, matroid.n)
     scaled = tuple(qv * x for x in wv)
-    diff = zk_eval(matroid, m, qv, scaled) - f_m_eval(matroid, m, wv)
-    return _rounded(diff if diff >= 0 else -diff, mode)
+    return abs(zk_eval(matroid, m, qv, scaled) - f_m_eval(matroid, m, wv))
 
 
-def dependent_mass(matroid, m, w, nullity=None, mode=EXACT):
+def dependent_mass(matroid, m, w, nullity=None):
     """Sum of the weight products over dependent m-subsets.
 
     nullity=k restricts the sum to subsets with |A| - rk(A) == k; the k = 1
@@ -356,25 +330,23 @@ def dependent_mass(matroid, m, w, nullity=None, mode=EXACT):
         raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {m!r}")
     if nullity is not None and (not isinstance(nullity, int) or isinstance(nullity, bool) or nullity < 1):
         raise InvalidParametersError(f"nullity must be a positive integer, got {nullity!r}")
-    ensure_mode(mode)
-    wv, den = clear_denominators(_validate_point(w, matroid.n, mode))
+    wv, den = clear_denominators(_validate_point(w, matroid.n))
     if m > matroid.n:
-        return _rounded(0, mode)
+        return ZERO
     row = _size_rank_sums(matroid, _products(wv), 0)[m]
     if nullity is None:
         total = sum(row[:m])
     else:
         total = row[m - nullity] if nullity <= m else 0
-    return _rounded(total, mode, den ** m)
+    return Fraction(total, den ** m)
 
 
-def elementary_symmetric(indices, k, w, mode=EXACT):
+def elementary_symmetric(indices, k, w):
     """Elementary symmetric polynomial e_k over the w-values selected by the
     1-based index set `indices`."""
-    ensure_mode(mode)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise InvalidParametersError(f"degree must be a nonnegative integer, got {k!r}")
-    wv, den = clear_denominators(_exact(w, mode))
+    wv, den = clear_denominators(as_rationals(w))
     idx = list(indices)
     if len(set(idx)) != len(idx):
         raise InvalidParametersError("index set contains repeats")
@@ -382,10 +354,10 @@ def elementary_symmetric(indices, k, w, mode=EXACT):
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= len(wv):
             raise InvalidParametersError(f"index {i!r} outside 1..{len(wv)}")
     if k > len(idx):
-        return _rounded(0, mode)
+        return ZERO
     acc = [1] + [0] * k
     for i in idx:
         v = wv[i - 1]
         for j in range(k, 0, -1):
             acc[j] += acc[j - 1] * v
-    return _rounded(acc[k], mode, den ** k)
+    return Fraction(acc[k], den ** k)

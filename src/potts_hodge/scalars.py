@@ -1,14 +1,15 @@
-"""Scalar handling for the two arithmetic modes.
+"""Exact scalars, and the float format of the command line.
 
-Exact mode computes over arbitrary-precision rationals: gmpy2.mpq when
-gmpy2 is installed, fractions.Fraction otherwise.  Rationals are the
-interface type only.  The evaluators and the exact signature clear the
-denominators of their inputs once (clear_denominators) and run on Python
-ints, so the hot paths do not depend on the rational backend.  Float mode
-is an opt-in diagnostic mode: it accepts finite floats, and the evaluators
-convert them exactly, compute exactly and round each result once.  Mixing
-a float into an exact computation is rejected rather than silently
-coerced, so results in exact mode are bit-reproducible.
+The library computes over exact rationals only.  Inputs are ints or
+rationals, and results are fractions.Fraction; as_rational is the one
+coercion, and it rejects floats rather than coercing them silently, so
+every result is bit-reproducible.  Rationals are the interface type only:
+the evaluators and the exact signature clear the denominators of their
+inputs once (clear_denominators) and run on Python ints.
+
+Float mode is a format of the command line.  from_float converts a finite
+double exactly to a rational, the library evaluates exactly, and to_float
+rounds each result once.
 """
 from __future__ import annotations
 
@@ -18,26 +19,19 @@ from fractions import Fraction
 
 from .errors import InvalidParametersError, ParseError
 
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _mpq = None
-
 EXACT = "exact"
 FLOAT = "float"
-MODES = (EXACT, FLOAT)
 
 
 def rat(numerator, denominator=1):
     """Exact rational from integers, Fractions, another rational, or a finite
     float (converted exactly, to the binary fraction it stores)."""
-    backend = Fraction if _mpq is None else _mpq
     if denominator == 1:
-        return backend(numerator)
-    return backend(numerator, denominator)
+        return Fraction(numerator)
+    return Fraction(numerator, denominator)
 
 
-#: multiplicative identity in exact mode
+#: multiplicative identity
 RAT_ONE = rat(1)
 
 
@@ -48,50 +42,53 @@ def clear_denominators(values):
     return [int(x.numerator) * (den // int(x.denominator)) for x in values], den
 
 
-_EXACT_TYPES = (int, Fraction) if _mpq is None else (int, Fraction, type(_mpq()))
-
-
 def is_exact_scalar(value):
     """True for ints and exact rationals, False for floats and everything else."""
-    if type(value) in _EXACT_TYPES:  # bool is a subclass, not one of these
+    if type(value) in (int, Fraction):  # bool is a subclass, not one of these
         return True
     if isinstance(value, (bool, float)):
         return False
     return isinstance(value, numbers.Rational)
 
 
-def ensure_mode(mode):
-    if mode not in MODES:
-        raise InvalidParametersError(f"unknown arithmetic mode {mode!r}; expected one of {MODES}")
-    return mode
+def as_rational(value):
+    """An int or exact rational as a Fraction; a Fraction comes back as is.
 
-
-def coerce_scalar(value, mode):
-    """Bring one number into the requested mode.
-
-    Exact mode accepts ints and rationals only; floats raise, because a float
-    smuggled into a rational pipeline would silently poison exactness.
-    Float mode accepts anything float() takes, except nan and +-inf.
+    Floats raise: a float smuggled into a rational pipeline would silently
+    poison exactness.  Float inputs go through from_float instead.
     """
-    if mode == EXACT:
-        if not is_exact_scalar(value):
-            raise InvalidParametersError(
-                f"exact mode requires rational inputs, got {value!r} of type {type(value).__name__}"
-            )
-        return rat(value)
-    if mode == FLOAT:
-        try:
-            x = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidParametersError(f"cannot convert {value!r} to float") from exc
-        if not math.isfinite(x):
-            raise InvalidParametersError(f"float mode requires finite inputs, got {value!r}")
-        return x
-    ensure_mode(mode)
+    if type(value) is Fraction:
+        return value
+    if not is_exact_scalar(value):
+        raise InvalidParametersError(
+            f"exact mode requires rational inputs, got {value!r} of type {type(value).__name__}"
+        )
+    return Fraction(value)
 
 
-def coerce_vector(values, mode):
-    return tuple(coerce_scalar(v, mode) for v in values)
+def as_rationals(values):
+    return tuple(map(as_rational, values))
+
+
+def from_float(value):
+    """The exact rational value of a finite double (anything float() takes,
+    rounded to a double first); nan and +-inf are rejected."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParametersError(f"cannot convert {value!r} to float") from exc
+    if not math.isfinite(x):
+        raise InvalidParametersError(f"float mode requires finite inputs, got {value!r}")
+    return Fraction(x)
+
+
+def to_float(value):
+    """An exact result rounded once to a double, to +-inf outside the
+    double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def parse_rational(text):
@@ -116,8 +113,7 @@ def parse_rational(text):
 def scalar_to_json(value):
     """JSON form of one scalar: {"num": "...", "den": "..."} exact, bare double float."""
     if is_exact_scalar(value):
-        r = rat(value)
-        return {"num": str(int(r.numerator)), "den": str(int(r.denominator))}
+        return {"num": str(int(value.numerator)), "den": str(int(value.denominator))}
     if isinstance(value, float):
         return value
     raise InvalidParametersError(f"cannot serialize scalar {value!r}")

@@ -29,14 +29,8 @@ from .matrices import (
     same_subspace,
     stack_rows,
 )
-from .potts import (
-    EXACT,
-    derivative_degree,
-    hessian,
-    validate_alpha,
-    validate_coeffs,
-)
-from .scalars import clear_denominators, coerce_vector, rat
+from .potts import derivative_degree, hessian, validate_alpha, validate_coeffs
+from .scalars import as_rationals, clear_denominators, rat
 
 FLOAT_TOL_FACTOR = 1e-9
 
@@ -239,27 +233,27 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
                         trials=trials)
 
 
-def euler_hessian_residual(matroid, c, q, alpha, w, mode=EXACT):
+def euler_hessian_residual(matroid, c, q, alpha, w):
     """Largest absolute entry of (d-2) H_F - sum_i w_i H_{dF/dw_i} for the
     alpha-derivative F of Z_c; identically zero for every homogeneous F, so
-    exact mode must return exactly 0.  Requires degree d >= 2."""
+    it must come out exactly 0.  Requires degree d >= 2."""
     n = matroid.n
-    validate_coeffs(c, n, mode)
+    validate_coeffs(c, n)
     av = validate_alpha(alpha, n)
     d = derivative_degree(matroid, av)
     if d is None or d < 2:
         raise NotApplicableError(
             f"the derivative has degree {d}; the Euler Hessian identity needs degree >= 2")
     dim = n + 1
-    wv = coerce_vector(w, mode)
+    wv = as_rationals(w)
     if len(wv) != dim:
         raise InvalidParametersError(f"w must have length {dim}, got {len(wv)}")
-    hf = hessian(matroid, c, q, av, wv, mode)
+    hf = hessian(matroid, c, q, av, wv)
     total = [[(d - 2) * x for x in row] for row in hf.entries]
     for i in range(dim):
         bumped = list(av)
         bumped[i] += 1
-        hi = hessian(matroid, c, q, tuple(bumped), wv, mode)
+        hi = hessian(matroid, c, q, tuple(bumped), wv)
         for r in range(dim):
             row = hi.entries[r]
             for s in range(dim):
@@ -290,15 +284,15 @@ class KernelIdentityReport:
 
 
 def kernel_identity_check(matroid, c, q, alpha, w):
-    """Exact nullspace comparison for the Hessian kernel identity (exact mode only)."""
+    """Exact nullspace comparison for the Hessian kernel identity."""
     n = matroid.n
-    validate_coeffs(c, n, EXACT)
+    validate_coeffs(c, n)
     av = validate_alpha(alpha, n)
     d = derivative_degree(matroid, av)
     if d is None:
         raise NotApplicableError("the derivative is identically zero; no Hessian to compare")
     dim = n + 1
-    hf = hessian(matroid, c, q, av, w, EXACT)
+    hf = hessian(matroid, c, q, av, w)
     derivative_hessians = []
     failures = []
     for i in range(dim):
@@ -306,7 +300,7 @@ def kernel_identity_check(matroid, c, q, alpha, w):
         bumped[i] += 1
         if derivative_degree(matroid, tuple(bumped)) is None:
             continue  # vanishing derivative: exempt from the hypothesis
-        hi = hessian(matroid, c, q, tuple(bumped), w, EXACT)
+        hi = hessian(matroid, c, q, tuple(bumped), w)
         derivative_hessians.append(hi)
         sig = signature(hi)
         if sig.n_pos != 1:

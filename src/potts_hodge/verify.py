@@ -36,6 +36,7 @@ Theorem tags used on the wire:
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -58,14 +59,14 @@ from .potts import (
     zk_all,
 )
 from .scalars import (
-    EXACT,
-    FLOAT,
     RAT_ONE,
-    coerce_scalar,
-    coerce_vector,
+    as_rational,
+    as_rationals,
+    from_float,
     rat,
     scalar_from_json,
     scalar_to_json,
+    to_float,
     vector_from_json,
     vector_to_json,
 )
@@ -223,8 +224,8 @@ def check_one_positive(matroid, q, w):
     """Hessian of Z_c with all-ones coefficients at a positive point must
     have exactly one positive eigenvalue (degenerate directions allowed)."""
     n = matroid.n
-    qv = coerce_scalar(q, EXACT)
-    wv = coerce_vector(w, EXACT)
+    qv = as_rational(q)
+    wv = as_rationals(w)
     inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv))
     if n < 2:
         return CheckResult(TAG_ONE_POSITIVE, inputs, NOT_APPLICABLE,
@@ -234,7 +235,7 @@ def check_one_positive(matroid, q, w):
                            {"annotations": ["q-above-one"]})
     if len(wv) != n + 1 or any(x <= 0 for x in wv):
         raise InvalidParametersError(f"w must be a positive point of length {n + 1}")
-    mat = hessian(matroid, _ones(n + 1), qv, [0] * (n + 1), wv, EXACT)
+    mat = hessian(matroid, _ones(n + 1), qv, [0] * (n + 1), wv)
     sig = signature(mat)
     notes = []
     if sig.n_zero:
@@ -251,11 +252,11 @@ def check_derivative_one_positive(matroid, c, q, alpha, w):
     active variables (index 0 plus the undifferentiated inner ones) the
     signature must be exactly (1, actives - 1, 0)."""
     n = matroid.n
-    cv = validate_coeffs(c, n, EXACT)
+    cv = validate_coeffs(c, n)
     if not is_strictly_log_concave(cv):
         raise InvalidParametersError("coefficient sequence must be strictly log-concave")
-    qv = coerce_scalar(q, EXACT)
-    wv = coerce_vector(w, EXACT)
+    qv = as_rational(q)
+    wv = as_rationals(w)
     alpha = validate_alpha(alpha, n)
     inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
                              alpha=list(alpha), w=vector_to_json(wv))
@@ -269,7 +270,7 @@ def check_derivative_one_positive(matroid, c, q, alpha, w):
         return CheckResult(TAG_DERIVATIVE_ONE_POSITIVE, inputs, NOT_APPLICABLE,
                            {"annotations": ["degree-below-two"]})
     active = [0] + [i for i in range(1, n + 1) if alpha[i] == 0]
-    mat = hessian(matroid, cv, qv, alpha, wv, EXACT)
+    mat = hessian(matroid, cv, qv, alpha, wv)
     sig = signature(mat.submatrix(active))
     witness = {"signature": _sig_list(sig), "active": active}
     expected = sig.n_pos == 1 and sig.n_zero == 0 and sig.n_neg == len(active) - 1
@@ -297,18 +298,17 @@ def check_degree_two(matroid, c, q, w):
     inequality, valid for arbitrary signs).
     """
     n = matroid.n
-    cv = validate_coeffs(c, n, EXACT)
-    qv = coerce_scalar(q, EXACT)
-    wv = coerce_vector(w, EXACT)
+    cv = validate_coeffs(c, n)
+    if not is_strictly_log_concave(cv):
+        raise InvalidParametersError("coefficient sequence must be strictly log-concave")
+    qv = as_rational(q)
+    wv = as_rationals(w)
     inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
                              w=vector_to_json(wv), aspect="positive-point")
     if n < 2:
         return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
                            {"annotations": ["degree-below-two"]})
     t = cv[0] * cv[2] / (cv[1] * cv[1])
-    if t >= 1:
-        raise InvalidParametersError(
-            "coefficient sequence must satisfy c_1^2 > c_0 c_2 for the quadratic bound")
     if not _q_in_range(qv):
         return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
                            {"annotations": ["q-above-one"]})
@@ -316,7 +316,7 @@ def check_degree_two(matroid, c, q, w):
         raise InvalidParametersError(f"w must have length {n}")
     if all(x == 0 for x in wv):
         raise InvalidParametersError("w must be nonzero")
-    strata = zk_all(matroid, qv, wv, EXACT)
+    strata = zk_all(matroid, qv, wv)
     z1, z2 = strata[1], strata[2]
     y = _singleton_q_weights(matroid, qv, wv)
     all_idx = range(1, n + 1)
@@ -352,8 +352,8 @@ def check_degree_two(matroid, c, q, w):
 def check_degree_two_zero_line(matroid, q, w):
     """On the hyperplane Z[1] = 0, every nonzero point must give Z[2] < 0."""
     n = matroid.n
-    qv = coerce_scalar(q, EXACT)
-    wv = coerce_vector(w, EXACT)
+    qv = as_rational(q)
+    wv = as_rationals(w)
     inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv),
                              aspect="zero-line")
     if n < 2:
@@ -366,7 +366,7 @@ def check_degree_two_zero_line(matroid, q, w):
         raise InvalidParametersError(f"w must have length {n}")
     if all(x == 0 for x in wv):
         raise InvalidParametersError("the zero-line point must be nonzero")
-    strata = zk_all(matroid, qv, wv, EXACT)
+    strata = zk_all(matroid, qv, wv)
     if strata[1] != 0:
         raise InvalidParametersError("the point does not lie on the Z[1] = 0 hyperplane")
     witness = {"z2": scalar_to_json(strata[2])}
@@ -378,8 +378,8 @@ def check_strata_ultra_log_concave(matroid, q, w):
     nonnegative point.  Indices with equality are annotated; at q = 1 and
     the all-ones point every index is tight."""
     n = matroid.n
-    qv = coerce_scalar(q, EXACT)
-    wv = coerce_vector(w, EXACT)
+    qv = as_rational(q)
+    wv = as_rationals(w)
     inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv))
     if n < 2:
         return CheckResult(TAG_STRATA_ULC, inputs, VACUOUS,
@@ -389,7 +389,7 @@ def check_strata_ultra_log_concave(matroid, q, w):
                            {"annotations": ["q-above-one"]})
     if len(wv) != n or any(x < 0 for x in wv):
         raise InvalidParametersError(f"w must be a nonnegative point of length {n}")
-    strata = zk_all(matroid, qv, wv, EXACT)
+    strata = zk_all(matroid, qv, wv)
     notes = []
     violations = []
     tight_nonzero = 0
@@ -424,7 +424,7 @@ def check_count_log_concavity(matroid):
     n = matroid.n
     inputs = _matroid_inputs(matroid)
     counts = independent_set_counts(matroid)
-    recount = tuple(int(x) for x in f_all(matroid, _ones(n), EXACT))
+    recount = tuple(int(x) for x in f_all(matroid, _ones(n)))
     if recount != counts:
         return CheckResult(TAG_COUNT_LOG_CONCAVITY, inputs, FAIL,
                            {"counts": list(counts), "recount": list(recount),
@@ -484,7 +484,7 @@ def check_simplification_bound(matroid):
     ell = len(classes)
     simple = simplify(matroid)
     sizes = tuple(rat(len(cls)) for cls in classes)
-    rerouted = f_all(simple, sizes, EXACT)
+    rerouted = f_all(simple, sizes)
     notes = []
     violations = []
     for m in range(n + 1):
@@ -517,11 +517,11 @@ def check_log_concavity_at(matroid, c, q, w):
     N = Z * H - grad grad^T must have no positive eigenvalue, and along the
     base ray w^T N w = -n Z^2 exactly (homogeneity of degree n)."""
     n = matroid.n
-    cv = validate_coeffs(c, n, EXACT)
+    cv = validate_coeffs(c, n)
     if not is_log_concave(cv):
         raise InvalidParametersError("coefficient sequence must be log-concave")
-    qv = coerce_scalar(q, EXACT)
-    wv = coerce_vector(w, EXACT)
+    qv = as_rational(q)
+    wv = as_rationals(w)
     inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
                              w=vector_to_json(wv))
     if not _q_in_range(qv):
@@ -530,9 +530,9 @@ def check_log_concavity_at(matroid, c, q, w):
     if len(wv) != n + 1 or any(x <= 0 for x in wv):
         raise InvalidParametersError(f"w must be a positive point of length {n + 1}")
     zero_alpha = [0] * (n + 1)
-    z = z_weighted_eval(matroid, cv, qv, wv, EXACT)
-    grad = gradient(matroid, cv, qv, zero_alpha, wv, EXACT)
-    hess = hessian(matroid, cv, qv, zero_alpha, wv, EXACT)
+    z = z_weighted_eval(matroid, cv, qv, wv)
+    grad = gradient(matroid, cv, qv, zero_alpha, wv)
+    hess = hessian(matroid, cv, qv, zero_alpha, wv)
     entries = tuple(
         tuple(z * hess.entries[i][j] - grad[i] * grad[j] for j in range(n + 1))
         for i in range(n + 1)
@@ -552,10 +552,12 @@ def check_log_concavity_at(matroid, c, q, w):
 def log_slice_second_difference(matroid, c, q, w, direction, rel_step=0.25):
     """Float-mode concavity probe: central second difference of
     t -> log Z_c(w + t * direction) at t = 0; concavity makes this <= 0 up
-    to roundoff.  The step keeps the probed points strictly positive."""
+    to roundoff.  The step keeps the probed points strictly positive.
+    Inputs are finite floats (or anything float() takes); Z_c is evaluated
+    exactly at the float points and rounded once."""
     n = matroid.n
-    wf = [float(x) for x in coerce_vector(w, FLOAT)]
-    df = [float(x) for x in coerce_vector(direction, FLOAT)]
+    wf = [float(from_float(x)) for x in w]
+    df = [float(from_float(x)) for x in direction]
     if len(wf) != n + 1 or len(df) != n + 1:
         raise InvalidParametersError(f"w and direction must have length {n + 1}")
     if any(x <= 0 for x in wf):
@@ -564,11 +566,11 @@ def log_slice_second_difference(matroid, c, q, w, direction, rel_step=0.25):
         raise InvalidParametersError("direction must be nonzero")
     h = min((wf[i] / abs(df[i]) for i in range(n + 1) if df[i]), default=1.0)
     h = min(1.0, rel_step * h)
-    cf = [float(x) for x in c]
-    qf = float(q)
+    cv = [from_float(x) for x in c]
+    qv = from_float(q)
 
     def logz(point):
-        val = z_weighted_eval(matroid, cf, qf, point, FLOAT)
+        val = to_float(z_weighted_eval(matroid, cv, qv, [from_float(x) for x in point]))
         if val <= 0:
             raise InvalidParametersError("log Z is undefined at a probed point")
         return math.log(val)
@@ -627,7 +629,10 @@ def call_check(name, args):
 
 
 def _execute(tasks, workers):
-    if workers <= 1 or len(tasks) < 2:
+    # more processes than tasks or cores gain nothing, and a pool starts
+    # all of its processes at once
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [call_check(name, args) for name, args in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
@@ -748,6 +753,10 @@ def run_campaign(corpus, config=None):
     unknown = [t for t in cfg.theorems if t not in THEOREM_TASKS]
     if unknown:
         raise InvalidParametersError(f"unknown theorem tags {unknown!r}")
+    if cfg.samples < 0:
+        raise InvalidParametersError(f"samples must be nonnegative, got {cfg.samples}")
+    if cfg.workers < 1:
+        raise InvalidParametersError(f"workers must be at least 1, got {cfg.workers}")
     start = time.perf_counter()
     theorems = [t for t in ALL_THEOREMS if t in cfg.theorems]
     q_grid = tuple(cfg.q_grid) or default_q_grid()
@@ -806,8 +815,8 @@ def dependent_mass_ratio(matroid, m, w, q):
     tends to 1 as q -> 0 whenever some m-subset has nullity exactly one."""
     from .potts import f_limit_residual
 
-    mass = dependent_mass(matroid, m, w, nullity=1, mode=EXACT)
+    mass = dependent_mass(matroid, m, w, nullity=1)
     if mass == 0:
         raise InvalidParametersError("no m-subset of nullity one: the leading term vanishes")
-    qv = coerce_scalar(q, EXACT)
-    return f_limit_residual(matroid, m, w, qv, EXACT) / (qv * mass)
+    qv = as_rational(q)
+    return f_limit_residual(matroid, m, w, qv) / (qv * mass)

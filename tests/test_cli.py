@@ -238,6 +238,24 @@ def test_verify_q_grid_rejected_for_single_check(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("corpus", "--spec", "linear,count=x"),
+    ("verify", "--corpus", "linear,seed=abc"),
+])
+def test_malformed_corpus_number_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and "corpus spec" in err
+
+
+@pytest.mark.parametrize("size", [("--samples", "-1"), ("--workers", "0"),
+                                  ("--workers", "-5")])
+def test_verify_rejects_bad_campaign_sizes(capsys, size):
+    code, out, err = run(capsys, "verify", "--corpus", "uniform,n<=3", *size)
+    assert code == EXIT_USAGE
+    assert out == "" and size[0][2:] in err
+
+
 def test_verify_trials_is_an_alias_for_samples(capsys):
     base = ("verify", "--corpus", "graphic,K3", "--theorem", "mason", "--json")
     _, out1, _ = run(capsys, *base, "--samples", "2")

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potts_hodge import (
     InvalidParametersError,
@@ -28,6 +30,7 @@ from potts_hodge import (
     is_strictly_log_concave,
     make_graphic,
     make_linear,
+    make_rank_table,
     make_uniform,
     partial_eval,
     rat,
@@ -35,7 +38,7 @@ from potts_hodge import (
     zk_all,
     zk_eval,
 )
-from potts_hodge.scalars import EXACT, FLOAT, is_exact_scalar
+from potts_hodge.scalars import from_float, is_exact_scalar, to_float
 
 U24 = make_uniform(2, 4)
 U12 = make_uniform(1, 2)
@@ -219,6 +222,75 @@ def test_oracle_gradient_of_nontrivial_alpha():
         assert frac(g[i]) == oracle_eval(gi, qs, ws, q, w)
 
 
+@st.composite
+def small_matroids(draw, max_n=5):
+    """A random matroid on n <= max_n elements from any of the four
+    constructors: graphic ones with loops and parallel edges, linear ones
+    over GF(2) and GF(3), and rank tables copied from either."""
+    kind = draw(st.sampled_from(("uniform", "graphic", "linear", "rank_table")))
+    if kind == "uniform":
+        n = draw(st.integers(1, max_n))
+        return make_uniform(draw(st.integers(0, n)), n)
+    if kind == "linear" or (kind == "rank_table" and draw(st.booleans())):
+        prime = draw(st.sampled_from((2, 3)))
+        n = draw(st.integers(1, max_n))
+        rows = draw(st.integers(1, 4))
+        matrix = draw(st.lists(st.lists(st.integers(0, prime - 1), min_size=n, max_size=n),
+                               min_size=rows, max_size=rows))
+        matroid = make_linear(prime, matrix)
+    else:
+        vertices = draw(st.integers(1, 5))
+        vertex = st.integers(1, vertices)
+        matroid = make_graphic(vertices, draw(st.lists(st.tuples(vertex, vertex),
+                                                       min_size=1, max_size=max_n)))
+    if kind == "rank_table":
+        return make_rank_table(matroid.n, matroid.ranks)
+    return matroid
+
+
+# signed rationals; a zero numerator gives the zero coordinates
+coordinates = st.builds(Fraction, st.integers(-7, 9), st.integers(1, 6))
+positive = st.builds(Fraction, st.integers(1, 9), st.integers(1, 6))
+# q = 1, just above 1, and random in (0, 1]
+q_values = st.one_of(st.just(Fraction(1)), st.just(Fraction(1001, 1000)),
+                     st.builds(lambda a, b: Fraction(min(a, b), max(a, b)),
+                               st.integers(1, 60), st.integers(1, 60)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_oracle_differential(data):
+    matroid = data.draw(small_matroids())
+    n = matroid.n
+    c = data.draw(st.lists(positive, min_size=n + 1, max_size=n + 1))
+    q = data.draw(q_values)
+    w = data.draw(st.lists(coordinates, min_size=n + 1, max_size=n + 1))
+    # alpha_0 <= 2 and a sparse inner support, so that most derivatives
+    # keep degree two or more
+    alpha = (data.draw(st.integers(0, 2)),) + tuple(
+        data.draw(st.lists(st.sampled_from((0, 0, 1)), min_size=n, max_size=n)))
+    expr, qs, ws = oracle_weighted(matroid, c)
+    # the oracle at this q, as a polynomial in w_0..w_n over QQ
+    poly = sympy.Poly(expr.subs(qs, sympy.Rational(str(q))), *ws)
+    point = {ws[i]: sympy.Rational(str(w[i])) for i in range(n + 1)}
+    # the coefficient of w0^(n-k) in Z_c is c_k Z[k]
+    in_w0 = poly.eval({ws[i]: point[ws[i]] for i in range(1, n + 1)})
+    strata = zk_all(matroid, q, w[1:])
+    for k in range(n + 1):
+        assert strata[k] == sym_frac(in_w0.coeff_monomial(ws[0] ** (n - k))) / c[k]
+    deriv = poly
+    for i, a in enumerate(alpha):
+        for _ in range(a):
+            deriv = deriv.diff(ws[i])
+    g = gradient(matroid, c, q, alpha, w)
+    rows = hessian(matroid, c, q, alpha, w).rows()
+    for i in range(n + 1):
+        gi = deriv.diff(ws[i])
+        assert g[i] == sym_frac(gi.eval(point))
+        for j in range(i, n + 1):
+            assert rows[i][j] == rows[j][i] == sym_frac(gi.diff(ws[j]).eval(point))
+
+
 def test_identically_zero_classification():
     c = (1, 1, 1, 1, 1)
     q = rat(1)
@@ -307,19 +379,21 @@ def test_zero_weights():
         assert frac(g[i]) == oracle_eval(gi, qs, ws, q, w)
 
 
+def floats(values):
+    return [from_float(x) for x in values]
+
+
 def test_float_mode_matches_exact():
     c = (1, 2, 2, 1)
     q = rat(1, 3)
     w = (rat(1), rat(1, 2), rat(3), rat(2))
     exact = z_weighted_eval(K3, c, q, w)
-    approx = z_weighted_eval(K3, [float(x) for x in c], float(q),
-                             [float(x) for x in w], mode=FLOAT)
+    approx = to_float(z_weighted_eval(K3, floats(c), from_float(q), floats(w)))
     assert abs(approx - float(exact)) <= 1e-12 * float(exact)
     he = hessian(K3, c, q, (0, 0, 0, 0), w)
-    hf = hessian(K3, [float(x) for x in c], float(q), (0, 0, 0, 0),
-                 [float(x) for x in w], mode=FLOAT)
+    hf = hessian(K3, floats(c), from_float(q), (0, 0, 0, 0), floats(w))
     for re_, rf in zip(he.rows(), hf.rows()):
-        for a, b in zip(re_, rf):
+        for a, b in zip(re_, map(to_float, rf)):
             assert abs(b - float(a)) <= 1e-10 * max(1.0, abs(float(a)))
 
 
@@ -327,7 +401,7 @@ def test_float_mode_small_q_prescaling():
     # tiny q must not overflow: float inputs are evaluated exactly
     m = make_uniform(4, 8)
     w = tuple(float(i + 1) for i in range(8))
-    strata = zk_all(m, 1e-6, w, mode=FLOAT)
+    strata = [to_float(x) for x in zk_all(m, from_float(1e-6), floats(w))]
     exact = zk_all(m, rat(1, 10**6), tuple(rat(i + 1) for i in range(8)))
     for a, b in zip(strata, exact):
         assert abs(a - float(b)) <= 1e-12 * float(b)
@@ -335,8 +409,9 @@ def test_float_mode_small_q_prescaling():
 
 def test_float_mode_rounds_out_of_range_to_inf():
     # Z[2] of U(1,2) is 1e400 / q here, beyond the double range
-    assert zk_all(U12, 1.0, (1e200, 1e200), mode=FLOAT)[2] == math.inf
-    assert z_weighted_eval(U12, (1.0, 1.0, 1.0), 1.0, (0.0, 1e200, -1e200), mode=FLOAT) == -math.inf
+    assert to_float(zk_all(U12, from_float(1.0), floats((1e200, 1e200)))[2]) == math.inf
+    assert to_float(z_weighted_eval(U12, floats((1.0, 1.0, 1.0)), from_float(1.0),
+                                    floats((0.0, 1e200, -1e200)))) == -math.inf
 
 
 def test_exact_mode_rejects_floats():

@@ -32,7 +32,7 @@ from potts_hodge import (
 )
 from potts_hodge.errors import ImpossibleStateError
 from potts_hodge.matrices import bareiss_inertia
-from potts_hodge.scalars import FLOAT
+from potts_hodge.scalars import from_float, to_float
 
 U12 = make_uniform(1, 2)
 U24 = make_uniform(2, 4)
@@ -74,7 +74,7 @@ def test_signature_frozen_examples():
     assert signature([]) == EigenSignature(0, 0, 0)
     assert signature(H_U12).dim == 3
     assert one_positive(H_U12)
-    assert not one_positive(all_ones(3), tol=None) or True  # all_ones is one-positive
+    assert not one_positive([[rat(1), rat(0)], [rat(0), rat(1)]])  # two positive
     assert one_positive(all_ones(3))
 
 
@@ -265,10 +265,10 @@ def test_bareiss_checks_its_divisions():
 
 
 def test_float_signature_and_indeterminate():
-    fm = SymMatrix.from_rows([[2.0, 0.0], [0.0, -1.0]], FLOAT)
+    fm = SymMatrix(((2.0, 0.0), (0.0, -1.0)))
     assert signature(fm) == EigenSignature(1, 1, 0)
     with pytest.raises(IndeterminateSignatureError):
-        signature(SymMatrix.from_rows([[1.0, 1.0], [1.0, 1.0]], FLOAT))
+        signature(SymMatrix(((1.0, 1.0), (1.0, 1.0))))
     # exact mode classifies the same matrix without trouble
     assert signature([[rat(1), rat(1)], [rat(1), rat(1)]]) == EigenSignature(1, 0, 1)
 
@@ -426,6 +426,7 @@ def test_hessian_signature_of_weighted_polynomial():
 
 
 def test_float_hessian_signature():
-    h = hessian(K3, (1.0, 2.0, 2.0, 1.0), 1 / 3, (0, 0, 0, 0),
-                (1.0, 1.0, 1.0, 1.0), mode=FLOAT)
+    h = hessian(K3, [from_float(x) for x in (1.0, 2.0, 2.0, 1.0)], from_float(1 / 3),
+                (0, 0, 0, 0), [from_float(x) for x in (1.0, 1.0, 1.0, 1.0)])
+    h = SymMatrix(tuple(tuple(map(to_float, row)) for row in h.entries))
     assert signature(h) == EigenSignature(1, 3, 0)

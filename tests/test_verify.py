@@ -1,7 +1,9 @@
 """Theorem checks, campaign plumbing, replay, and the corpus generators."""
 
+import concurrent.futures
 import itertools
 import json
+import os
 
 import pytest
 
@@ -356,6 +358,49 @@ def test_theorem_subset_and_unknown_tag():
     assert {c.theorem for c in report.checks} == {TAG_COUNT_LOG_CONCAVITY, TAG_SIMPLIFICATION}
     with pytest.raises(InvalidParametersError):
         run_campaign(corpus, CampaignConfig(theorems=("nope",)))
+
+
+def test_campaign_rejects_negative_samples_and_workers():
+    corpus = generate_corpus("graphic,K3")
+    with pytest.raises(InvalidParametersError):
+        run_campaign(corpus, CampaignConfig(samples=-1))
+    for workers in (0, -5):
+        with pytest.raises(InvalidParametersError):
+            run_campaign(corpus, CampaignConfig(workers=workers))
+
+
+@pytest.mark.parametrize("workers, cpus, expected", [
+    (5000, 3, 3),     # capped at the core count
+    (5000, 64, 7),    # capped at the task count
+    (2, 64, 2),
+    (5000, 1, None),  # one core: serial, no pool at all
+])
+def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size and maps in this process; starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    corpus = generate_corpus("uniform,n<=3")  # 7 matroids: 7 mason tasks
+    theorems = (TAG_COUNT_LOG_CONCAVITY,)
+    report = run_campaign(corpus, CampaignConfig(theorems=theorems, workers=workers))
+    assert sizes == ([] if expected is None else [expected])
+    serial = run_campaign(corpus, CampaignConfig(theorems=theorems))
+    assert report.to_json() == serial.to_json()
 
 
 def test_report_round_trip_and_replay():
