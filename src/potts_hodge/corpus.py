@@ -201,7 +201,7 @@ def parse_corpus_spec(text):
                 if clause.startswith("count="):
                     kwargs["linear_count"] = _parse_bound(clause, "count", text)
                 elif clause.startswith("seed="):
-                    kwargs["linear_seed"] = _parse_bound(clause, "seed", text)
+                    kwargs["linear_seed"] = _parse_bound(clause, "seed", text, signed=True)
                 else:
                     kwargs["linear_max_n"] = _parse_bound(clause, "n", text)
         elif family == "structured":
@@ -216,12 +216,17 @@ def parse_corpus_spec(text):
     return spec
 
 
-def _parse_bound(clause, key, context):
+def _parse_bound(clause, key, context, signed=False):
+    """The integer of a key<=N or key=N clause; negative only when signed
+    (a seed), since a negative size bound can only empty its family."""
     for op in ("<=", "="):
         prefix = key + op
         if clause.startswith(prefix):
             try:
-                return int(clause[len(prefix):])
+                value = int(clause[len(prefix):])
             except ValueError as exc:
                 raise ParseError(f"bad bound {clause!r} in corpus spec {context!r}") from exc
+            if value < 0 and not signed:
+                raise ParseError(f"negative bound {clause!r} in corpus spec {context!r}")
+            return value
     raise ParseError(f"cannot parse clause {clause!r} in corpus spec {context!r}")

@@ -14,15 +14,18 @@ set generating polynomial f[m] keeps only the subsets with rk(A) = |A|.
 
 Every evaluator reads one subset pass, _size_rank_sums: for a set S it
 sums prod_{i in A - S} w_i over the subsets A containing S into a table
-T_S[k][r], by size k = |A| and rank r = rk(A).  The strata, f[m] and the
-dependent masses are read off T for S empty.  For S the inner support of
-alpha and a_0 = alpha_0, the alpha-derivative of Z_c is
+T_S of the subsets' sizes k = |A| and ranks r = rk(A).  The table is one
+flat list of (n+1)(R+1) cells, R the full rank: subset A lands in cell
+bucket[A] = |A| (R+1) + rk(A), and the bucket list is cached per rank
+table.  The strata, f[m] and the dependent masses are read off T for S
+empty.  For S the inner support of alpha and a_0 = alpha_0, the
+alpha-derivative of Z_c is
 
-    sum_k c_k (n-k)_{a_0} w_0^(n-k-a_0) sum_r q^(-r) T_S[k][r],
+    sum_k c_k (n-k)_{a_0} w_0^(n-k-a_0) sum_r q^(-r) T_S[k (R+1) + r],
 
-and the gradient and the Hessian are that sum at alpha + e_i and at
-alpha + e_i + e_j.  A zero coordinate zeroes the products it enters and
-needs no other care.
+one dot product of a weight list laid out like T with T_S.  The gradient
+and the Hessian are that sum at alpha + e_i and at alpha + e_i + e_j.  A
+zero coordinate zeroes the products it enters and needs no other care.
 
 The pass and the reductions run on Python ints.  Each call clears the
 denominators of its inputs once: the point becomes W/L with integer W and
@@ -34,13 +37,21 @@ its scale factor:
     f[m], dependent masses   (integer) / L^m,
     alpha-derivative of Z_c  (integer) / (L_c a^R L^(n-|alpha|)).
 
-By homogeneity the last factor is the same for every entry of a Hessian.
-Inputs are ints or exact rationals (scalars.as_rational) and outputs are
-Fractions; a caller with float inputs converts them with scalars.from_float.
+By homogeneity the last factor is the same for every entry of a gradient
+and for every entry of a Hessian.  hessian_numerators returns the integer
+entries with that one scale, and the checks take their signatures as
+they are (a positive scale does not change the inertia); the public
+gradient and hessian divide once, at their boundary, and
+second_order_numerators gives Z_c, its gradient and its Hessian as
+integers from one validation.  Inputs are ints or exact rationals
+(scalars.as_rational) and outputs are Fractions; a caller with float
+inputs converts them with scalars.from_float.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from operator import mul
 
 from .errors import InvalidParametersError
 from .matrices import SymMatrix
@@ -118,26 +129,31 @@ def _products(values):
     return prod
 
 
+@functools.lru_cache(maxsize=256)
+def _buckets(ranks, width):
+    """bucket[mask] = |mask| * width + rk(mask), the cell of a subset in a
+    flat size x rank table of the given width (R + 1).  Cached per rank
+    table rather than stored on the Matroid, which is pickled with every
+    pool task."""
+    return tuple(mask.bit_count() * width + r for mask, r in enumerate(ranks))
+
+
 def _size_rank_sums(matroid, prod, smask):
-    """T[k][r]: the sum of prod[A - S] over the subsets A containing the set
-    S given by smask, with |A| = k and rk(A) = r.  The only subset loop."""
+    """T[k (R+1) + r]: the sum of prod[A - S] over the subsets A containing
+    the set S given by smask, with |A| = k and rk(A) = r, as one flat list
+    of (n+1)(R+1) cells.  The only subset loop."""
     n = matroid.n
-    ranks = matroid.ranks
-    table = [[0] * (n + 1) for _ in range(n + 1)]
+    width = matroid.full_rank + 1
+    bucket = _buckets(matroid.ranks, width)
+    table = [0] * ((n + 1) * width)
     comp = ((1 << n) - 1) ^ smask
     sub = comp
     while True:
-        mask = sub | smask
-        table[mask.bit_count()][ranks[mask]] += prod[sub]
+        table[bucket[sub | smask]] += prod[sub]
         if not sub:
             break
         sub = (sub - 1) & comp
     return table
-
-
-def _dot(weights, row):
-    """sum_r weights[r] * row[r], skipping the (many) empty cells of row."""
-    return sum(x * t for x, t in zip(weights, row) if t)
 
 
 def zk_all(matroid, q, w):
@@ -146,7 +162,9 @@ def zk_all(matroid, q, w):
     wv, den = clear_denominators(_validate_point(w, matroid.n))
     powers, qden = _q_inverse_powers(qv, matroid.full_rank)
     table = _size_rank_sums(matroid, _products(wv), 0)
-    return tuple(Fraction(_dot(powers, row), qden * den ** k) for k, row in enumerate(table))
+    width = len(powers)
+    return tuple(Fraction(sum(map(mul, powers, table[k * width:(k + 1) * width])), qden * den ** k)
+                 for k in range(matroid.n + 1))
 
 
 def zk_eval(matroid, k, q, w):
@@ -181,22 +199,25 @@ def _alpha_split(alpha, n):
 
 
 def _w0_weights(cv, powers, w0, a0):
-    """W[k][r] = c_k (n-k)_{a0} w_0^(n-k-a0) q^(-r), in the integers of the
-    cleared c, w_0 and q: the factor a subset of size k and rank r carries
-    in a derivative of order a0 in w_0.  Sizes k > n - a0 lose their whole
-    w_0 power and are left out."""
+    """W[k (R+1) + r] = c_k (n-k)_{a0} w_0^(n-k-a0) q^(-r), in the integers
+    of the cleared c, w_0 and q: the factor a subset of size k and rank r
+    carries in a derivative of order a0 in w_0, laid out like T.  Sizes
+    k > n - a0 lose their whole w_0 power and are left out."""
     n = len(cv) - 1
     weights = []
     for k in range(n - a0 + 1):
         coef = cv[k] * _falling(n - k, a0) * w0 ** (n - k - a0)
-        weights.append([coef * p for p in powers])
+        weights += [coef * p for p in powers]
     return weights
 
 
 def _derivatives(matroid, c, q, w):
-    """Validate c, q and the length-(n+1) point w, and return alpha -> the
-    alpha-derivative of Z_c at w.  Calls share the product table, one T
-    table per inner support and one weight table per alpha_0."""
+    """Validate c, q and the length-(n+1) point w, and return (derivative,
+    base, den).  derivative(a0, smask) is the integer numerator of the
+    alpha-derivative of Z_c at w for alpha_0 = a0 and inner support smask;
+    the derivative is that numerator over base * den^(n - a0 - |smask|).
+    Calls share the product table, one T table per inner support and one
+    weight table per a0."""
     n = matroid.n
     cv, cden = clear_denominators(validate_coeffs(c, n))
     powers, qden = _q_inverse_powers(_validate_q(q), matroid.full_rank)
@@ -205,35 +226,52 @@ def _derivatives(matroid, c, q, w):
     tables = {}
     weights = {}
 
-    def derivative(alpha):
+    def derivative(a0, smask):
         nonlocal prod
-        split = _alpha_split(alpha, n)
-        if split is None:
-            return ZERO
-        a0, smask = split
-        if smask not in tables:
+        if a0 + smask.bit_count() > n:
+            return 0
+        table = tables.get(smask)
+        if table is None:
             if prod is None:
                 prod = _products(wv[1:])
-            tables[smask] = _size_rank_sums(matroid, prod, smask)
-        if a0 not in weights:
-            weights[a0] = _w0_weights(cv, powers, wv[0], a0)
-        value = sum(map(_dot, weights[a0], tables[smask]))
-        return Fraction(value, cden * qden * den ** (n - a0 - smask.bit_count()))
+            table = tables[smask] = _size_rank_sums(matroid, prod, smask)
+        weight = weights.get(a0)
+        if weight is None:
+            weight = weights[a0] = _w0_weights(cv, powers, wv[0], a0)
+        return sum(map(mul, weight, table))
 
-    return derivative
+    return derivative, cden * qden, den
 
 
-def _bump(alpha, *indices):
-    out = list(alpha)
-    for i in indices:
-        out[i] += 1
-    return tuple(out)
+def _first_partials(derivative, n, a0, smask):
+    """Numerators of the (alpha + e_i)-derivatives, i = 0..n, for alpha
+    given as (a0, smask)."""
+    out = [derivative(a0 + 1, smask)]
+    for i in range(n):
+        bit = 1 << i
+        out.append(0 if smask & bit else derivative(a0, smask | bit))
+    return out
+
+
+def _second_partials(derivative, n, a0, smask):
+    """Rows of the numerators of the (alpha + e_i + e_j)-derivatives,
+    i, j = 0..n, for alpha given as (a0, smask).  Entries that touch the
+    support or repeat an inner index vanish (multiaffine)."""
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    rows[0][0] = derivative(a0 + 2, smask)
+    free = [i for i in range(n) if not smask >> i & 1]
+    for x, i in enumerate(free):
+        with_i = smask | 1 << i
+        rows[0][i + 1] = rows[i + 1][0] = derivative(a0 + 1, with_i)
+        for j in free[x + 1:]:
+            rows[i + 1][j + 1] = rows[j + 1][i + 1] = derivative(a0, with_i | 1 << j)
+    return rows
 
 
 def z_weighted_eval(matroid, c, q, w):
     """Weighted polynomial Z_c at the length-(n+1) point (w_0, ..., w_n)."""
-    derivative = _derivatives(matroid, c, q, w)
-    return derivative((0,) * (matroid.n + 1))
+    derivative, base, den = _derivatives(matroid, c, q, w)
+    return Fraction(derivative(0, 0), base * den ** matroid.n)
 
 
 def is_identically_zero(matroid, c, q, alpha):
@@ -265,16 +303,44 @@ def partial_eval(matroid, c, q, alpha, w):
     support of alpha sits inside A and a_0 is at most the w_0-exponent
     n - |A|; it then carries the falling-factorial factor from w_0^(n-|A|).
     """
-    derivative = _derivatives(matroid, c, q, w)
-    return derivative(validate_alpha(alpha, matroid.n))
+    derivative, base, den = _derivatives(matroid, c, q, w)
+    av = validate_alpha(alpha, matroid.n)
+    split = _alpha_split(av, matroid.n)
+    if split is None:
+        return ZERO
+    return Fraction(derivative(*split), base * den ** (matroid.n - sum(av)))
 
 
 def gradient(matroid, c, q, alpha, w):
     """All first partials of the alpha-derivative of Z_c at w: entry i is
     the (alpha + e_i)-derivative."""
-    derivative = _derivatives(matroid, c, q, w)
-    av = validate_alpha(alpha, matroid.n)
-    return tuple(derivative(_bump(av, i)) for i in range(matroid.n + 1))
+    n = matroid.n
+    derivative, base, den = _derivatives(matroid, c, q, w)
+    av = validate_alpha(alpha, n)
+    split = _alpha_split(av, n)
+    if split is None:
+        return (ZERO,) * (n + 1)
+    scale = base * den ** max(n - sum(av) - 1, 0)
+    return tuple(Fraction(x, scale) for x in _first_partials(derivative, n, *split))
+
+
+def hessian_numerators(matroid, c, q, alpha, w):
+    """(rows, scale): the Hessian of the alpha-derivative of Z_c at w is
+    rows[i][j] / scale, with integer rows and one positive integer scale.
+
+    Every entry is a derivative of the same order |alpha| + 2, so by
+    homogeneity one scale serves all of them.  A positive scale does not
+    change the inertia, so a signature can be read off the rows directly.
+    """
+    n = matroid.n
+    derivative, base, den = _derivatives(matroid, c, q, w)
+    av = validate_alpha(alpha, n)
+    split = _alpha_split(av, n)
+    if split is None:
+        rows = [[0] * (n + 1) for _ in range(n + 1)]
+    else:
+        rows = _second_partials(derivative, n, *split)
+    return tuple(map(tuple, rows)), base * den ** max(n - sum(av) - 2, 0)
 
 
 def hessian(matroid, c, q, alpha, w):
@@ -283,23 +349,34 @@ def hessian(matroid, c, q, alpha, w):
     Entry (i, j) equals the (alpha + e_i + e_j)-derivative at w.  Inner
     diagonal entries are identically zero (the polynomial is multiaffine in
     w_1..w_n), and the whole matrix is zero when the derivative has degree
-    below two.
+    below two.  The entries are hessian_numerators divided by its scale.
     """
-    derivative = _derivatives(matroid, c, q, w)
-    av = validate_alpha(alpha, matroid.n)
-    d = matroid.n + 1
-    rows = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            rows[i][j] = rows[j][i] = derivative(_bump(av, i, j))
-    return SymMatrix(tuple(tuple(row) for row in rows))
+    rows, scale = hessian_numerators(matroid, c, q, alpha, w)
+    return SymMatrix(tuple(tuple(Fraction(x, scale) for x in row) for row in rows))
+
+
+def second_order_numerators(matroid, c, q, w):
+    """Z_c, its gradient and its Hessian at the length-(n+1) point w, from
+    one validation and one subset pass per support: (z, grad, rows, base,
+    den) in integers, with
+
+        Z_c = z / (base den^n),  dZ_c/dw_i = grad[i] / (base den^(n-1)),
+        d^2 Z_c/dw_i dw_j = rows[i][j] / (base den^(n-2)),
+
+    where the gradient is zero when n < 1 and the Hessian when n < 2."""
+    n = matroid.n
+    derivative, base, den = _derivatives(matroid, c, q, w)
+    return (derivative(0, 0), _first_partials(derivative, n, 0, 0),
+            _second_partials(derivative, n, 0, 0), base, den)
 
 
 def f_all(matroid, w):
     """All strata of the independent-set generating polynomial at w."""
     wv, den = clear_denominators(_validate_point(w, matroid.n))
     table = _size_rank_sums(matroid, _products(wv), 0)
-    return tuple(Fraction(row[k], den ** k) for k, row in enumerate(table))
+    width = matroid.full_rank + 1
+    return tuple(Fraction(table[k * width + k] if k < width else 0, den ** k)
+                 for k in range(matroid.n + 1))
 
 
 def f_m_eval(matroid, m, w):
@@ -333,11 +410,12 @@ def dependent_mass(matroid, m, w, nullity=None):
     wv, den = clear_denominators(_validate_point(w, matroid.n))
     if m > matroid.n:
         return ZERO
-    row = _size_rank_sums(matroid, _products(wv), 0)[m]
+    width = matroid.full_rank + 1
+    row = _size_rank_sums(matroid, _products(wv), 0)[m * width:(m + 1) * width]
     if nullity is None:
         total = sum(row[:m])
     else:
-        total = row[m - nullity] if nullity <= m else 0
+        total = row[m - nullity] if 0 <= m - nullity < width else 0
     return Fraction(total, den ** m)
 
 

@@ -38,8 +38,8 @@ RAT_ONE = rat(1)
 def clear_denominators(values):
     """(ints, den) for exact rationals: den is the least common multiple of
     their denominators and ints[i] = den * values[i], each a Python int."""
-    den = math.lcm(*(int(x.denominator) for x in values))
-    return [int(x.numerator) * (den // int(x.denominator)) for x in values], den
+    den = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def is_exact_scalar(value):

@@ -9,6 +9,7 @@ eigenvalue is too close to zero to classify.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -50,11 +51,13 @@ class EigenSignature(NamedTuple):
 def signature(matrix, tol=None):
     """Inertia of a SymMatrix (or raw rows).
 
-    Exact entries: the matrix times the lcm of its denominators, then a
-    fraction-free elimination over ints (bareiss_inertia).  Float
-    entries: eigendecomposition with zero-threshold tol (default 1e-9 times
-    the largest absolute entry); an eigenvalue within tol of zero cannot be
-    classified and raises IndeterminateSignatureError rather than guessing.
+    Exact entries: the matrix times the lcm of its denominators, divided
+    by the gcd of the resulting ints, then a fraction-free elimination over
+    ints (bareiss_inertia); both factors are positive, so the inertia is
+    that of the matrix.  Float entries: eigendecomposition with
+    zero-threshold tol (default 1e-9 times the largest absolute entry); an
+    eigenvalue within tol of zero cannot be classified and raises
+    IndeterminateSignatureError rather than guessing.
     """
     mat = matrix if isinstance(matrix, SymMatrix) else SymMatrix.from_rows(matrix)
     if mat.dim == 0:
@@ -62,6 +65,8 @@ def signature(matrix, tol=None):
     if mat.is_exact:
         d = mat.dim
         ints, _ = clear_denominators([x for row in mat.entries for x in row])
+        g = math.gcd(*ints) or 1
+        ints = [x // g for x in ints]
         return EigenSignature(*bareiss_inertia(ints[i:i + d] for i in range(0, d * d, d)))
     import numpy as np
 

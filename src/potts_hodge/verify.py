@@ -39,6 +39,8 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import mul
 
 from .errors import InvalidParametersError, ParseError
 from .matrices import SymMatrix
@@ -49,15 +51,17 @@ from .potts import (
     derivative_degree,
     elementary_symmetric,
     f_all,
-    gradient,
-    hessian,
+    hessian_numerators,
     is_log_concave,
     is_strictly_log_concave,
+    second_order_numerators,
     validate_alpha,
     validate_coeffs,
     z_weighted_eval,
     zk_all,
 )
+# not called here, but perfbench/tracing.py wraps these names on this module
+from .potts import gradient, hessian  # noqa: F401
 from .scalars import (
     RAT_ONE,
     as_rational,
@@ -235,8 +239,8 @@ def check_one_positive(matroid, q, w):
                            {"annotations": ["q-above-one"]})
     if len(wv) != n + 1 or any(x <= 0 for x in wv):
         raise InvalidParametersError(f"w must be a positive point of length {n + 1}")
-    mat = hessian(matroid, _ones(n + 1), qv, [0] * (n + 1), wv)
-    sig = signature(mat)
+    rows, _ = hessian_numerators(matroid, _ones(n + 1), qv, [0] * (n + 1), wv)
+    sig = signature(SymMatrix(rows))
     notes = []
     if sig.n_zero:
         notes.append("singular-hessian")
@@ -270,8 +274,8 @@ def check_derivative_one_positive(matroid, c, q, alpha, w):
         return CheckResult(TAG_DERIVATIVE_ONE_POSITIVE, inputs, NOT_APPLICABLE,
                            {"annotations": ["degree-below-two"]})
     active = [0] + [i for i in range(1, n + 1) if alpha[i] == 0]
-    mat = hessian(matroid, cv, qv, alpha, wv)
-    sig = signature(mat.submatrix(active))
+    rows, _ = hessian_numerators(matroid, cv, qv, alpha, wv)
+    sig = signature(SymMatrix(tuple(tuple(rows[i][j] for j in active) for i in active)))
     witness = {"signature": _sig_list(sig), "active": active}
     expected = sig.n_pos == 1 and sig.n_zero == 0 and sig.n_neg == len(active) - 1
     return CheckResult(TAG_DERIVATIVE_ONE_POSITIVE, inputs, PASS if expected else FAIL, witness)
@@ -529,20 +533,22 @@ def check_log_concavity_at(matroid, c, q, w):
                            {"annotations": ["q-above-one"]})
     if len(wv) != n + 1 or any(x <= 0 for x in wv):
         raise InvalidParametersError(f"w must be a positive point of length {n + 1}")
-    zero_alpha = [0] * (n + 1)
-    z = z_weighted_eval(matroid, cv, qv, wv)
-    grad = gradient(matroid, cv, qv, zero_alpha, wv)
-    hess = hessian(matroid, cv, qv, zero_alpha, wv)
+    # N = z H - grad grad^T in the integers of second_order_numerators: N
+    # is the integer matrix over base^2 den^(2n-2), and with the point
+    # cleared to integers p = den w the ray w^T N w is p^T N p over
+    # base^2 den^(2n), as is -n Z^2 = -n z^2 / (base^2 den^(2n))
+    z, grad, hess, base, den = second_order_numerators(matroid, cv, qv, wv)
     entries = tuple(
-        tuple(z * hess.entries[i][j] - grad[i] * grad[j] for j in range(n + 1))
+        tuple(z * hess[i][j] - grad[i] * grad[j] for j in range(n + 1))
         for i in range(n + 1)
     )
-    curvature = SymMatrix(entries)
-    sig = signature(curvature)
-    ray = sum(wv[i] * sum(entries[i][j] * wv[j] for j in range(n + 1)) for i in range(n + 1))
+    sig = signature(SymMatrix(entries))
+    point = [x.numerator * (den // x.denominator) for x in wv]
+    ray = sum(point[i] * sum(map(mul, entries[i], point)) for i in range(n + 1))
     ray_ok = ray == -n * z * z
     notes = ["ray-identity"] if ray_ok else []
-    witness = {"signature": _sig_list(sig), "ray": scalar_to_json(ray)}
+    witness = {"signature": _sig_list(sig),
+               "ray": scalar_to_json(Fraction(ray, base * base * den ** (2 * n)))}
     if notes:
         witness["annotations"] = notes
     verdict = PASS if (sig.n_pos == 0 and ray_ok) else FAIL
@@ -757,6 +763,9 @@ def run_campaign(corpus, config=None):
         raise InvalidParametersError(f"samples must be nonnegative, got {cfg.samples}")
     if cfg.workers < 1:
         raise InvalidParametersError(f"workers must be at least 1, got {cfg.workers}")
+    if not corpus:
+        # a campaign over no matroids would pass vacuously
+        raise InvalidParametersError(f"corpus {cfg.corpus_label!r} has no matroids")
     start = time.perf_counter()
     theorems = [t for t in ALL_THEOREMS if t in cfg.theorems]
     q_grid = tuple(cfg.q_grid) or default_q_grid()

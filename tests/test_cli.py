@@ -248,6 +248,27 @@ def test_malformed_corpus_number_is_a_usage_error(capsys, argv):
     assert out == "" and "corpus spec" in err
 
 
+def test_verify_rejects_an_empty_corpus(capsys):
+    # uniform matroids start at n = 2, so this spec names no matroid; the
+    # campaign must not pass vacuously
+    code, out, err = run(capsys, "verify", "--corpus", "uniform,n<=1")
+    assert code == EXIT_USAGE
+    assert out == "" and "uniform,n<=1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("corpus", "--spec", "linear,count=-1"),
+    ("corpus", "--spec", "uniform,n<=-1"),
+    ("corpus", "--spec", "graphic,edges<=-2"),
+    ("verify", "--corpus", "linear,count=3,n<=-4"),
+    ("verify", "--corpus", "uniform;graphic,edges<=-1", "--theorem", "mason"),
+])
+def test_negative_corpus_bound_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and argv[2] in err
+
+
 @pytest.mark.parametrize("size", [("--samples", "-1"), ("--workers", "0"),
                                   ("--workers", "-5")])
 def test_verify_rejects_bad_campaign_sizes(capsys, size):

@@ -38,6 +38,7 @@ from potts_hodge import (
     zk_all,
     zk_eval,
 )
+from potts_hodge.potts import hessian_numerators, second_order_numerators
 from potts_hodge.scalars import from_float, is_exact_scalar, to_float
 
 U24 = make_uniform(2, 4)
@@ -257,18 +258,26 @@ q_values = st.one_of(st.just(Fraction(1)), st.just(Fraction(1001, 1000)),
                                st.integers(1, 60), st.integers(1, 60)))
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_oracle_differential(data):
-    matroid = data.draw(small_matroids())
+@st.composite
+def derivative_inputs(draw):
+    """(matroid, c, q, alpha, w) on a random matroid from small_matroids."""
+    matroid = draw(small_matroids())
     n = matroid.n
-    c = data.draw(st.lists(positive, min_size=n + 1, max_size=n + 1))
-    q = data.draw(q_values)
-    w = data.draw(st.lists(coordinates, min_size=n + 1, max_size=n + 1))
+    c = draw(st.lists(positive, min_size=n + 1, max_size=n + 1))
+    q = draw(q_values)
+    w = draw(st.lists(coordinates, min_size=n + 1, max_size=n + 1))
     # alpha_0 <= 2 and a sparse inner support, so that most derivatives
     # keep degree two or more
-    alpha = (data.draw(st.integers(0, 2)),) + tuple(
-        data.draw(st.lists(st.sampled_from((0, 0, 1)), min_size=n, max_size=n)))
+    alpha = (draw(st.integers(0, 2)),) + tuple(
+        draw(st.lists(st.sampled_from((0, 0, 1)), min_size=n, max_size=n)))
+    return matroid, c, q, alpha, w
+
+
+@settings(max_examples=120, deadline=None)
+@given(inputs=derivative_inputs())
+def test_oracle_differential(inputs):
+    matroid, c, q, alpha, w = inputs
+    n = matroid.n
     expr, qs, ws = oracle_weighted(matroid, c)
     # the oracle at this q, as a polynomial in w_0..w_n over QQ
     poly = sympy.Poly(expr.subs(qs, sympy.Rational(str(q))), *ws)
@@ -289,6 +298,30 @@ def test_oracle_differential(data):
         assert g[i] == sym_frac(gi.eval(point))
         for j in range(i, n + 1):
             assert rows[i][j] == rows[j][i] == sym_frac(gi.diff(ws[j]).eval(point))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=derivative_inputs())
+def test_numerators_differential(inputs):
+    # the integer numerators over their one scale are exactly the public
+    # values, which test_oracle_differential holds to the sympy oracle
+    matroid, c, q, alpha, w = inputs
+    n = matroid.n
+    rows, scale = hessian_numerators(matroid, c, q, alpha, w)
+    assert type(scale) is int and scale > 0
+    assert all(type(x) is int for row in rows for x in row)
+    assert tuple(tuple(Fraction(x, scale) for x in row) for row in rows) == \
+        hessian(matroid, c, q, alpha, w).entries
+    # Z_c, its gradient and its Hessian at alpha = 0, each over its power
+    # of den
+    z, grad, hess, base, den = second_order_numerators(matroid, c, q, w)
+    zero = (0,) * (n + 1)
+    assert type(base) is int and base > 0 and type(den) is int and den > 0
+    assert Fraction(z, base * den ** n) == z_weighted_eval(matroid, c, q, w)
+    assert tuple(Fraction(x, base) / Fraction(den) ** (n - 1) for x in grad) == \
+        gradient(matroid, c, q, zero, w)
+    assert tuple(tuple(Fraction(x, base) / Fraction(den) ** (n - 2) for x in row)
+                 for row in hess) == hessian(matroid, c, q, zero, w).entries
 
 
 def test_identically_zero_classification():

@@ -1,20 +1,30 @@
 """Theorem checks, campaign plumbing, replay, and the corpus generators."""
 
 import concurrent.futures
+import importlib.util
 import itertools
 import json
+import math
 import os
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potts_hodge import (
     CampaignConfig,
     CheckResult,
     InvalidParametersError,
     ParseError,
+    SymMatrix,
     VerificationReport,
     connected_graphs,
+    derivative_degree,
     generate_corpus,
+    gradient,
+    hessian,
     make_graphic,
     make_linear,
     make_rank_table,
@@ -22,9 +32,12 @@ from potts_hodge import (
     parse_corpus_spec,
     rat,
     run_campaign,
+    signature,
+    z_weighted_eval,
     zk_all,
 )
 from potts_hodge.sampling import child_rng, sample_positive_point
+from potts_hodge.scalars import scalar_to_json
 from potts_hodge.verify import (
     ALL_THEOREMS,
     FAIL,
@@ -208,6 +221,90 @@ def test_log_concavity_check():
     assert check_log_concavity_at(U12, (1, 1, 1), rat(2), ONES3).verdict == NOT_APPLICABLE
 
 
+# ----------------------------------------- checks against a rational reference
+#
+# The Hessian checks eliminate integer numerators.  The reference below is
+# the rational route they replace: the public (Fraction) hessian, gradient
+# and weighted value, the signature of the Fraction matrix, and N and the
+# ray formed in Fractions.
+
+
+def reference_one_positive(matroid, q, w):
+    sig = signature(hessian(matroid, (1,) * (matroid.n + 1), q, (0,) * (matroid.n + 1), w))
+    witness = {"signature": list(sig)}
+    if sig.n_zero:
+        witness["annotations"] = ["singular-hessian"]
+    return (PASS if sig.n_pos == 1 else FAIL), witness
+
+
+def reference_derivative_one_positive(matroid, c, q, alpha, w):
+    active = [0] + [i for i in range(1, matroid.n + 1) if alpha[i] == 0]
+    sig = signature(hessian(matroid, c, q, alpha, w).submatrix(active))
+    ok = sig.n_pos == 1 and sig.n_zero == 0 and sig.n_neg == len(active) - 1
+    return (PASS if ok else FAIL), {"signature": list(sig), "active": active}
+
+
+def reference_log_concavity(matroid, c, q, w):
+    n = matroid.n
+    zero = (0,) * (n + 1)
+    z = z_weighted_eval(matroid, c, q, w)
+    grad = gradient(matroid, c, q, zero, w)
+    hess = hessian(matroid, c, q, zero, w).entries
+    entries = tuple(tuple(z * hess[i][j] - grad[i] * grad[j] for j in range(n + 1))
+                    for i in range(n + 1))
+    sig = signature(SymMatrix(entries))
+    ray = sum(w[i] * sum(entries[i][j] * w[j] for j in range(n + 1)) for i in range(n + 1))
+    witness = {"signature": list(sig), "ray": scalar_to_json(ray)}
+    ray_ok = ray == -n * z * z
+    if ray_ok:
+        witness["annotations"] = ["ray-identity"]
+    return (PASS if sig.n_pos == 0 and ray_ok else FAIL), witness
+
+
+CHECK_MATROIDS = [U12, U24, K3, PARALLEL3, make_uniform(3, 5), make_uniform(0, 3),
+                  make_graphic(2, [(1, 2), (1, 2), (1, 1)]),
+                  make_linear(3, [[1, 0, 1, 2, 0], [0, 1, 1, 1, 0]]),
+                  make_graphic(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])]
+# denominators up to 10^12
+big_positive = st.builds(Fraction, st.integers(1, 10 ** 12), st.integers(1, 10 ** 12))
+unit_q = st.one_of(st.just(Fraction(1)), st.just(Fraction(1, 2)),
+                   st.builds(lambda a, b: Fraction(min(a, b), max(a, b)),
+                             st.integers(1, 10 ** 12), st.integers(1, 10 ** 12)))
+
+
+@st.composite
+def strictly_log_concave_coeffs(draw, n):
+    """c_k = s u^k (1 + d_k) / (k! (n-k)!): the factor 1/(k! (n-k)!) is
+    strictly log-concave, c_k^2 / (c_(k-1) c_(k+1)) > 1 + 4/n > 1.01^2 for
+    n <= 5, the geometric factor leaves that ratio alone, and 1 + d_k in
+    [1, 1.01] cannot undo it."""
+    s, u = draw(big_positive), draw(big_positive)
+    d = draw(st.lists(st.builds(Fraction, st.integers(0, 10 ** 10), st.just(10 ** 12)),
+                      min_size=n + 1, max_size=n + 1))
+    return tuple(s * u ** k * (1 + d[k]) / (math.factorial(k) * math.factorial(n - k))
+                 for k in range(n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_hessian_checks_match_rational_reference(data):
+    matroid = data.draw(st.sampled_from(CHECK_MATROIDS))
+    n = matroid.n
+    q = data.draw(unit_q)
+    w = tuple(data.draw(st.lists(big_positive, min_size=n + 1, max_size=n + 1)))
+    c = data.draw(strictly_log_concave_coeffs(n))
+    alpha = (data.draw(st.integers(0, 2)),) + tuple(
+        data.draw(st.lists(st.sampled_from((0, 0, 1)), min_size=n, max_size=n)))
+    checks = [(check_log_concavity_at(matroid, c, q, w), reference_log_concavity(matroid, c, q, w))]
+    if n >= 2:
+        checks.append((check_one_positive(matroid, q, w), reference_one_positive(matroid, q, w)))
+    if (derivative_degree(matroid, alpha) or 0) >= 2:
+        checks.append((check_derivative_one_positive(matroid, c, q, alpha, w),
+                       reference_derivative_one_positive(matroid, c, q, alpha, w)))
+    for result, (verdict, witness) in checks:
+        assert (result.verdict, result.witness) == (verdict, witness)
+
+
 def test_log_slice_second_difference():
     w = (1.0, 0.7, 1.3, 2.0, 0.5)
     for direction in [(1.0, 0.0, -1.0, 0.5, 0.0), (0.0, 1.0, 1.0, -1.0, 2.0)]:
@@ -295,6 +392,11 @@ def test_corpus_spec_parsing():
         parse_corpus_spec("unknown-family")
     with pytest.raises(ParseError):
         parse_corpus_spec("uniform,count=x")
+    for spec in ("linear,count=-1", "uniform,n<=-1", "graphic,edges<=-3", "linear,n<=-2"):
+        with pytest.raises(ParseError, match="negative bound"):
+            parse_corpus_spec(spec)
+    # a seed is not a bound: it may be negative
+    assert parse_corpus_spec("linear,count=2,seed=-7").linear_seed == -7
 
 
 def test_corpus_members_are_matroids():
@@ -358,6 +460,35 @@ def test_theorem_subset_and_unknown_tag():
     assert {c.theorem for c in report.checks} == {TAG_COUNT_LOG_CONCAVITY, TAG_SIMPLIFICATION}
     with pytest.raises(InvalidParametersError):
         run_campaign(corpus, CampaignConfig(theorems=("nope",)))
+
+
+def test_campaign_rejects_an_empty_corpus():
+    with pytest.raises(InvalidParametersError, match="uniform,n<=1"):
+        run_campaign([], CampaignConfig(corpus_label="uniform,n<=1"))
+
+
+def test_campaign_under_the_benchmark_tracer():
+    # perfbench/tracing.py wraps names that potts_hodge.verify binds; a
+    # name the checks stop importing would break it with an AttributeError
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import potts_hodge as ph
+
+    corpus = generate_corpus("graphic,K3")
+    config = CampaignConfig(seed=1, samples=2)
+    expected = json.dumps(run_campaign(corpus, config).to_json(), sort_keys=True)
+    tracer = tracing.Tracer(ph)
+    try:
+        with tracer.installed():
+            report = run_campaign(corpus, config)
+        counts = tracer.counters.snapshot()
+    finally:
+        tracer.close()
+    assert json.dumps(report.to_json(), sort_keys=True) == expected
+    assert counts["verify.check.calls"] == len(report.checks) > 0
+    assert counts["spectral.signature.calls"] > 0
 
 
 def test_campaign_rejects_negative_samples_and_workers():
