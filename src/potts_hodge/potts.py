@@ -38,10 +38,13 @@ its scale factor:
     alpha-derivative of Z_c  (integer) / (L_c a^R L^(n-|alpha|)).
 
 By homogeneity the last factor is the same for every entry of a gradient
-and for every entry of a Hessian.  hessian_numerators returns the integer
-entries with that one scale, and the checks take their signatures as
-they are (a positive scale does not change the inertia); the public
-gradient and hessian divide once, at their boundary, and
+and for every entry of a Hessian.  strata_numerators and
+independent_numerators return the strata as integers with their scales,
+and the public zk_all and f_all divide once, at their boundary.
+hessian_numerators returns the integer entries of a Hessian with its one
+scale, and the checks take their signatures as they are (a positive
+scale does not change the inertia); the public gradient and hessian
+divide once, at their boundary, and
 second_order_numerators gives Z_c, its gradient and its Hessian as
 integers from one validation.  Inputs are ints or exact rationals
 (scalars.as_rational) and outputs are Fractions; a caller with float
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from operator import mul
+from operator import ge, gt, mul
 
 from .errors import InvalidParametersError
 from .matrices import SymMatrix
@@ -60,7 +63,8 @@ from .scalars import as_rational, as_rationals, clear_denominators
 ZERO = Fraction(0)
 
 
-def _validate_q(q):
+def validate_q(q):
+    """q as a Fraction; it must be positive."""
     qv = as_rational(q)
     if qv <= 0:
         raise InvalidParametersError(f"q must be positive, got {q!r}")
@@ -97,20 +101,26 @@ def validate_alpha(alpha, n):
     return tuple(out)
 
 
+def log_concave_integers(ints, strict=True):
+    """True when the integers are positive with ints[m]^2 > ints[m-1] ints[m+1]
+    at every inner m (>= when not strict).  Rationals c_m = ints[m] / L
+    over one common denominator L > 0 are (strictly) log-concave exactly
+    when their numerators are: L^2 cancels from both sides."""
+    if any(x <= 0 for x in ints):
+        return False
+    above = gt if strict else ge
+    return all(above(ints[m] * ints[m], ints[m - 1] * ints[m + 1])
+               for m in range(1, len(ints) - 1))
+
+
 def is_strictly_log_concave(c):
     """True when c is positive with c_m^2 > c_{m-1} c_{m+1} strictly inside."""
-    cv = as_rationals(c)
-    if any(x <= 0 for x in cv):
-        return False
-    return all(cv[m] * cv[m] > cv[m - 1] * cv[m + 1] for m in range(1, len(cv) - 1))
+    return log_concave_integers(clear_denominators(as_rationals(c))[0])
 
 
 def is_log_concave(c):
     """Non-strict variant: positive with c_m^2 >= c_{m-1} c_{m+1} inside."""
-    cv = as_rationals(c)
-    if any(x <= 0 for x in cv):
-        return False
-    return all(cv[m] * cv[m] >= cv[m - 1] * cv[m + 1] for m in range(1, len(cv) - 1))
+    return log_concave_integers(clear_denominators(as_rationals(c))[0], strict=False)
 
 
 def _q_inverse_powers(q, max_rank):
@@ -133,8 +143,8 @@ def _products(values):
 def _buckets(ranks, width):
     """bucket[mask] = |mask| * width + rk(mask), the cell of a subset in a
     flat size x rank table of the given width (R + 1).  Cached per rank
-    table rather than stored on the Matroid, which is pickled with every
-    pool task."""
+    table rather than stored on the Matroid, which a campaign pickles into
+    each pool work unit."""
     return tuple(mask.bit_count() * width + r for mask, r in enumerate(ranks))
 
 
@@ -156,15 +166,27 @@ def _size_rank_sums(matroid, prod, smask):
     return table
 
 
+def _strata_table(matroid, w):
+    """(T, width, den): the table T_S for S empty at the length-n point w,
+    cleared to the integers W = den w, and the width R + 1 of its rows."""
+    wv, den = clear_denominators(_validate_point(w, matroid.n))
+    return _size_rank_sums(matroid, _products(wv), 0), matroid.full_rank + 1, den
+
+
+def strata_numerators(matroid, q, w):
+    """(nums, qden, den): the strata at the length-n point w are
+    Z[k] = nums[k] / (qden den^k), with integer nums, qden = a^R for
+    q = a/b and den the common denominator of w.  One subset pass."""
+    powers, qden = _q_inverse_powers(validate_q(q), matroid.full_rank)
+    table, width, den = _strata_table(matroid, w)
+    return ([sum(map(mul, powers, table[k * width:(k + 1) * width])) for k in range(matroid.n + 1)],
+            qden, den)
+
+
 def zk_all(matroid, q, w):
     """All strata (Z[0], ..., Z[n]) at the length-n point w, one subset pass."""
-    qv = _validate_q(q)
-    wv, den = clear_denominators(_validate_point(w, matroid.n))
-    powers, qden = _q_inverse_powers(qv, matroid.full_rank)
-    table = _size_rank_sums(matroid, _products(wv), 0)
-    width = len(powers)
-    return tuple(Fraction(sum(map(mul, powers, table[k * width:(k + 1) * width])), qden * den ** k)
-                 for k in range(matroid.n + 1))
+    nums, qden, den = strata_numerators(matroid, q, w)
+    return tuple(Fraction(x, qden * den ** k) for k, x in enumerate(nums))
 
 
 def zk_eval(matroid, k, q, w):
@@ -220,7 +242,7 @@ def _derivatives(matroid, c, q, w):
     weight table per a0."""
     n = matroid.n
     cv, cden = clear_denominators(validate_coeffs(c, n))
-    powers, qden = _q_inverse_powers(_validate_q(q), matroid.full_rank)
+    powers, qden = _q_inverse_powers(validate_q(q), matroid.full_rank)
     wv, den = clear_denominators(_validate_point(w, n + 1))
     prod = None
     tables = {}
@@ -283,7 +305,7 @@ def is_identically_zero(matroid, c, q, alpha):
     """
     n = matroid.n
     validate_coeffs(c, n)
-    _validate_q(q)
+    validate_q(q)
     av = validate_alpha(alpha, n)
     return _alpha_split(av, n) is None
 
@@ -370,13 +392,18 @@ def second_order_numerators(matroid, c, q, w):
             _second_partials(derivative, n, 0, 0), base, den)
 
 
+def independent_numerators(matroid, w):
+    """(nums, den): the independent-set strata at the length-n point w are
+    f[m] = nums[m] / den^m, with integer nums and den the common
+    denominator of w (1 for an integer point)."""
+    table, width, den = _strata_table(matroid, w)
+    return [table[k * width + k] if k < width else 0 for k in range(matroid.n + 1)], den
+
+
 def f_all(matroid, w):
     """All strata of the independent-set generating polynomial at w."""
-    wv, den = clear_denominators(_validate_point(w, matroid.n))
-    table = _size_rank_sums(matroid, _products(wv), 0)
-    width = matroid.full_rank + 1
-    return tuple(Fraction(table[k * width + k] if k < width else 0, den ** k)
-                 for k in range(matroid.n + 1))
+    nums, den = independent_numerators(matroid, w)
+    return tuple(Fraction(x, den ** k) for k, x in enumerate(nums))
 
 
 def f_m_eval(matroid, m, w):
@@ -391,7 +418,7 @@ def f_limit_residual(matroid, m, w, q):
     """|Z[m](q; q*w) - f[m](w)|: the deviation of the rescaled stratum from
     its independent-set limit.  Each dependent subset contributes with a
     factor q^(|A| - rk(A)), so the residual is O(q) as q -> 0."""
-    qv = _validate_q(q)
+    qv = validate_q(q)
     wv = _validate_point(w, matroid.n)
     scaled = tuple(qv * x for x in wv)
     return abs(zk_eval(matroid, m, qv, scaled) - f_m_eval(matroid, m, wv))
@@ -407,11 +434,11 @@ def dependent_mass(matroid, m, w, nullity=None):
         raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {m!r}")
     if nullity is not None and (not isinstance(nullity, int) or isinstance(nullity, bool) or nullity < 1):
         raise InvalidParametersError(f"nullity must be a positive integer, got {nullity!r}")
-    wv, den = clear_denominators(_validate_point(w, matroid.n))
     if m > matroid.n:
+        _validate_point(w, matroid.n)
         return ZERO
-    width = matroid.full_rank + 1
-    row = _size_rank_sums(matroid, _products(wv), 0)[m * width:(m + 1) * width]
+    table, width, den = _strata_table(matroid, w)
+    row = table[m * width:(m + 1) * width]
     if nullity is None:
         total = sum(row[:m])
     else:

@@ -10,12 +10,17 @@ verdicts:
   not-applicable  a hypothesis is not met (q > 1, degree too low, ...)
 
 Each theorem has one task generator that draws seeded inputs for one
-corpus member; run_campaign executes the tasks of every requested theorem
-in one batch, optionally across processes.  One table (CHECKS) maps a
-theorem and aspect to its check and input keys for campaigns, replay and
-the CLI.  Reports are plain data: serializing with sort_keys produces
-byte-identical output for identical (corpus, seed, samples), independent
-of the worker count.
+corpus member.  run_campaign's unit of work is one matroid: the unit
+generates and runs that matroid's tasks for every requested theorem, in
+this process or in a pool worker, so each matroid is pickled once and the
+sampling runs where the checks do.  One table (CHECKS) maps a theorem and
+aspect to its check and input keys for campaigns, replay and the CLI.
+Every check validates all of its inputs before it returns any verdict.
+The Hessian checks eliminate integer numerators and the strata checks
+compare them (potts.hessian_numerators, potts.strata_numerators); a
+Fraction is built only for a witness value.  Reports are plain data:
+serializing with sort_keys produces byte-identical output for identical
+(corpus, seed, samples), independent of the worker count.
 
 Theorem tags used on the wire:
 
@@ -47,25 +52,25 @@ from .matrices import SymMatrix
 from .matroids import from_json as matroid_from_json
 from .matroids import independent_set_counts, simplify, structure
 from .potts import (
+    _alpha_split,
     dependent_mass,
-    derivative_degree,
-    elementary_symmetric,
-    f_all,
     hessian_numerators,
-    is_log_concave,
-    is_strictly_log_concave,
+    independent_numerators,
+    log_concave_integers,
     second_order_numerators,
+    strata_numerators,
     validate_alpha,
     validate_coeffs,
+    validate_q,
     z_weighted_eval,
-    zk_all,
 )
 # not called here, but perfbench/tracing.py wraps these names on this module
-from .potts import gradient, hessian  # noqa: F401
+from .potts import elementary_symmetric, f_all, gradient, hessian, zk_all  # noqa: F401
 from .scalars import (
     RAT_ONE,
     as_rational,
     as_rationals,
+    clear_denominators,
     from_float,
     rat,
     scalar_from_json,
@@ -221,15 +226,37 @@ def _matroid_inputs(matroid, **extra):
     return out
 
 
+def _coeffs(c, n, strict=True):
+    """c validated and coerced once: (Fractions, their integers over one
+    common denominator).  Raises unless c is (strictly) log-concave."""
+    cv = validate_coeffs(c, n)
+    ints, _ = clear_denominators(cv)
+    if not log_concave_integers(ints, strict):
+        kind = "strictly log-concave" if strict else "log-concave"
+        raise InvalidParametersError(f"coefficient sequence must be {kind}")
+    return cv, ints
+
+
+def _positive_point(w, length):
+    wv = as_rationals(w)
+    if len(wv) != length or any(x <= 0 for x in wv):
+        raise InvalidParametersError(f"w must be a positive point of length {length}")
+    return wv
+
+
 # ---------------------------------------------------------------- checks
+#
+# Every check validates all of its inputs before it returns any verdict,
+# so a malformed input raises even where a hypothesis (q <= 1, degree at
+# least two) would have made the check not applicable.
 
 
 def check_one_positive(matroid, q, w):
     """Hessian of Z_c with all-ones coefficients at a positive point must
     have exactly one positive eigenvalue (degenerate directions allowed)."""
     n = matroid.n
-    qv = as_rational(q)
-    wv = as_rationals(w)
+    qv = validate_q(q)
+    wv = _positive_point(w, n + 1)
     inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv))
     if n < 2:
         return CheckResult(TAG_ONE_POSITIVE, inputs, NOT_APPLICABLE,
@@ -237,8 +264,6 @@ def check_one_positive(matroid, q, w):
     if not _q_in_range(qv):
         return CheckResult(TAG_ONE_POSITIVE, inputs, NOT_APPLICABLE,
                            {"annotations": ["q-above-one"]})
-    if len(wv) != n + 1 or any(x <= 0 for x in wv):
-        raise InvalidParametersError(f"w must be a positive point of length {n + 1}")
     rows, _ = hessian_numerators(matroid, _ones(n + 1), qv, [0] * (n + 1), wv)
     sig = signature(SymMatrix(rows))
     notes = []
@@ -256,21 +281,16 @@ def check_derivative_one_positive(matroid, c, q, alpha, w):
     active variables (index 0 plus the undifferentiated inner ones) the
     signature must be exactly (1, actives - 1, 0)."""
     n = matroid.n
-    cv = validate_coeffs(c, n)
-    if not is_strictly_log_concave(cv):
-        raise InvalidParametersError("coefficient sequence must be strictly log-concave")
-    qv = as_rational(q)
-    wv = as_rationals(w)
+    cv, _ = _coeffs(c, n)
+    qv = validate_q(q)
     alpha = validate_alpha(alpha, n)
+    wv = _positive_point(w, n + 1)
     inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
                              alpha=list(alpha), w=vector_to_json(wv))
     if not _q_in_range(qv):
         return CheckResult(TAG_DERIVATIVE_ONE_POSITIVE, inputs, NOT_APPLICABLE,
                            {"annotations": ["q-above-one"]})
-    if len(wv) != n + 1 or any(x <= 0 for x in wv):
-        raise InvalidParametersError(f"w must be a positive point of length {n + 1}")
-    deg = derivative_degree(matroid, alpha)
-    if deg is None or deg < 2:
+    if _alpha_split(alpha, n) is None or n - sum(alpha) < 2:
         return CheckResult(TAG_DERIVATIVE_ONE_POSITIVE, inputs, NOT_APPLICABLE,
                            {"annotations": ["degree-below-two"]})
     active = [0] + [i for i in range(1, n + 1) if alpha[i] == 0]
@@ -281,11 +301,18 @@ def check_derivative_one_positive(matroid, c, q, alpha, w):
     return CheckResult(TAG_DERIVATIVE_ONE_POSITIVE, inputs, PASS if expected else FAIL, witness)
 
 
-def _singleton_q_weights(matroid, q, w):
-    """y_i = q^(-rk({i})) w_i: loop weights pass through, others divide by q."""
-    qinv = RAT_ONE / q
-    return tuple(w[i] * (RAT_ONE if matroid.ranks[1 << i] == 0 else qinv)
-                 for i in range(matroid.n))
+def _singleton_factors(matroid, q):
+    """a q^(-rk({i})) for q = a/b: b for a non-loop, a for a loop.  At a
+    point w = W / den, y_i = q^(-rk({i})) w_i is W_i times this factor
+    over a den, and Z[1] = sum y_i."""
+    a, b = q.numerator, q.denominator
+    return [b if matroid.ranks[1 << i] else a for i in range(matroid.n)]
+
+
+def _e2(values):
+    """Second elementary symmetric polynomial of integers."""
+    total = sum(values)
+    return (total * total - sum(x * x for x in values)) // 2
 
 
 def check_degree_two(matroid, c, q, w):
@@ -300,51 +327,54 @@ def check_degree_two(matroid, c, q, w):
     At q = 1 the stronger coefficient-free bound
     Z[1]^2 >= 2 (n/(n-1)) e_2(y) is also confirmed (the classical mean
     inequality, valid for arbitrary signs).
+
+    Both run on integers: Z[k] = nums[k] / (a^R den^k) for q = a/b and
+    y_i = Y_i / (a den), and each comparison is cross-multiplied by its
+    positive denominators.
     """
     n = matroid.n
-    cv = validate_coeffs(c, n)
-    if not is_strictly_log_concave(cv):
-        raise InvalidParametersError("coefficient sequence must be strictly log-concave")
-    qv = as_rational(q)
+    cv, cints = _coeffs(c, n)
+    qv = validate_q(q)
     wv = as_rationals(w)
     inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
                              w=vector_to_json(wv), aspect="positive-point")
-    if n < 2:
-        return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
-                           {"annotations": ["degree-below-two"]})
-    t = cv[0] * cv[2] / (cv[1] * cv[1])
-    if not _q_in_range(qv):
-        return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
-                           {"annotations": ["q-above-one"]})
     if len(wv) != n:
         raise InvalidParametersError(f"w must have length {n}")
     if all(x == 0 for x in wv):
         raise InvalidParametersError("w must be nonzero")
-    strata = zk_all(matroid, qv, wv)
-    z1, z2 = strata[1], strata[2]
-    y = _singleton_q_weights(matroid, qv, wv)
-    all_idx = range(1, n + 1)
-    e1 = elementary_symmetric(all_idx, 1, y)
-    e2 = elementary_symmetric(all_idx, 2, y)
-    correction = sum(
-        (elementary_symmetric(sorted(cls), 2, y) for cls in structure(matroid).parallel_classes
-         if len(cls) >= 2),
-        start=rat(0),
-    )
-    z2_routed = e2 - (1 - qv) * correction
-    routes_match = z1 == e1 and z2 == z2_routed
-    bound = 2 * t * rat(n, n - 1) * z2
-    strict_ok = z1 * z1 > bound
+    if n < 2:
+        return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
+                           {"annotations": ["degree-below-two"]})
+    if not _q_in_range(qv):
+        return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
+                           {"annotations": ["q-above-one"]})
+    nums, qden, den = strata_numerators(matroid, qv, wv)
+    a, b = qv.numerator, qv.denominator
+    y = [x.numerator * (den // x.denominator) * f
+         for x, f in zip(wv, _singleton_factors(matroid, qv))]
+    e1, e2 = sum(y), _e2(y)
+    correction = sum(_e2([y[i - 1] for i in cls])
+                     for cls in structure(matroid).parallel_classes if len(cls) >= 2)
+    # Z[1] = nums[1] / (qden den) against e_1(y) = e1 / (a den), and
+    # Z[2] = nums[2] / (qden den^2) against
+    # e_2(y) - (1 - q) correction = (b e2 - (b - a) correction) / (b a^2 den^2)
+    routes_match = (nums[1] * a == e1 * qden
+                    and nums[2] * b * a * a == (b * e2 - (b - a) * correction) * qden)
+    # bound = 2 (c_0 c_2 / c_1^2) (n / (n-1)) Z[2], with c_k = cints[k] / L
+    bound_num = 2 * cints[0] * cints[2] * n * nums[2]
+    bound_den = cints[1] * cints[1] * (n - 1) * qden * den * den
+    strict_ok = nums[1] * nums[1] * bound_den > bound_num * (qden * den) ** 2
     notes = ["route-match"] if routes_match else []
     newton_ok = True
     if qv == 1:
-        newton_ok = e1 * e1 >= 2 * rat(n, n - 1) * e2
+        # e_1(y)^2 >= 2 (n/(n-1)) e_2(y); both sides are over (a den)^2
+        newton_ok = (n - 1) * e1 * e1 >= 2 * n * e2
         if newton_ok:
             notes.append("mean-bound-at-q1")
     witness = {
-        "z1": scalar_to_json(z1),
-        "z2": scalar_to_json(z2),
-        "bound": scalar_to_json(bound),
+        "z1": scalar_to_json(Fraction(nums[1], qden * den)),
+        "z2": scalar_to_json(Fraction(nums[2], qden * den * den)),
+        "bound": scalar_to_json(Fraction(bound_num, bound_den)),
         "routes_match": routes_match,
     }
     if notes:
@@ -354,54 +384,58 @@ def check_degree_two(matroid, c, q, w):
 
 
 def check_degree_two_zero_line(matroid, q, w):
-    """On the hyperplane Z[1] = 0, every nonzero point must give Z[2] < 0."""
+    """On the hyperplane Z[1] = 0, every nonzero point must give Z[2] < 0.
+
+    Z[1] has positive singleton coefficients, so no nonzero point lies on
+    the plane when n < 2: the input checks leave n >= 2."""
     n = matroid.n
-    qv = as_rational(q)
+    qv = validate_q(q)
     wv = as_rationals(w)
     inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv),
                              aspect="zero-line")
-    if n < 2:
-        return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
-                           {"annotations": ["degree-below-two"]})
-    if not _q_in_range(qv):
-        return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
-                           {"annotations": ["q-above-one"]})
     if len(wv) != n:
         raise InvalidParametersError(f"w must have length {n}")
     if all(x == 0 for x in wv):
         raise InvalidParametersError("the zero-line point must be nonzero")
-    strata = zk_all(matroid, qv, wv)
-    if strata[1] != 0:
+    nums, qden, den = strata_numerators(matroid, qv, wv)
+    if nums[1] != 0:
         raise InvalidParametersError("the point does not lie on the Z[1] = 0 hyperplane")
-    witness = {"z2": scalar_to_json(strata[2])}
-    return CheckResult(TAG_DEGREE_TWO, inputs, PASS if strata[2] < 0 else FAIL, witness)
+    if not _q_in_range(qv):
+        return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
+                           {"annotations": ["q-above-one"]})
+    witness = {"z2": scalar_to_json(Fraction(nums[2], qden * den * den))}
+    return CheckResult(TAG_DEGREE_TWO, inputs, PASS if nums[2] < 0 else FAIL, witness)
 
 
 def check_strata_ultra_log_concave(matroid, q, w):
     """m(n-m) Z[m]^2 >= (m+1)(n-m+1) Z[m-1] Z[m+1] for 1 <= m <= n-1 at a
     nonnegative point.  Indices with equality are annotated; at q = 1 and
-    the all-ones point every index is tight."""
+    the all-ones point every index is tight.  With Z[k] = nums[k] /
+    (qden den^k), both sides at m are over qden^2 den^(2m), so the
+    numerators are compared."""
     n = matroid.n
-    qv = as_rational(q)
+    qv = validate_q(q)
     wv = as_rationals(w)
     inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv))
+    if len(wv) != n or any(x < 0 for x in wv):
+        raise InvalidParametersError(f"w must be a nonnegative point of length {n}")
     if n < 2:
         return CheckResult(TAG_STRATA_ULC, inputs, VACUOUS,
                            {"annotations": ["no-interior-indices"]})
     if not _q_in_range(qv):
         return CheckResult(TAG_STRATA_ULC, inputs, NOT_APPLICABLE,
                            {"annotations": ["q-above-one"]})
-    if len(wv) != n or any(x < 0 for x in wv):
-        raise InvalidParametersError(f"w must be a nonnegative point of length {n}")
-    strata = zk_all(matroid, qv, wv)
+    nums, qden, den = strata_numerators(matroid, qv, wv)
     notes = []
     violations = []
     tight_nonzero = 0
     for m in range(1, n):
-        lhs = m * (n - m) * strata[m] * strata[m]
-        rhs = (m + 1) * (n - m + 1) * strata[m - 1] * strata[m + 1]
+        lhs = m * (n - m) * nums[m] * nums[m]
+        rhs = (m + 1) * (n - m + 1) * nums[m - 1] * nums[m + 1]
         if lhs < rhs:
-            violations.append({"m": m, "lhs": scalar_to_json(lhs), "rhs": scalar_to_json(rhs)})
+            scale = (qden * den ** m) ** 2
+            violations.append({"m": m, "lhs": scalar_to_json(Fraction(lhs, scale)),
+                               "rhs": scalar_to_json(Fraction(rhs, scale))})
         elif lhs == rhs:
             if lhs == 0:
                 notes.append(f"vacuous-at-{m}")
@@ -428,7 +462,7 @@ def check_count_log_concavity(matroid):
     n = matroid.n
     inputs = _matroid_inputs(matroid)
     counts = independent_set_counts(matroid)
-    recount = tuple(int(x) for x in f_all(matroid, _ones(n)))
+    recount = tuple(independent_numerators(matroid, (1,) * n)[0])
     if recount != counts:
         return CheckResult(TAG_COUNT_LOG_CONCAVITY, inputs, FAIL,
                            {"counts": list(counts), "recount": list(recount),
@@ -487,12 +521,12 @@ def check_simplification_bound(matroid):
     classes = sorted(info.parallel_classes, key=min)
     ell = len(classes)
     simple = simplify(matroid)
-    sizes = tuple(rat(len(cls)) for cls in classes)
-    rerouted = f_all(simple, sizes)
+    # an integer point: den = 1, so the numerators are the strata
+    rerouted, _ = independent_numerators(simple, [len(cls) for cls in classes])
     notes = []
     violations = []
     for m in range(n + 1):
-        expected = int(rerouted[m]) if m <= simple.n else 0
+        expected = rerouted[m] if m <= simple.n else 0
         if counts[m] != expected:
             violations.append({"m": m, "count": counts[m], "rerouted": expected,
                                "reason": "class-size-route-mismatch"})
@@ -521,18 +555,14 @@ def check_log_concavity_at(matroid, c, q, w):
     N = Z * H - grad grad^T must have no positive eigenvalue, and along the
     base ray w^T N w = -n Z^2 exactly (homogeneity of degree n)."""
     n = matroid.n
-    cv = validate_coeffs(c, n)
-    if not is_log_concave(cv):
-        raise InvalidParametersError("coefficient sequence must be log-concave")
-    qv = as_rational(q)
-    wv = as_rationals(w)
+    cv, _ = _coeffs(c, n, strict=False)
+    qv = validate_q(q)
+    wv = _positive_point(w, n + 1)
     inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
                              w=vector_to_json(wv))
     if not _q_in_range(qv):
         return CheckResult(TAG_LOG_CONCAVITY, inputs, NOT_APPLICABLE,
                            {"annotations": ["q-above-one"]})
-    if len(wv) != n + 1 or any(x <= 0 for x in wv):
-        raise InvalidParametersError(f"w must be a positive point of length {n + 1}")
     # N = z H - grad grad^T in the integers of second_order_numerators: N
     # is the integer matrix over base^2 den^(2n-2), and with the point
     # cleared to integers p = den w the ray w^T N w is p^T N p over
@@ -634,17 +664,29 @@ def call_check(name, args):
     return globals()[name](*args)
 
 
-def _execute(tasks, workers):
-    # more processes than tasks or cores gain nothing, and a pool starts
+def _matroid_checks(mi, matroid, theorems, seed, samples, q_grid):
+    """One work unit: generate the tasks of corpus member mi for each
+    theorem and run them, returning one list of results per theorem."""
+    return [[call_check(name, args)
+             for name, args in THEOREM_TASKS[tag](mi, matroid, seed, samples, q_grid)]
+            for tag in theorems]
+
+
+def _execute(units, workers):
+    """Run (mi, matroid, theorems, seed, samples, q_grid) units through
+    _matroid_checks, in this process or across a pool; results come back
+    in unit order.  Each matroid is pickled once, and the tasks are
+    sampled in the process that runs them."""
+    # more processes than units or cores gain nothing, and a pool starts
     # all of its processes at once
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = min(workers, len(units), os.cpu_count() or 1)
     if workers <= 1:
-        return [call_check(name, args) for name, args in tasks]
+        return [_matroid_checks(*unit) for unit in units]
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(tasks) // (workers * 8))
+    chunk = max(1, len(units) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(call_check, *zip(*tasks), chunksize=chunk))
+        return list(pool.map(_matroid_checks, *zip(*units), chunksize=chunk))
 
 
 # Task generators: (mi, matroid, seed, samples, q_grid) -> (check name,
@@ -679,16 +721,20 @@ def _tasks_derivative_one_positive(mi, matroid, seed, samples, q_grid):
 def _zero_line_point(matroid, q, rng, attempts=32):
     """Nonzero inner point with Z[1] = 0, built by projecting a sign-mixed
     sample along the all-ones direction (Z[1] is linear with positive
-    singleton coefficients, so the projection always lands on the plane)."""
+    singleton coefficients, so the projection always lands on the plane).
+
+    In integers: a Z[1] = sum_i lam_i w_i with lam = _singleton_factors,
+    and a sample v = V / D projects to w_i = (total V_i - s) / (a D), with
+    total = sum_i lam_i and s = sum_i lam_i V_i."""
     n = matroid.n
-    lam = [RAT_ONE / q if matroid.ranks[1 << i] else RAT_ONE for i in range(n)]
-    total = sum(lam, start=rat(0))
+    lam = _singleton_factors(matroid, q)
+    total = sum(lam)
     for _ in range(attempts):
-        v = sample_sign_mixed_point(rng, n)
-        s = sum((lam[i] * v[i] for i in range(n)), start=rat(0))
-        w = tuple(total * v[i] - s for i in range(n))
-        if any(x != 0 for x in w):
-            return w
+        v, den = clear_denominators(sample_sign_mixed_point(rng, n))
+        s = sum(map(mul, lam, v))
+        w = [total * x - s for x in v]
+        if any(w):
+            return tuple(Fraction(x, q.numerator * den) for x in w)
     raise InvalidParametersError("could not sample a nonzero point on the Z[1] = 0 plane")
 
 
@@ -750,10 +796,12 @@ THEOREM_TASKS = {
 def run_campaign(corpus, config=None):
     """Run the configured theorems over a corpus and aggregate a report.
 
-    Tasks are generated theorem by theorem (in ALL_THEOREMS order), matroid
-    by matroid, and executed in one batch; the worker count affects wall
-    time only, so the report content is a function of (corpus, seed,
-    samples, theorems, q_grid) alone.
+    The unit of work is one matroid: it generates and runs that matroid's
+    tasks for every requested theorem, in this process (workers=1) or in
+    a pool worker.  The checks are reported theorem by theorem (in
+    ALL_THEOREMS order), matroid by matroid within a theorem.  The worker
+    count affects wall time only, so the report content is a function of
+    (corpus, seed, samples, theorems, q_grid) alone.
     """
     cfg = config or CampaignConfig()
     unknown = [t for t in cfg.theorems if t not in THEOREM_TASKS]
@@ -767,11 +815,12 @@ def run_campaign(corpus, config=None):
         # a campaign over no matroids would pass vacuously
         raise InvalidParametersError(f"corpus {cfg.corpus_label!r} has no matroids")
     start = time.perf_counter()
-    theorems = [t for t in ALL_THEOREMS if t in cfg.theorems]
+    theorems = tuple(t for t in ALL_THEOREMS if t in cfg.theorems)
     q_grid = tuple(cfg.q_grid) or default_q_grid()
-    tasks = [task for tag in theorems for mi, matroid in enumerate(corpus)
-             for task in THEOREM_TASKS[tag](mi, matroid, cfg.seed, cfg.samples, q_grid)]
-    checks = _execute(tasks, cfg.workers)
+    units = [(mi, matroid, theorems, cfg.seed, cfg.samples, q_grid)
+             for mi, matroid in enumerate(corpus)]
+    per_matroid = _execute(units, cfg.workers)
+    checks = [check for ti in range(len(theorems)) for unit in per_matroid for check in unit[ti]]
     elapsed = time.perf_counter() - start
     campaign = {
         "name": "verification-campaign",
@@ -779,7 +828,7 @@ def run_campaign(corpus, config=None):
         "matroids": len(corpus),
         "seed": cfg.seed,
         "samples": cfg.samples,
-        "theorems": theorems,
+        "theorems": list(theorems),
     }
     if cfg.q_grid:
         campaign["q_grid"] = [scalar_to_json(q) for q in cfg.q_grid]

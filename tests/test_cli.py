@@ -1,5 +1,6 @@
 """End-to-end command line tests via main(argv)."""
 
+import hashlib
 import json
 
 import pytest
@@ -165,6 +166,27 @@ def test_verify_single_check_rejects_arguments_the_check_does_not_take(capsys, a
     assert f"takes no {flag}" in err
 
 
+U23 = '{"type": "uniform", "rank": 2, "n": 3}'
+U11 = '{"type": "uniform", "rank": 1, "n": 1}'
+
+
+@pytest.mark.parametrize("argv", [
+    [U23, "--theorem", "qHR", "--q", "2", "--w", "1"],
+    [U23, "--theorem", "logconcavity", "--q", "3", "--c", "1,1,1,1", "--w", "1"],
+    [U23, "--theorem", "ulc", "--q", "2", "--w=-1,1,1"],
+    [U23, "--theorem", "cqHR", "--q", "2", "--c", "1,2,2,1", "--alpha", "0,0,0,0", "--w", "1"],
+    [U23, "--theorem", "deg2", "--q", "2", "--c", "1,3,3,1", "--w", "0,0,0"],
+    [U11, "--theorem", "qHR", "--q", "0", "--w", "1,1"],
+    [U11, "--theorem", "ulc", "--q", "1", "--w", "1,1"],
+])
+def test_verify_single_check_validates_before_a_verdict(capsys, argv):
+    # q > 1 or n < 2 would make each check not applicable or vacuous; the
+    # malformed input must still be a usage error, not a pass
+    code, out, _ = run(capsys, "verify", "--matroid", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
 def _cli_text(value):
     """A recorded input in the syntax of --c/--q/--alpha/--w."""
     if isinstance(value, list):
@@ -302,6 +324,23 @@ def test_verify_campaign_json_byte_stability(capsys):
     assert code3 == EXIT_OK
     assert out3 == out1  # workers affect wall time only
     assert "timing_seconds" not in out1
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--samples", "1", "--q-grid", "1/2"],
+     "b9a4e215f8f533cc5f171c5202c745d9b2d940dfa6e2ee7279a0b27db86fca9c"),
+    (["--theorem", "deg2", "--theorem", "ulc", "--theorem", "mason",
+      "--theorem", "simplification", "--samples", "3", "--workers", "2"],
+     "14ded8b2b39788c0de86485126e0f05f4ff1f0cfd4a4d28e22c63703094bd4fc"),
+])
+def test_verify_default_corpus_stdout_is_pinned(capsys, argv, digest):
+    # the sha256 of stdout for two default-corpus campaigns, recorded
+    # before the strata checks moved to integer numerators and the
+    # campaign to per-matroid work units; every verdict and witness of
+    # these reports must survive any change to the checks or the dispatch
+    code, out, _ = run(capsys, "verify", "--corpus", "default", *argv, "--json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_out_file_has_timing(tmp_path, capsys):

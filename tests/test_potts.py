@@ -38,7 +38,12 @@ from potts_hodge import (
     zk_all,
     zk_eval,
 )
-from potts_hodge.potts import hessian_numerators, second_order_numerators
+from potts_hodge.potts import (
+    hessian_numerators,
+    independent_numerators,
+    second_order_numerators,
+    strata_numerators,
+)
 from potts_hodge.scalars import from_float, is_exact_scalar, to_float
 
 U24 = make_uniform(2, 4)
@@ -322,6 +327,16 @@ def test_numerators_differential(inputs):
         gradient(matroid, c, q, zero, w)
     assert tuple(tuple(Fraction(x, base) / Fraction(den) ** (n - 2) for x in row)
                  for row in hess) == hessian(matroid, c, q, zero, w).entries
+    # the strata numerators: Z[k] = nums[k] / (a^R den^k) for q = a/b, and
+    # f[m] = fnums[m] / den^m, with den the common denominator of the point
+    inner = w[1:]
+    nums, qden, den = strata_numerators(matroid, q, inner)
+    fnums, fden = independent_numerators(matroid, inner)
+    assert qden == q.numerator ** matroid.full_rank
+    assert den == fden == math.lcm(*(x.denominator for x in inner))
+    assert all(type(x) is int for x in nums + fnums)
+    assert tuple(Fraction(x, qden * den ** k) for k, x in enumerate(nums)) == zk_all(matroid, q, inner)
+    assert tuple(Fraction(x, den ** k) for k, x in enumerate(fnums)) == f_all(matroid, inner)
 
 
 def test_identically_zero_classification():
@@ -542,3 +557,33 @@ def test_log_concavity_predicates():
     assert not is_log_concave((1, 2, 5))
     assert not is_strictly_log_concave((1, -1, 1))
     assert is_strictly_log_concave((5,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.builds(Fraction, st.integers(1, 10 ** 12), st.integers(1, 10 ** 12)),
+       r=st.builds(Fraction, st.integers(1, 10 ** 12), st.integers(1, 10 ** 12)),
+       length=st.integers(3, 7), data=st.data())
+def test_log_concavity_predicates_at_the_equality_boundary(s, r, length, data):
+    # a geometric sequence s r^k is tight at every inner index; nudging one
+    # entry by 1/10^12 either way moves it to one side of the boundary.
+    # The predicates compare cleared integers; the reference is the
+    # Fraction comparison itself
+    c = [s * r ** k for k in range(length)]
+    k = data.draw(st.integers(0, length - 1))
+    c[k] += data.draw(st.sampled_from((0, 1, -1))) * Fraction(1, 10 ** 12) * c[k]
+    inner = range(1, length - 1)
+    assert is_log_concave(c) == all(c[m] * c[m] >= c[m - 1] * c[m + 1] for m in inner)
+    assert is_strictly_log_concave(c) == all(c[m] * c[m] > c[m - 1] * c[m + 1] for m in inner)
+
+
+def test_log_concavity_predicates_with_rational_entries():
+    # (4/5)^2 = 16/25 = (2/3)(24/25): tight, over three different denominators
+    tight = (Fraction(2, 3), Fraction(4, 5), Fraction(24, 25))
+    assert is_log_concave(tight) and not is_strictly_log_concave(tight)
+    above = (Fraction(2, 3), Fraction(4, 5) + Fraction(1, 10 ** 12), Fraction(24, 25))
+    assert is_log_concave(above) and is_strictly_log_concave(above)
+    below = (Fraction(2, 3), Fraction(4, 5) - Fraction(1, 10 ** 12), Fraction(24, 25))
+    assert not is_log_concave(below) and not is_strictly_log_concave(below)
+    assert not is_log_concave((Fraction(1, 3), Fraction(0), Fraction(1, 3)))
+    with pytest.raises(InvalidParametersError):
+        is_log_concave((0.5, 1, 0.5))

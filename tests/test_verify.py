@@ -6,8 +6,10 @@ import itertools
 import json
 import math
 import os
+import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from potts_hodge import (
     VerificationReport,
     connected_graphs,
     derivative_degree,
+    elementary_symmetric,
     generate_corpus,
     gradient,
     hessian,
@@ -33,10 +36,13 @@ from potts_hodge import (
     rat,
     run_campaign,
     signature,
+    structure,
     z_weighted_eval,
     zk_all,
 )
-from potts_hodge.sampling import child_rng, sample_positive_point
+from potts_hodge import verify
+from potts_hodge.potts import strata_numerators
+from potts_hodge.sampling import child_rng, sample_positive_point, sample_sign_mixed_point
 from potts_hodge.scalars import scalar_to_json
 from potts_hodge.verify import (
     ALL_THEOREMS,
@@ -305,6 +311,156 @@ def test_hessian_checks_match_rational_reference(data):
         assert (result.verdict, result.witness) == (verdict, witness)
 
 
+# ------------------------------------ strata checks against a rational reference
+#
+# The strata checks compare integer numerators.  The references below are
+# the rational routes they replace: the public (Fraction) strata and
+# elementary symmetric polynomials, combined by the old Fraction formulas.
+# Each takes the strata as an argument, so that a test can hand both sides
+# the same altered strata and reach the failure witnesses.
+
+
+def _reference_singleton_weights(matroid, q, w):
+    """y_i = q^(-rk({i})) w_i: loop weights pass through, others divide by q."""
+    return tuple(w[i] * (1 if matroid.ranks[1 << i] == 0 else 1 / q) for i in range(matroid.n))
+
+
+def reference_degree_two(matroid, c, q, w, strata):
+    n = matroid.n
+    if n < 2:
+        return NOT_APPLICABLE, {"annotations": ["degree-below-two"]}
+    if q > 1:
+        return NOT_APPLICABLE, {"annotations": ["q-above-one"]}
+    c = tuple(map(Fraction, c))
+    t = c[0] * c[2] / (c[1] * c[1])
+    z1, z2 = strata[1], strata[2]
+    y = _reference_singleton_weights(matroid, q, w)
+    e1 = elementary_symmetric(range(1, n + 1), 1, y)
+    e2 = elementary_symmetric(range(1, n + 1), 2, y)
+    correction = sum((elementary_symmetric(sorted(cls), 2, y)
+                      for cls in structure(matroid).parallel_classes if len(cls) >= 2),
+                     start=Fraction(0))
+    routes_match = z1 == e1 and z2 == e2 - (1 - q) * correction
+    bound = 2 * t * Fraction(n, n - 1) * z2
+    notes = ["route-match"] if routes_match else []
+    newton_ok = True
+    if q == 1:
+        newton_ok = e1 * e1 >= 2 * Fraction(n, n - 1) * e2
+        if newton_ok:
+            notes.append("mean-bound-at-q1")
+    witness = {"z1": scalar_to_json(z1), "z2": scalar_to_json(z2),
+               "bound": scalar_to_json(bound), "routes_match": routes_match}
+    if notes:
+        witness["annotations"] = notes
+    return (PASS if routes_match and z1 * z1 > bound and newton_ok else FAIL), witness
+
+
+def reference_zero_line(matroid, q, w, strata):
+    if q > 1:
+        return NOT_APPLICABLE, {"annotations": ["q-above-one"]}
+    assert strata[1] == 0
+    return (PASS if strata[2] < 0 else FAIL), {"z2": scalar_to_json(strata[2])}
+
+
+def reference_strata_ulc(matroid, q, w, strata):
+    n = matroid.n
+    if n < 2:
+        return VACUOUS, {"annotations": ["no-interior-indices"]}
+    if q > 1:
+        return NOT_APPLICABLE, {"annotations": ["q-above-one"]}
+    notes, violations, tight_nonzero = [], [], 0
+    for m in range(1, n):
+        lhs = m * (n - m) * strata[m] * strata[m]
+        rhs = (m + 1) * (n - m + 1) * strata[m - 1] * strata[m + 1]
+        if lhs < rhs:
+            violations.append({"m": m, "lhs": scalar_to_json(lhs), "rhs": scalar_to_json(rhs)})
+        elif lhs == rhs:
+            if lhs == 0:
+                notes.append(f"vacuous-at-{m}")
+            else:
+                notes.append(f"equality-at-{m}")
+                tight_nonzero += 1
+    if tight_nonzero == n - 1:
+        notes.append("zero-slack-everywhere")
+    witness = {}
+    if notes:
+        witness["annotations"] = notes
+    if violations:
+        witness["violations"] = violations
+    return (FAIL if violations else PASS), (witness or None)
+
+
+def reference_zero_line_projection(matroid, q, v):
+    """Project v along the all-ones direction onto the Z[1] = 0 plane."""
+    lam = [1 / q if matroid.ranks[1 << i] else Fraction(1) for i in range(matroid.n)]
+    total = sum(lam)
+    s = sum(lam[i] * v[i] for i in range(matroid.n))
+    return tuple(total * x - s for x in v)
+
+
+def reference_zero_line_point(matroid, q, rng, attempts=32):
+    for _ in range(attempts):
+        w = reference_zero_line_projection(matroid, q, sample_sign_mixed_point(rng, matroid.n))
+        if any(x != 0 for x in w):
+            return w
+    raise InvalidParametersError("could not sample a nonzero point on the Z[1] = 0 plane")
+
+
+STRATA_MATROIDS = CHECK_MATROIDS + [
+    # a parallel class {1, 2}, a loop 4 and a second parallel pair {3, 5}
+    make_graphic(3, [(1, 2), (1, 2), (2, 3), (3, 3), (2, 3)]),
+]
+big_signed = st.one_of(st.just(Fraction(0)),
+                       st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                                 st.integers(1, 10 ** 12)))
+big_nonneg = st.one_of(st.just(Fraction(0)), big_positive)
+# unit_q plus q just below and just above 1
+strata_q = st.one_of(unit_q, st.just(Fraction(10 ** 12 - 1, 10 ** 12)),
+                     st.just(Fraction(10 ** 12 + 1, 10 ** 12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_strata_checks_match_rational_reference(data):
+    matroid = data.draw(st.sampled_from(STRATA_MATROIDS))
+    n = matroid.n
+    q = data.draw(strata_q)
+    c = data.draw(strictly_log_concave_coeffs(n))
+    signed = list(data.draw(st.lists(big_signed, min_size=n, max_size=n)))
+    if not any(signed):
+        signed[0] = Fraction(1, 10 ** 12)
+    nonneg = tuple(data.draw(st.lists(big_nonneg, min_size=n, max_size=n)))
+    on_plane = reference_zero_line_projection(matroid, q, signed)
+    # optionally scale one stratum on both sides (by 0, -1 or 10^6), which
+    # drives the checks into their failure witnesses
+    alter = data.draw(st.one_of(st.none(), st.tuples(st.integers(0, n),
+                                                    st.sampled_from((0, -1, 10 ** 6)))))
+
+    def altered(nums):
+        if alter is not None:
+            nums = list(nums)
+            nums[alter[0]] *= alter[1]
+        return nums
+
+    def altered_numerators(*args):
+        nums, qden, den = strata_numerators(*args)
+        return altered(nums), qden, den
+
+    cases = [(check_degree_two, reference_degree_two, (c, q, tuple(signed))),
+             (check_strata_ultra_log_concave, reference_strata_ulc, (q, nonneg))]
+    if any(on_plane) and (alter is None or alter[0] >= 2):
+        cases.append((check_degree_two_zero_line, reference_zero_line, (q, on_plane)))
+    for check, reference, args in cases:
+        strata = altered(zk_all(matroid, q, args[-1]))
+        with mock.patch.object(verify, "strata_numerators", altered_numerators):
+            result = check(matroid, *args)
+        assert (result.verdict, result.witness) == reference(matroid, *args, strata)
+    if n >= 2:
+        seed = data.draw(st.integers(0, 2 ** 32))
+        assert verify._zero_line_point(matroid, q, random.Random(seed)) == \
+            reference_zero_line_point(matroid, q, random.Random(seed))
+
+
 def test_log_slice_second_difference():
     w = (1.0, 0.7, 1.3, 2.0, 0.5)
     for direction in [(1.0, 0.0, -1.0, 0.5, 0.0), (0.0, 1.0, 1.0, -1.0, 2.0)]:
@@ -453,6 +609,43 @@ def test_campaign_determinism_and_worker_independence():
     assert json.dumps(r3.to_json(), sort_keys=True) != a
 
 
+# one matroid for each n = 0..8, with loops and parallel classes among them
+SPAN_CORPUS = [
+    make_uniform(0, 0), make_uniform(1, 1), make_graphic(2, [(1, 1), (1, 2)]),
+    make_graphic(2, [(1, 2), (1, 2), (1, 2)]), make_linear(2, [[1, 0, 1, 0], [0, 1, 1, 0]]),
+    make_uniform(2, 5), make_graphic(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (2, 4)]),
+    make_graphic(4, [(1, 2), (1, 2), (2, 3), (3, 3), (3, 4), (1, 4), (2, 4)]),
+    make_uniform(4, 8),
+]
+
+
+def test_per_matroid_units_are_worker_independent():
+    assert [m.n for m in SPAN_CORPUS] == list(range(9))
+    reports = [run_campaign(SPAN_CORPUS, CampaignConfig(seed=4, samples=2, workers=workers))
+               for workers in (1, 2)]
+    texts = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
+    assert texts[0] == texts[1]
+    # theorem by theorem in ALL_THEOREMS order, matroid by matroid within
+    # a theorem
+    checks = reports[0].checks
+    assert {c.theorem for c in checks} == set(ALL_THEOREMS)
+    members = [m.to_json() for m in SPAN_CORPUS]
+    order = [(ALL_THEOREMS.index(c.theorem), members.index(c.inputs["matroid"])) for c in checks]
+    assert order == sorted(order)
+
+
+def test_theorems_report_in_canonical_order():
+    corpus = generate_corpus("uniform,n<=3;graphic,K3")
+    shuffled = (TAG_LOG_CONCAVITY, TAG_STRATA_ULC, TAG_ONE_POSITIVE, TAG_DEGREE_TWO)
+    report = run_campaign(corpus, CampaignConfig(theorems=shuffled, seed=2, samples=1))
+    canonical = [t for t in ALL_THEOREMS if t in shuffled]
+    assert report.campaign["theorems"] == canonical
+    ordered = run_campaign(corpus, CampaignConfig(theorems=tuple(canonical), seed=2, samples=1))
+    assert report.to_json() == ordered.to_json()
+    seen = [c.theorem for c in report.checks]
+    assert sorted(seen, key=ALL_THEOREMS.index) == seen
+
+
 def test_theorem_subset_and_unknown_tag():
     corpus = generate_corpus("graphic,K3")
     cfg = CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY, TAG_SIMPLIFICATION), samples=1)
@@ -502,7 +695,7 @@ def test_campaign_rejects_negative_samples_and_workers():
 
 @pytest.mark.parametrize("workers, cpus, expected", [
     (5000, 3, 3),     # capped at the core count
-    (5000, 64, 7),    # capped at the task count
+    (5000, 64, 7),    # capped at the unit (matroid) count
     (2, 64, 2),
     (5000, 1, None),  # one core: serial, no pool at all
 ])
@@ -526,7 +719,7 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    corpus = generate_corpus("uniform,n<=3")  # 7 matroids: 7 mason tasks
+    corpus = generate_corpus("uniform,n<=3")  # 7 matroids: 7 work units
     theorems = (TAG_COUNT_LOG_CONCAVITY,)
     report = run_campaign(corpus, CampaignConfig(theorems=theorems, workers=workers))
     assert sizes == ([] if expected is None else [expected])
