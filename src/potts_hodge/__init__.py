@@ -7,7 +7,6 @@ verification campaigns for spectral and log-concavity properties over
 corpora of small matroids.
 """
 from .errors import (
-    ConfigError,
     ImpossibleStateError,
     IndeterminateSignatureError,
     InvalidParametersError,

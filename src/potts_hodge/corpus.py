@@ -24,7 +24,6 @@ DEFAULT_LINEAR_SEED = 271828
 class CorpusSpec:
     """Which families to generate and how large."""
 
-    uniform_min_n: int = 2
     uniform_max_n: int = 7
     graphic_max_edges: int = 5
     linear_count: int = 50
@@ -64,8 +63,8 @@ def _is_connected(num_vertices, edges):
 
 
 @functools.lru_cache(maxsize=None)
-def connected_graphs(max_edges, min_edges=2):
-    """All connected simple graphs with min_edges..max_edges edges, one per
+def connected_graphs(max_edges):
+    """All connected simple graphs with 2..max_edges edges, one per
     isomorphism class, as (vertex_count, edge_tuple) with vertices 0-based.
 
     A connected graph with m edges spans at most m+1 vertices, so the
@@ -76,7 +75,7 @@ def connected_graphs(max_edges, min_edges=2):
     """
     found = {}
     seen = set()
-    for m in range(min_edges, max_edges + 1):
+    for m in range(2, max_edges + 1):
         for nv in range(2, m + 2):
             pairs = list(itertools.combinations(range(nv), 2))
             for combo in itertools.combinations(pairs, m):
@@ -96,9 +95,9 @@ def connected_graphs(max_edges, min_edges=2):
     return tuple(sorted(found.values()))
 
 
-def uniform_family(min_n=2, max_n=7):
+def uniform_family(max_n=7):
     out = []
-    for n in range(min_n, max_n + 1):
+    for n in range(2, max_n + 1):
         for r in range(n + 1):
             out.append(make_uniform(r, n))
     return out
@@ -149,7 +148,7 @@ def generate_corpus(spec=None):
         spec = parse_corpus_spec(spec)
     out = []
     if "uniform" in spec.families:
-        out.extend(uniform_family(spec.uniform_min_n, spec.uniform_max_n))
+        out.extend(uniform_family(spec.uniform_max_n))
     if "graphic" in spec.families:
         out.extend(graphic_family(spec.graphic_max_edges))
     if "linear" in spec.families:
@@ -159,9 +158,6 @@ def generate_corpus(spec=None):
     if "k3" in spec.families:
         out.append(make_graphic(3, [(1, 2), (2, 3), (1, 3)]))
     return out
-
-
-_K3 = ("graphic", "k3")
 
 
 def parse_corpus_spec(text):
@@ -190,7 +186,7 @@ def parse_corpus_spec(text):
                 kwargs["uniform_max_n"] = _parse_bound(clause, "n", text)
         elif family == "graphic":
             if len(parts) == 2 and parts[1].lower() == "k3":
-                families.append(_K3)
+                families.append("k3")
             else:
                 families.append("graphic")
                 for clause in parts[1:]:
@@ -208,12 +204,7 @@ def parse_corpus_spec(text):
             families.append("structured")
         else:
             raise ParseError(f"unknown corpus family {family!r} in {text!r}")
-    plain = tuple(f for f in families if isinstance(f, str))
-    spec = CorpusSpec(families=plain, **kwargs)
-    if _K3 in families:
-        # represented by generate_corpus through a dedicated family below
-        spec = CorpusSpec(families=plain + ("k3",), **kwargs)
-    return spec
+    return CorpusSpec(families=tuple(families), **kwargs)
 
 
 def _parse_bound(clause, key, context, signed=False):

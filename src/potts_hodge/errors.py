@@ -45,9 +45,5 @@ class ImpossibleStateError(PottsHodgeError):
     """An internal invariant that should be unreachable was violated."""
 
 
-class ConfigError(PottsHodgeError):
-    """A campaign or CLI configuration is invalid; detected before any check runs."""
-
-
 class ParseError(PottsHodgeError):
     """Malformed textual input (JSON files, rational literals, corpus specs)."""

@@ -19,7 +19,6 @@ from .scalars import (
     clear_denominators,
     is_exact_scalar,
     rat,
-    scalar_from_json,
     scalar_to_json,
 )
 
@@ -64,14 +63,6 @@ class SymMatrix:
 
     def to_json(self):
         return {"dim": self.dim, "entries": [[scalar_to_json(x) for x in row] for row in self.entries]}
-
-    @staticmethod
-    def from_json(obj):
-        entries = tuple(tuple(scalar_from_json(x) for x in row) for row in obj["entries"])
-        mat = SymMatrix(entries)
-        if mat.dim != int(obj["dim"]):
-            raise InvalidParametersError(f"declared dim {obj['dim']} does not match {mat.dim} rows")
-        return mat
 
     @staticmethod
     def from_rows(rows):
@@ -247,10 +238,3 @@ def same_subspace(basis_a, basis_b):
         return False
     return exact_rank(list(basis_a) + list(basis_b)) == ra
 
-
-def stack_rows(matrices):
-    """All rows of the given (Sym)matrices, concatenated top to bottom."""
-    rows = []
-    for m in matrices:
-        rows.extend(m.rows() if isinstance(m, SymMatrix) else [list(r) for r in m])
-    return rows

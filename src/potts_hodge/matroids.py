@@ -301,6 +301,16 @@ def from_json(obj):
     raise ParseError(f"unknown matroid type {kind!r}")
 
 
+def _minor_ranks(matroid, elements, base):
+    """ranks[mask]: the rank of the set base together with the 0-based
+    elements selected by the set bits of mask, built lowest bit first."""
+    union = [base] * (1 << len(elements))
+    for mask in range(1, len(union)):
+        low = mask & -mask
+        union[mask] = union[mask ^ low] | 1 << elements[low.bit_length() - 1]
+    return [matroid.ranks[x] for x in union]
+
+
 def contract(matroid, subset):
     """Contract a subset; returns (minor, relabeling).
 
@@ -315,19 +325,9 @@ def contract(matroid, subset):
     keep = [e for e in range(matroid.n) if not smask & (1 << e)]
     rs = matroid.ranks[smask]
     m = len(keep)
-    new_ranks = []
-    for mask in range(1 << m):
-        big = smask
-        mm = mask
-        idx = 0
-        while mm:
-            if mm & 1:
-                big |= 1 << keep[idx]
-            mm >>= 1
-            idx += 1
-        new_ranks.append(matroid.ranks[big] - rs)
+    new_ranks = tuple(r - rs for r in _minor_ranks(matroid, keep, smask))
     relabeling = {new + 1: keep[new] + 1 for new in range(m)}
-    minor = Matroid(n=m, ranks=tuple(new_ranks), provenance=f"contraction({matroid.provenance})")
+    minor = Matroid(n=m, ranks=new_ranks, provenance=f"contraction({matroid.provenance})")
     return minor, relabeling
 
 
@@ -376,20 +376,7 @@ def simplify(matroid):
     ell = len(reps)
     if ell == 0:
         return Matroid(n=0, ranks=(0,), provenance="simplification-degenerate")
-    rep_bits = [1 << (r - 1) for r in reps]
-
-    def rank_of(mask):
-        big = 0
-        mm = mask
-        idx = 0
-        while mm:
-            if mm & 1:
-                big |= rep_bits[idx]
-            mm >>= 1
-            idx += 1
-        return matroid.ranks[big]
-
-    ranks = tuple(rank_of(mask) for mask in range(1 << ell))
+    ranks = tuple(_minor_ranks(matroid, [r - 1 for r in reps], 0))
     return Matroid(n=ell, ranks=ranks, provenance="simplification")
 
 

@@ -46,9 +46,12 @@ scale, and the checks take their signatures as they are (a positive
 scale does not change the inertia); the public gradient and hessian
 divide once, at their boundary, and
 second_order_numerators gives Z_c, its gradient and its Hessian as
-integers from one validation.  Inputs are ints or exact rationals
-(scalars.as_rational) and outputs are Fractions; a caller with float
-inputs converts them with scalars.from_float.
+integers.  Inputs are validated where they enter: each public evaluator
+validates its inputs once, and the *_numerators helpers and _derivatives
+take validated inputs and trust them, as do the checks that call them.
+Inputs are ints or exact rationals (scalars.as_rational) and outputs are
+Fractions; a caller with float inputs converts them with
+scalars.from_float.
 """
 from __future__ import annotations
 
@@ -71,10 +74,10 @@ def validate_q(q):
     return qv
 
 
-def _validate_point(w, length, name="w"):
+def _validate_point(w, length):
     wv = as_rationals(w)
     if len(wv) != length:
-        raise InvalidParametersError(f"{name} must have length {length}, got {len(wv)}")
+        raise InvalidParametersError(f"w must have length {length}, got {len(wv)}")
     return wv
 
 
@@ -169,7 +172,7 @@ def _size_rank_sums(matroid, prod, smask):
 def _strata_table(matroid, w):
     """(T, width, den): the table T_S for S empty at the length-n point w,
     cleared to the integers W = den w, and the width R + 1 of its rows."""
-    wv, den = clear_denominators(_validate_point(w, matroid.n))
+    wv, den = clear_denominators(w)
     return _size_rank_sums(matroid, _products(wv), 0), matroid.full_rank + 1, den
 
 
@@ -177,7 +180,7 @@ def strata_numerators(matroid, q, w):
     """(nums, qden, den): the strata at the length-n point w are
     Z[k] = nums[k] / (qden den^k), with integer nums, qden = a^R for
     q = a/b and den the common denominator of w.  One subset pass."""
-    powers, qden = _q_inverse_powers(validate_q(q), matroid.full_rank)
+    powers, qden = _q_inverse_powers(q, matroid.full_rank)
     table, width, den = _strata_table(matroid, w)
     return ([sum(map(mul, powers, table[k * width:(k + 1) * width])) for k in range(matroid.n + 1)],
             qden, den)
@@ -185,7 +188,7 @@ def strata_numerators(matroid, q, w):
 
 def zk_all(matroid, q, w):
     """All strata (Z[0], ..., Z[n]) at the length-n point w, one subset pass."""
-    nums, qden, den = strata_numerators(matroid, q, w)
+    nums, qden, den = strata_numerators(matroid, validate_q(q), _validate_point(w, matroid.n))
     return tuple(Fraction(x, qden * den ** k) for k, x in enumerate(nums))
 
 
@@ -234,16 +237,16 @@ def _w0_weights(cv, powers, w0, a0):
 
 
 def _derivatives(matroid, c, q, w):
-    """Validate c, q and the length-(n+1) point w, and return (derivative,
-    base, den).  derivative(a0, smask) is the integer numerator of the
-    alpha-derivative of Z_c at w for alpha_0 = a0 and inner support smask;
+    """(derivative, base, den) at the length-(n+1) point w.
+    derivative(a0, smask) is the integer numerator of the alpha-derivative
+    of Z_c at w for alpha_0 = a0 and inner support smask;
     the derivative is that numerator over base * den^(n - a0 - |smask|).
     Calls share the product table, one T table per inner support and one
     weight table per a0."""
     n = matroid.n
-    cv, cden = clear_denominators(validate_coeffs(c, n))
-    powers, qden = _q_inverse_powers(validate_q(q), matroid.full_rank)
-    wv, den = clear_denominators(_validate_point(w, n + 1))
+    cv, cden = clear_denominators(c)
+    powers, qden = _q_inverse_powers(q, matroid.full_rank)
+    wv, den = clear_denominators(w)
     prod = None
     tables = {}
     weights = {}
@@ -290,9 +293,16 @@ def _second_partials(derivative, n, a0, smask):
     return rows
 
 
+def _validated(matroid, c, q, w):
+    """(c, q, w) validated in that order, w of length n + 1: the inputs
+    _derivatives trusts."""
+    n = matroid.n
+    return validate_coeffs(c, n), validate_q(q), _validate_point(w, n + 1)
+
+
 def z_weighted_eval(matroid, c, q, w):
     """Weighted polynomial Z_c at the length-(n+1) point (w_0, ..., w_n)."""
-    derivative, base, den = _derivatives(matroid, c, q, w)
+    derivative, base, den = _derivatives(matroid, *_validated(matroid, c, q, w))
     return Fraction(derivative(0, 0), base * den ** matroid.n)
 
 
@@ -325,7 +335,7 @@ def partial_eval(matroid, c, q, alpha, w):
     support of alpha sits inside A and a_0 is at most the w_0-exponent
     n - |A|; it then carries the falling-factorial factor from w_0^(n-|A|).
     """
-    derivative, base, den = _derivatives(matroid, c, q, w)
+    derivative, base, den = _derivatives(matroid, *_validated(matroid, c, q, w))
     av = validate_alpha(alpha, matroid.n)
     split = _alpha_split(av, matroid.n)
     if split is None:
@@ -337,7 +347,7 @@ def gradient(matroid, c, q, alpha, w):
     """All first partials of the alpha-derivative of Z_c at w: entry i is
     the (alpha + e_i)-derivative."""
     n = matroid.n
-    derivative, base, den = _derivatives(matroid, c, q, w)
+    derivative, base, den = _derivatives(matroid, *_validated(matroid, c, q, w))
     av = validate_alpha(alpha, n)
     split = _alpha_split(av, n)
     if split is None:
@@ -356,13 +366,12 @@ def hessian_numerators(matroid, c, q, alpha, w):
     """
     n = matroid.n
     derivative, base, den = _derivatives(matroid, c, q, w)
-    av = validate_alpha(alpha, n)
-    split = _alpha_split(av, n)
+    split = _alpha_split(alpha, n)
     if split is None:
         rows = [[0] * (n + 1) for _ in range(n + 1)]
     else:
         rows = _second_partials(derivative, n, *split)
-    return tuple(map(tuple, rows)), base * den ** max(n - sum(av) - 2, 0)
+    return tuple(map(tuple, rows)), base * den ** max(n - sum(alpha) - 2, 0)
 
 
 def hessian(matroid, c, q, alpha, w):
@@ -373,14 +382,15 @@ def hessian(matroid, c, q, alpha, w):
     w_1..w_n), and the whole matrix is zero when the derivative has degree
     below two.  The entries are hessian_numerators divided by its scale.
     """
-    rows, scale = hessian_numerators(matroid, c, q, alpha, w)
+    cv, qv, wv = _validated(matroid, c, q, w)
+    rows, scale = hessian_numerators(matroid, cv, qv, validate_alpha(alpha, matroid.n), wv)
     return SymMatrix(tuple(tuple(Fraction(x, scale) for x in row) for row in rows))
 
 
 def second_order_numerators(matroid, c, q, w):
     """Z_c, its gradient and its Hessian at the length-(n+1) point w, from
-    one validation and one subset pass per support: (z, grad, rows, base,
-    den) in integers, with
+    one subset pass per support: (z, grad, rows, base, den) in integers,
+    with
 
         Z_c = z / (base den^n),  dZ_c/dw_i = grad[i] / (base den^(n-1)),
         d^2 Z_c/dw_i dw_j = rows[i][j] / (base den^(n-2)),
@@ -402,7 +412,7 @@ def independent_numerators(matroid, w):
 
 def f_all(matroid, w):
     """All strata of the independent-set generating polynomial at w."""
-    nums, den = independent_numerators(matroid, w)
+    nums, den = independent_numerators(matroid, _validate_point(w, matroid.n))
     return tuple(Fraction(x, den ** k) for k, x in enumerate(nums))
 
 
@@ -434,10 +444,10 @@ def dependent_mass(matroid, m, w, nullity=None):
         raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {m!r}")
     if nullity is not None and (not isinstance(nullity, int) or isinstance(nullity, bool) or nullity < 1):
         raise InvalidParametersError(f"nullity must be a positive integer, got {nullity!r}")
+    wv = _validate_point(w, matroid.n)
     if m > matroid.n:
-        _validate_point(w, matroid.n)
         return ZERO
-    table, width, den = _strata_table(matroid, w)
+    table, width, den = _strata_table(matroid, wv)
     row = table[m * width:(m + 1) * width]
     if nullity is None:
         total = sum(row[:m])

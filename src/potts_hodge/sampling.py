@@ -28,32 +28,34 @@ def default_q_grid():
     return (rat(1), rat(1, 2), rat(1, 4), rat(1, 10), rat(1, 100))
 
 
-def sample_positive_rational(rng, lo=1, hi=100):
-    return rat(rng.randint(lo, hi), rng.randint(lo, hi))
+def sample_positive_rational(rng):
+    """num/den with num and den uniform in [1, 100]."""
+    return rat(rng.randint(1, 100), rng.randint(1, 100))
 
 
-def sample_positive_point(rng, length, lo=1, hi=100):
-    """Strictly positive rational vector with num/den uniform in [lo, hi]."""
-    return tuple(sample_positive_rational(rng, lo, hi) for _ in range(length))
+def sample_positive_point(rng, length):
+    """Strictly positive rational vector of sample_positive_rational draws."""
+    return tuple(sample_positive_rational(rng) for _ in range(length))
 
 
-def sample_nonneg_point(rng, length, zero_prob=0.3):
+def sample_nonneg_point(rng, length):
     """Nonnegative rational vector; coordinates hit the boundary with
-    probability zero_prob, but never all at once."""
-    out = [rat(0) if rng.random() < zero_prob else sample_positive_rational(rng)
+    probability 0.3, but never all at once."""
+    out = [rat(0) if rng.random() < 0.3 else sample_positive_rational(rng)
            for _ in range(length)]
     if all(x == 0 for x in out) and length:
         out[rng.randrange(length)] = sample_positive_rational(rng)
     return tuple(out)
 
 
-def sample_sign_mixed_point(rng, length, lo=1, hi=9):
-    """Nonzero vector with mixed-sign small rational coordinates."""
+def sample_sign_mixed_point(rng, length):
+    """Nonzero vector with mixed-sign small rational coordinates: num
+    uniform in [-9, 9], den in [1, 9]."""
     for _ in range(100):
         out = []
         for _ in range(length):
-            num = rng.randint(-hi, hi)
-            out.append(rat(num, rng.randint(lo, hi)))
+            num = rng.randint(-9, 9)
+            out.append(rat(num, rng.randint(1, 9)))
         if any(x != 0 for x in out):
             return tuple(out)
     raise SamplingFailureError("could not sample a nonzero sign-mixed vector")
@@ -112,12 +114,12 @@ def sample_alpha(rng, n, min_degree=2):
     return tuple(alpha)
 
 
-def distinct_alphas(seed, n, count, min_degree=2, include_zero=True):
-    """Up to `count` distinct admissible multi-indices (always including the
-    zero index when requested); smaller ground sets may admit fewer."""
+def distinct_alphas(seed, n, count, min_degree=2):
+    """Up to `count` distinct admissible multi-indices, the zero index
+    first whenever it is admissible; smaller ground sets may admit fewer."""
     out = []
     seen = set()
-    if include_zero and n >= min_degree:
+    if n >= min_degree:
         zero = tuple([0] * (n + 1))
         out.append(zero)
         seen.add(zero)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
@@ -28,10 +30,17 @@ from .matrices import (
     exact_nullspace,
     exact_rank,
     same_subspace,
-    stack_rows,
 )
-from .potts import derivative_degree, hessian, validate_alpha, validate_coeffs
-from .scalars import as_rationals, clear_denominators, rat
+from .potts import (
+    _alpha_split,
+    _derivatives,
+    _second_partials,
+    _validate_point,
+    validate_alpha,
+    validate_coeffs,
+    validate_q,
+)
+from .scalars import clear_denominators, rat
 
 FLOAT_TOL_FACTOR = 1e-9
 
@@ -48,14 +57,14 @@ class EigenSignature(NamedTuple):
         return self.n_pos + self.n_neg + self.n_zero
 
 
-def signature(matrix, tol=None):
+def signature(matrix):
     """Inertia of a SymMatrix (or raw rows).
 
     Exact entries: the matrix times the lcm of its denominators, divided
     by the gcd of the resulting ints, then a fraction-free elimination over
     ints (bareiss_inertia); both factors are positive, so the inertia is
     that of the matrix.  Float entries: eigendecomposition with
-    zero-threshold tol (default 1e-9 times the largest absolute entry); an
+    zero-threshold tol, 1e-9 times the largest absolute entry; an
     eigenvalue within tol of zero cannot be classified and raises
     IndeterminateSignatureError rather than guessing.
     """
@@ -72,8 +81,7 @@ def signature(matrix, tol=None):
 
     arr = np.array([[float(x) for x in row] for row in mat.entries], dtype=float)
     eigs = np.linalg.eigvalsh(arr)
-    if tol is None:
-        tol = FLOAT_TOL_FACTOR * max(float(mat.max_abs()), 1e-300)
+    tol = FLOAT_TOL_FACTOR * max(float(mat.max_abs()), 1e-300)
     near_zero = [float(e) for e in eigs if abs(e) <= tol]
     if near_zero:
         raise IndeterminateSignatureError(
@@ -84,9 +92,9 @@ def signature(matrix, tol=None):
     return EigenSignature(pos, neg, mat.dim - pos - neg)
 
 
-def one_positive(matrix, tol=None):
+def one_positive(matrix):
     """True when the matrix has exactly one positive eigenvalue."""
-    return signature(matrix, tol).n_pos == 1
+    return signature(matrix).n_pos == 1
 
 
 def float_eigenvalues(matrix):
@@ -153,17 +161,16 @@ class EquivalenceReport:
         return self.statement1 == self.statement2 == self.statement3
 
 
-def _sample_int_vector(rng, dim, lo=-9, hi=9):
-    return tuple(rat(rng.randint(lo, hi)) for _ in range(dim))
+def _sample_int_vector(rng, dim):
+    return tuple(rng.randint(-9, 9) for _ in range(dim))
 
 
-def _sample_positive_form_vector(rng, mat, budget=1000):
-    for _ in range(budget):
+def _sample_positive_form_vector(rng, mat):
+    for _ in range(1000):
         u = _sample_int_vector(rng, mat.dim)
         if bilinear(u, mat, u) > 0:
             return u
-    raise SamplingFailureError(
-        f"no vector with positive quadratic form found in {budget} attempts")
+    raise SamplingFailureError("no vector with positive quadratic form found in 1000 attempts")
 
 
 def one_positive_equivalence_check(matrix, trials=100, seed=0):
@@ -180,6 +187,11 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     tested against a vector in span(p1, p2) chosen so u^T A v = 0 while
     v^T A v > 0, which exists for every u with positive form whenever the
     positive index is at least two.
+
+    The forms are evaluated on the integer matrix L A, L the lcm of the
+    denominators of A: L > 0 keeps the sign of every form and multiplies
+    each HR discriminant by L^2, so a counterexample reports its
+    discriminant divided by L^2, the one of A.
     """
     mat = matrix if isinstance(matrix, SymMatrix) else SymMatrix.from_rows(matrix)
     if not mat.is_exact:
@@ -192,6 +204,9 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
         return EquivalenceReport(applicable=False, signature=sig)
     rng = random.Random(seed)
     statement1 = sig.n_pos == 1
+    dim = mat.dim
+    ints, scale = clear_denominators([x for row in mat.entries for x in row])
+    mat = SymMatrix(tuple(tuple(ints[i:i + dim]) for i in range(0, dim * dim, dim)))
 
     # statement 2: all pairs with positive u-form
     statement2 = True
@@ -207,7 +222,7 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
         res = hr_discriminant(mat, u, v)
         if res.value < 0:
             statement2 = False
-            counterexample = {"u": u, "v": v, "discriminant": res.value}
+            counterexample = {"u": u, "v": v, "discriminant": Fraction(res.value, scale * scale)}
             break
 
     # statement 3: some witness u works against every sampled v
@@ -238,33 +253,45 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
                         trials=trials)
 
 
+def _bumped_hessians(matroid, derivative, alpha):
+    """(i, rows_i) for each i whose derivative dF/dw_i of the
+    alpha-derivative F is not identically zero: rows_i are the integer
+    numerators of its Hessian, all over one common scale."""
+    n = matroid.n
+    for i in range(n + 1):
+        bumped = list(alpha)
+        bumped[i] += 1
+        split = _alpha_split(bumped, n)
+        if split is not None:
+            yield i, _second_partials(derivative, n, *split)
+
+
 def euler_hessian_residual(matroid, c, q, alpha, w):
     """Largest absolute entry of (d-2) H_F - sum_i w_i H_{dF/dw_i} for the
     alpha-derivative F of Z_c; identically zero for every homogeneous F, so
-    it must come out exactly 0.  Requires degree d >= 2."""
+    it must come out exactly 0.  Requires degree d >= 2.
+
+    In the integer rows of one _derivatives closure, H_F = rows_F /
+    (base den^(d-2)) and H_{dF/dw_i} = rows_i / (base den^(d-3)), so with
+    W = den w the difference is ((d-2) rows_F - sum_i W_i rows_i) /
+    (base den^(d-2)).
+    """
     n = matroid.n
-    validate_coeffs(c, n)
+    cv = validate_coeffs(c, n)
     av = validate_alpha(alpha, n)
-    d = derivative_degree(matroid, av)
+    split = _alpha_split(av, n)
+    d = None if split is None else n - sum(av)
     if d is None or d < 2:
         raise NotApplicableError(
             f"the derivative has degree {d}; the Euler Hessian identity needs degree >= 2")
-    dim = n + 1
-    wv = as_rationals(w)
-    if len(wv) != dim:
-        raise InvalidParametersError(f"w must have length {dim}, got {len(wv)}")
-    hf = hessian(matroid, c, q, av, wv)
-    total = [[(d - 2) * x for x in row] for row in hf.entries]
-    for i in range(dim):
-        bumped = list(av)
-        bumped[i] += 1
-        hi = hessian(matroid, c, q, tuple(bumped), wv)
-        for r in range(dim):
-            row = hi.entries[r]
-            for s in range(dim):
-                total[r][s] -= wv[i] * row[s]
-    worst = max((x if x >= 0 else -x) for row in total for x in row)
-    return worst
+    qv = validate_q(q)
+    wv = _validate_point(w, n + 1)
+    derivative, base, den = _derivatives(matroid, cv, qv, wv)
+    weights, _ = clear_denominators(wv)
+    total = [(d - 2) * x for x in chain(*_second_partials(derivative, n, *split))]
+    for i, rows in _bumped_hessians(matroid, derivative, av):
+        total = [t - weights[i] * x for t, x in zip(total, chain(*rows))]
+    return Fraction(max(map(abs, total)), base * den ** (d - 2))
 
 
 @dataclass(frozen=True)
@@ -289,43 +316,41 @@ class KernelIdentityReport:
 
 
 def kernel_identity_check(matroid, c, q, alpha, w):
-    """Exact nullspace comparison for the Hessian kernel identity."""
+    """Exact nullspace comparison for the Hessian kernel identity.
+
+    The Hessians of F and of every dF/dw_i are taken as the integer
+    numerators of one _derivatives closure: each is its matrix times a
+    positive scale, which changes neither its nullspace nor its signature.
+    """
     n = matroid.n
-    validate_coeffs(c, n)
+    cv = validate_coeffs(c, n)
     av = validate_alpha(alpha, n)
-    d = derivative_degree(matroid, av)
-    if d is None:
+    split = _alpha_split(av, n)
+    if split is None:
         raise NotApplicableError("the derivative is identically zero; no Hessian to compare")
+    derivative, _, _ = _derivatives(matroid, cv, validate_q(q), _validate_point(w, n + 1))
     dim = n + 1
-    hf = hessian(matroid, c, q, av, w)
-    derivative_hessians = []
+    stacked = []
     failures = []
-    for i in range(dim):
-        bumped = list(av)
-        bumped[i] += 1
-        if derivative_degree(matroid, tuple(bumped)) is None:
-            continue  # vanishing derivative: exempt from the hypothesis
-        hi = hessian(matroid, c, q, tuple(bumped), w)
-        derivative_hessians.append(hi)
-        sig = signature(hi)
+    for i, rows in _bumped_hessians(matroid, derivative, av):
+        stacked.extend(rows)
+        sig = signature(rows)
         if sig.n_pos != 1:
             failures.append({"index": i, "signature": tuple(sig)})
-    hypothesis_ok = not failures
-    ker_f = exact_nullspace(hf.rows())
-    if derivative_hessians:
-        ker_stack = exact_nullspace(stack_rows(derivative_hessians))
+    ker_f = exact_nullspace(_second_partials(derivative, n, *split))
+    if stacked:
+        ker_stack = exact_nullspace(stacked)
     else:
         # no constraints at all: the joint kernel is the whole space
         ker_stack = [tuple(rat(1) if i == j else rat(0) for i in range(dim)) for j in range(dim)]
-    equal = same_subspace(ker_f, ker_stack)
     return KernelIdentityReport(
-        hypothesis_ok=hypothesis_ok,
+        hypothesis_ok=not failures,
         hypothesis_failures=tuple(failures),
-        kernels_equal=equal,
+        kernels_equal=same_subspace(ker_f, ker_stack),
         kernel_dim=len(ker_f),
         stacked_kernel_dim=len(ker_stack),
         kernel_basis=tuple(ker_f),
-        degree=d,
+        degree=n - sum(av),
         notes={"dim": dim},
     )
 

@@ -15,10 +15,11 @@ generates and runs that matroid's tasks for every requested theorem, in
 this process or in a pool worker, so each matroid is pickled once and the
 sampling runs where the checks do.  One table (CHECKS) maps a theorem and
 aspect to its check and input keys for campaigns, replay and the CLI.
-Every check validates all of its inputs before it returns any verdict.
-The Hessian checks eliminate integer numerators and the strata checks
-compare them (potts.hessian_numerators, potts.strata_numerators); a
-Fraction is built only for a witness value.  Reports are plain data:
+Every check validates all of its inputs before it returns any verdict,
+and only there: the Hessian checks eliminate integer numerators and the
+strata checks compare them (potts.hessian_numerators,
+potts.strata_numerators), which trust the validated inputs; a Fraction
+is built only for a witness value.  Reports are plain data:
 serializing with sort_keys produces byte-identical output for identical
 (corpus, seed, samples), independent of the worker count.
 
@@ -585,10 +586,11 @@ def check_log_concavity_at(matroid, c, q, w):
     return CheckResult(TAG_LOG_CONCAVITY, inputs, verdict, witness)
 
 
-def log_slice_second_difference(matroid, c, q, w, direction, rel_step=0.25):
+def log_slice_second_difference(matroid, c, q, w, direction):
     """Float-mode concavity probe: central second difference of
     t -> log Z_c(w + t * direction) at t = 0; concavity makes this <= 0 up
-    to roundoff.  The step keeps the probed points strictly positive.
+    to roundoff.  The step, at most 1 and a quarter of the way to the
+    boundary of the orthant, keeps the probed points strictly positive.
     Inputs are finite floats (or anything float() takes); Z_c is evaluated
     exactly at the float points and rounded once."""
     n = matroid.n
@@ -601,7 +603,7 @@ def log_slice_second_difference(matroid, c, q, w, direction, rel_step=0.25):
     if all(x == 0 for x in df):
         raise InvalidParametersError("direction must be nonzero")
     h = min((wf[i] / abs(df[i]) for i in range(n + 1) if df[i]), default=1.0)
-    h = min(1.0, rel_step * h)
+    h = min(1.0, 0.25 * h)
     cv = [from_float(x) for x in c]
     qv = from_float(q)
 
@@ -718,7 +720,7 @@ def _tasks_derivative_one_positive(mi, matroid, seed, samples, q_grid):
                        (matroid, c, q_grid[t % len(q_grid)], alpha, w))
 
 
-def _zero_line_point(matroid, q, rng, attempts=32):
+def _zero_line_point(matroid, q, rng):
     """Nonzero inner point with Z[1] = 0, built by projecting a sign-mixed
     sample along the all-ones direction (Z[1] is linear with positive
     singleton coefficients, so the projection always lands on the plane).
@@ -729,7 +731,7 @@ def _zero_line_point(matroid, q, rng, attempts=32):
     n = matroid.n
     lam = _singleton_factors(matroid, q)
     total = sum(lam)
-    for _ in range(attempts):
+    for _ in range(32):
         v, den = clear_denominators(sample_sign_mixed_point(rng, n))
         s = sum(map(mul, lam, v))
         w = [total * x - s for x in v]

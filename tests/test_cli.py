@@ -332,12 +332,18 @@ def test_verify_campaign_json_byte_stability(capsys):
     (["--theorem", "deg2", "--theorem", "ulc", "--theorem", "mason",
       "--theorem", "simplification", "--samples", "3", "--workers", "2"],
      "14ded8b2b39788c0de86485126e0f05f4ff1f0cfd4a4d28e22c63703094bd4fc"),
+    # the only pin of qHR, cqHR and logconcavity on the default q grid, and
+    # of all seven theorems through the worker pool
+    (["--workers", "2"],
+     "234cdf89dc76ca936e7ab9abe0f8467a10545144a939c62613d5f33b30f8b808"),
 ])
 def test_verify_default_corpus_stdout_is_pinned(capsys, argv, digest):
-    # the sha256 of stdout for two default-corpus campaigns, recorded
-    # before the strata checks moved to integer numerators and the
-    # campaign to per-matroid work units; every verdict and witness of
-    # these reports must survive any change to the checks or the dispatch
+    # the sha256 of stdout for three default-corpus campaigns, the first
+    # two recorded before the strata checks moved to integer numerators
+    # and the campaign to per-matroid work units, the third before the
+    # integer core stopped validating its inputs; every verdict and
+    # witness of these reports must survive any change to the checks or
+    # the dispatch
     code, out, _ = run(capsys, "verify", "--corpus", "default", *argv, "--json")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

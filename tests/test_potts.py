@@ -20,6 +20,7 @@ from potts_hodge import (
     dependent_mass,
     derivative_degree,
     elementary_symmetric,
+    euler_hessian_residual,
     f_all,
     f_limit_residual,
     f_m_eval,
@@ -28,6 +29,7 @@ from potts_hodge import (
     is_identically_zero,
     is_log_concave,
     is_strictly_log_concave,
+    kernel_identity_check,
     make_graphic,
     make_linear,
     make_rank_table,
@@ -501,6 +503,42 @@ def test_parameter_validation():
         partial_eval(U12, (1, 1, 1), rat(1), (0, 0), ones3)
     with pytest.raises(InvalidParametersError):
         zk_eval(U12, -1, rat(1), (rat(1), rat(1)))
+
+
+# Every exported function that takes a point w, called on U24 (full rank
+# 2, so q = 0 makes the scale a^R vanish): name -> (call(q, w), length of
+# w, takes q).  The numerator helpers behind them trust their inputs, so
+# each entry point must validate before it calls one.
+C5, ZERO5 = (1, 2, 3, 2, 1), (0,) * 5
+ENTRY_POINTS = {
+    "zk_all": (lambda q, w: zk_all(U24, q, w), 4, True),
+    "zk_eval": (lambda q, w: zk_eval(U24, 2, q, w), 4, True),
+    "f_all": (lambda q, w: f_all(U24, w), 4, False),
+    "f_m_eval": (lambda q, w: f_m_eval(U24, 2, w), 4, False),
+    "dependent_mass": (lambda q, w: dependent_mass(U24, 3, w), 4, False),
+    "f_limit_residual": (lambda q, w: f_limit_residual(U24, 2, w, q), 4, True),
+    "z_weighted_eval": (lambda q, w: z_weighted_eval(U24, C5, q, w), 5, True),
+    "partial_eval": (lambda q, w: partial_eval(U24, C5, q, (1, 1, 0, 0, 0), w), 5, True),
+    "gradient": (lambda q, w: gradient(U24, C5, q, ZERO5, w), 5, True),
+    "hessian": (lambda q, w: hessian(U24, C5, q, ZERO5, w), 5, True),
+    "euler_hessian_residual": (lambda q, w: euler_hessian_residual(U24, C5, q, ZERO5, w), 5, True),
+    "kernel_identity_check": (lambda q, w: kernel_identity_check(U24, C5, q, ZERO5, w), 5, True),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_validate_their_inputs(name):
+    call, length, takes_q = ENTRY_POINTS[name]
+    q = rat(1, 2)
+    w = tuple(rat(k + 1, 3) for k in range(length))
+    call(q, w)  # well-formed inputs go through
+    with pytest.raises(InvalidParametersError):
+        call(q, w[:-1] + (0.5,))  # a float coordinate
+    with pytest.raises(InvalidParametersError):
+        call(q, w[:-1])  # wrong length
+    if takes_q:
+        with pytest.raises(InvalidParametersError):
+            call(rat(0), w)
 
 
 def test_zk_eval_above_n_is_zero():

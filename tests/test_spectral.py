@@ -1,6 +1,7 @@
 """Signatures, the two-form discriminant cross-check, and Hessian identities."""
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -15,6 +16,7 @@ from potts_hodge import (
     SymMatrix,
     bilinear,
     congruence_diagonalize,
+    derivative_degree,
     euler_hessian_residual,
     exact_nullspace,
     exact_rank,
@@ -25,14 +27,17 @@ from potts_hodge import (
     kernel_identity_check,
     one_positive_equivalence_check,
     make_graphic,
+    make_linear,
+    make_rank_table,
     make_uniform,
     one_positive,
     rat,
     signature,
 )
 from potts_hodge.errors import ImpossibleStateError
-from potts_hodge.matrices import bareiss_inertia
+from potts_hodge.matrices import bareiss_inertia, same_subspace
 from potts_hodge.scalars import from_float, to_float
+from potts_hodge.spectral import KernelIdentityReport
 
 U12 = make_uniform(1, 2)
 U24 = make_uniform(2, 4)
@@ -413,6 +418,92 @@ def test_kernel_identity_rejects_vanishing_derivative():
     with pytest.raises(NotApplicableError):
         kernel_identity_check(U12, (1, 1, 1), rat(1), (0, 2, 0),
                               (rat(1), rat(1), rat(1)))
+
+
+# ------------------------------------ identities against a rational reference
+#
+# euler_hessian_residual and kernel_identity_check read the Hessians of F
+# and of every dF/dw_i off one table of integer numerators.  The references
+# below are the routes they replace: one public (Fraction) hessian per
+# Hessian, combined and eliminated in Fractions.
+
+
+def reference_euler_hessian_residual(matroid, c, q, alpha, w):
+    n = matroid.n
+    d = derivative_degree(matroid, alpha)
+    wv = tuple(w)
+    total = [[(d - 2) * x for x in row] for row in hessian(matroid, c, q, alpha, wv).entries]
+    for i in range(n + 1):
+        bumped = list(alpha)
+        bumped[i] += 1
+        hi = hessian(matroid, c, q, tuple(bumped), wv)
+        for r in range(n + 1):
+            for s in range(n + 1):
+                total[r][s] -= wv[i] * hi.entries[r][s]
+    return max((x if x >= 0 else -x) for row in total for x in row)
+
+
+def reference_kernel_identity_check(matroid, c, q, alpha, w):
+    dim = matroid.n + 1
+    hf = hessian(matroid, c, q, alpha, w)
+    stacked = []
+    failures = []
+    for i in range(dim):
+        bumped = list(alpha)
+        bumped[i] += 1
+        if derivative_degree(matroid, tuple(bumped)) is None:
+            continue
+        hi = hessian(matroid, c, q, tuple(bumped), w)
+        stacked.extend(hi.rows())
+        sig = signature(hi)
+        if sig.n_pos != 1:
+            failures.append({"index": i, "signature": tuple(sig)})
+    ker_f = exact_nullspace(hf.rows())
+    if stacked:
+        ker_stack = exact_nullspace(stacked)
+    else:
+        ker_stack = [tuple(rat(1) if i == j else rat(0) for i in range(dim)) for j in range(dim)]
+    return KernelIdentityReport(
+        hypothesis_ok=not failures, hypothesis_failures=tuple(failures),
+        kernels_equal=same_subspace(ker_f, ker_stack), kernel_dim=len(ker_f),
+        stacked_kernel_dim=len(ker_stack), kernel_basis=tuple(ker_f),
+        degree=derivative_degree(matroid, alpha), notes={"dim": dim})
+
+
+# all four constructors, with loops and parallel classes
+IDENTITY_MATROIDS = [
+    U24, K3, make_uniform(3, 5), make_uniform(0, 3),
+    make_graphic(2, [(1, 2), (1, 2), (1, 1)]),
+    make_graphic(3, [(1, 2), (1, 2), (2, 3), (3, 3)]),
+    make_linear(3, [[1, 0, 1, 2, 0], [0, 1, 1, 1, 0]]),
+    make_linear(2, [[1, 1, 0, 1], [0, 0, 1, 1]]),
+    make_rank_table(4, make_graphic(3, [(1, 2), (2, 3), (2, 3), (1, 1)]).ranks),
+]
+# denominators up to 10^12
+big_positive = st.builds(Fraction, st.integers(1, 10 ** 12), st.integers(1, 10 ** 12))
+big_signed = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 12))
+unit_q = st.one_of(st.just(Fraction(1)), st.just(Fraction(1, 2)),
+                   st.builds(lambda a, b: Fraction(min(a, b), max(a, b)),
+                             st.integers(1, 10 ** 12), st.integers(1, 10 ** 12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_identities_match_rational_reference(data):
+    matroid = data.draw(st.sampled_from([m for m in IDENTITY_MATROIDS if m.n >= 2]))
+    n = matroid.n
+    # alpha of degree d in 2..n: alpha_0 plus an inner support of size s
+    order = n - data.draw(st.integers(2, n))
+    s = data.draw(st.integers(0, order))
+    support = data.draw(st.permutations(range(1, n + 1)))[:s]
+    alpha = tuple(order - s if i == 0 else int(i in support) for i in range(n + 1))
+    c = data.draw(st.lists(big_positive, min_size=n + 1, max_size=n + 1))
+    q = data.draw(unit_q)
+    w = data.draw(st.lists(big_signed, min_size=n + 1, max_size=n + 1))
+    assert euler_hessian_residual(matroid, c, q, alpha, w) == \
+        reference_euler_hessian_residual(matroid, c, q, alpha, w) == 0
+    assert kernel_identity_check(matroid, c, q, alpha, w) == \
+        reference_kernel_identity_check(matroid, c, q, alpha, w)
 
 
 def test_hessian_signature_of_weighted_polynomial():
