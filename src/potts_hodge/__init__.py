@@ -8,7 +8,6 @@ corpora of small matroids.
 """
 from .errors import (
     ImpossibleStateError,
-    IndeterminateSignatureError,
     InvalidParametersError,
     NotAMatroidError,
     NotApplicableError,

@@ -4,7 +4,7 @@ Subcommands:
 
   eval       evaluate strata Z[k] or the weighted polynomial Z_c
   hessian    print the Hessian of a derivative of Z_c
-  spectrum   print the eigenvalue signature of that Hessian
+  spectrum   print the exact signature of that Hessian
   verify     run verification campaigns over a corpus, or one check
   corpus     list the matroids a corpus spec expands to
   mason      count-sequence log-concavity report for one matroid
@@ -15,7 +15,9 @@ Exit codes: 0 success / all checks passed, 1 a verification check failed,
 Scalar arguments are rationals written as "num/den" (or plain integers).
 Floats are accepted only with --mode float, a format: each scalar is
 rounded to a double and converted exactly, the library evaluates exactly,
-and each printed result is rounded once.  All JSON output is printed with
+and each printed result is rounded once.  So spectrum prints the exact
+signature in either mode; its float eigenvalues are only a diagnostic.
+All JSON output is printed with
 sorted keys so identical inputs give byte-identical output; timing is
 only written to --out report files, never to stdout.
 """
@@ -27,7 +29,6 @@ import sys
 
 from .corpus import generate_corpus, parse_corpus_spec
 from .errors import (
-    IndeterminateSignatureError,
     InvalidParametersError,
     NotAMatroidError,
     ParseError,
@@ -35,11 +36,10 @@ from .errors import (
     ResourceLimitError,
 )
 from .matroids import from_json as matroid_from_json
-from .matrices import SymMatrix
 from .potts import derivative_degree, hessian, z_weighted_eval, zk_all, zk_eval
 from .scalars import EXACT, FLOAT, from_float, parse_rational, to_float
 from .scalars import scalar_to_json, vector_to_json
-from .spectral import EigenSignature, float_eigenvalues, signature
+from .spectral import float_eigenvalues, signature
 from .verify import (
     ALL_THEOREMS,
     CHECKS,
@@ -159,31 +159,24 @@ def _hessian_inputs(args):
     return matroid, c, q, alpha, w
 
 
-def _shown_hessian(args):
-    """The Hessian of the parsed inputs, rounded entry by entry in float
-    mode; also returns the matroid and alpha."""
-    matroid, c, q, alpha, w = _hessian_inputs(args)
-    mat = hessian(matroid, c, q, alpha, w)
-    if args.mode == FLOAT:
-        mat = SymMatrix(tuple(tuple(map(to_float, row)) for row in mat.entries))
-    return matroid, alpha, mat
-
-
 def _cmd_hessian(args):
-    _, _, mat = _shown_hessian(args)
+    rows = [[_shown(x, args.mode) for x in row]
+            for row in hessian(*_hessian_inputs(args)).entries]
     if args.json:
-        _dump_json(mat.to_json())
+        _dump_json({"dim": len(rows), "entries": [vector_to_json(row) for row in rows]})
     else:
-        for row in mat.entries:
+        for row in rows:
             print("  ".join(_format_scalar(x) for x in row))
     return EXIT_OK
 
 
 def _cmd_spectrum(args):
-    matroid, alpha, mat = _shown_hessian(args)
-    # symbolic in alpha; the Hessian has validated every input
+    matroid, c, q, alpha, w = _hessian_inputs(args)
+    # the exact signature of the exact Hessian, in either mode; the Hessian
+    # validates every input, and alpha alone decides whether it is zero
+    mat = hessian(matroid, c, q, alpha, w)
+    sig = signature(mat)
     zero = derivative_degree(matroid, alpha) is None
-    sig = EigenSignature(0, 0, mat.dim) if zero else signature(mat)
     eigs = [] if zero else list(float_eigenvalues(mat))
     payload = {
         "signature": [sig.n_pos, sig.n_neg, sig.n_zero],
@@ -394,9 +387,6 @@ def main(argv=None):
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except IndeterminateSignatureError as exc:
-        print(f"indeterminate: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     except PottsHodgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

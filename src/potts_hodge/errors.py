@@ -29,10 +29,6 @@ class ResourceLimitError(PottsHodgeError):
     """An operation would exceed the configured enumeration cap."""
 
 
-class IndeterminateSignatureError(PottsHodgeError):
-    """Float-mode eigenvalues too close to zero to classify; exact mode unavailable."""
-
-
 class SamplingFailureError(PottsHodgeError):
     """A rejection sampler exhausted its retry budget."""
 

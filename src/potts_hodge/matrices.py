@@ -6,63 +6,57 @@ pivoting heuristics.  One routine does all the elimination: a symmetric
 fraction-free (Bareiss) elimination over Python ints, bareiss_eliminate.
 Inertia counts its pivot signs; the congruence diagonalization reads its
 transform, carried along as a border of the matrix; rank and nullspace
-come from the same elimination of the Gram matrix M^T M.
+come from the same elimination of the Gram matrix M^T M.  A SymMatrix is
+exact by construction, and its scaled_rows are the integers that the
+signature and the congruence diagonalization eliminate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ImpossibleStateError, InvalidParametersError
-from .scalars import (
-    as_rational,
-    as_rationals,
-    clear_denominators,
-    is_exact_scalar,
-    rat,
-    scalar_to_json,
-)
+from .scalars import as_rationals, clear_denominators, is_exact_scalar, rat
 
 
 @dataclass(frozen=True)
 class SymMatrix:
-    """Immutable symmetric matrix; entries all-exact or all-float."""
+    """Immutable symmetric matrix of exact entries: ints or rationals.
+
+    The constructor rejects a non-square or non-symmetric matrix and any
+    entry that is not exact (a float, say), so every SymMatrix is exact by
+    construction.  scaled_rows is the one place where its entries become
+    integers: every exact matrix computation reads them from there.
+    """
 
     entries: tuple
 
     def __post_init__(self):
         d = len(self.entries)
-        for row in self.entries:
+        for i, row in enumerate(self.entries):
             if len(row) != d:
                 raise InvalidParametersError("matrix is not square")
-        for i in range(d):
             for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
+                if row[j] != self.entries[j][i]:
                     raise InvalidParametersError(
                         f"matrix is not symmetric at ({i},{j}): "
-                        f"{self.entries[i][j]!r} != {self.entries[j][i]!r}")
+                        f"{row[j]!r} != {self.entries[j][i]!r}")
+        if not all(map(is_exact_scalar, chain.from_iterable(self.entries))):
+            raise InvalidParametersError("matrix entries must be ints or exact rationals")
 
     @property
     def dim(self):
         return len(self.entries)
 
-    @property
-    def is_exact(self):
-        return all(is_exact_scalar(x) for row in self.entries for x in row)
-
     def rows(self):
         return [list(row) for row in self.entries]
 
-    def max_abs(self):
-        best = None
-        for row in self.entries:
-            for x in row:
-                a = -x if x < 0 else x
-                if best is None or a > best:
-                    best = a
-        return best if best is not None else 0
-
-    def to_json(self):
-        return {"dim": self.dim, "entries": [[scalar_to_json(x) for x in row] for row in self.entries]}
+    def scaled_rows(self):
+        """(rows, scale): integer rows and one positive integer scale, the
+        lcm of the denominators, with entries[i][j] = rows[i][j] / scale."""
+        d = self.dim
+        ints, scale = clear_denominators(list(chain.from_iterable(self.entries)))
+        return [ints[i * d:(i + 1) * d] for i in range(d)], scale
 
     @staticmethod
     def from_rows(rows):
@@ -182,10 +176,10 @@ def congruence_diagonalize(matrix):
     and the diagonal of the symmetric Gaussian reduction over rationals,
     with its choice of pivots and of hyperbolic steps.
     """
-    rows = matrix.rows() if isinstance(matrix, SymMatrix) else [list(r) for r in matrix]
-    d = len(rows)
-    ints, den = clear_denominators([as_rational(x) for row in rows for x in row])
-    a = _bordered([ints[i * d:(i + 1) * d] for i in range(d)], d)
+    mat = matrix if isinstance(matrix, SymMatrix) else SymMatrix.from_rows(matrix)
+    d = mat.dim
+    square, den = mat.scaled_rows()
+    a = _bordered(square, d)
     pivots, radical, last = bareiss_eliminate(a, d)
     vectors = [tuple(rat(x, prev) for x in a[p][d:]) for p, _, prev in pivots]
     vectors += [tuple(rat(x, last) for x in a[i][d:]) for i in radical]

@@ -81,6 +81,11 @@ def _validate_point(w, length):
     return wv
 
 
+def _validate_index(k):
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {k!r}")
+
+
 def validate_coeffs(c, n):
     """Coefficient sequence c_0..c_n: right length, strictly positive.
     Returned as Fractions."""
@@ -194,8 +199,7 @@ def zk_all(matroid, q, w):
 
 def zk_eval(matroid, k, q, w):
     """Single stratum Z[k]; k > n gives 0 (there are no such subsets)."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {k!r}")
+    _validate_index(k)
     strata = zk_all(matroid, q, w)
     return strata[k] if k <= matroid.n else ZERO
 
@@ -418,8 +422,7 @@ def f_all(matroid, w):
 
 def f_m_eval(matroid, m, w):
     """Stratum f[m]: sum over independent m-subsets of the weight products."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {m!r}")
+    _validate_index(m)
     strata = f_all(matroid, w)
     return strata[m] if m <= matroid.n else ZERO
 
@@ -427,11 +430,16 @@ def f_m_eval(matroid, m, w):
 def f_limit_residual(matroid, m, w, q):
     """|Z[m](q; q*w) - f[m](w)|: the deviation of the rescaled stratum from
     its independent-set limit.  Each dependent subset contributes with a
-    factor q^(|A| - rk(A)), so the residual is O(q) as q -> 0."""
+    factor q^(|A| - rk(A)), so the residual is O(q) as q -> 0.  Both strata
+    are read from their numerators on the inputs validated here."""
+    _validate_index(m)
     qv = validate_q(q)
     wv = _validate_point(w, matroid.n)
-    scaled = tuple(qv * x for x in wv)
-    return abs(zk_eval(matroid, m, qv, scaled) - f_m_eval(matroid, m, wv))
+    if m > matroid.n:
+        return ZERO
+    nums, qden, den = strata_numerators(matroid, qv, tuple(qv * x for x in wv))
+    f_nums, f_den = independent_numerators(matroid, wv)
+    return abs(Fraction(nums[m], qden * den ** m) - Fraction(f_nums[m], f_den ** m))
 
 
 def dependent_mass(matroid, m, w, nullity=None):
@@ -440,8 +448,7 @@ def dependent_mass(matroid, m, w, nullity=None):
     nullity=k restricts the sum to subsets with |A| - rk(A) == k; the k = 1
     slice is the leading term of Z[m](q; q*w) - f[m](w) as q -> 0.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {m!r}")
+    _validate_index(m)
     if nullity is not None and (not isinstance(nullity, int) or isinstance(nullity, bool) or nullity < 1):
         raise InvalidParametersError(f"nullity must be a positive integer, got {nullity!r}")
     wv = _validate_point(w, matroid.n)

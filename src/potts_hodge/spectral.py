@@ -3,9 +3,9 @@ verification campaigns.
 
 Exact signatures, congruence transforms, ranks and nullspaces all come from
 the one fraction-free symmetric elimination over integers in matrices.py,
-so they are never subject to rounding.  Float matrices fall back to a
-symmetric eigendecomposition with an explicit indeterminacy error when an
-eigenvalue is too close to zero to classify.
+so they are never subject to rounding.  There is no float signature: a
+SymMatrix is exact, and float_eigenvalues, the one user of numpy, is a
+diagnostic that no verdict reads.
 """
 from __future__ import annotations
 
@@ -16,12 +16,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import (
-    IndeterminateSignatureError,
-    InvalidParametersError,
-    NotApplicableError,
-    SamplingFailureError,
-)
+from .errors import InvalidParametersError, NotApplicableError
 from .matrices import (
     SymMatrix,
     bareiss_inertia,
@@ -40,9 +35,7 @@ from .potts import (
     validate_coeffs,
     validate_q,
 )
-from .scalars import clear_denominators, rat
-
-FLOAT_TOL_FACTOR = 1e-9
+from .scalars import clear_denominators, rat, to_float
 
 
 class EigenSignature(NamedTuple):
@@ -58,38 +51,18 @@ class EigenSignature(NamedTuple):
 
 
 def signature(matrix):
-    """Inertia of a SymMatrix (or raw rows).
+    """Inertia of a SymMatrix, or of raw rows of ints and rationals.
 
-    Exact entries: the matrix times the lcm of its denominators, divided
-    by the gcd of the resulting ints, then a fraction-free elimination over
-    ints (bareiss_inertia); both factors are positive, so the inertia is
-    that of the matrix.  Float entries: eigendecomposition with
-    zero-threshold tol, 1e-9 times the largest absolute entry; an
-    eigenvalue within tol of zero cannot be classified and raises
-    IndeterminateSignatureError rather than guessing.
+    The integer rows of SymMatrix.scaled_rows, divided by the gcd of their
+    entries, go through a fraction-free elimination over ints
+    (bareiss_inertia); both factors are positive, so the inertia is that
+    of the matrix.  It is exact: a float entry raises
+    InvalidParametersError where the SymMatrix is built.
     """
     mat = matrix if isinstance(matrix, SymMatrix) else SymMatrix.from_rows(matrix)
-    if mat.dim == 0:
-        return EigenSignature(0, 0, 0)
-    if mat.is_exact:
-        d = mat.dim
-        ints, _ = clear_denominators([x for row in mat.entries for x in row])
-        g = math.gcd(*ints) or 1
-        ints = [x // g for x in ints]
-        return EigenSignature(*bareiss_inertia(ints[i:i + d] for i in range(0, d * d, d)))
-    import numpy as np
-
-    arr = np.array([[float(x) for x in row] for row in mat.entries], dtype=float)
-    eigs = np.linalg.eigvalsh(arr)
-    tol = FLOAT_TOL_FACTOR * max(float(mat.max_abs()), 1e-300)
-    near_zero = [float(e) for e in eigs if abs(e) <= tol]
-    if near_zero:
-        raise IndeterminateSignatureError(
-            f"eigenvalues {near_zero} lie within tol={tol:g} of zero; "
-            "use exact mode to classify them")
-    pos = int((eigs > tol).sum())
-    neg = int((eigs < -tol).sum())
-    return EigenSignature(pos, neg, mat.dim - pos - neg)
+    rows, _ = mat.scaled_rows()
+    g = math.gcd(*chain.from_iterable(rows)) or 1
+    return EigenSignature(*bareiss_inertia([x // g for x in row] for row in rows))
 
 
 def one_positive(matrix):
@@ -98,14 +71,15 @@ def one_positive(matrix):
 
 
 def float_eigenvalues(matrix):
-    """Diagnostic spectrum: eigenvalues of the entrywise-float matrix,
-    ascending.  Not contractual; classification belongs to signature()."""
+    """Diagnostic spectrum: eigenvalues of the matrix with each entry
+    rounded once to a double, ascending.  Not contractual; classification
+    belongs to signature()."""
     mat = matrix if isinstance(matrix, SymMatrix) else SymMatrix.from_rows(matrix)
     if mat.dim == 0:
         return ()
     import numpy as np
 
-    arr = np.array([[float(x) for x in row] for row in mat.entries], dtype=float)
+    arr = np.array([[to_float(x) for x in row] for row in mat.entries], dtype=float)
     return tuple(float(e) for e in np.linalg.eigvalsh(arr))
 
 
@@ -165,12 +139,14 @@ def _sample_int_vector(rng, dim):
     return tuple(rng.randint(-9, 9) for _ in range(dim))
 
 
-def _sample_positive_form_vector(rng, mat):
+def _sample_positive_form_vector(rng, mat, fallback):
+    """A sampled integer vector of positive form, or the fallback (a vector
+    of positive form) when 1000 draws find none."""
     for _ in range(1000):
         u = _sample_int_vector(rng, mat.dim)
         if bilinear(u, mat, u) > 0:
             return u
-    raise SamplingFailureError("no vector with positive quadratic form found in 1000 attempts")
+    return fallback
 
 
 def one_positive_equivalence_check(matrix, trials=100, seed=0):
@@ -186,7 +162,9 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     (their cross form vanishes), and every statement-3 candidate u is also
     tested against a vector in span(p1, p2) chosen so u^T A v = 0 while
     v^T A v > 0, which exists for every u with positive form whenever the
-    positive index is at least two.
+    positive index is at least two.  Where 1000 draws find no integer
+    vector of positive form (the positive cone can be too thin for the
+    [-9, 9] sampler), the first positive axis stands in for the draw.
 
     The forms are evaluated on the integer matrix L A, L the lcm of the
     denominators of A: L > 0 keeps the sign of every form and multiplies
@@ -194,8 +172,6 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     discriminant divided by L^2, the one of A.
     """
     mat = matrix if isinstance(matrix, SymMatrix) else SymMatrix.from_rows(matrix)
-    if not mat.is_exact:
-        raise InvalidParametersError("one_positive_equivalence_check requires exact entries")
     vectors, diag = congruence_diagonalize(mat)
     positive_axes = [v for v, d in zip(vectors, diag) if d > 0]
     n_neg = sum(1 for d in diag if d < 0)
@@ -204,16 +180,15 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
         return EquivalenceReport(applicable=False, signature=sig)
     rng = random.Random(seed)
     statement1 = sig.n_pos == 1
-    dim = mat.dim
-    ints, scale = clear_denominators([x for row in mat.entries for x in row])
-    mat = SymMatrix(tuple(tuple(ints[i:i + dim]) for i in range(0, dim * dim, dim)))
+    rows, scale = mat.scaled_rows()
+    mat = SymMatrix(tuple(map(tuple, rows)))
 
     # statement 2: all pairs with positive u-form
     statement2 = True
     counterexample = None
     pair_pool = []
     for _ in range(trials):
-        u = _sample_positive_form_vector(rng, mat)
+        u = _sample_positive_form_vector(rng, mat, positive_axes[0])
         v = _sample_int_vector(rng, mat.dim)
         pair_pool.append((u, v))
     if len(positive_axes) >= 2:
@@ -230,7 +205,8 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     v_pool.extend(positive_axes)
     statement3 = False
     witness = None
-    candidates = [positive_axes[0]] + [_sample_positive_form_vector(rng, mat) for _ in range(5)]
+    candidates = [positive_axes[0]]
+    candidates += [_sample_positive_form_vector(rng, mat, positive_axes[0]) for _ in range(5)]
     for u in candidates:
         probes = v_pool
         if len(positive_axes) >= 2:

@@ -124,12 +124,35 @@ def test_spectrum_identically_zero(capsys, mode):
     assert len(lines) == 2  # no diagnostic spectrum for the zero matrix
 
 
-def test_spectrum_float_singular_is_indeterminate(capsys):
-    # the U(1,2) Hessian at ones is exactly singular: float mode refuses
-    code, _, err = run(capsys, "spectrum", "--matroid", U12, "--q", "1",
-                       "--w", "1,1,1", "--mode", "float")
-    assert code == EXIT_CHECK_FAILED
-    assert "indeterminate" in err
+def test_spectrum_float_singular_prints_exact_signature(capsys):
+    # the U(1,2) Hessian at ones is exactly singular; float mode prints the
+    # exact signature of the exact Hessian, as exact mode does
+    outs = []
+    for mode in ("exact", "float"):
+        code, out, _ = run(capsys, "spectrum", "--matroid", U12, "--q", "1",
+                           "--w", "1,1,1", "--mode", mode)
+        assert code == EXIT_OK
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[0] == "signature: 1 positive, 1 negative, 1 zero"
+
+
+# sha256 of the float-mode stdout on K3 at q = 0.5, w = 1,2,3,4, c = 1,2,2,1
+FLOAT_K3_DIGESTS = [
+    (("spectrum", "--json"), "a0027a60c375a7a285dc267a9db7f69dce4d17378651b53b98b4dcd9c1f5be24"),
+    (("spectrum",), "af7ed65d036459699a9af9634f5f60363e483b060d03f32f35457309c6191bc5"),
+    (("hessian", "--json"), "71b2c870c9de99250f30a53fdb129b26631a379435ba7bd4b0e40cf9baf2d9ea"),
+    (("hessian",), "c04f89c33fcb66a8f1f5b01bcb4d7ca21c73a2bc5055ef471bdea65638fdb77a"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", FLOAT_K3_DIGESTS)
+def test_float_mode_stdout_is_pinned(capsys, argv, digest):
+    command, *flags = argv
+    code, out, _ = run(capsys, command, "--matroid", K3, "--q", "0.5", "--w", "1,2,3,4",
+                       "--c", "1,2,2,1", "--mode", "float", *flags)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_single_check(capsys):

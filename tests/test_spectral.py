@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from potts_hodge import (
     EigenSignature,
-    IndeterminateSignatureError,
     InvalidParametersError,
     NotApplicableError,
     SymMatrix,
@@ -36,7 +35,7 @@ from potts_hodge import (
 )
 from potts_hodge.errors import ImpossibleStateError
 from potts_hodge.matrices import bareiss_inertia, same_subspace
-from potts_hodge.scalars import from_float, to_float
+from potts_hodge.scalars import from_float
 from potts_hodge.spectral import KernelIdentityReport
 
 U12 = make_uniform(1, 2)
@@ -269,12 +268,16 @@ def test_bareiss_checks_its_divisions():
         bareiss_inertia([[2, 1, 1], [1, 1, 1], [0, 1, 1]])
 
 
-def test_float_signature_and_indeterminate():
-    fm = SymMatrix(((2.0, 0.0), (0.0, -1.0)))
-    assert signature(fm) == EigenSignature(1, 1, 0)
-    with pytest.raises(IndeterminateSignatureError):
-        signature(SymMatrix(((1.0, 1.0), (1.0, 1.0))))
-    # exact mode classifies the same matrix without trouble
+def test_signature_rejects_float_entries():
+    # a SymMatrix is exact by construction, so there is no float signature
+    with pytest.raises(InvalidParametersError):
+        SymMatrix(((2.0, 0.0), (0.0, -1.0)))
+    with pytest.raises(InvalidParametersError):
+        signature([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(InvalidParametersError):
+        SymMatrix(((rat(1), True), (True, rat(1))))
+    # exact entries classify, the singular one included
+    assert signature(SymMatrix(((2, 0), (0, -1)))) == EigenSignature(1, 1, 0)
     assert signature([[rat(1), rat(1)], [rat(1), rat(1)]]) == EigenSignature(1, 0, 1)
 
 
@@ -361,6 +364,17 @@ def test_equivalence_random_agreement():
 def test_equivalence_rejects_float_matrices():
     with pytest.raises(InvalidParametersError):
         one_positive_equivalence_check([[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_equivalence_falls_back_to_a_positive_axis():
+    # signature (1, 1, 0), but u^T A u > 0 needs |u_1| > 10^6 |u_2| with
+    # u_2 != 0, which no vector of the [-9, 9] sampler has: the sampler
+    # falls back to the positive axis of the congruence
+    eps = rat(-3, 10**6)
+    rep = one_positive_equivalence_check([[rat(0), eps], [eps, rat(-6)]], trials=20, seed=0)
+    assert rep.applicable and rep.signature == EigenSignature(1, 1, 0)
+    assert rep.statement1 and rep.statement2 and rep.statement3 and rep.agree
+    assert rep.witness_u == (1, rat(-1, 2 * 10**6))
 
 
 def test_euler_hessian_residual_is_exactly_zero():
@@ -517,7 +531,8 @@ def test_hessian_signature_of_weighted_polynomial():
 
 
 def test_float_hessian_signature():
+    # float inputs are converted exactly, and the signature is that of the
+    # exact Hessian of the converted inputs
     h = hessian(K3, [from_float(x) for x in (1.0, 2.0, 2.0, 1.0)], from_float(1 / 3),
                 (0, 0, 0, 0), [from_float(x) for x in (1.0, 1.0, 1.0, 1.0)])
-    h = SymMatrix(tuple(tuple(map(to_float, row)) for row in h.entries))
     assert signature(h) == EigenSignature(1, 3, 0)

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -682,6 +684,23 @@ def test_campaign_under_the_benchmark_tracer():
     assert json.dumps(report.to_json(), sort_keys=True) == expected
     assert counts["verify.check.calls"] == len(report.checks) > 0
     assert counts["spectral.signature.calls"] > 0
+
+
+def test_exact_library_never_loads_numpy():
+    # numpy serves only the float_eigenvalues diagnostic, so importing the
+    # package and running a campaign, in a fresh interpreter, leaves it out
+    code = (
+        "import sys\n"
+        "from potts_hodge import CampaignConfig, generate_corpus, run_campaign\n"
+        "report = run_campaign(generate_corpus('graphic,K3'), CampaignConfig(samples=1))\n"
+        "assert report.checks and report.ok\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_campaign_rejects_negative_samples_and_workers():
