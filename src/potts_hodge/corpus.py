@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 from .matroids import Matroid, make_graphic, make_linear, make_uniform
 from .sampling import child_rng
 
@@ -32,67 +34,88 @@ class CorpusSpec:
     families: tuple = ("uniform", "graphic", "linear", "structured")
 
 
-def _relabelings(num_vertices, edges):
-    """The sorted edge list under every relabeling of the vertices."""
-    for perm in itertools.permutations(range(num_vertices)):
-        yield tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+# Most edge sets connected_graphs may visit; above it, it refuses before
+# enumerating anything, since the enumeration and its relabeling table
+# (nv! rows) grow factorially in the edge bound.  edges<=7 visits
+# 1,369,865 edge sets and passes; edges<=8 would visit 34,948,280 and
+# build a table of 9! rows.
+GRAPH_ENUMERATION_BUDGET = 2 * 10**6
 
 
-def _canonical_graph(num_vertices, edges):
-    """Isomorphism-canonical form: the lexicographically smallest edge list
-    over all relabelings of the vertices."""
-    return min(_relabelings(num_vertices, edges))
+def _relabeled_pair_bits(num_vertices, pairs, bit):
+    """One row per relabeling of the vertices: row[k] is the bit of the
+    image of pair k."""
+    pair_bit = [[0] * num_vertices for _ in range(num_vertices)]
+    for (u, v), b in zip(pairs, bit):
+        pair_bit[u][v] = pair_bit[v][u] = b
+    return [[pair_bit[perm[u]][perm[v]] for u, v in pairs]
+            for perm in itertools.permutations(range(num_vertices))]
 
 
-def _is_connected(num_vertices, edges):
-    if num_vertices <= 1:
-        return True
-    adj = {v: [] for v in range(num_vertices)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == num_vertices
+def _spans_connected(num_vertices, ends):
+    """Whether the edges, given as vertex masks, connect all the vertices."""
+    everything = (1 << num_vertices) - 1
+    reach = 1
+    grown = True
+    while grown:
+        grown = False
+        for e in ends:
+            if e & reach and e | reach != reach:
+                reach |= e
+                grown = True
+    return reach == everything
 
 
 @functools.lru_cache(maxsize=None)
 def connected_graphs(max_edges):
     """All connected simple graphs with 2..max_edges edges, one per
-    isomorphism class, as (vertex_count, edge_tuple) with vertices 0-based.
+    isomorphism class, as (vertex_count, edge_tuple) with vertices 0-based
+    and edge_tuple the lexicographically smallest sorted edge list over all
+    relabelings of the vertices.
 
     A connected graph with m edges spans at most m+1 vertices, so the
-    enumeration runs over vertex counts 2..m+1 and keeps the graphs whose
-    edges cover every vertex.  Each new isomorphism class is canonicalized
-    once, and all its relabelings are recorded, so every later edge set of
-    that class is skipped after one set lookup.
+    enumeration runs over vertex counts nv = 2..m+1 and keeps the edge sets
+    that connect every vertex.  An edge set on nv vertices is an int mask
+    over the P = C(nv, 2) vertex pairs in lexicographic order, pair k at
+    bit P-1-k.  Two sorted edge lists of one length first differ at the
+    pair of smallest index held by only one of them, which is the highest
+    bit where their masks differ, so the larger mask is the
+    lexicographically smaller list: the class representative, the minimum
+    list over all relabelings, is the largest relabeled mask.  Each new
+    class's labelled copies come from one table of relabeled pair bits per
+    nv and are all recorded, so every later edge set of that class is
+    skipped after one set lookup.
+
+    Before enumerating anything, the work is estimated as the number of
+    edge sets visited, the sum of C(C(nv, 2), m) over 2 <= m <= max_edges
+    and 2 <= nv <= m + 1; above GRAPH_ENUMERATION_BUDGET it raises
+    ResourceLimitError.
     """
-    found = {}
-    seen = set()
+    visited = 0
     for m in range(2, max_edges + 1):
-        for nv in range(2, m + 2):
-            pairs = list(itertools.combinations(range(nv), 2))
-            for combo in itertools.combinations(pairs, m):
-                if combo in seen:
+        visited += sum(math.comb(math.comb(nv, 2), m) for nv in range(2, m + 2))
+        if visited > GRAPH_ENUMERATION_BUDGET:
+            raise ResourceLimitError(
+                f"enumerating the connected graphs with at most {max_edges} edges visits "
+                f"{'more than ' if m < max_edges else ''}{visited} edge sets, "
+                f"above the bound {GRAPH_ENUMERATION_BUDGET}")
+    found = []
+    for nv in range(2, max_edges + 2):
+        pairs = list(itertools.combinations(range(nv), 2))
+        bit = [1 << k for k in reversed(range(len(pairs)))]
+        ends = [1 << u | 1 << v for u, v in pairs]
+        relabeled = _relabeled_pair_bits(nv, pairs, bit)
+        seen = set()
+        for m in range(max(2, nv - 1), min(max_edges, len(pairs)) + 1):
+            for combo in itertools.combinations(range(len(pairs)), m):
+                pick = operator.itemgetter(*combo)
+                if sum(pick(bit)) in seen or not _spans_connected(nv, pick(ends)):
                     continue
-                covered = set()
-                for u, v in combo:
-                    covered.add(u)
-                    covered.add(v)
-                if len(covered) != nv:
-                    continue
-                if not _is_connected(nv, combo):
-                    continue
-                key = _canonical_graph(nv, combo)
-                seen.update(_relabelings(nv, key))
-                found[key] = (nv, key)
-    return tuple(sorted(found.values()))
+                images = {sum(pick(row)) for row in relabeled}
+                seen |= images
+                best = max(images)
+                found.append((nv, tuple(p for p, b in zip(pairs, bit) if best & b)))
+    return tuple(sorted(found))
 
 
 def uniform_family(max_n=7):

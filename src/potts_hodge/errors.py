@@ -26,7 +26,8 @@ class NotAMatroidError(PottsHodgeError):
 
 
 class ResourceLimitError(PottsHodgeError):
-    """An operation would exceed the configured enumeration cap."""
+    """An operation would exceed an enumeration limit: the ground-set cap
+    or the graph enumeration budget."""
 
 
 class SamplingFailureError(PottsHodgeError):

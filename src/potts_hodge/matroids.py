@@ -108,9 +108,11 @@ class Matroid:
         return f"{self.provenance}(n={self.n}, rank={self.full_rank})"
 
 
-def _build(n, rank_fn, provenance, source=None, validate=False):
+def _build(n, fill, provenance, source=None, validate=False):
+    """Matroid whose rank table is fill(), the ranks of masks 0..2^n-1 in
+    order; fill is called only once n passes the enumeration cap."""
     _check_cap(n, f"constructing a {provenance} matroid")
-    ranks = tuple(rank_fn(mask) for mask in range(1 << n))
+    ranks = tuple(fill())
     if validate:
         validate_rank_axioms(n, ranks)
     return Matroid(n=n, ranks=ranks, provenance=provenance, source=source)
@@ -123,7 +125,8 @@ def make_uniform(rank, n, validate=False):
     if not isinstance(rank, int) or not 0 <= rank <= n:
         raise InvalidParametersError(f"uniform rank must satisfy 0 <= rank <= n, got rank={rank!r}, n={n}")
     source = {"type": "uniform", "rank": rank, "n": n}
-    return _build(n, lambda mask: min(mask.bit_count(), rank), "uniform", source, validate)
+    return _build(n, lambda: (min(mask.bit_count(), rank) for mask in range(1 << n)),
+                  "uniform", source, validate)
 
 
 def make_graphic(vertices, edges, validate=False):
@@ -166,7 +169,7 @@ def make_graphic(vertices, edges, validate=False):
             idx += 1
         return merged
 
-    return _build(n, rank_of, "graphic", source, validate)
+    return _build(n, lambda: map(rank_of, range(1 << n)), "graphic", source, validate)
 
 
 def _is_prime(p):
@@ -180,8 +183,42 @@ def _is_prime(p):
     return True
 
 
+def _prefix_basis_ranks(prime, cols, rows):
+    """The ranks of the columns selected by masks 0..2^n-1, by prefix bases
+    (see make_linear): a basis is ((pivot position, vector with a unit
+    pivot), ...), shared with its prefix wherever the top column adds
+    nothing.  Only the masks without the last column keep their bases,
+    since no later mask extends the others."""
+    bases = [()]
+    ranks = [0]
+    for h, col in enumerate(cols, 1):
+        for basis in bases[:]:
+            if len(basis) < rows:
+                vec = col
+                for pos, pivot in basis:
+                    coef = vec[pos]
+                    if coef:
+                        vec = [(a - coef * b) % prime for a, b in zip(vec, pivot)]
+                for pos, a in enumerate(vec):
+                    if a:
+                        inv = pow(a, prime - 2, prime)
+                        basis += ((pos, [x * inv % prime for x in vec]),)
+                        break
+            ranks.append(len(basis))
+            if h < len(cols):
+                bases.append(basis)
+    return ranks
+
+
 def make_linear(prime, matrix, validate=False):
-    """Column matroid of a matrix over GF(prime); ground set element i = column i."""
+    """Column matroid of a matrix over GF(prime); ground set element i = column i.
+
+    The rank table is filled by prefix bases: the echelon basis of a mask
+    is the basis of the mask without its top column, a smaller mask built
+    before it, plus that column reduced against it when the remainder is
+    nonzero.  So each mask costs one vector reduction instead of a fresh
+    elimination of all its columns, and none once its prefix has as many
+    basis vectors as the matrix has rows."""
     if not isinstance(prime, int) or not _is_prime(prime):
         raise InvalidParametersError(f"field order must be prime, got {prime!r}")
     rows = [list(int(x) % prime for x in row) for row in matrix]
@@ -196,29 +233,7 @@ def make_linear(prime, matrix, validate=False):
     cols = [tuple(rows[r][c] for r in range(nrows)) for c in range(n)]
     source = {"type": "linear", "field": prime, "matrix": [list(r) for r in rows]}
 
-    def rank_of(mask):
-        # Gaussian elimination mod prime on the selected columns.
-        basis = []
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                vec = list(cols[idx])
-                for pivot_pos, pivot_vec in basis:
-                    coef = vec[pivot_pos]
-                    if coef:
-                        vec = [(a - coef * b) % prime for a, b in zip(vec, pivot_vec)]
-                for pos, a in enumerate(vec):
-                    if a:
-                        inv = pow(a, prime - 2, prime)
-                        vec = [(x * inv) % prime for x in vec]
-                        basis.append((pos, vec))
-                        break
-            m >>= 1
-            idx += 1
-        return len(basis)
-
-    return _build(n, rank_of, "linear", source, validate)
+    return _build(n, lambda: _prefix_basis_ranks(prime, cols, nrows), "linear", source, validate)
 
 
 def make_rank_table(n, ranks):

@@ -139,11 +139,13 @@ def _q_inverse_powers(q, max_rank):
 
 
 def _products(values):
-    """prod[mask]: the product of the integers at the set bits of mask."""
-    prod = [1] * (1 << len(values))
-    for mask in range(1, len(prod)):
-        low = mask & -mask
-        prod[mask] = prod[mask ^ low] * values[low.bit_length() - 1]
+    """prod[mask]: the product of the integers at the set bits of mask,
+    built by doubling: the masks with top bit i are those below 2^i, each
+    times values[i].  (The map is materialized first: a list extended from
+    a map over itself never stops growing.)"""
+    prod = [1]
+    for x in values:
+        prod += list(map(x.__mul__, prod))
     return prod
 
 

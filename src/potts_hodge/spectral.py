@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from .errors import InvalidParametersError, NotApplicableError
@@ -139,14 +139,19 @@ def _sample_int_vector(rng, dim):
     return tuple(rng.randint(-9, 9) for _ in range(dim))
 
 
-def _sample_positive_form_vector(rng, mat, fallback):
-    """A sampled integer vector of positive form, or the fallback (a vector
-    of positive form) when 1000 draws find none."""
-    for _ in range(1000):
-        u = _sample_int_vector(rng, mat.dim)
-        if bilinear(u, mat, u) > 0:
-            return u
-    return fallback
+def _positive_form_draws(rng, mat, fallback):
+    """Integer vectors of positive form, each the first of up to 1000
+    draws.  Once 1000 draws find none, the positive cone is too thin for
+    the [-9, 9] sampler, and the fallback (a vector of positive form)
+    stands in for that draw and every later one, without drawing again."""
+    while True:
+        for _ in range(1000):
+            u = _sample_int_vector(rng, mat.dim)
+            if bilinear(u, mat, u) > 0:
+                yield u
+                break
+        else:
+            yield from repeat(fallback)
 
 
 def one_positive_equivalence_check(matrix, trials=100, seed=0):
@@ -164,7 +169,8 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     v^T A v > 0, which exists for every u with positive form whenever the
     positive index is at least two.  Where 1000 draws find no integer
     vector of positive form (the positive cone can be too thin for the
-    [-9, 9] sampler), the first positive axis stands in for the draw.
+    [-9, 9] sampler), the first positive axis stands in for that draw and
+    for every later one of the check, which makes no further attempt.
 
     The forms are evaluated on the integer matrix L A, L the lcm of the
     denominators of A: L > 0 keeps the sign of every form and multiplies
@@ -187,8 +193,9 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     statement2 = True
     counterexample = None
     pair_pool = []
+    positive_draws = _positive_form_draws(rng, mat, positive_axes[0])
     for _ in range(trials):
-        u = _sample_positive_form_vector(rng, mat, positive_axes[0])
+        u = next(positive_draws)
         v = _sample_int_vector(rng, mat.dim)
         pair_pool.append((u, v))
     if len(positive_axes) >= 2:
@@ -206,7 +213,7 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     statement3 = False
     witness = None
     candidates = [positive_axes[0]]
-    candidates += [_sample_positive_form_vector(rng, mat, positive_axes[0]) for _ in range(5)]
+    candidates += islice(positive_draws, 5)
     for u in candidates:
         probes = v_pool
         if len(positive_axes) >= 2:

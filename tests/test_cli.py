@@ -437,6 +437,14 @@ def test_resource_limit_exit(monkeypatch, capsys):
     assert "resource limit" in err
 
 
+def test_graph_enumeration_limit_exit(capsys):
+    # edges<=8 would visit 34,948,280 edge sets: refused before any work
+    code, out, err = run(capsys, "corpus", "--spec", "graphic,edges<=8")
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert "resource limit" in err and "34948280" in err
+
+
 def test_not_a_matroid_exit(capsys):
     bad = '{"type": "rank_table", "n": 1, "ranks": [0, 2]}'
     code, _, err = run(capsys, "eval", "--matroid", bad, "--q", "1", "--w", "1")

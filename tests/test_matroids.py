@@ -4,6 +4,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potts_hodge import (
     Matroid,
@@ -133,6 +135,58 @@ def test_linear_zero_matrix_all_loops():
     m = make_linear(5, [[0, 0, 0]])
     assert m.full_rank == 0
     assert structure(m).loops == frozenset({1, 2, 3})
+
+
+# The per-subset elimination make_linear replaced: a fresh Gaussian
+# elimination mod prime of each subset's columns.
+
+def reference_linear_rank(prime, cols, mask):
+    basis = []
+    for idx, col in enumerate(cols):
+        if not mask >> idx & 1:
+            continue
+        vec = list(col)
+        for pivot_pos, pivot_vec in basis:
+            coef = vec[pivot_pos]
+            if coef:
+                vec = [(a - coef * b) % prime for a, b in zip(vec, pivot_vec)]
+        for pos, a in enumerate(vec):
+            if a:
+                inv = pow(a, prime - 2, prime)
+                basis.append((pos, [(x * inv) % prime for x in vec]))
+                break
+    return len(basis)
+
+
+@st.composite
+def gf_matrices(draw):
+    """(prime, matrix) over GF(2), GF(3), GF(5) or GF(7), 0-4 rows and 0-9
+    columns, each column random, zero, or a multiple of an earlier one."""
+    prime = draw(st.sampled_from((2, 3, 5, 7)))
+    nrows = draw(st.integers(0, 4))
+    cols = []
+    for _ in range(draw(st.integers(0, 9)) if nrows else 0):
+        kind = draw(st.sampled_from(("random", "zero", "repeat")))
+        if kind == "zero":
+            col = [0] * nrows
+        elif kind == "repeat" and cols:
+            scale = draw(st.integers(1, prime - 1))
+            col = [scale * x % prime for x in draw(st.sampled_from(cols))]
+        else:
+            col = draw(st.lists(st.integers(0, prime - 1), min_size=nrows, max_size=nrows))
+        cols.append(col)
+    return prime, [[col[r] for col in cols] for r in range(nrows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf_matrices())
+def test_linear_ranks_match_per_subset_elimination(case):
+    prime, matrix = case
+    m = make_linear(prime, matrix)
+    cols = list(zip(*matrix))
+    assert m.n == len(cols)
+    assert m.ranks == tuple(reference_linear_rank(prime, cols, mask) for mask in range(1 << m.n))
+    validate_rank_axioms(m.n, m.ranks)
 
 
 def test_rank_table_round_trip():

@@ -36,6 +36,7 @@ from potts_hodge import (
 from potts_hodge.errors import ImpossibleStateError
 from potts_hodge.matrices import bareiss_inertia, same_subspace
 from potts_hodge.scalars import from_float
+from potts_hodge import spectral
 from potts_hodge.spectral import KernelIdentityReport
 
 U12 = make_uniform(1, 2)
@@ -375,6 +376,21 @@ def test_equivalence_falls_back_to_a_positive_axis():
     assert rep.applicable and rep.signature == EigenSignature(1, 1, 0)
     assert rep.statement1 and rep.statement2 and rep.statement3 and rep.agree
     assert rep.witness_u == (1, rat(-1, 2 * 10**6))
+
+
+def test_equivalence_stops_drawing_once_the_sampler_is_exhausted(monkeypatch):
+    # the first exhausted 1000-draw budget switches the check to the
+    # positive axis for its other 104 draws of positive form: 1000 draws
+    # plus the 200 plain v draws, where drawing on would make about 105,000
+    calls = []
+    draw = spectral._sample_int_vector
+    monkeypatch.setattr(spectral, "_sample_int_vector",
+                        lambda rng, dim: calls.append(dim) or draw(rng, dim))
+    eps = rat(-3, 10**6)
+    rep = one_positive_equivalence_check([[rat(0), eps], [eps, rat(-6)]], trials=100, seed=0)
+    assert rep.statement1 and rep.statement2 and rep.statement3
+    assert rep.witness_u == (1, rat(-1, 2 * 10**6))
+    assert len(calls) < 2000
 
 
 def test_euler_hessian_residual_is_exactly_zero():

@@ -1,6 +1,7 @@
 """Theorem checks, campaign plumbing, replay, and the corpus generators."""
 
 import concurrent.futures
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -22,6 +23,7 @@ from potts_hodge import (
     CheckResult,
     InvalidParametersError,
     ParseError,
+    ResourceLimitError,
     SymMatrix,
     VerificationReport,
     connected_graphs,
@@ -493,10 +495,73 @@ def test_summarize_counts():
 
 
 def test_connected_graph_counts():
+    # connected graphs by edge count, OEIS A002905
     assert len(connected_graphs(2)) == 1
     assert len(connected_graphs(3)) - len(connected_graphs(2)) == 3
     assert len(connected_graphs(4)) - len(connected_graphs(3)) == 5
     assert len(connected_graphs(5)) - len(connected_graphs(4)) == 12
+    assert len(connected_graphs(6)) - len(connected_graphs(5)) == 30
+
+
+# The enumeration connected_graphs replaced: edge sets as tuples of vertex
+# pairs, canonicalized by sorting the edge list under every relabeling.
+
+def _reference_relabelings(num_vertices, edges):
+    for perm in itertools.permutations(range(num_vertices)):
+        yield tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+
+
+def _reference_is_connected(num_vertices, edges):
+    adj = {v: [] for v in range(num_vertices)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == num_vertices
+
+
+def reference_connected_graphs(max_edges):
+    found = {}
+    seen = set()
+    for m in range(2, max_edges + 1):
+        for nv in range(2, m + 2):
+            pairs = list(itertools.combinations(range(nv), 2))
+            for combo in itertools.combinations(pairs, m):
+                if combo in seen:
+                    continue
+                if len({v for e in combo for v in e}) != nv:
+                    continue
+                if not _reference_is_connected(nv, combo):
+                    continue
+                key = min(_reference_relabelings(nv, combo))
+                seen.update(_reference_relabelings(nv, key))
+                found[key] = (nv, key)
+    return tuple(sorted(found.values()))
+
+
+@pytest.mark.parametrize("max_edges", range(7))
+def test_connected_graphs_match_reference(max_edges):
+    assert connected_graphs(max_edges) == reference_connected_graphs(max_edges)
+
+
+def test_connected_graphs_refuse_before_building_a_table():
+    # edges<=8 would visit 34,948,280 edge sets and tabulate 9! relabelings
+    with mock.patch("potts_hodge.corpus._relabeled_pair_bits",
+                    side_effect=AssertionError("built a relabeling table")):
+        with pytest.raises(ResourceLimitError, match="34948280 edge sets.*2000000"):
+            connected_graphs(8)
+        with pytest.raises(ResourceLimitError, match="more than 34948280 edge sets"):
+            connected_graphs(10 ** 9)
+        # edges<=7 visits 1,369,865 edge sets: within the budget, so it
+        # goes on to build its first table
+        with pytest.raises(AssertionError, match="built a relabeling table"):
+            connected_graphs(7)
 
 
 def test_connected_graphs_match_brute_force():
@@ -522,6 +587,15 @@ def test_connected_graphs_match_brute_force():
                           for p in itertools.permutations(range(nv)))
                 classes.add((nv, key))
     assert connected_graphs(4) == tuple(sorted(classes))
+
+
+def test_default_corpus_is_pinned():
+    # element order and ranks feed every report, so a corpus change shows
+    # here before any report digest moves
+    corpus = generate_corpus("default")
+    text = json.dumps([[m.to_json(), list(m.ranks)] for m in corpus], sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "4884bc6a095bbe211cc274ca253d03101f0ae0738cad351e67508bdc92cbdc41"
 
 
 def test_default_corpus_composition():
