@@ -253,6 +253,13 @@ def _single_check_args_given(args):
 
 
 def _cmd_verify(args):
+    if args.out:
+        # an unwritable path is a usage error before any check runs (append
+        # mode: an existing report is not truncated until one replaces it)
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise InvalidParametersError(f"cannot write --out file {args.out!r}: {exc}") from exc
     if args.matroid is not None and _single_check_args_given(args):
         if args.q_grid is not None:
             raise InvalidParametersError("--q-grid applies to campaigns; use --q "

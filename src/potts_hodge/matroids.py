@@ -292,6 +292,24 @@ def validate_rank_axioms(n, ranks):
                         witness={"A": a, "B": b})
 
 
+def _json_int(value, what):
+    """A JSON integer; a bool, float or string is refused, not coerced."""
+    if type(value) is not int:
+        raise ParseError(f"matroid JSON {what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, what, length=None):
+    if type(value) is not list or length not in (None, len(value)):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise ParseError(f"matroid JSON {what} must be {shape}, got {value!r}")
+    return value
+
+
+def _json_ints(value, what, length=None):
+    return [_json_int(x, f"{what} entry") for x in _json_list(value, what, length)]
+
+
 def from_json(obj):
     """Parse a matroid from its JSON dict (or a JSON string)."""
     if isinstance(obj, str):
@@ -304,13 +322,15 @@ def from_json(obj):
     kind = obj.get("type")
     try:
         if kind == "uniform":
-            return make_uniform(int(obj["rank"]), int(obj["n"]))
+            return make_uniform(_json_int(obj["rank"], "rank"), _json_int(obj["n"], "n"))
         if kind == "graphic":
-            return make_graphic(int(obj["vertices"]), [tuple(e) for e in obj["edges"]])
+            edges = [tuple(_json_ints(e, "edge", 2)) for e in _json_list(obj["edges"], "edges")]
+            return make_graphic(_json_int(obj["vertices"], "vertices"), edges)
         if kind == "linear":
-            return make_linear(int(obj["field"]), obj["matrix"])
+            matrix = [_json_ints(row, "matrix row") for row in _json_list(obj["matrix"], "matrix")]
+            return make_linear(_json_int(obj["field"], "field"), matrix)
         if kind == "rank_table":
-            return make_rank_table(int(obj["n"]), [int(r) for r in obj["ranks"]])
+            return make_rank_table(_json_int(obj["n"], "n"), _json_ints(obj["ranks"], "ranks"))
     except KeyError as exc:
         raise ParseError(f"matroid JSON of type {kind!r} is missing field {exc}") from exc
     raise ParseError(f"unknown matroid type {kind!r}")

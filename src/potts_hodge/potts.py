@@ -27,26 +27,15 @@ one dot product of a weight list laid out like T with T_S.  The gradient
 and the Hessian are that sum at alpha + e_i and at alpha + e_i + e_j.  A
 zero coordinate zeroes the products it enters and needs no other care.
 
-The pass and the reductions run on Python ints.  Each call clears the
-denominators of its inputs once: the point becomes W/L with integer W and
-common denominator L, q = a/b in lowest terms, q^(-r) is b^r a^(R-r) / a^R
-for the full rank R, and c becomes C/L_c.  Each output is one integer over
-its scale factor:
-
-    Z[k]                     (integer) / (a^R L^k),
-    f[m], dependent masses   (integer) / L^m,
-    alpha-derivative of Z_c  (integer) / (L_c a^R L^(n-|alpha|)).
-
-By homogeneity the last factor is the same for every entry of a gradient
-and for every entry of a Hessian.  strata_numerators and
-independent_numerators return the strata as integers with their scales,
-and the public zk_all and f_all divide once, at their boundary.
-hessian_numerators returns the integer entries of a Hessian with its one
-scale, and the checks take their signatures as they are (a positive
-scale does not change the inertia); the public gradient and hessian
-divide once, at their boundary, and
-second_order_numerators gives Z_c, its gradient and its Hessian as
-integers.  Inputs are validated where they enter: each public evaluator
+The pass and the reductions run on Python ints, and all the integers
+one call of a *_numerators helper or of _derivatives returns sit over one
+positive integer scale, the same for every k, m, order and support: each
+w_i = p_i / d_i is cleared on its own (_products), w_0 enters as
+p_0^(n-k-a_0) d_0^(k+a_0) over d_0^n, q = a/b as b^r a^(R-r) over a^R for
+the full rank R, and c as C over L_c.  The public evaluators divide once,
+at their boundary; the checks compare the integers, or read the signature
+of a Hessian's integer rows (a positive scale does not change the
+inertia).  Inputs are validated where they enter: each public evaluator
 validates its inputs once, and the *_numerators helpers and _derivatives
 take validated inputs and trust them, as do the checks that call them.
 Inputs are ints or exact rationals (scalars.as_rational) and outputs are
@@ -138,14 +127,14 @@ def _q_inverse_powers(q, max_rank):
     return [b ** r * a ** (max_rank - r) for r in range(max_rank + 1)], a ** max_rank
 
 
-def _products(values):
-    """prod[mask]: the product of the integers at the set bits of mask,
-    built by doubling: the masks with top bit i are those below 2^i, each
-    times values[i].  (The map is materialized first: a list extended from
-    a map over itself never stops growing.)"""
+def _products(point):
+    """prod[mask]: for the point's rationals w_i = p_i / d_i, the product
+    of p_i over the set bits of mask times that of d_i over the others, so
+    prod[mask] / prod[0] is the product of the w_i in mask.  Built by
+    doubling: the masks below 2^i times d_i, then the same times p_i."""
     prod = [1]
-    for x in values:
-        prod += list(map(x.__mul__, prod))
+    for x in point:
+        prod = list(map(x.denominator.__mul__, prod)) + list(map(x.numerator.__mul__, prod))
     return prod
 
 
@@ -177,26 +166,26 @@ def _size_rank_sums(matroid, prod, smask):
 
 
 def _strata_table(matroid, w):
-    """(T, width, den): the table T_S for S empty at the length-n point w,
-    cleared to the integers W = den w, and the width R + 1 of its rows."""
-    wv, den = clear_denominators(w)
-    return _size_rank_sums(matroid, _products(wv), 0), matroid.full_rank + 1, den
+    """(T, width, scale): the table T_S for S empty at the length-n point
+    w, the width R + 1 of its rows, and the scale every cell is over."""
+    prod = _products(w)
+    return _size_rank_sums(matroid, prod, 0), matroid.full_rank + 1, prod[0]
 
 
 def strata_numerators(matroid, q, w):
-    """(nums, qden, den): the strata at the length-n point w are
-    Z[k] = nums[k] / (qden den^k), with integer nums, qden = a^R for
-    q = a/b and den the common denominator of w.  One subset pass."""
+    """(nums, scale): the strata at the length-n point w are
+    Z[k] = nums[k] / scale for every k, with integer nums and one positive
+    integer scale.  One subset pass."""
     powers, qden = _q_inverse_powers(q, matroid.full_rank)
-    table, width, den = _strata_table(matroid, w)
+    table, width, scale = _strata_table(matroid, w)
     return ([sum(map(mul, powers, table[k * width:(k + 1) * width])) for k in range(matroid.n + 1)],
-            qden, den)
+            qden * scale)
 
 
 def zk_all(matroid, q, w):
     """All strata (Z[0], ..., Z[n]) at the length-n point w, one subset pass."""
-    nums, qden, den = strata_numerators(matroid, validate_q(q), _validate_point(w, matroid.n))
-    return tuple(Fraction(x, qden * den ** k) for k, x in enumerate(nums))
+    nums, scale = strata_numerators(matroid, validate_q(q), _validate_point(w, matroid.n))
+    return tuple(Fraction(x, scale) for x in nums)
 
 
 def zk_eval(matroid, k, q, w):
@@ -230,48 +219,44 @@ def _alpha_split(alpha, n):
 
 
 def _w0_weights(cv, powers, w0, a0):
-    """W[k (R+1) + r] = c_k (n-k)_{a0} w_0^(n-k-a0) q^(-r), in the integers
-    of the cleared c, w_0 and q: the factor a subset of size k and rank r
-    carries in a derivative of order a0 in w_0, laid out like T.  Sizes
-    k > n - a0 lose their whole w_0 power and are left out."""
+    """W[k (R+1) + r] = c_k (n-k)_{a0} w_0^(n-k-a0) q^(-r) times
+    L_c a^R d_0^n, an integer for w_0 = p_0 / d_0: the factor a subset of
+    size k and rank r carries in a derivative of order a0 in w_0, laid out
+    like T.  Sizes k > n - a0 lose their whole w_0 power and are left out."""
     n = len(cv) - 1
+    p0, d0 = w0.numerator, w0.denominator
     weights = []
     for k in range(n - a0 + 1):
-        coef = cv[k] * _falling(n - k, a0) * w0 ** (n - k - a0)
+        coef = cv[k] * _falling(n - k, a0) * p0 ** (n - k - a0) * d0 ** (k + a0)
         weights += [coef * p for p in powers]
     return weights
 
 
 def _derivatives(matroid, c, q, w):
-    """(derivative, base, den) at the length-(n+1) point w.
-    derivative(a0, smask) is the integer numerator of the alpha-derivative
-    of Z_c at w for alpha_0 = a0 and inner support smask;
-    the derivative is that numerator over base * den^(n - a0 - |smask|).
-    Calls share the product table, one T table per inner support and one
-    weight table per a0."""
+    """(derivative, scale) at the length-(n+1) point w.
+    derivative(a0, smask) / scale is the alpha-derivative of Z_c at w for
+    alpha_0 = a0 and inner support smask, with one positive integer scale
+    for every order and support.  Calls share the product table, one T
+    table per inner support and one weight table per a0."""
     n = matroid.n
     cv, cden = clear_denominators(c)
     powers, qden = _q_inverse_powers(q, matroid.full_rank)
-    wv, den = clear_denominators(w)
-    prod = None
+    prod = _products(w[1:])
     tables = {}
     weights = {}
 
     def derivative(a0, smask):
-        nonlocal prod
         if a0 + smask.bit_count() > n:
             return 0
         table = tables.get(smask)
         if table is None:
-            if prod is None:
-                prod = _products(wv[1:])
             table = tables[smask] = _size_rank_sums(matroid, prod, smask)
         weight = weights.get(a0)
         if weight is None:
-            weight = weights[a0] = _w0_weights(cv, powers, wv[0], a0)
+            weight = weights[a0] = _w0_weights(cv, powers, w[0], a0)
         return sum(map(mul, weight, table))
 
-    return derivative, cden * qden, den
+    return derivative, cden * qden * w[0].denominator ** n * prod[0]
 
 
 def _first_partials(derivative, n, a0, smask):
@@ -308,8 +293,8 @@ def _validated(matroid, c, q, w):
 
 def z_weighted_eval(matroid, c, q, w):
     """Weighted polynomial Z_c at the length-(n+1) point (w_0, ..., w_n)."""
-    derivative, base, den = _derivatives(matroid, *_validated(matroid, c, q, w))
-    return Fraction(derivative(0, 0), base * den ** matroid.n)
+    derivative, scale = _derivatives(matroid, *_validated(matroid, c, q, w))
+    return Fraction(derivative(0, 0), scale)
 
 
 def is_identically_zero(matroid, c, q, alpha):
@@ -341,43 +326,37 @@ def partial_eval(matroid, c, q, alpha, w):
     support of alpha sits inside A and a_0 is at most the w_0-exponent
     n - |A|; it then carries the falling-factorial factor from w_0^(n-|A|).
     """
-    derivative, base, den = _derivatives(matroid, *_validated(matroid, c, q, w))
-    av = validate_alpha(alpha, matroid.n)
-    split = _alpha_split(av, matroid.n)
+    derivative, scale = _derivatives(matroid, *_validated(matroid, c, q, w))
+    split = _alpha_split(validate_alpha(alpha, matroid.n), matroid.n)
     if split is None:
         return ZERO
-    return Fraction(derivative(*split), base * den ** (matroid.n - sum(av)))
+    return Fraction(derivative(*split), scale)
 
 
 def gradient(matroid, c, q, alpha, w):
     """All first partials of the alpha-derivative of Z_c at w: entry i is
     the (alpha + e_i)-derivative."""
     n = matroid.n
-    derivative, base, den = _derivatives(matroid, *_validated(matroid, c, q, w))
-    av = validate_alpha(alpha, n)
-    split = _alpha_split(av, n)
+    derivative, scale = _derivatives(matroid, *_validated(matroid, c, q, w))
+    split = _alpha_split(validate_alpha(alpha, n), n)
     if split is None:
         return (ZERO,) * (n + 1)
-    scale = base * den ** max(n - sum(av) - 1, 0)
     return tuple(Fraction(x, scale) for x in _first_partials(derivative, n, *split))
 
 
 def hessian_numerators(matroid, c, q, alpha, w):
     """(rows, scale): the Hessian of the alpha-derivative of Z_c at w is
-    rows[i][j] / scale, with integer rows and one positive integer scale.
-
-    Every entry is a derivative of the same order |alpha| + 2, so by
-    homogeneity one scale serves all of them.  A positive scale does not
-    change the inertia, so a signature can be read off the rows directly.
-    """
+    rows[i][j] / scale, over the one positive integer scale of
+    _derivatives.  A positive scale does not change the inertia, so a
+    signature can be read off the rows directly."""
     n = matroid.n
-    derivative, base, den = _derivatives(matroid, c, q, w)
+    derivative, scale = _derivatives(matroid, c, q, w)
     split = _alpha_split(alpha, n)
     if split is None:
         rows = [[0] * (n + 1) for _ in range(n + 1)]
     else:
         rows = _second_partials(derivative, n, *split)
-    return tuple(map(tuple, rows)), base * den ** max(n - sum(alpha) - 2, 0)
+    return tuple(map(tuple, rows)), scale
 
 
 def hessian(matroid, c, q, alpha, w):
@@ -394,32 +373,28 @@ def hessian(matroid, c, q, alpha, w):
 
 
 def second_order_numerators(matroid, c, q, w):
-    """Z_c, its gradient and its Hessian at the length-(n+1) point w, from
-    one subset pass per support: (z, grad, rows, base, den) in integers,
-    with
-
-        Z_c = z / (base den^n),  dZ_c/dw_i = grad[i] / (base den^(n-1)),
-        d^2 Z_c/dw_i dw_j = rows[i][j] / (base den^(n-2)),
-
-    where the gradient is zero when n < 1 and the Hessian when n < 2."""
+    """(z, grad, rows, scale): Z_c, its gradient and its Hessian at the
+    length-(n+1) point w, integers over one positive integer scale, from
+    one subset pass per support.  The gradient is zero when n < 1 and the
+    Hessian when n < 2."""
     n = matroid.n
-    derivative, base, den = _derivatives(matroid, c, q, w)
+    derivative, scale = _derivatives(matroid, c, q, w)
     return (derivative(0, 0), _first_partials(derivative, n, 0, 0),
-            _second_partials(derivative, n, 0, 0), base, den)
+            _second_partials(derivative, n, 0, 0), scale)
 
 
 def independent_numerators(matroid, w):
-    """(nums, den): the independent-set strata at the length-n point w are
-    f[m] = nums[m] / den^m, with integer nums and den the common
-    denominator of w (1 for an integer point)."""
-    table, width, den = _strata_table(matroid, w)
-    return [table[k * width + k] if k < width else 0 for k in range(matroid.n + 1)], den
+    """(nums, scale): the independent-set strata at the length-n point w
+    are f[m] = nums[m] / scale for every m, with integer nums and one
+    positive integer scale (1 for an integer point)."""
+    table, width, scale = _strata_table(matroid, w)
+    return [table[k * width + k] if k < width else 0 for k in range(matroid.n + 1)], scale
 
 
 def f_all(matroid, w):
     """All strata of the independent-set generating polynomial at w."""
-    nums, den = independent_numerators(matroid, _validate_point(w, matroid.n))
-    return tuple(Fraction(x, den ** k) for k, x in enumerate(nums))
+    nums, scale = independent_numerators(matroid, _validate_point(w, matroid.n))
+    return tuple(Fraction(x, scale) for x in nums)
 
 
 def f_m_eval(matroid, m, w):
@@ -439,9 +414,9 @@ def f_limit_residual(matroid, m, w, q):
     wv = _validate_point(w, matroid.n)
     if m > matroid.n:
         return ZERO
-    nums, qden, den = strata_numerators(matroid, qv, tuple(qv * x for x in wv))
-    f_nums, f_den = independent_numerators(matroid, wv)
-    return abs(Fraction(nums[m], qden * den ** m) - Fraction(f_nums[m], f_den ** m))
+    nums, scale = strata_numerators(matroid, qv, tuple(qv * x for x in wv))
+    f_nums, f_scale = independent_numerators(matroid, wv)
+    return abs(Fraction(nums[m], scale) - Fraction(f_nums[m], f_scale))
 
 
 def dependent_mass(matroid, m, w, nullity=None):
@@ -456,13 +431,13 @@ def dependent_mass(matroid, m, w, nullity=None):
     wv = _validate_point(w, matroid.n)
     if m > matroid.n:
         return ZERO
-    table, width, den = _strata_table(matroid, wv)
+    table, width, scale = _strata_table(matroid, wv)
     row = table[m * width:(m + 1) * width]
     if nullity is None:
         total = sum(row[:m])
     else:
         total = row[m - nullity] if 0 <= m - nullity < width else 0
-    return Fraction(total, den ** m)
+    return Fraction(total, scale)
 
 
 def elementary_symmetric(indices, k, w):

@@ -254,10 +254,9 @@ def euler_hessian_residual(matroid, c, q, alpha, w):
     alpha-derivative F of Z_c; identically zero for every homogeneous F, so
     it must come out exactly 0.  Requires degree d >= 2.
 
-    In the integer rows of one _derivatives closure, H_F = rows_F /
-    (base den^(d-2)) and H_{dF/dw_i} = rows_i / (base den^(d-3)), so with
-    W = den w the difference is ((d-2) rows_F - sum_i W_i rows_i) /
-    (base den^(d-2)).
+    With H_F = rows_F / scale and H_{dF/dw_i} = rows_i / scale from one
+    _derivatives closure and w = W / L, the difference is
+    ((d-2) L rows_F - sum_i W_i rows_i) / (L scale).
     """
     n = matroid.n
     cv = validate_coeffs(c, n)
@@ -269,12 +268,12 @@ def euler_hessian_residual(matroid, c, q, alpha, w):
             f"the derivative has degree {d}; the Euler Hessian identity needs degree >= 2")
     qv = validate_q(q)
     wv = _validate_point(w, n + 1)
-    derivative, base, den = _derivatives(matroid, cv, qv, wv)
-    weights, _ = clear_denominators(wv)
-    total = [(d - 2) * x for x in chain(*_second_partials(derivative, n, *split))]
+    derivative, scale = _derivatives(matroid, cv, qv, wv)
+    weights, lcm = clear_denominators(wv)
+    total = [(d - 2) * lcm * x for x in chain(*_second_partials(derivative, n, *split))]
     for i, rows in _bumped_hessians(matroid, derivative, av):
         total = [t - weights[i] * x for t, x in zip(total, chain(*rows))]
-    return Fraction(max(map(abs, total)), base * den ** (d - 2))
+    return Fraction(max(map(abs, total)), lcm * scale)
 
 
 @dataclass(frozen=True)
@@ -311,7 +310,7 @@ def kernel_identity_check(matroid, c, q, alpha, w):
     split = _alpha_split(av, n)
     if split is None:
         raise NotApplicableError("the derivative is identically zero; no Hessian to compare")
-    derivative, _, _ = _derivatives(matroid, cv, validate_q(q), _validate_point(w, n + 1))
+    derivative, _ = _derivatives(matroid, cv, validate_q(q), _validate_point(w, n + 1))
     dim = n + 1
     stacked = []
     failures = []

@@ -304,8 +304,8 @@ def check_derivative_one_positive(matroid, c, q, alpha, w):
 
 def _singleton_factors(matroid, q):
     """a q^(-rk({i})) for q = a/b: b for a non-loop, a for a loop.  At a
-    point w = W / den, y_i = q^(-rk({i})) w_i is W_i times this factor
-    over a den, and Z[1] = sum y_i."""
+    point w = W / L, y_i = q^(-rk({i})) w_i is W_i times this factor
+    over a L, and Z[1] = sum y_i."""
     a, b = q.numerator, q.denominator
     return [b if matroid.ranks[1 << i] else a for i in range(matroid.n)]
 
@@ -329,9 +329,8 @@ def check_degree_two(matroid, c, q, w):
     Z[1]^2 >= 2 (n/(n-1)) e_2(y) is also confirmed (the classical mean
     inequality, valid for arbitrary signs).
 
-    Both run on integers: Z[k] = nums[k] / (a^R den^k) for q = a/b and
-    y_i = Y_i / (a den), and each comparison is cross-multiplied by its
-    positive denominators.
+    Both run on integers, Z[k] = nums[k] / scale and y_i = Y_i / (a L) for
+    q = a/b and w = W / L, cross-multiplied by their positive denominators.
     """
     n = matroid.n
     cv, cints = _coeffs(c, n)
@@ -349,32 +348,33 @@ def check_degree_two(matroid, c, q, w):
     if not _q_in_range(qv):
         return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
                            {"annotations": ["q-above-one"]})
-    nums, qden, den = strata_numerators(matroid, qv, wv)
+    nums, scale = strata_numerators(matroid, qv, wv)
     a, b = qv.numerator, qv.denominator
-    y = [x.numerator * (den // x.denominator) * f
-         for x, f in zip(wv, _singleton_factors(matroid, qv))]
+    wints, lcm = clear_denominators(wv)
+    y = [x * f for x, f in zip(wints, _singleton_factors(matroid, qv))]
     e1, e2 = sum(y), _e2(y)
     correction = sum(_e2([y[i - 1] for i in cls])
                      for cls in structure(matroid).parallel_classes if len(cls) >= 2)
-    # Z[1] = nums[1] / (qden den) against e_1(y) = e1 / (a den), and
-    # Z[2] = nums[2] / (qden den^2) against
-    # e_2(y) - (1 - q) correction = (b e2 - (b - a) correction) / (b a^2 den^2)
-    routes_match = (nums[1] * a == e1 * qden
-                    and nums[2] * b * a * a == (b * e2 - (b - a) * correction) * qden)
-    # bound = 2 (c_0 c_2 / c_1^2) (n / (n-1)) Z[2], with c_k = cints[k] / L
+    # Z[1] = nums[1] / scale against e_1(y) = e1 / (a L), and
+    # Z[2] = nums[2] / scale against
+    # e_2(y) - (1 - q) correction = (b e2 - (b - a) correction) / (b (a L)^2)
+    y_den = a * lcm
+    routes_match = (nums[1] * y_den == e1 * scale
+                    and nums[2] * b * y_den * y_den == (b * e2 - (b - a) * correction) * scale)
+    # bound = 2 (c_0 c_2 / c_1^2) (n / (n-1)) Z[2], with c_k = cints[k] / L_c
     bound_num = 2 * cints[0] * cints[2] * n * nums[2]
-    bound_den = cints[1] * cints[1] * (n - 1) * qden * den * den
-    strict_ok = nums[1] * nums[1] * bound_den > bound_num * (qden * den) ** 2
+    bound_den = cints[1] * cints[1] * (n - 1) * scale
+    strict_ok = nums[1] * nums[1] * bound_den > bound_num * scale * scale
     notes = ["route-match"] if routes_match else []
     newton_ok = True
     if qv == 1:
-        # e_1(y)^2 >= 2 (n/(n-1)) e_2(y); both sides are over (a den)^2
+        # e_1(y)^2 >= 2 (n/(n-1)) e_2(y); both sides are over (a L)^2
         newton_ok = (n - 1) * e1 * e1 >= 2 * n * e2
         if newton_ok:
             notes.append("mean-bound-at-q1")
     witness = {
-        "z1": scalar_to_json(Fraction(nums[1], qden * den)),
-        "z2": scalar_to_json(Fraction(nums[2], qden * den * den)),
+        "z1": scalar_to_json(Fraction(nums[1], scale)),
+        "z2": scalar_to_json(Fraction(nums[2], scale)),
         "bound": scalar_to_json(Fraction(bound_num, bound_den)),
         "routes_match": routes_match,
     }
@@ -398,22 +398,21 @@ def check_degree_two_zero_line(matroid, q, w):
         raise InvalidParametersError(f"w must have length {n}")
     if all(x == 0 for x in wv):
         raise InvalidParametersError("the zero-line point must be nonzero")
-    nums, qden, den = strata_numerators(matroid, qv, wv)
+    nums, scale = strata_numerators(matroid, qv, wv)
     if nums[1] != 0:
         raise InvalidParametersError("the point does not lie on the Z[1] = 0 hyperplane")
     if not _q_in_range(qv):
         return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
                            {"annotations": ["q-above-one"]})
-    witness = {"z2": scalar_to_json(Fraction(nums[2], qden * den * den))}
+    witness = {"z2": scalar_to_json(Fraction(nums[2], scale))}
     return CheckResult(TAG_DEGREE_TWO, inputs, PASS if nums[2] < 0 else FAIL, witness)
 
 
 def check_strata_ultra_log_concave(matroid, q, w):
     """m(n-m) Z[m]^2 >= (m+1)(n-m+1) Z[m-1] Z[m+1] for 1 <= m <= n-1 at a
     nonnegative point.  Indices with equality are annotated; at q = 1 and
-    the all-ones point every index is tight.  With Z[k] = nums[k] /
-    (qden den^k), both sides at m are over qden^2 den^(2m), so the
-    numerators are compared."""
+    the all-ones point every index is tight.  Both sides are over scale^2
+    at every m (Z[k] = nums[k] / scale), so the numerators are compared."""
     n = matroid.n
     qv = validate_q(q)
     wv = as_rationals(w)
@@ -426,7 +425,7 @@ def check_strata_ultra_log_concave(matroid, q, w):
     if not _q_in_range(qv):
         return CheckResult(TAG_STRATA_ULC, inputs, NOT_APPLICABLE,
                            {"annotations": ["q-above-one"]})
-    nums, qden, den = strata_numerators(matroid, qv, wv)
+    nums, scale = strata_numerators(matroid, qv, wv)
     notes = []
     violations = []
     tight_nonzero = 0
@@ -434,9 +433,8 @@ def check_strata_ultra_log_concave(matroid, q, w):
         lhs = m * (n - m) * nums[m] * nums[m]
         rhs = (m + 1) * (n - m + 1) * nums[m - 1] * nums[m + 1]
         if lhs < rhs:
-            scale = (qden * den ** m) ** 2
-            violations.append({"m": m, "lhs": scalar_to_json(Fraction(lhs, scale)),
-                               "rhs": scalar_to_json(Fraction(rhs, scale))})
+            violations.append({"m": m, "lhs": scalar_to_json(Fraction(lhs, scale * scale)),
+                               "rhs": scalar_to_json(Fraction(rhs, scale * scale))})
         elif lhs == rhs:
             if lhs == 0:
                 notes.append(f"vacuous-at-{m}")
@@ -522,7 +520,7 @@ def check_simplification_bound(matroid):
     classes = sorted(info.parallel_classes, key=min)
     ell = len(classes)
     simple = simplify(matroid)
-    # an integer point: den = 1, so the numerators are the strata
+    # an integer point: scale = 1, so the numerators are the strata
     rerouted, _ = independent_numerators(simple, [len(cls) for cls in classes])
     notes = []
     violations = []
@@ -564,22 +562,21 @@ def check_log_concavity_at(matroid, c, q, w):
     if not _q_in_range(qv):
         return CheckResult(TAG_LOG_CONCAVITY, inputs, NOT_APPLICABLE,
                            {"annotations": ["q-above-one"]})
-    # N = z H - grad grad^T in the integers of second_order_numerators: N
-    # is the integer matrix over base^2 den^(2n-2), and with the point
-    # cleared to integers p = den w the ray w^T N w is p^T N p over
-    # base^2 den^(2n), as is -n Z^2 = -n z^2 / (base^2 den^(2n))
-    z, grad, hess, base, den = second_order_numerators(matroid, cv, qv, wv)
+    # N = z H - grad grad^T is an integer matrix over scale^2; with
+    # w = P / L the ray w^T N w is P^T N P over (L scale)^2, as is
+    # -n Z^2 = -n (L z)^2 / (L scale)^2
+    z, grad, hess, scale = second_order_numerators(matroid, cv, qv, wv)
     entries = tuple(
         tuple(z * hess[i][j] - grad[i] * grad[j] for j in range(n + 1))
         for i in range(n + 1)
     )
     sig = signature(SymMatrix(entries))
-    point = [x.numerator * (den // x.denominator) for x in wv]
+    point, lcm = clear_denominators(wv)
     ray = sum(point[i] * sum(map(mul, entries[i], point)) for i in range(n + 1))
-    ray_ok = ray == -n * z * z
+    ray_ok = ray == -n * (lcm * z) ** 2
     notes = ["ray-identity"] if ray_ok else []
     witness = {"signature": _sig_list(sig),
-               "ray": scalar_to_json(Fraction(ray, base * base * den ** (2 * n)))}
+               "ray": scalar_to_json(Fraction(ray, (lcm * scale) ** 2))}
     if notes:
         witness["annotations"] = notes
     verdict = PASS if (sig.n_pos == 0 and ray_ok) else FAIL
@@ -679,9 +676,10 @@ def _execute(units, workers):
     _matroid_checks, in this process or across a pool; results come back
     in unit order.  Each matroid is pickled once, and the tasks are
     sampled in the process that runs them."""
-    # more processes than units or cores gain nothing, and a pool starts
-    # all of its processes at once
-    workers = min(workers, len(units), os.cpu_count() or 1)
+    # more processes than units or usable CPUs (the affinity set, where the
+    # platform has one) gain nothing; a pool starts all its processes at once
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(units), cpus or 1)
     if workers <= 1:
         return [_matroid_checks(*unit) for unit in units]
     from concurrent.futures import ProcessPoolExecutor

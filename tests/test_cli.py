@@ -385,6 +385,30 @@ def test_verify_out_file_has_timing(tmp_path, capsys):
     assert on_disk == stdout_payload
 
 
+def test_verify_unwritable_out_is_caught_before_the_campaign(monkeypatch, tmp_path, capsys):
+    import potts_hodge.cli as cli
+
+    def no_campaign(corpus, config):
+        raise AssertionError("the campaign ran before the --out path was checked")
+
+    monkeypatch.setattr(cli, "run_campaign", no_campaign)
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify", "--corpus", "uniform,n<=2", "--out", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_verify_usage_error_keeps_an_existing_out_file(tmp_path, capsys):
+    # the early --out check must not truncate a report it does not replace
+    path = tmp_path / "report.json"
+    path.write_text("old report\n", encoding="utf-8")
+    code, _, _ = run(capsys, "verify", "--corpus", "uniform,n<=2", "--q-grid", "0",
+                     "--out", str(path))
+    assert code == EXIT_USAGE
+    assert path.read_text(encoding="utf-8") == "old report\n"
+
+
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
     # no honest corpus input fails, so synthesize a failing report at the
     # seam the command reads from
@@ -427,6 +451,19 @@ def test_mason_command(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
     assert payload["witness"]["counts"] == [1, 3, 3, 0]
+
+
+@pytest.mark.parametrize("matroid", [
+    '{"type": "uniform", "rank": 1.7, "n": 3}',
+    '{"type": "uniform", "rank": "x", "n": 3}',
+    '{"type": "graphic", "vertices": 3, "edges": [[1, 2, 3]]}',
+    '{"type": "linear", "field": 2, "matrix": [["a"]]}',
+])
+def test_mason_malformed_matroid_field_is_a_usage_error(capsys, matroid):
+    code, out, err = run(capsys, "mason", "--matroid", matroid)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: matroid JSON")
 
 
 def test_resource_limit_exit(monkeypatch, capsys):

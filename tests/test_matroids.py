@@ -333,6 +333,29 @@ def test_from_json_error_positions():
         from_json('{"type": "uniform", "rank": 1}')  # missing n
     with pytest.raises(ParseError):
         from_json('[1, 2]')
+    # every field has its JSON shape exactly: no float, bool or string
+    # becomes an integer, and a list of the wrong shape does not escape as
+    # a ValueError or TypeError
+    for bad in ({"type": "uniform", "rank": "x", "n": 3},
+                {"type": "uniform", "rank": 1.7, "n": 3},
+                {"type": "uniform", "rank": 1, "n": 3.0},
+                {"type": "uniform", "rank": True, "n": 3},
+                {"type": "graphic", "vertices": 3, "edges": [5]},
+                {"type": "graphic", "vertices": 3, "edges": [[1, 2, 3]]},
+                {"type": "graphic", "vertices": 3, "edges": [[1, "2"]]},
+                {"type": "graphic", "vertices": 3, "edges": {"1": 2}},
+                {"type": "graphic", "vertices": "3", "edges": [[1, 2]]},
+                {"type": "linear", "field": 2, "matrix": [[1, "a"]]},
+                {"type": "linear", "field": 2, "matrix": [[1, 0.5]]},
+                {"type": "linear", "field": 2, "matrix": 5},
+                {"type": "linear", "field": 2, "matrix": [5]},
+                {"type": "linear", "field": 2.0, "matrix": [[1]]},
+                {"type": "rank_table", "n": 1, "ranks": [0, 1.0]},
+                {"type": "rank_table", "n": 1, "ranks": "01"}):
+        with pytest.raises(ParseError):
+            from_json(bad)
+        with pytest.raises(ParseError):
+            from_json(json.dumps(bad))
 
 
 def test_from_json_contents_validated():

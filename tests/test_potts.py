@@ -8,10 +8,11 @@ through subset-mask passes; the two routes share no code.
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from potts_hodge import (
@@ -41,6 +42,9 @@ from potts_hodge import (
     zk_eval,
 )
 from potts_hodge.potts import (
+    _alpha_split,
+    _derivatives,
+    _first_partials,
     hessian_numerators,
     independent_numerators,
     second_order_numerators,
@@ -307,38 +311,53 @@ def test_oracle_differential(inputs):
             assert rows[i][j] == rows[j][i] == sym_frac(gi.diff(ws[j]).eval(point))
 
 
+def over_one_scale(ints, scale):
+    """The integers divided by their one positive integer scale."""
+    ints = list(ints)
+    assert type(scale) is int and scale > 0
+    assert all(type(x) is int for x in ints)
+    return tuple(Fraction(x, scale) for x in ints)
+
+
 @settings(max_examples=200, deadline=None)
 @given(inputs=derivative_inputs())
+# denominators that share factors (4, 6, 6: lcm 12, product 144), a zero
+# inner coordinate and w_0 = 0
+@example(inputs=(U24, tuple(map(Fraction, (1, 2, 3, 2, 1))), Fraction(2, 3), (1, 0, 1, 0, 0),
+                 (Fraction(0), Fraction(1, 4), Fraction(0), Fraction(5, 6), Fraction(-7, 6))))
+# lcm 36, product 216, every coefficient a fraction
+@example(inputs=(K3, (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)), Fraction(1),
+                 (0, 0, 0, 0), (Fraction(3, 4), Fraction(0), Fraction(1, 6), Fraction(5, 9))))
 def test_numerators_differential(inputs):
-    # the integer numerators over their one scale are exactly the public
-    # values, which test_oracle_differential holds to the sympy oracle
+    # each numerator helper returns integers over one positive integer
+    # scale, and they divide to the public values, which
+    # test_oracle_differential holds to the sympy oracle
     matroid, c, q, alpha, w = inputs
     n = matroid.n
-    rows, scale = hessian_numerators(matroid, c, q, alpha, w)
-    assert type(scale) is int and scale > 0
-    assert all(type(x) is int for row in rows for x in row)
-    assert tuple(tuple(Fraction(x, scale) for x in row) for row in rows) == \
-        hessian(matroid, c, q, alpha, w).entries
-    # Z_c, its gradient and its Hessian at alpha = 0, each over its power
-    # of den
-    z, grad, hess, base, den = second_order_numerators(matroid, c, q, w)
     zero = (0,) * (n + 1)
-    assert type(base) is int and base > 0 and type(den) is int and den > 0
-    assert Fraction(z, base * den ** n) == z_weighted_eval(matroid, c, q, w)
-    assert tuple(Fraction(x, base) / Fraction(den) ** (n - 1) for x in grad) == \
-        gradient(matroid, c, q, zero, w)
-    assert tuple(tuple(Fraction(x, base) / Fraction(den) ** (n - 2) for x in row)
-                 for row in hess) == hessian(matroid, c, q, zero, w).entries
-    # the strata numerators: Z[k] = nums[k] / (a^R den^k) for q = a/b, and
-    # f[m] = fnums[m] / den^m, with den the common denominator of the point
+    rows, scale = hessian_numerators(matroid, c, q, alpha, w)
+    assert over_one_scale(chain(*rows), scale) == \
+        tuple(chain(*hessian(matroid, c, q, alpha, w).entries))
+    # every derivative, of every order and support, over the one scale
+    derivative, scale = _derivatives(matroid, c, q, w)
+    splits = [(a0, mask) for a0 in range(3) for mask in range(1 << n)]
+    assert over_one_scale((derivative(*split) for split in splits), scale) == tuple(
+        partial_eval(matroid, c, q, (a0,) + tuple(mask >> i & 1 for i in range(n)), w)
+        for a0, mask in splits)
+    split = _alpha_split(alpha, n)
+    if split is not None:
+        assert over_one_scale(_first_partials(derivative, n, *split), scale) == \
+            gradient(matroid, c, q, alpha, w)
+    # Z_c, its gradient and its Hessian at alpha = 0
+    z, grad, hess, scale = second_order_numerators(matroid, c, q, w)
+    assert over_one_scale([z], scale) == (z_weighted_eval(matroid, c, q, w),)
+    assert over_one_scale(grad, scale) == gradient(matroid, c, q, zero, w)
+    assert over_one_scale(chain(*hess), scale) == \
+        tuple(chain(*hessian(matroid, c, q, zero, w).entries))
+    # the strata and the independent-set strata at the inner point
     inner = w[1:]
-    nums, qden, den = strata_numerators(matroid, q, inner)
-    fnums, fden = independent_numerators(matroid, inner)
-    assert qden == q.numerator ** matroid.full_rank
-    assert den == fden == math.lcm(*(x.denominator for x in inner))
-    assert all(type(x) is int for x in nums + fnums)
-    assert tuple(Fraction(x, qden * den ** k) for k, x in enumerate(nums)) == zk_all(matroid, q, inner)
-    assert tuple(Fraction(x, den ** k) for k, x in enumerate(fnums)) == f_all(matroid, inner)
+    assert over_one_scale(*strata_numerators(matroid, q, inner)) == zk_all(matroid, q, inner)
+    assert over_one_scale(*independent_numerators(matroid, inner)) == f_all(matroid, inner)
 
 
 def test_identically_zero_classification():

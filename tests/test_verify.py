@@ -447,8 +447,8 @@ def test_strata_checks_match_rational_reference(data):
         return nums
 
     def altered_numerators(*args):
-        nums, qden, den = strata_numerators(*args)
-        return altered(nums), qden, den
+        nums, scale = strata_numerators(*args)
+        return altered(nums), scale
 
     cases = [(check_degree_two, reference_degree_two, (c, q, tuple(signed))),
              (check_strata_ultra_log_concave, reference_strata_ulc, (q, nonneg))]
@@ -787,10 +787,14 @@ def test_campaign_rejects_negative_samples_and_workers():
 
 
 @pytest.mark.parametrize("workers, cpus, expected", [
+    # cpus: the machine's count, on a platform without sched_getaffinity
     (5000, 3, 3),     # capped at the core count
     (5000, 64, 7),    # capped at the unit (matroid) count
     (2, 64, 2),
     (5000, 1, None),  # one core: serial, no pool at all
+    # cpus: (the machine's count, the size of the affinity set)
+    (5000, (64, 1), None),  # taskset -c 0 on a large machine: serial
+    (5000, (64, 3), 3),     # capped at the affinity set, not the machine
 ])
 def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
     sizes = []
@@ -811,7 +815,13 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    machine, usable = cpus if isinstance(cpus, tuple) else (cpus, None)
+    monkeypatch.setattr(os, "cpu_count", lambda: machine)
+    if usable is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)),
+                            raising=False)
     corpus = generate_corpus("uniform,n<=3")  # 7 matroids: 7 work units
     theorems = (TAG_COUNT_LOG_CONCAVITY,)
     report = run_campaign(corpus, CampaignConfig(theorems=theorems, workers=workers))
