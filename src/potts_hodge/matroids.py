@@ -108,40 +108,56 @@ class Matroid:
         return f"{self.provenance}(n={self.n}, rank={self.full_rank})"
 
 
-def _build(n, fill, provenance, source=None, validate=False):
+def _int(value, what):
+    """value, which must be an int: a bool, float or str is refused, not
+    coerced, so a matroid records exactly the fields it was given."""
+    if type(value) is not int:
+        raise InvalidParametersError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _size(value, what):
+    if _int(value, what) < 0:
+        raise InvalidParametersError(f"{what} must be nonnegative, got {value}")
+
+
+def _list(value, what, length=None):
+    """value, which must be a list or tuple (of the given length)."""
+    if type(value) not in (list, tuple) or length not in (None, len(value)):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise InvalidParametersError(f"{what} must be {shape}, got {value!r}")
+    return value
+
+
+def _build(n, fill, provenance, source):
     """Matroid whose rank table is fill(), the ranks of masks 0..2^n-1 in
     order; fill is called only once n passes the enumeration cap."""
     _check_cap(n, f"constructing a {provenance} matroid")
-    ranks = tuple(fill())
-    if validate:
-        validate_rank_axioms(n, ranks)
-    return Matroid(n=n, ranks=ranks, provenance=provenance, source=source)
+    return Matroid(n=n, ranks=tuple(fill()), provenance=provenance, source=source)
 
 
-def make_uniform(rank, n, validate=False):
+def make_uniform(rank, n):
     """Uniform matroid: every subset of size <= rank is independent."""
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParametersError(f"ground set size must be a nonnegative integer, got {n!r}")
-    if not isinstance(rank, int) or not 0 <= rank <= n:
-        raise InvalidParametersError(f"uniform rank must satisfy 0 <= rank <= n, got rank={rank!r}, n={n}")
+    _size(n, "ground set size")
+    if not 0 <= _int(rank, "uniform rank") <= n:
+        raise InvalidParametersError(f"uniform rank must satisfy 0 <= rank <= n, got rank={rank}, n={n}")
     source = {"type": "uniform", "rank": rank, "n": n}
     return _build(n, lambda: (min(mask.bit_count(), rank) for mask in range(1 << n)),
-                  "uniform", source, validate)
+                  "uniform", source)
 
 
-def make_graphic(vertices, edges, validate=False):
+def make_graphic(vertices, edges):
     """Cycle matroid of a multigraph on vertices 1..vertices.
 
     Edge i of the list becomes ground set element i.  Loops (u == v) and
     parallel edges are allowed.  rank(A) = vertices - #components(A),
     counting isolated vertices, computed by union-find per subset.
     """
-    if not isinstance(vertices, int) or vertices < 0:
-        raise InvalidParametersError(f"vertex count must be a nonnegative integer, got {vertices!r}")
+    _size(vertices, "vertex count")
     edge_list = []
-    for e in edges:
-        u, v = e
-        if not (isinstance(u, int) and isinstance(v, int) and 1 <= u <= vertices and 1 <= v <= vertices):
+    for e in _list(edges, "edges"):
+        u, v = _list(e, "edge", 2)
+        if not all(1 <= _int(x, "edge endpoint") <= vertices for x in (u, v)):
             raise InvalidParametersError(f"edge {e!r} has endpoints outside 1..{vertices}")
         edge_list.append((u, v))
     n = len(edge_list)
@@ -169,7 +185,7 @@ def make_graphic(vertices, edges, validate=False):
             idx += 1
         return merged
 
-    return _build(n, lambda: map(rank_of, range(1 << n)), "graphic", source, validate)
+    return _build(n, lambda: map(rank_of, range(1 << n)), "graphic", source)
 
 
 def _is_prime(p):
@@ -210,7 +226,7 @@ def _prefix_basis_ranks(prime, cols, rows):
     return ranks
 
 
-def make_linear(prime, matrix, validate=False):
+def make_linear(prime, matrix):
     """Column matroid of a matrix over GF(prime); ground set element i = column i.
 
     The rank table is filled by prefix bases: the echelon basis of a mask
@@ -219,34 +235,30 @@ def make_linear(prime, matrix, validate=False):
     nonzero.  So each mask costs one vector reduction instead of a fresh
     elimination of all its columns, and none once its prefix has as many
     basis vectors as the matrix has rows."""
-    if not isinstance(prime, int) or not _is_prime(prime):
-        raise InvalidParametersError(f"field order must be prime, got {prime!r}")
-    rows = [list(int(x) % prime for x in row) for row in matrix]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise InvalidParametersError("matrix rows have unequal lengths")
-    else:
-        width = 0
-    n = width
-    nrows = len(rows)
-    cols = [tuple(rows[r][c] for r in range(nrows)) for c in range(n)]
-    source = {"type": "linear", "field": prime, "matrix": [list(r) for r in rows]}
-
-    return _build(n, lambda: _prefix_basis_ranks(prime, cols, nrows), "linear", source, validate)
+    if not _is_prime(_int(prime, "field order")):
+        raise InvalidParametersError(f"field order must be prime, got {prime}")
+    rows = [[_int(x, "matrix entry") % prime for x in _list(row, "matrix row")]
+            for row in _list(matrix, "matrix")]
+    n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise InvalidParametersError("matrix rows have unequal lengths")
+    cols = list(zip(*rows))
+    source = {"type": "linear", "field": prime, "matrix": rows}
+    return _build(n, lambda: _prefix_basis_ranks(prime, cols, len(rows)), "linear", source)
 
 
 def make_rank_table(n, ranks):
     """Matroid from an explicit rank table; the rank axioms are always verified."""
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParametersError(f"ground set size must be a nonnegative integer, got {n!r}")
-    _check_cap(n, "constructing a rank_table matroid")
-    table = tuple(ranks)
-    if len(table) != 1 << n:
-        raise InvalidParametersError(f"rank table must have 2^{n} = {1 << n} entries, got {len(table)}")
-    validate_rank_axioms(n, table)
-    return Matroid(n=n, ranks=table, provenance="rank_table",
-                   source={"type": "rank_table", "n": n, "ranks": list(table)})
+    _size(n, "ground set size")
+    table = [_int(r, "rank table entry") for r in _list(ranks, "rank table")]
+
+    def checked():
+        if len(table) != 1 << n:
+            raise InvalidParametersError(f"rank table must have 2^{n} = {1 << n} entries, got {len(table)}")
+        validate_rank_axioms(n, table)
+        return table
+
+    return _build(n, checked, "rank_table", {"type": "rank_table", "n": n, "ranks": table})
 
 
 def validate_rank_axioms(n, ranks):
@@ -292,26 +304,11 @@ def validate_rank_axioms(n, ranks):
                         witness={"A": a, "B": b})
 
 
-def _json_int(value, what):
-    """A JSON integer; a bool, float or string is refused, not coerced."""
-    if type(value) is not int:
-        raise ParseError(f"matroid JSON {what} must be an integer, got {value!r}")
-    return value
-
-
-def _json_list(value, what, length=None):
-    if type(value) is not list or length not in (None, len(value)):
-        shape = "a list" if length is None else f"a list of {length}"
-        raise ParseError(f"matroid JSON {what} must be {shape}, got {value!r}")
-    return value
-
-
-def _json_ints(value, what, length=None):
-    return [_json_int(x, f"{what} entry") for x in _json_list(value, what, length)]
-
-
 def from_json(obj):
-    """Parse a matroid from its JSON dict (or a JSON string)."""
+    """Parse a matroid from its JSON dict (or a JSON string).  The fields
+    are checked by the constructors; a field they refuse is a ParseError
+    here, while a table that breaks the rank axioms stays a
+    NotAMatroidError."""
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
@@ -322,17 +319,17 @@ def from_json(obj):
     kind = obj.get("type")
     try:
         if kind == "uniform":
-            return make_uniform(_json_int(obj["rank"], "rank"), _json_int(obj["n"], "n"))
+            return make_uniform(obj["rank"], obj["n"])
         if kind == "graphic":
-            edges = [tuple(_json_ints(e, "edge", 2)) for e in _json_list(obj["edges"], "edges")]
-            return make_graphic(_json_int(obj["vertices"], "vertices"), edges)
+            return make_graphic(obj["vertices"], obj["edges"])
         if kind == "linear":
-            matrix = [_json_ints(row, "matrix row") for row in _json_list(obj["matrix"], "matrix")]
-            return make_linear(_json_int(obj["field"], "field"), matrix)
+            return make_linear(obj["field"], obj["matrix"])
         if kind == "rank_table":
-            return make_rank_table(_json_int(obj["n"], "n"), _json_ints(obj["ranks"], "ranks"))
+            return make_rank_table(obj["n"], obj["ranks"])
     except KeyError as exc:
         raise ParseError(f"matroid JSON of type {kind!r} is missing field {exc}") from exc
+    except InvalidParametersError as exc:
+        raise ParseError(f"matroid JSON of type {kind!r}: {exc}") from exc
     raise ParseError(f"unknown matroid type {kind!r}")
 
 

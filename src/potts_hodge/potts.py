@@ -59,7 +59,7 @@ def validate_q(q):
     """q as a Fraction; it must be positive."""
     qv = as_rational(q)
     if qv <= 0:
-        raise InvalidParametersError(f"q must be positive, got {q!r}")
+        raise InvalidParametersError(f"q must be positive, got {qv}")
     return qv
 
 

@@ -82,7 +82,7 @@ def log_concave_coeffs(n, ratio=2):
     """
     r = rat(ratio)
     if r <= 1:
-        raise SamplingFailureError(f"log-concave generator needs ratio > 1, got {ratio!r}")
+        raise SamplingFailureError(f"log-concave generator needs ratio > 1, got {r}")
     a, b = int(r.numerator), int(r.denominator)
     top = max((k * (n - k) for k in range(n + 1)), default=0)
     return tuple(a ** (k * (n - k)) * b ** (top - k * (n - k)) for k in range(n + 1))

@@ -58,6 +58,37 @@ def test_eval_matroid_from_file(tmp_path, capsys):
     assert code == EXIT_OK and out.strip() == "1"
 
 
+# K3 at q = 1/2 and w = (1/2, 2/3, 3): Z[k] sums 2^rk(A) * w^A over the
+# k-edge sets A, so Z = (1, 25/3, 46/3, 4), two strata with denominator 3
+K3_EVAL = ("eval", "--matroid", K3, "--q", "1/2", "--w", "1/2,2/3,3")
+
+
+def test_eval_rational_strata_text_and_json(capsys):
+    code, out, _ = run(capsys, *K3_EVAL)
+    assert code == EXIT_OK
+    assert out == "Z[0] = 1\nZ[1] = 25/3\nZ[2] = 46/3\nZ[3] = 4\n"
+    code, out, _ = run(capsys, *K3_EVAL, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"strata": [{"num": "1", "den": "1"}, {"num": "25", "den": "3"},
+                                          {"num": "46", "den": "3"}, {"num": "4", "den": "1"}]}
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def test_eval_rational_single_stratum_text_and_json(capsys):
+    code, out, _ = run(capsys, *K3_EVAL, "--k", "2")
+    assert code == EXIT_OK and out == "46/3\n"
+    code, out, _ = run(capsys, *K3_EVAL, "--k", "2", "--json")
+    assert code == EXIT_OK
+    assert out == '{\n  "k": 2,\n  "value": {\n    "den": "3",\n    "num": "46"\n  }\n}\n'
+
+
+@pytest.mark.parametrize("q,shown", [("0", "0"), ("-1/2", "-1/2"), ("-3", "-3")])
+def test_nonpositive_q_is_printed_as_a_rational(capsys, q, shown):
+    code, out, err = run(capsys, "spectrum", "--matroid", U12, f"--q={q}", "--w", "1,2,3")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: q must be positive, got {shown}\n"
+
+
 def test_eval_float_mode(capsys):
     code, out, _ = run(capsys, "eval", "--matroid", U24, "--q", "0.5",
                        "--w", "1,2,3,4", "--mode", "float", "--k", "2")

@@ -15,6 +15,7 @@ from potts_hodge import (
     ResourceLimitError,
     contract,
     from_json,
+    generate_corpus,
     independent_set_counts,
     labels_from_mask,
     make_graphic,
@@ -66,7 +67,45 @@ def test_uniform_ranks():
 
 def test_uniform_passes_validation():
     for rank, n in [(0, 0), (0, 2), (1, 1), (2, 5), (3, 3)]:
-        make_uniform(rank, n, validate=True)
+        m = make_uniform(rank, n)
+        validate_rank_axioms(m.n, m.ranks)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_linear(2, [[0.5, 1.7]]),
+    lambda: make_linear(2, [[1, "0"]]),
+    lambda: make_linear(2, [[1, True]]),
+    lambda: make_linear(2.0, [[1]]),
+    lambda: make_linear(2, [[1, 0], [1]]),
+    lambda: make_linear(2, [(1, 0), "10"]),
+    lambda: make_linear(2, "10"),
+    lambda: make_uniform(True, 3),
+    lambda: make_uniform(1, 3.0),
+    lambda: make_uniform("1", 3),
+    lambda: make_graphic(2, [(True, 2)]),
+    lambda: make_graphic(2, [(1, "2")]),
+    lambda: make_graphic("2", [(1, 2)]),
+    lambda: make_graphic(3, [(1, 2, 3)]),
+    lambda: make_graphic(3, [5]),
+    lambda: make_graphic(3, {1: 2}),
+    lambda: make_rank_table(1, (0, 1.0)),
+    lambda: make_rank_table(1, "01"),
+    lambda: make_rank_table(False, (0,)),
+    lambda: make_rank_table(1, (0, 1, 1)),
+])
+def test_constructors_refuse_non_integer_fields(build):
+    # one rule for every integer field: an int, never a coerced bool,
+    # float or str; edges are pairs, matrices lists of equal-length rows
+    with pytest.raises(InvalidParametersError):
+        build()
+
+
+def test_constructors_record_exactly_their_fields():
+    assert make_linear(3, [[4, -1, 3]]).to_json() == {
+        "type": "linear", "field": 3, "matrix": [[1, 2, 0]]}
+    assert make_graphic(2, ((1, 2), [2, 2])).to_json() == {
+        "type": "graphic", "vertices": 2, "edges": [[1, 2], [2, 2]]}
+    assert make_linear(2, []).n == 0 and make_linear(2, [[]]).n == 0
 
 
 def test_graphic_triangle():
@@ -314,12 +353,11 @@ def test_json_round_trips():
         make_linear(2, [[1, 0, 1], [0, 1, 1]]),
         make_rank_table(2, (0, 1, 1, 1)),
     ]
-    for m in members:
-        again = from_json(m.to_json())
-        assert again.ranks == m.ranks
-        assert again.n == m.n
-        # string form parses too
-        assert from_json(json.dumps(m.to_json())).ranks == m.ranks
+    for m in members + generate_corpus():
+        assert from_json(m.to_json()) == m
+        # string form parses too, to the same fields
+        again = from_json(json.dumps(m.to_json()))
+        assert again == m and again.to_json() == m.to_json()
 
 
 def test_from_json_error_positions():
@@ -352,9 +390,9 @@ def test_from_json_error_positions():
                 {"type": "linear", "field": 2.0, "matrix": [[1]]},
                 {"type": "rank_table", "n": 1, "ranks": [0, 1.0]},
                 {"type": "rank_table", "n": 1, "ranks": "01"}):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^matroid JSON of type"):
             from_json(bad)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^matroid JSON of type"):
             from_json(json.dumps(bad))
 
 

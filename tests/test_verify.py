@@ -24,6 +24,7 @@ from potts_hodge import (
     InvalidParametersError,
     ParseError,
     ResourceLimitError,
+    SamplingFailureError,
     SymMatrix,
     VerificationReport,
     connected_graphs,
@@ -46,7 +47,12 @@ from potts_hodge import (
 )
 from potts_hodge import verify
 from potts_hodge.potts import strata_numerators
-from potts_hodge.sampling import child_rng, sample_positive_point, sample_sign_mixed_point
+from potts_hodge.sampling import (
+    child_rng,
+    log_concave_coeffs,
+    sample_positive_point,
+    sample_sign_mixed_point,
+)
 from potts_hodge.scalars import scalar_to_json
 from potts_hodge.verify import (
     ALL_THEOREMS,
@@ -208,6 +214,95 @@ def test_simplification_bound_example():
     res0 = check_simplification_bound(loops)
     assert res0.verdict == PASS
     assert "no-interior-indices" in res0.annotations
+
+
+# The FAIL branches of mason and simplification never run on a matroid,
+# which satisfies both theorems, so these tests feed K3's checks counts
+# that are not log-concave by patching the counting routes verify calls.
+NOT_LOG_CONCAVE = (1, 2, 4, 1)  # 1*2*2^2 = 8 < 2*3*1*4 = 24 at k = 1
+
+
+def patch_counts(monkeypatch, counts, numerators=None):
+    """Make independent_set_counts return counts and independent_numerators
+    return numerators (default: counts) over scale 1."""
+    monkeypatch.setattr(verify, "independent_set_counts", lambda matroid: tuple(counts))
+    nums = list(counts if numerators is None else numerators)
+    monkeypatch.setattr(verify, "independent_numerators", lambda matroid, w: (nums, 1))
+
+
+def test_mason_fail_witnesses(monkeypatch):
+    patch_counts(monkeypatch, NOT_LOG_CONCAVE)
+    res = check_count_log_concavity(K3)
+    assert res.verdict == FAIL
+    assert res.witness == {
+        "counts": [1, 2, 4, 1],
+        "annotations": ["route-match"],
+        "violations": [
+            {"k": 1, "lhs": 8, "rhs": 24},
+            # 2*1*4^2 = 32 > 3*2*2*1 = 12 while I_3 = C(3, 3): saturated
+            {"k": 2, "reason": "saturation-without-equality", "lhs": 32, "rhs": 12},
+        ],
+    }
+    # 1*2*6^2 = 72 = 2*3*1*12 at k = 1, but I_2 = 12 is not C(3, 2) = 3
+    patch_counts(monkeypatch, (1, 6, 12, 0))
+    res = check_count_log_concavity(K3)
+    assert res.verdict == FAIL
+    assert res.witness == {
+        "counts": [1, 6, 12, 0],
+        "annotations": ["route-match", "equality-at-1"],
+        "violations": [{"k": 1, "reason": "equality-without-saturation",
+                        "count": 12, "expected": 3}],
+    }
+
+
+def test_mason_route_mismatch(monkeypatch):
+    monkeypatch.setattr(verify, "independent_numerators", lambda matroid, w: (list(NOT_LOG_CONCAVE), 1))
+    res = check_count_log_concavity(K3)
+    assert res.verdict == FAIL
+    assert res.witness == {"counts": [1, 3, 3, 0], "recount": [1, 2, 4, 1],
+                           "annotations": ["route-mismatch"]}
+
+
+def test_simplification_fail_witnesses(monkeypatch):
+    patch_counts(monkeypatch, NOT_LOG_CONCAVE)
+    res = check_simplification_bound(K3)
+    assert res.verdict == FAIL
+    assert res.witness == {
+        "counts": [1, 2, 4, 1],
+        "simple_size": 3,
+        "annotations": ["class-size-route-match"],
+        "violations": [{"m": 1, "lhs": 8, "rhs": 24, "reason": "simple-size-bound"}],
+    }
+    # binomial dominance holds for every ell <= n, so only a patch breaks it
+    monkeypatch.setattr(verify, "binomial_dominance", lambda ell, n, m: m != 2)
+    assert check_simplification_bound(K3).witness["violations"] == [
+        {"m": 1, "lhs": 8, "rhs": 24, "reason": "simple-size-bound"},
+        {"m": 2, "reason": "binomial-dominance"},
+    ]
+
+
+def test_simplification_route_mismatch(monkeypatch):
+    monkeypatch.setattr(verify, "independent_numerators", lambda matroid, w: (list(NOT_LOG_CONCAVE), 1))
+    res = check_simplification_bound(K3)
+    assert res.verdict == FAIL
+    assert res.witness == {
+        "counts": [1, 3, 3, 0],
+        "simple_size": 3,
+        # K3's true counts still meet the bound, with equality at m = 1
+        "annotations": ["equality-at-1"],
+        "violations": [
+            {"m": 1, "count": 3, "rerouted": 2, "reason": "class-size-route-mismatch"},
+            {"m": 2, "count": 3, "rerouted": 4, "reason": "class-size-route-mismatch"},
+            {"m": 3, "count": 0, "rerouted": 1, "reason": "class-size-route-mismatch"},
+        ],
+    }
+
+
+def test_log_concave_coeffs_prints_a_rejected_ratio_as_a_rational():
+    with pytest.raises(SamplingFailureError, match=r"needs ratio > 1, got 1/2$"):
+        log_concave_coeffs(3, Fraction(1, 2))
+    with pytest.raises(SamplingFailureError, match=r"needs ratio > 1, got 1$"):
+        log_concave_coeffs(3, 1)
 
 
 def test_binomial_dominance_sweep():

@@ -1,6 +1,7 @@
 """Interleaved A/B CPU comparison of one benchmark campaign on two trees.
 
     python3 tools/ab_campaign.py PARENT_TREE CHANGE_TREE [--workload NAME] [--rounds N]
+                                 [--workers N]
 
 Each tree is a checkout of this repository.  Its src/potts_hodge is
 imported under its own package name (ab_parent, ab_change) in this one
@@ -8,12 +9,17 @@ interpreter, so both run on the same host state, with the same warm
 caches and the same imported stdlib.  Each tree builds the workload's
 corpus (perfbench/workloads.py of this checkout) with its own package;
 then every round runs the workload's campaign once per tree at
-workers=1, flipping which tree goes first each round, and times
-run_campaign in process CPU seconds after a full garbage collection.
-The report's sorted-key JSON dump is hashed outside the timed region.
+--workers (default 1), flipping which tree goes first each round, and
+times run_campaign after a full garbage collection, in CPU seconds of
+this process plus the worker processes it reaped (RUSAGE_CHILDREN), and
+in wall seconds.  The report's sorted-key JSON dump is hashed outside
+the timed region.
 
-Printed: one line per round with the CPU ratio change/parent, then the
-median ratio and its quartiles.  Exit status 1 when any report's sha256
+Printed: one line per round with the CPU seconds of each tree and the
+CPU ratio change/parent, then the median ratio and its quartiles.  With
+--workers above 1, each round line also gives the wall seconds and their
+ratio, and the summary gives the median wall ratio and the median CPU and
+wall seconds of each tree.  Exit status 1 when any report's sha256
 differs between the trees (or between rounds), else 0.
 
 Why not perfbench/run.py pairs: a pair runs the two trees in separate
@@ -29,6 +35,7 @@ import gc
 import hashlib
 import importlib.util
 import json
+import resource
 import statistics
 import sys
 import time
@@ -56,14 +63,22 @@ def load_package(tree, name):
     return module
 
 
+def cpu_seconds():
+    """CPU seconds of this process and of every child it has reaped."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
+
+
 def run_once(ph, corpus, config):
-    """(CPU seconds of run_campaign, sha256 of the report's JSON dump)."""
+    """(CPU seconds, wall seconds of run_campaign, sha256 of the report's
+    JSON dump).  run_campaign joins its pool, so its workers are reaped
+    and counted before it returns."""
     gc.collect()
-    start = time.process_time()
+    cpu, wall = cpu_seconds(), time.perf_counter()
     report = ph.run_campaign(corpus, config)
-    cpu = time.process_time() - start
+    cpu, wall = cpu_seconds() - cpu, time.perf_counter() - wall
     text = json.dumps(report.to_json(), sort_keys=True, indent=2)
-    return cpu, hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return cpu, wall, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def main(argv=None):
@@ -72,30 +87,45 @@ def main(argv=None):
     parser.add_argument("change", help="checkout of the change")
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="default-campaign")
     parser.add_argument("--rounds", type=int, default=12)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="campaign worker processes for both trees (default 1)")
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2 (quartiles need two ratios)")
+    if args.workers < 1:
+        parser.error("--workers must be at least 1")
     workload = WORKLOADS[args.workload]
     sides = []
     for tree, name in ((args.parent, "ab_parent"), (args.change, "ab_change")):
         ph = load_package(tree, name)
-        sides.append((ph, build_corpus(ph, workload), campaign_config(ph, workload, SEED, workers=1)))
+        sides.append((ph, build_corpus(ph, workload), campaign_config(ph, workload, SEED, workers=args.workers)))
     # one untimed warm-up per tree; its digests are the reference
-    digests = {run_once(*side)[1] for side in sides}
-    ratios = []
+    digests = {run_once(*side)[2] for side in sides}
+    cpus, walls = [], []
     for r in range(args.rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)
-        cpu = [0.0, 0.0]
+        cpu, wall = [0.0, 0.0], [0.0, 0.0]
         for i in order:
-            cpu[i], digest = run_once(*sides[i])
+            cpu[i], wall[i], digest = run_once(*sides[i])
             digests.add(digest)
-        ratios.append(cpu[1] / cpu[0])
+        cpus.append(cpu)
+        walls.append(wall)
         first = "parent" if order[0] == 0 else "change"
-        print(f"round {r + 1:2d} ({first} first): parent {cpu[0]:.3f} s, "
-              f"change {cpu[1]:.3f} s, ratio {ratios[-1]:.3f}")
-    q1, median, q3 = statistics.quantiles(ratios, n=4)
-    print(f"{args.workload}: CPU ratio change/parent median {median:.3f}, "
-          f"quartiles {q1:.3f}-{q3:.3f} over {args.rounds} rounds")
+        line = (f"round {r + 1:2d} ({first} first): parent {cpu[0]:.3f} s, "
+                f"change {cpu[1]:.3f} s, ratio {cpu[1] / cpu[0]:.3f}")
+        if args.workers > 1:
+            line += (f"; wall parent {wall[0]:.3f} s, change {wall[1]:.3f} s, "
+                     f"ratio {wall[1] / wall[0]:.3f}")
+        print(line)
+    for kind, times in (("CPU", cpus), ("wall", walls))[:1 if args.workers == 1 else 2]:
+        q1, median, q3 = statistics.quantiles([t[1] / t[0] for t in times], n=4)
+        print(f"{args.workload}: {kind} ratio change/parent median {median:.3f}, "
+              f"quartiles {q1:.3f}-{q3:.3f} over {args.rounds} rounds")
+    if args.workers > 1:
+        print(f"{args.workload} at workers={args.workers}: median per run, " + ", ".join(
+            f"{name} CPU {statistics.median(c[i] for c in cpus):.3f} s "
+            f"wall {statistics.median(w[i] for w in walls):.3f} s"
+            for i, name in enumerate(("parent", "change"))))
     if len(digests) != 1:
         print(f"report sha256 differs: {sorted(digests)}", file=sys.stderr)
         return 1
