@@ -239,15 +239,6 @@ def _report_text(report):
     return "\n".join(lines)
 
 
-def _parse_q_grid(args):
-    if args.q_grid is None:
-        return ()
-    grid = tuple(_parse_vector(args.q_grid, EXACT, "--q-grid"))
-    if not grid or any(q <= 0 for q in grid):
-        raise InvalidParametersError("--q-grid values must be positive rationals")
-    return grid
-
-
 def _single_check_args_given(args):
     return any(getattr(args, name) is not None for name in _PARSE_INPUT)
 
@@ -274,9 +265,11 @@ def _cmd_verify(args):
             corpus_spec = args.corpus or "default"
             corpus = generate_corpus(parse_corpus_spec(corpus_spec))
         theorems = tuple(args.theorem) if args.theorem else ALL_THEOREMS
+        # run_campaign validates the grid with the rest of the config
+        q_grid = () if args.q_grid is None else _parse_vector(args.q_grid, EXACT, "--q-grid")
         config = CampaignConfig(theorems=theorems, seed=args.seed, samples=args.samples,
                                 workers=args.workers, corpus_label=corpus_spec,
-                                q_grid=_parse_q_grid(args))
+                                q_grid=q_grid)
         report = run_campaign(corpus, config)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -60,7 +60,10 @@ class SymMatrix:
 
     @staticmethod
     def from_rows(rows):
-        """Exact matrix from rows of ints or rationals; floats raise."""
+        """Exact matrix from rows of ints or rationals, floats raising; a
+        SymMatrix comes back as is."""
+        if isinstance(rows, SymMatrix):
+            return rows
         return SymMatrix(tuple(as_rationals(row) for row in rows))
 
     def submatrix(self, indices):
@@ -69,7 +72,7 @@ class SymMatrix:
 
 
 def mat_vec(matrix, vector):
-    ents = matrix.entries if isinstance(matrix, SymMatrix) else matrix
+    ents = SymMatrix.from_rows(matrix).entries
     return tuple(sum(row[j] * vector[j] for j in range(len(vector))) for row in ents)
 
 
@@ -176,7 +179,7 @@ def congruence_diagonalize(matrix):
     and the diagonal of the symmetric Gaussian reduction over rationals,
     with its choice of pivots and of hyperbolic steps.
     """
-    mat = matrix if isinstance(matrix, SymMatrix) else SymMatrix.from_rows(matrix)
+    mat = SymMatrix.from_rows(matrix)
     d = mat.dim
     square, den = mat.scaled_rows()
     a = _bordered(square, d)

@@ -20,6 +20,7 @@ from .errors import (
     ParseError,
     ResourceLimitError,
 )
+from .scalars import is_int
 
 DEFAULT_MAX_N = 20
 MAX_N_ENV_VAR = "POTTS_HODGE_MAX_N"
@@ -52,7 +53,7 @@ def mask_from_labels(labels, n):
     """Bit mask for an iterable of 1-based element labels."""
     mask = 0
     for e in labels:
-        if not isinstance(e, int) or isinstance(e, bool) or not 1 <= e <= n:
+        if not is_int(e) or not 1 <= e <= n:
             raise InvalidParametersError(f"element label {e!r} outside 1..{n}")
         mask |= 1 << (e - 1)
     return mask
@@ -75,7 +76,9 @@ class Matroid:
     """Immutable matroid given by its full rank table.
 
     ranks[mask] is the rank of the subset encoded by mask; ranks[0] == 0 and
-    ranks[-1] is the rank of the whole ground set.
+    ranks[-1] is the rank of the whole ground set.  source holds the fields
+    of the uniform, graphic or linear constructor that built it, for
+    to_json; a matroid without one is recorded as its rank table.
     """
 
     n: int
@@ -92,17 +95,20 @@ class Matroid:
 
     def rank(self, subset):
         """Rank of a subset given as an iterable of 1-based labels or a mask."""
-        if isinstance(subset, int) and not isinstance(subset, bool):
+        if is_int(subset):
             if not 0 <= subset < len(self.ranks):
                 raise InvalidParametersError(f"mask {subset} out of range for n={self.n}")
             return self.ranks[subset]
         return self.ranks[mask_from_labels(subset, self.n)]
 
     def to_json(self):
-        """JSON-safe dict; reconstructible with from_json."""
-        if self.source is not None:
-            return dict(self.source)
-        return {"type": "rank_table", "n": self.n, "ranks": list(self.ranks)}
+        """A JSON-safe dict, reconstructible with from_json.  Its lists are
+        new ones, so a caller that edits them leaves the matroid as it is."""
+        if self.source is None:
+            return {"type": "rank_table", "n": self.n, "ranks": list(self.ranks)}
+        # a source holds ints, strings and lists of rows (edges, matrix)
+        return {key: [list(row) for row in value] if type(value) is list else value
+                for key, value in self.source.items()}
 
     def __str__(self):
         return f"{self.provenance}(n={self.n}, rank={self.full_rank})"
@@ -111,7 +117,7 @@ class Matroid:
 def _int(value, what):
     """value, which must be an int: a bool, float or str is refused, not
     coerced, so a matroid records exactly the fields it was given."""
-    if type(value) is not int:
+    if not is_int(value):
         raise InvalidParametersError(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -258,7 +264,7 @@ def make_rank_table(n, ranks):
         validate_rank_axioms(n, table)
         return table
 
-    return _build(n, checked, "rank_table", {"type": "rank_table", "n": n, "ranks": table})
+    return _build(n, checked, "rank_table", None)
 
 
 def validate_rank_axioms(n, ranks):
@@ -273,7 +279,7 @@ def validate_rank_axioms(n, ranks):
     size = 1 << n
     for mask in range(size):
         r = ranks[mask]
-        if not isinstance(r, int) or isinstance(r, bool) or r < 0:
+        if not is_int(r) or r < 0:
             raise NotAMatroidError(
                 f"rank of {labels_from_mask(mask)} is {r!r}, not a nonnegative integer",
                 witness={"subset": labels_from_mask(mask), "rank": r})
@@ -350,8 +356,7 @@ def contract(matroid, subset):
     rank'(A) = rank(A | subset) - rank(subset); relabeling maps each new
     label to the old label it came from.
     """
-    smask = subset if isinstance(subset, int) and not isinstance(subset, bool) \
-        else mask_from_labels(subset, matroid.n)
+    smask = subset if is_int(subset) else mask_from_labels(subset, matroid.n)
     if not 0 <= smask < len(matroid.ranks):
         raise InvalidParametersError(f"mask {smask} out of range for n={matroid.n}")
     keep = [e for e in range(matroid.n) if not smask & (1 << e)]

@@ -50,7 +50,8 @@ from operator import ge, gt, mul
 
 from .errors import InvalidParametersError
 from .matrices import SymMatrix
-from .scalars import as_rational, as_rationals, clear_denominators
+from .matroids import mask_from_labels
+from .scalars import as_rational, as_rationals, clear_denominators, is_int
 
 ZERO = Fraction(0)
 
@@ -63,15 +64,24 @@ def validate_q(q):
     return qv
 
 
-def _validate_point(w, length):
+_SIGNS = {"any": lambda wv: True, "positive": lambda wv: all(x > 0 for x in wv),
+          "nonnegative": lambda wv: all(x >= 0 for x in wv), "nonzero": any}
+
+
+def validate_point(w, length, sign):
+    """w as Fractions, of the given length and with the sign its caller
+    names: "positive" or "nonnegative" (every coordinate > 0 or >= 0),
+    "nonzero" (some coordinate is not 0), or "any"."""
     wv = as_rationals(w)
     if len(wv) != length:
         raise InvalidParametersError(f"w must have length {length}, got {len(wv)}")
+    if not _SIGNS[sign](wv):
+        raise InvalidParametersError(f"w must be a {sign} point of length {length}")
     return wv
 
 
 def _validate_index(k):
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+    if not is_int(k) or k < 0:
         raise InvalidParametersError(f"stratum index must be a nonnegative integer, got {k!r}")
 
 
@@ -90,7 +100,7 @@ def validate_alpha(alpha, n):
     """Differentiation multi-index over w_0..w_n: n+1 nonnegative integers."""
     out = []
     for a in alpha:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 0:
+        if not is_int(a) or a < 0:
             raise InvalidParametersError(f"multi-index entries must be nonnegative integers, got {a!r}")
         out.append(a)
     if len(out) != n + 1:
@@ -123,7 +133,7 @@ def is_log_concave(c):
 def _q_inverse_powers(q, max_rank):
     """([b^r a^(R-r) for r = 0..R], a^R) for q = a/b and R = max_rank: the
     integers a^R q^(-r) and their common denominator a^R."""
-    a, b = int(q.numerator), int(q.denominator)
+    a, b = q.numerator, q.denominator
     return [b ** r * a ** (max_rank - r) for r in range(max_rank + 1)], a ** max_rank
 
 
@@ -184,7 +194,7 @@ def strata_numerators(matroid, q, w):
 
 def zk_all(matroid, q, w):
     """All strata (Z[0], ..., Z[n]) at the length-n point w, one subset pass."""
-    nums, scale = strata_numerators(matroid, validate_q(q), _validate_point(w, matroid.n))
+    nums, scale = strata_numerators(matroid, validate_q(q), validate_point(w, matroid.n, "any"))
     return tuple(Fraction(x, scale) for x in nums)
 
 
@@ -288,7 +298,7 @@ def _validated(matroid, c, q, w):
     """(c, q, w) validated in that order, w of length n + 1: the inputs
     _derivatives trusts."""
     n = matroid.n
-    return validate_coeffs(c, n), validate_q(q), _validate_point(w, n + 1)
+    return validate_coeffs(c, n), validate_q(q), validate_point(w, n + 1, "any")
 
 
 def z_weighted_eval(matroid, c, q, w):
@@ -393,7 +403,7 @@ def independent_numerators(matroid, w):
 
 def f_all(matroid, w):
     """All strata of the independent-set generating polynomial at w."""
-    nums, scale = independent_numerators(matroid, _validate_point(w, matroid.n))
+    nums, scale = independent_numerators(matroid, validate_point(w, matroid.n, "any"))
     return tuple(Fraction(x, scale) for x in nums)
 
 
@@ -411,7 +421,7 @@ def f_limit_residual(matroid, m, w, q):
     are read from their numerators on the inputs validated here."""
     _validate_index(m)
     qv = validate_q(q)
-    wv = _validate_point(w, matroid.n)
+    wv = validate_point(w, matroid.n, "any")
     if m > matroid.n:
         return ZERO
     nums, scale = strata_numerators(matroid, qv, tuple(qv * x for x in wv))
@@ -426,9 +436,9 @@ def dependent_mass(matroid, m, w, nullity=None):
     slice is the leading term of Z[m](q; q*w) - f[m](w) as q -> 0.
     """
     _validate_index(m)
-    if nullity is not None and (not isinstance(nullity, int) or isinstance(nullity, bool) or nullity < 1):
+    if nullity is not None and (not is_int(nullity) or nullity < 1):
         raise InvalidParametersError(f"nullity must be a positive integer, got {nullity!r}")
-    wv = _validate_point(w, matroid.n)
+    wv = validate_point(w, matroid.n, "any")
     if m > matroid.n:
         return ZERO
     table, width, scale = _strata_table(matroid, wv)
@@ -443,15 +453,12 @@ def dependent_mass(matroid, m, w, nullity=None):
 def elementary_symmetric(indices, k, w):
     """Elementary symmetric polynomial e_k over the w-values selected by the
     1-based index set `indices`."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+    if not is_int(k) or k < 0:
         raise InvalidParametersError(f"degree must be a nonnegative integer, got {k!r}")
     wv, den = clear_denominators(as_rationals(w))
     idx = list(indices)
-    if len(set(idx)) != len(idx):
+    if mask_from_labels(idx, len(wv)).bit_count() != len(idx):
         raise InvalidParametersError("index set contains repeats")
-    for i in idx:
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= len(wv):
-            raise InvalidParametersError(f"index {i!r} outside 1..{len(wv)}")
     if k > len(idx):
         return ZERO
     acc = [1] + [0] * k

@@ -17,9 +17,9 @@ _MIX = 0x9E3779B97F4A7C15
 
 def child_rng(seed, *indices):
     """Deterministic RNG for one sampled tuple inside a campaign."""
-    acc = int(seed) & 0xFFFFFFFFFFFFFFFF
+    acc = seed & 0xFFFFFFFFFFFFFFFF
     for ix in indices:
-        acc = (acc * _MIX + int(ix) + 1) & 0xFFFFFFFFFFFFFFFF
+        acc = (acc * _MIX + ix + 1) & 0xFFFFFFFFFFFFFFFF
     return random.Random(acc)
 
 
@@ -83,7 +83,7 @@ def log_concave_coeffs(n, ratio=2):
     r = rat(ratio)
     if r <= 1:
         raise SamplingFailureError(f"log-concave generator needs ratio > 1, got {r}")
-    a, b = int(r.numerator), int(r.denominator)
+    a, b = r.numerator, r.denominator
     top = max((k * (n - k) for k in range(n + 1)), default=0)
     return tuple(a ** (k * (n - k)) * b ** (top - k * (n - k)) for k in range(n + 1))
 

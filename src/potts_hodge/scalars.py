@@ -1,11 +1,11 @@
 """Exact scalars, and the float format of the command line.
 
-The library computes over exact rationals only.  Inputs are ints or
-rationals, and results are fractions.Fraction; as_rational is the one
-coercion, and it rejects floats rather than coercing them silently, so
-every result is bit-reproducible.  Rationals are the interface type only:
-the evaluators and the exact signature clear the denominators of their
-inputs once (clear_denominators) and run on Python ints.
+The library computes over exact rationals only.  An integer input is an
+int, never a bool (is_int), and an exact scalar an int or a Fraction
+(is_exact_scalar); as_rational and rat refuse a float rather than coercing
+it silently, so every result is bit-reproducible.  Rationals are the
+interface type only: the evaluators and the exact signature clear the
+denominators of their inputs once (clear_denominators) and run on ints.
 
 Float mode is a format of the command line.  from_float converts a finite
 double exactly to a rational, the library evaluates exactly, and to_float
@@ -14,7 +14,6 @@ rounds each result once.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 
 from .errors import InvalidParametersError, ParseError
@@ -23,9 +22,30 @@ EXACT = "exact"
 FLOAT = "float"
 
 
+def is_int(value):
+    """The one integer rule: True for an int, False for a bool (an int
+    subclass) and for everything that is not an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_exact_scalar(value):
+    """True for an int or a Fraction, False for a bool, a float and
+    everything else."""
+    return type(value) in (int, Fraction)  # bool is a subclass, not one of these
+
+
+def _refused(value):
+    return InvalidParametersError(
+        f"exact mode requires rational inputs, got {value!r} of type {type(value).__name__}")
+
+
 def rat(numerator, denominator=1):
-    """Exact rational from integers, Fractions, another rational, or a finite
-    float (converted exactly, to the binary fraction it stores)."""
+    """The Fraction numerator / denominator of two ints or Fractions.  A
+    float or a bool raises, as in as_rational; float inputs go through
+    from_float."""
+    for value in (numerator, denominator):
+        if not is_exact_scalar(value):
+            raise _refused(value)
     if denominator == 1:
         return Fraction(numerator)
     return Fraction(numerator, denominator)
@@ -42,17 +62,8 @@ def clear_denominators(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def is_exact_scalar(value):
-    """True for ints and exact rationals, False for floats and everything else."""
-    if type(value) in (int, Fraction):  # bool is a subclass, not one of these
-        return True
-    if isinstance(value, (bool, float)):
-        return False
-    return isinstance(value, numbers.Rational)
-
-
 def as_rational(value):
-    """An int or exact rational as a Fraction; a Fraction comes back as is.
+    """An int or a Fraction as a Fraction; a Fraction comes back as is.
 
     Floats raise: a float smuggled into a rational pipeline would silently
     poison exactness.  Float inputs go through from_float instead.
@@ -60,9 +71,7 @@ def as_rational(value):
     if type(value) is Fraction:
         return value
     if not is_exact_scalar(value):
-        raise InvalidParametersError(
-            f"exact mode requires rational inputs, got {value!r} of type {type(value).__name__}"
-        )
+        raise _refused(value)
     return Fraction(value)
 
 
@@ -113,26 +122,22 @@ def parse_rational(text):
 def scalar_to_json(value):
     """JSON form of one scalar: {"num": "...", "den": "..."} exact, bare double float."""
     if is_exact_scalar(value):
-        return {"num": str(int(value.numerator)), "den": str(int(value.denominator))}
+        return {"num": str(value.numerator), "den": str(value.denominator)}
     if isinstance(value, float):
         return value
     raise InvalidParametersError(f"cannot serialize scalar {value!r}")
 
 
 def scalar_from_json(obj):
-    """Inverse of scalar_to_json; bare JSON numbers deserialize as floats."""
-    if isinstance(obj, dict):
-        try:
-            return rat(int(obj["num"]), int(obj["den"]))
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"malformed exact scalar {obj!r}") from exc
-    if isinstance(obj, bool):
-        raise ParseError(f"not a scalar: {obj!r}")
-    if isinstance(obj, int):
-        return float(obj)
-    if isinstance(obj, float):
-        return obj
-    raise ParseError(f"not a scalar: {obj!r}")
+    """The exact scalar of a {"num": "...", "den": "..."} object of two
+    integer strings.  Anything else, a bare JSON number or bool included,
+    is a ParseError: a stored check records its inputs exactly."""
+    if not (isinstance(obj, dict) and type(obj.get("num")) is str and type(obj.get("den")) is str):
+        raise ParseError(f"not an exact scalar: {obj!r}")
+    try:
+        return rat(int(obj["num"]), int(obj["den"]))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed exact scalar {obj!r}") from exc
 
 
 def vector_to_json(values):

@@ -30,9 +30,9 @@ from .potts import (
     _alpha_split,
     _derivatives,
     _second_partials,
-    _validate_point,
     validate_alpha,
     validate_coeffs,
+    validate_point,
     validate_q,
 )
 from .scalars import clear_denominators, rat, to_float
@@ -59,8 +59,7 @@ def signature(matrix):
     of the matrix.  It is exact: a float entry raises
     InvalidParametersError where the SymMatrix is built.
     """
-    mat = matrix if isinstance(matrix, SymMatrix) else SymMatrix.from_rows(matrix)
-    rows, _ = mat.scaled_rows()
+    rows, _ = SymMatrix.from_rows(matrix).scaled_rows()
     g = math.gcd(*chain.from_iterable(rows)) or 1
     return EigenSignature(*bareiss_inertia([x // g for x in row] for row in rows))
 
@@ -74,7 +73,7 @@ def float_eigenvalues(matrix):
     """Diagnostic spectrum: eigenvalues of the matrix with each entry
     rounded once to a double, ascending.  Not contractual; classification
     belongs to signature()."""
-    mat = matrix if isinstance(matrix, SymMatrix) else SymMatrix.from_rows(matrix)
+    mat = SymMatrix.from_rows(matrix)
     if mat.dim == 0:
         return ()
     import numpy as np
@@ -98,7 +97,7 @@ class HrDiscriminant:
 
 
 def hr_discriminant(matrix, u, v):
-    mat = matrix if isinstance(matrix, SymMatrix) else SymMatrix.from_rows(matrix)
+    mat = SymMatrix.from_rows(matrix)
     if len(u) != mat.dim or len(v) != mat.dim:
         raise InvalidParametersError(
             f"vectors must have length {mat.dim}, got {len(u)} and {len(v)}")
@@ -177,7 +176,7 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     each HR discriminant by L^2, so a counterexample reports its
     discriminant divided by L^2, the one of A.
     """
-    mat = matrix if isinstance(matrix, SymMatrix) else SymMatrix.from_rows(matrix)
+    mat = SymMatrix.from_rows(matrix)
     vectors, diag = congruence_diagonalize(mat)
     positive_axes = [v for v, d in zip(vectors, diag) if d > 0]
     n_neg = sum(1 for d in diag if d < 0)
@@ -267,7 +266,7 @@ def euler_hessian_residual(matroid, c, q, alpha, w):
         raise NotApplicableError(
             f"the derivative has degree {d}; the Euler Hessian identity needs degree >= 2")
     qv = validate_q(q)
-    wv = _validate_point(w, n + 1)
+    wv = validate_point(w, n + 1, "any")
     derivative, scale = _derivatives(matroid, cv, qv, wv)
     weights, lcm = clear_denominators(wv)
     total = [(d - 2) * lcm * x for x in chain(*_second_partials(derivative, n, *split))]
@@ -310,7 +309,7 @@ def kernel_identity_check(matroid, c, q, alpha, w):
     split = _alpha_split(av, n)
     if split is None:
         raise NotApplicableError("the derivative is identically zero; no Hessian to compare")
-    derivative, _ = _derivatives(matroid, cv, validate_q(q), _validate_point(w, n + 1))
+    derivative, _ = _derivatives(matroid, cv, validate_q(q), validate_point(w, n + 1, "any"))
     dim = n + 1
     stacked = []
     failures = []

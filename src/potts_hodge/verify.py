@@ -15,13 +15,15 @@ generates and runs that matroid's tasks for every requested theorem, in
 this process or in a pool worker, so each matroid is pickled once and the
 sampling runs where the checks do.  One table (CHECKS) maps a theorem and
 aspect to its check and input keys for campaigns, replay and the CLI.
-Every check validates all of its inputs before it returns any verdict,
-and only there: the Hessian checks eliminate integer numerators and the
-strata checks compare them (potts.hessian_numerators,
-potts.strata_numerators), which trust the validated inputs; a Fraction
-is built only for a witness value.  Reports are plain data:
-serializing with sort_keys produces byte-identical output for identical
-(corpus, seed, samples), independent of the worker count.
+run_campaign validates its config (int seed, samples and workers, q_grid
+through potts.validate_q) before any unit runs, and every check validates
+all of its inputs, its point through potts.validate_point with the sign
+its theorem needs, before it returns any verdict: the Hessian checks
+eliminate integer numerators and the strata checks compare them
+(potts.hessian_numerators, potts.strata_numerators), which trust the
+validated inputs; a Fraction is built only for a witness value.  Reports
+are plain data: serializing with sort_keys produces byte-identical output
+for identical (corpus, seed, samples), independent of the worker count.
 
 Theorem tags used on the wire:
 
@@ -62,6 +64,7 @@ from .potts import (
     strata_numerators,
     validate_alpha,
     validate_coeffs,
+    validate_point,
     validate_q,
     z_weighted_eval,
 )
@@ -69,10 +72,9 @@ from .potts import (
 from .potts import elementary_symmetric, f_all, gradient, hessian, zk_all  # noqa: F401
 from .scalars import (
     RAT_ONE,
-    as_rational,
-    as_rationals,
     clear_denominators,
     from_float,
+    is_int,
     rat,
     scalar_from_json,
     scalar_to_json,
@@ -238,13 +240,6 @@ def _coeffs(c, n, strict=True):
     return cv, ints
 
 
-def _positive_point(w, length):
-    wv = as_rationals(w)
-    if len(wv) != length or any(x <= 0 for x in wv):
-        raise InvalidParametersError(f"w must be a positive point of length {length}")
-    return wv
-
-
 # ---------------------------------------------------------------- checks
 #
 # Every check validates all of its inputs before it returns any verdict,
@@ -257,7 +252,7 @@ def check_one_positive(matroid, q, w):
     have exactly one positive eigenvalue (degenerate directions allowed)."""
     n = matroid.n
     qv = validate_q(q)
-    wv = _positive_point(w, n + 1)
+    wv = validate_point(w, n + 1, "positive")
     inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv))
     if n < 2:
         return CheckResult(TAG_ONE_POSITIVE, inputs, NOT_APPLICABLE,
@@ -285,7 +280,7 @@ def check_derivative_one_positive(matroid, c, q, alpha, w):
     cv, _ = _coeffs(c, n)
     qv = validate_q(q)
     alpha = validate_alpha(alpha, n)
-    wv = _positive_point(w, n + 1)
+    wv = validate_point(w, n + 1, "positive")
     inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
                              alpha=list(alpha), w=vector_to_json(wv))
     if not _q_in_range(qv):
@@ -335,13 +330,9 @@ def check_degree_two(matroid, c, q, w):
     n = matroid.n
     cv, cints = _coeffs(c, n)
     qv = validate_q(q)
-    wv = as_rationals(w)
+    wv = validate_point(w, n, "nonzero")
     inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
                              w=vector_to_json(wv), aspect="positive-point")
-    if len(wv) != n:
-        raise InvalidParametersError(f"w must have length {n}")
-    if all(x == 0 for x in wv):
-        raise InvalidParametersError("w must be nonzero")
     if n < 2:
         return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
                            {"annotations": ["degree-below-two"]})
@@ -391,13 +382,9 @@ def check_degree_two_zero_line(matroid, q, w):
     the plane when n < 2: the input checks leave n >= 2."""
     n = matroid.n
     qv = validate_q(q)
-    wv = as_rationals(w)
+    wv = validate_point(w, n, "nonzero")
     inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv),
                              aspect="zero-line")
-    if len(wv) != n:
-        raise InvalidParametersError(f"w must have length {n}")
-    if all(x == 0 for x in wv):
-        raise InvalidParametersError("the zero-line point must be nonzero")
     nums, scale = strata_numerators(matroid, qv, wv)
     if nums[1] != 0:
         raise InvalidParametersError("the point does not lie on the Z[1] = 0 hyperplane")
@@ -415,10 +402,8 @@ def check_strata_ultra_log_concave(matroid, q, w):
     at every m (Z[k] = nums[k] / scale), so the numerators are compared."""
     n = matroid.n
     qv = validate_q(q)
-    wv = as_rationals(w)
+    wv = validate_point(w, n, "nonnegative")
     inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv))
-    if len(wv) != n or any(x < 0 for x in wv):
-        raise InvalidParametersError(f"w must be a nonnegative point of length {n}")
     if n < 2:
         return CheckResult(TAG_STRATA_ULC, inputs, VACUOUS,
                            {"annotations": ["no-interior-indices"]})
@@ -556,7 +541,7 @@ def check_log_concavity_at(matroid, c, q, w):
     n = matroid.n
     cv, _ = _coeffs(c, n, strict=False)
     qv = validate_q(q)
-    wv = _positive_point(w, n + 1)
+    wv = validate_point(w, n + 1, "positive")
     inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
                              w=vector_to_json(wv))
     if not _q_in_range(qv):
@@ -591,14 +576,10 @@ def log_slice_second_difference(matroid, c, q, w, direction):
     Inputs are finite floats (or anything float() takes); Z_c is evaluated
     exactly at the float points and rounded once."""
     n = matroid.n
-    wf = [float(from_float(x)) for x in w]
+    wf = [float(x) for x in validate_point([from_float(v) for v in w], n + 1, "positive")]
     df = [float(from_float(x)) for x in direction]
-    if len(wf) != n + 1 or len(df) != n + 1:
-        raise InvalidParametersError(f"w and direction must have length {n + 1}")
-    if any(x <= 0 for x in wf):
-        raise InvalidParametersError("w must be strictly positive")
-    if all(x == 0 for x in df):
-        raise InvalidParametersError("direction must be nonzero")
+    if len(df) != n + 1 or not any(df):
+        raise InvalidParametersError(f"direction must be a nonzero vector of length {n + 1}")
     h = min((wf[i] / abs(df[i]) for i in range(n + 1) if df[i]), default=1.0)
     h = min(1.0, 0.25 * h)
     cv = [from_float(x) for x in c]
@@ -807,16 +788,19 @@ def run_campaign(corpus, config=None):
     unknown = [t for t in cfg.theorems if t not in THEOREM_TASKS]
     if unknown:
         raise InvalidParametersError(f"unknown theorem tags {unknown!r}")
-    if cfg.samples < 0:
-        raise InvalidParametersError(f"samples must be nonnegative, got {cfg.samples}")
-    if cfg.workers < 1:
-        raise InvalidParametersError(f"workers must be at least 1, got {cfg.workers}")
+    if not is_int(cfg.seed):
+        raise InvalidParametersError(f"seed must be an integer, got {cfg.seed!r}")
+    if not is_int(cfg.samples) or cfg.samples < 0:
+        raise InvalidParametersError(f"samples must be a nonnegative integer, got {cfg.samples!r}")
+    if not is_int(cfg.workers) or cfg.workers < 1:
+        raise InvalidParametersError(f"workers must be a positive integer, got {cfg.workers!r}")
+    given_grid = tuple(map(validate_q, cfg.q_grid))
     if not corpus:
         # a campaign over no matroids would pass vacuously
         raise InvalidParametersError(f"corpus {cfg.corpus_label!r} has no matroids")
     start = time.perf_counter()
     theorems = tuple(t for t in ALL_THEOREMS if t in cfg.theorems)
-    q_grid = tuple(cfg.q_grid) or default_q_grid()
+    q_grid = given_grid or default_q_grid()
     units = [(mi, matroid, theorems, cfg.seed, cfg.samples, q_grid)
              for mi, matroid in enumerate(corpus)]
     per_matroid = _execute(units, cfg.workers)
@@ -830,8 +814,8 @@ def run_campaign(corpus, config=None):
         "samples": cfg.samples,
         "theorems": list(theorems),
     }
-    if cfg.q_grid:
-        campaign["q_grid"] = [scalar_to_json(q) for q in cfg.q_grid]
+    if given_grid:
+        campaign["q_grid"] = [scalar_to_json(q) for q in given_grid]
     return VerificationReport(campaign=campaign, checks=tuple(checks),
                               summary=summarize(checks), timing_seconds=elapsed)
 
@@ -876,5 +860,5 @@ def dependent_mass_ratio(matroid, m, w, q):
     mass = dependent_mass(matroid, m, w, nullity=1)
     if mass == 0:
         raise InvalidParametersError("no m-subset of nullity one: the leading term vanishes")
-    qv = as_rational(q)
+    qv = validate_q(q)
     return f_limit_residual(matroid, m, w, qv) / (qv * mass)

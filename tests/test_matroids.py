@@ -108,6 +108,18 @@ def test_constructors_record_exactly_their_fields():
     assert make_linear(2, []).n == 0 and make_linear(2, [[]]).n == 0
 
 
+def test_to_json_hands_out_fresh_lists():
+    # editing a returned dict must not edit the matroid's later records
+    for m, key in [(make_linear(2, [[1, 0, 1]]), "matrix"),
+                   (make_graphic(2, [(1, 2)]), "edges")]:
+        expected = m.to_json()
+        m.to_json()[key][0][0] = 0
+        assert m.to_json() == expected
+    m = make_rank_table(1, [0, 1])
+    m.to_json()["ranks"][1] = 0
+    assert m.to_json()["ranks"] == [0, 1]
+
+
 def test_graphic_triangle():
     k3 = make_graphic(3, [(1, 2), (2, 3), (1, 3)])
     assert k3.full_rank == 2

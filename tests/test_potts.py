@@ -479,6 +479,9 @@ def test_exact_mode_rejects_floats():
         zk_all(U12, rat(1, 2), (0.5, rat(1)))
     with pytest.raises(InvalidParametersError):
         z_weighted_eval(U12, (1.0, 1, 1), rat(1), (rat(1),) * 3)
+    for args in [(0.5,), (1, 2.0), (True,)]:
+        with pytest.raises(InvalidParametersError):
+            rat(*args)
 
 
 @pytest.mark.parametrize("value, exact", [
@@ -486,7 +489,7 @@ def test_exact_mode_rejects_floats():
     (1.0, False),
     (3, True),
     (Fraction(1, 3), True),
-    (sympy.Rational(1, 3), True),  # other Rationals take the ABC route
+    (sympy.Rational(1, 3), False),  # an exact scalar is an int or a Fraction
     ("1/3", False),
 ])
 def test_is_exact_scalar(value, exact):

@@ -107,11 +107,25 @@ def test_one_positive_not_applicable():
     assert check_one_positive(SINGLE, rat(1), (rat(1), rat(1))).verdict == NOT_APPLICABLE
 
 
-def test_one_positive_rejects_bad_points():
-    with pytest.raises(InvalidParametersError):
-        check_one_positive(U24, rat(1), (rat(1),) * 4)  # wrong length
-    with pytest.raises(InvalidParametersError):
-        check_one_positive(U24, rat(1), (rat(1), rat(0), rat(1), rat(1), rat(1)))
+# each check's point: (check, args before w, length of w, a point of that
+# length that breaks the sign condition of the check)
+POINT_RULES = [
+    (check_one_positive, (U24, rat(1)), 5, (1, 0, 1, 1, 1)),
+    (check_derivative_one_positive, (K3, (1, 3, 3, 1), rat(1, 2), (0, 0, 0, 0)), 4,
+     (1, 1, -1, 1)),
+    (check_degree_two, (K3, (1, 3, 3, 1), rat(1, 2)), 3, (0, 0, 0)),
+    (check_degree_two_zero_line, (K3, rat(1, 2)), 3, (0, 0, 0)),
+    (check_strata_ultra_log_concave, (U24, rat(1)), 4, (-1, 1, 1, 1)),
+    (check_log_concavity_at, (U12, (1, 1, 1), rat(1)), 3, (1, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("check, args, length, bad_sign", POINT_RULES,
+                         ids=[rule[0].__name__ for rule in POINT_RULES])
+def test_checks_reject_bad_points(check, args, length, bad_sign):
+    for w in [(1,) * (length - 1), (1,) * (length + 1), bad_sign]:
+        with pytest.raises(InvalidParametersError):
+            check(*args, w)
 
 
 def test_derivative_one_positive_pass():
@@ -168,8 +182,6 @@ def test_degree_two_guards_and_zero_line():
     assert res.verdict == PASS
     with pytest.raises(InvalidParametersError):
         check_degree_two_zero_line(K3, rat(1, 2), (rat(1), rat(1), rat(1)))
-    with pytest.raises(InvalidParametersError):
-        check_degree_two_zero_line(K3, rat(1, 2), (rat(0), rat(0), rat(0)))
 
 
 def test_strata_ulc_reference_point_is_tight_everywhere():
@@ -188,8 +200,6 @@ def test_strata_ulc_generic_point():
     res0 = check_strata_ultra_log_concave(U24, rat(1, 2), (rat(0), rat(2), rat(0), rat(4)))
     assert res0.verdict == PASS
     assert check_strata_ultra_log_concave(SINGLE, rat(1), (rat(1),)).verdict == VACUOUS
-    with pytest.raises(InvalidParametersError):
-        check_strata_ultra_log_concave(U24, rat(1), (rat(-1), rat(1), rat(1), rat(1)))
 
 
 def test_mason_counts_and_saturation():
@@ -872,13 +882,21 @@ def test_exact_library_never_loads_numpy():
     assert done.stdout.strip() == "[]"
 
 
-def test_campaign_rejects_negative_samples_and_workers():
+def test_campaign_rejects_negative_samples_and_workers(monkeypatch):
+    # run_campaign is the gate for its config: a refused field raises
+    # before any unit runs
+    def reached(units, workers):
+        raise AssertionError("a unit ran on a refused config")
+
+    monkeypatch.setattr(verify, "_execute", reached)
     corpus = generate_corpus("graphic,K3")
-    with pytest.raises(InvalidParametersError):
-        run_campaign(corpus, CampaignConfig(samples=-1))
-    for workers in (0, -5):
+    refused = [{"samples": -1}, {"workers": 0}, {"workers": -5},
+               {"seed": 1.5}, {"seed": True}, {"samples": True}, {"samples": 2.5},
+               {"workers": 2.5}, {"workers": True},
+               {"q_grid": (0,)}, {"q_grid": (0.5,)}, {"q_grid": ("1/2",)}]
+    for fields in refused:
         with pytest.raises(InvalidParametersError):
-            run_campaign(corpus, CampaignConfig(workers=workers))
+            run_campaign(corpus, CampaignConfig(**fields))
 
 
 @pytest.mark.parametrize("workers, cpus, expected", [
@@ -978,6 +996,12 @@ def test_check_result_parsing_errors():
         VerificationReport.from_json({"campaign": {}})
     with pytest.raises(ParseError):
         VerificationReport.from_json([1])
+    # a stored scalar is a {"num", "den"} object: a bare number or bool is
+    # refused when the record is read, not by the check it feeds
+    record = check_one_positive(U12, rat(1), ONES3).to_json()
+    for q in (1, 0.5, True, "1", {"num": 1.5, "den": "1"}, {"num": "1", "den": "0"}):
+        with pytest.raises(ParseError):
+            replay_check(dict(record, inputs=dict(record["inputs"], q=q)))
 
 
 def test_sampled_points_are_positive():
