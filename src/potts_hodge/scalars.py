@@ -145,4 +145,8 @@ def vector_to_json(values):
 
 
 def vector_from_json(objs):
+    """The exact scalars of a list of {"num", "den"} objects; anything but
+    a list is a ParseError."""
+    if not isinstance(objs, (list, tuple)):
+        raise ParseError(f"not a list of exact scalars: {objs!r}")
     return tuple(scalar_from_json(o) for o in objs)

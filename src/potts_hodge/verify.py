@@ -11,12 +11,15 @@ verdicts:
 
 Each theorem has one task generator that draws seeded inputs for one
 corpus member.  run_campaign's unit of work is one matroid: the unit
-generates and runs that matroid's tasks for every requested theorem, in
-this process or in a pool worker, so each matroid is pickled once and the
-sampling runs where the checks do.  One table (CHECKS) maps a theorem and
-aspect to its check and input keys for campaigns, replay and the CLI.
-run_campaign validates its config (int seed, samples and workers, q_grid
-through potts.validate_q) before any unit runs, and every check validates
+generates and runs that matroid's tasks for every requested theorem, and
+its records share one matroid JSON dict.  With workers > 1 the units are
+dealt, costliest first, into shares: this process runs one share and a
+pool runs the others, one call per share, so each matroid is pickled once
+and the sampling runs where the checks do.  One table (CHECKS) maps a
+theorem and aspect to its check and input keys for campaigns, replay and
+the CLI.  run_campaign validates its config (int seed, samples and
+workers, a str corpus_label, q_grid through potts.validate_q) before any
+unit runs, and every check validates
 all of its inputs, its point through potts.validate_point with the sign
 its theorem needs, before it returns any verdict: the Hessian checks
 eliminate integer numerators and the strata checks compare them
@@ -46,6 +49,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -223,8 +227,16 @@ def _sig_list(sig):
     return [sig.n_pos, sig.n_neg, sig.n_zero]
 
 
+# (matroid, its JSON) while a campaign work unit runs: the unit's records
+# share one JSON dict; a check called on any other matroid, or outside a
+# unit, builds a fresh one
+_unit_json = ContextVar("unit_json", default=None)
+
+
 def _matroid_inputs(matroid, **extra):
-    out = {"matroid": matroid.to_json()}
+    unit = _unit_json.get()
+    shared = unit is not None and unit[0] is matroid
+    out = {"matroid": unit[1] if shared else matroid.to_json()}
     out.update(extra)
     return out
 
@@ -646,28 +658,56 @@ def call_check(name, args):
 
 def _matroid_checks(mi, matroid, theorems, seed, samples, q_grid):
     """One work unit: generate the tasks of corpus member mi for each
-    theorem and run them, returning one list of results per theorem."""
-    return [[call_check(name, args)
-             for name, args in THEOREM_TASKS[tag](mi, matroid, seed, samples, q_grid)]
-            for tag in theorems]
+    theorem and run them, returning one list of results per theorem.  The
+    unit's records share one matroid JSON dict."""
+    token = _unit_json.set((matroid, matroid.to_json()))
+    try:
+        return [[call_check(name, args)
+                 for name, args in THEOREM_TASKS[tag](mi, matroid, seed, samples, q_grid)]
+                for tag in theorems]
+    finally:
+        _unit_json.reset(token)
+
+
+def _run_share(units):
+    """A pool worker's share of the units: per unit, per theorem, its
+    records as plain (theorem, inputs, verdict, witness) tuples."""
+    return [[[(r.theorem, r.inputs, r.verdict, r.witness) for r in results]
+             for results in _matroid_checks(*unit)]
+            for unit in units]
 
 
 def _execute(units, workers):
     """Run (mi, matroid, theorems, seed, samples, q_grid) units through
-    _matroid_checks, in this process or across a pool; results come back
-    in unit order.  Each matroid is pickled once, and the tasks are
-    sampled in the process that runs them."""
+    _matroid_checks; results come back in unit order, so a report is the
+    same at any worker count.
+
+    The processes are capped at min(workers, units, usable CPUs).  Under a
+    cap of one everything runs here.  Otherwise the units are dealt
+    round-robin into cap shares, costliest first (2^n down, then unit
+    index): this process runs share 0 while a pool of cap - 1 processes
+    runs the others, one submitted call per share, each returning its
+    records as plain tuples.  Tasks are sampled in the process that runs
+    them."""
     # more processes than units or usable CPUs (the affinity set, where the
     # platform has one) gain nothing; a pool starts all its processes at once
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, len(units), cpus or 1)
-    if workers <= 1:
+    cap = min(workers, len(units), cpus or 1)
+    if cap <= 1:
         return [_matroid_checks(*unit) for unit in units]
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(units) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_matroid_checks, *zip(*units), chunksize=chunk))
+    order = sorted(range(len(units)), key=lambda i: (-units[i][1].n, i))
+    shares = [order[s::cap] for s in range(cap)]
+    results = [None] * len(units)
+    with ProcessPoolExecutor(max_workers=cap - 1) as pool:
+        futures = [pool.submit(_run_share, [units[i] for i in share]) for share in shares[1:]]
+        for i in shares[0]:
+            results[i] = _matroid_checks(*units[i])
+        for share, future in zip(shares[1:], futures):
+            for i, records in zip(share, future.result()):
+                results[i] = [[CheckResult(*r) for r in per_theorem] for per_theorem in records]
+    return results
 
 
 # Task generators: (mi, matroid, seed, samples, q_grid) -> (check name,
@@ -778,11 +818,14 @@ def run_campaign(corpus, config=None):
     """Run the configured theorems over a corpus and aggregate a report.
 
     The unit of work is one matroid: it generates and runs that matroid's
-    tasks for every requested theorem, in this process (workers=1) or in
-    a pool worker.  The checks are reported theorem by theorem (in
-    ALL_THEOREMS order), matroid by matroid within a theorem.  The worker
-    count affects wall time only, so the report content is a function of
-    (corpus, seed, samples, theorems, q_grid) alone.
+    tasks for every requested theorem, and its records share one matroid
+    JSON dict.  At workers=1 every unit runs in this process; above it,
+    this process runs one share of the units and a pool of at most
+    workers - 1 processes runs the rest (see _execute).  The checks are
+    reported theorem by theorem (in ALL_THEOREMS order), matroid by
+    matroid within a theorem.  The worker count affects wall time only, so
+    the report content is a function of (corpus, seed, samples, theorems,
+    q_grid) alone.
     """
     cfg = config or CampaignConfig()
     unknown = [t for t in cfg.theorems if t not in THEOREM_TASKS]
@@ -794,6 +837,8 @@ def run_campaign(corpus, config=None):
         raise InvalidParametersError(f"samples must be a nonnegative integer, got {cfg.samples!r}")
     if not is_int(cfg.workers) or cfg.workers < 1:
         raise InvalidParametersError(f"workers must be a positive integer, got {cfg.workers!r}")
+    if not isinstance(cfg.corpus_label, str):
+        raise InvalidParametersError(f"corpus_label must be a string, got {cfg.corpus_label!r}")
     given_grid = tuple(map(validate_q, cfg.q_grid))
     if not corpus:
         # a campaign over no matroids would pass vacuously
@@ -823,7 +868,13 @@ def run_campaign(corpus, config=None):
 # -------------------------------------------------------------- replay
 
 
-_FROM_JSON = {"c": vector_from_json, "q": scalar_from_json, "alpha": tuple,
+def _multi_index_from_json(obj):
+    if not isinstance(obj, (list, tuple)):
+        raise ParseError(f"not a multi-index list: {obj!r}")
+    return tuple(obj)
+
+
+_FROM_JSON = {"c": vector_from_json, "q": scalar_from_json, "alpha": _multi_index_from_json,
               "w": vector_from_json}
 
 

@@ -1,0 +1,18 @@
+"""Smoke tests for the developer tools under tools/."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_ab_campaign_on_one_tree():
+    # this checkout as both trees: one round at two workers must run both
+    # campaigns and find their reports identical
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_campaign.py"), str(ROOT), str(ROOT),
+         "--workload", "strata-parallel", "--rounds", "1", "--workers", "2"],
+        capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert "reports identical: sha256 " in out.stdout

@@ -1,11 +1,13 @@
 """Theorem checks, campaign plumbing, replay, and the corpus generators."""
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import random
 import subprocess
@@ -800,12 +802,24 @@ SPAN_CORPUS = [
 ]
 
 
-def test_per_matroid_units_are_worker_independent():
+def _usable_cpus(monkeypatch, count):
+    """Make the campaign cap see `count` usable CPUs whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_per_matroid_units_are_worker_independent(monkeypatch):
     assert [m.n for m in SPAN_CORPUS] == list(range(9))
+    # three usable CPUs, so workers=3 runs three shares: this process and
+    # a pool of two
+    _usable_cpus(monkeypatch, 3)
     reports = [run_campaign(SPAN_CORPUS, CampaignConfig(seed=4, samples=2, workers=workers))
-               for workers in (1, 2)]
+               for workers in (1, 2, 3)]
     texts = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
-    assert texts[0] == texts[1]
+    assert texts[0] == texts[1] == texts[2]
+    # fewer units than workers: two shares at workers=3
+    few = {json.dumps(run_campaign([K3, U24], CampaignConfig(
+        seed=2, samples=2, workers=workers)).to_json(), sort_keys=True) for workers in (1, 2, 3)}
+    assert len(few) == 1
     # theorem by theorem in ALL_THEOREMS order, matroid by matroid within
     # a theorem
     checks = reports[0].checks
@@ -813,6 +827,54 @@ def test_per_matroid_units_are_worker_independent():
     members = [m.to_json() for m in SPAN_CORPUS]
     order = [(ALL_THEOREMS.index(c.theorem), members.index(c.inputs["matroid"])) for c in checks]
     assert order == sorted(order)
+
+
+@pytest.mark.parametrize("share", ["parent", "worker"])
+def test_a_share_exception_reaches_the_caller(monkeypatch, share):
+    parent = os.getpid()
+    original = verify.check_count_log_concavity
+
+    def raising_in(where):
+        """The check, raising in this process (the parent's share), in a
+        pool worker, or on every call (serial)."""
+        def check(matroid):
+            if where == "serial" or (os.getpid() == parent) == (where == "parent"):
+                raise SamplingFailureError(f"raised in the {where} share")
+            return original(matroid)
+        return check
+
+    _usable_cpus(monkeypatch, 2)
+    corpus = generate_corpus("uniform,n<=3")
+    config = CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY,))
+    monkeypatch.setattr(verify, "check_count_log_concavity", raising_in("serial"))
+    with pytest.raises(SamplingFailureError):
+        run_campaign(corpus, config)
+    monkeypatch.setattr(verify, "check_count_log_concavity", raising_in(share))
+    with pytest.raises(SamplingFailureError, match=f"in the {share} share"):
+        run_campaign(corpus, dataclasses.replace(config, workers=2))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_editing_a_record_leaves_the_corpus_and_later_campaigns(monkeypatch, workers):
+    _usable_cpus(monkeypatch, 2)
+    corpus = [K3, make_linear(2, [[1, 0, 1], [0, 1, 1]])]
+    members = [m.to_json() for m in corpus]
+    config = CampaignConfig(seed=1, samples=1, workers=workers)
+    report = run_campaign(corpus, config)
+    expected = json.dumps(report.to_json(), sort_keys=True)
+    # a unit's records share one matroid JSON dict
+    shared = report.checks[0].inputs["matroid"]
+    same_unit = [c for c in report.checks if c.inputs["matroid"] == members[0]]
+    assert len(same_unit) > 1 and all(c.inputs["matroid"] is shared for c in same_unit)
+    shared["edges"][0][0] = 99
+    shared["vertices"] = 0
+    assert [m.to_json() for m in corpus] == members
+    assert json.dumps(run_campaign(corpus, config).to_json(), sort_keys=True) == expected
+    # outside a unit each check builds a fresh one
+    for matroid in corpus:
+        assert check_count_log_concavity(matroid).inputs["matroid"] is not \
+            check_count_log_concavity(matroid).inputs["matroid"]
 
 
 def test_theorems_report_in_canonical_order():
@@ -893,13 +955,14 @@ def test_campaign_rejects_negative_samples_and_workers(monkeypatch):
     refused = [{"samples": -1}, {"workers": 0}, {"workers": -5},
                {"seed": 1.5}, {"seed": True}, {"samples": True}, {"samples": 2.5},
                {"workers": 2.5}, {"workers": True},
-               {"q_grid": (0,)}, {"q_grid": (0.5,)}, {"q_grid": ("1/2",)}]
+               {"q_grid": (0,)}, {"q_grid": (0.5,)}, {"q_grid": ("1/2",)},
+               {"corpus_label": 7}, {"corpus_label": None}]
     for fields in refused:
         with pytest.raises(InvalidParametersError):
             run_campaign(corpus, CampaignConfig(**fields))
 
 
-@pytest.mark.parametrize("workers, cpus, expected", [
+@pytest.mark.parametrize("workers, cpus, cap", [
     # cpus: the machine's count, on a platform without sched_getaffinity
     (5000, 3, 3),     # capped at the core count
     (5000, 64, 7),    # capped at the unit (matroid) count
@@ -909,11 +972,12 @@ def test_campaign_rejects_negative_samples_and_workers(monkeypatch):
     (5000, (64, 1), None),  # taskset -c 0 on a large machine: serial
     (5000, (64, 3), 3),     # capped at the affinity set, not the machine
 ])
-def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
-    sizes = []
+def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
+    sizes, submitted = [], []
 
     class InProcessPool:
-        """Records the pool size and maps in this process; starts nothing."""
+        """Records the pool size and the submitted shares, and runs each
+        submitted call in this process; starts nothing."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -924,8 +988,11 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+        def submit(self, fn, units):
+            submitted.append([unit[0] for unit in units])
+            future = concurrent.futures.Future()
+            future.set_result(fn(units))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     machine, usable = cpus if isinstance(cpus, tuple) else (cpus, None)
@@ -938,7 +1005,12 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
     corpus = generate_corpus("uniform,n<=3")  # 7 matroids: 7 work units
     theorems = (TAG_COUNT_LOG_CONCAVITY,)
     report = run_campaign(corpus, CampaignConfig(theorems=theorems, workers=workers))
-    assert sizes == ([] if expected is None else [expected])
+    # this process runs one share beside a pool of cap - 1
+    assert sizes == ([] if cap is None else [cap - 1])
+    # units dealt round-robin, costliest first: the four n = 3 members
+    # (3..6), then the three n = 2 ones (0..2); share 0 stays here
+    by_cost = [3, 4, 5, 6, 0, 1, 2]
+    assert submitted == ([] if cap is None else [by_cost[s::cap] for s in range(1, cap)])
     serial = run_campaign(corpus, CampaignConfig(theorems=theorems))
     assert report.to_json() == serial.to_json()
 
@@ -1002,6 +1074,16 @@ def test_check_result_parsing_errors():
     for q in (1, 0.5, True, "1", {"num": 1.5, "den": "1"}, {"num": "1", "den": "0"}):
         with pytest.raises(ParseError):
             replay_check(dict(record, inputs=dict(record["inputs"], q=q)))
+
+
+@pytest.mark.parametrize("key", ["w", "c", "alpha"])
+def test_replay_check_refuses_a_non_list_vector_or_multi_index(key):
+    record = check_derivative_one_positive(K3, (1, 3, 3, 1), rat(1, 2),
+                                           (0, 0, 0, 0), ONES4).to_json()
+    assert replay_check(record).to_json() == record
+    for bad in (5, None, {"num": "1", "den": "1"}):
+        with pytest.raises(ParseError):
+            replay_check(dict(record, inputs=dict(record["inputs"], **{key: bad})))
 
 
 def test_sampled_points_are_positive():

@@ -16,7 +16,8 @@ in wall seconds.  The report's sorted-key JSON dump is hashed outside
 the timed region.
 
 Printed: one line per round with the CPU seconds of each tree and the
-CPU ratio change/parent, then the median ratio and its quartiles.  With
+CPU ratio change/parent, then the median ratio and its quartiles (the
+quartiles from two rounds on).  With
 --workers above 1, each round line also gives the wall seconds and their
 ratio, and the summary gives the median wall ratio and the median CPU and
 wall seconds of each tree.  Exit status 1 when any report's sha256
@@ -90,8 +91,8 @@ def main(argv=None):
     parser.add_argument("--workers", type=int, default=1,
                         help="campaign worker processes for both trees (default 1)")
     args = parser.parse_args(argv)
-    if args.rounds < 2:
-        parser.error("--rounds must be at least 2 (quartiles need two ratios)")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
     workload = WORKLOADS[args.workload]
@@ -118,9 +119,12 @@ def main(argv=None):
                      f"ratio {wall[1] / wall[0]:.3f}")
         print(line)
     for kind, times in (("CPU", cpus), ("wall", walls))[:1 if args.workers == 1 else 2]:
-        q1, median, q3 = statistics.quantiles([t[1] / t[0] for t in times], n=4)
-        print(f"{args.workload}: {kind} ratio change/parent median {median:.3f}, "
-              f"quartiles {q1:.3f}-{q3:.3f} over {args.rounds} rounds")
+        ratios = [t[1] / t[0] for t in times]
+        line = f"{args.workload}: {kind} ratio change/parent median {statistics.median(ratios):.3f}"
+        if args.rounds >= 2:  # quartiles need two ratios
+            q1, _, q3 = statistics.quantiles(ratios, n=4)
+            line += f", quartiles {q1:.3f}-{q3:.3f}"
+        print(f"{line} over {args.rounds} rounds")
     if args.workers > 1:
         print(f"{args.workload} at workers={args.workers}: median per run, " + ", ".join(
             f"{name} CPU {statistics.median(c[i] for c in cpus):.3f} s "
