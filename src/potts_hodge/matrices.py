@@ -53,7 +53,10 @@ class SymMatrix:
 
     def scaled_rows(self):
         """(rows, scale): integer rows and one positive integer scale, the
-        lcm of the denominators, with entries[i][j] = rows[i][j] / scale."""
+        lcm of the denominators, with entries[i][j] = rows[i][j] / scale.
+        All-int entries come back as they are, with scale 1."""
+        if all(type(x) is int for x in chain.from_iterable(self.entries)):
+            return self.entries, 1
         d = self.dim
         ints, scale = clear_denominators(list(chain.from_iterable(self.entries)))
         return [ints[i * d:(i + 1) * d] for i in range(d)], scale

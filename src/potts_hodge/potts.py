@@ -12,30 +12,38 @@ and the full weighted polynomial in n+1 variables w_0..w_n is
 homogeneous of degree n, multiaffine in each of w_1..w_n.  The independent
 set generating polynomial f[m] keeps only the subsets with rk(A) = |A|.
 
-Every evaluator reads one subset pass, _size_rank_sums: for a set S it
-sums prod_{i in A - S} w_i over the subsets A containing S into a table
-T_S of the subsets' sizes k = |A| and ranks r = rk(A).  The table is one
-flat list of (n+1)(R+1) cells, R the full rank: subset A lands in cell
-bucket[A] = |A| (R+1) + rk(A), and the bucket list is cached per rank
-table.  The strata, f[m] and the dependent masses are read off T for S
-empty.  For S the inner support of alpha and a_0 = alpha_0, the
-alpha-derivative of Z_c is
+A subset A of 1..n has the cell bucket[A] = |A| (R+1) + rk(A) in a flat
+size x rank list of (n+1)(R+1) cells, R the full rank; the bucket list is
+cached per rank table.  The strata, f[m] and the dependent masses are
+read off one table T of the sums of prod_{i in A} w_i over the subsets in
+each cell (_size_rank_sums).  A derivative weights each subset by its
+cell: with W_a[k (R+1) + r] = c_k (n-k)_a w_0^(n-k-a) q^(-r) and the
+weighted monomials u_a[A] = W_a[bucket[A]] prod_{i in A} w_i, the
+alpha-derivative of Z_c for S the inner support of alpha and a = alpha_0
+is
 
-    sum_k c_k (n-k)_{a_0} w_0^(n-k-a_0) sum_r q^(-r) T_S[k (R+1) + r],
+    (sum over the subsets A containing S of u_a[A]) / prod_{i in S} w_i,
 
-one dot product of a weight list laid out like T with T_S.  The gradient
-and the Hessian are that sum at alpha + e_i and at alpha + e_i + e_j.  A
-zero coordinate zeroes the products it enters and needs no other care.
+a superset sum.  _derivatives runs one superset-sum transform of u_a per
+order a and reads every support off it; the gradient and the Hessian are
+its reads at alpha + e_i and alpha + e_i + e_j.  The Hessian checks take
+instead the congruent matrix D H D with D = diag(1, w_1, ..., w_n)
+(_congruent_hessian), whose entries are the superset sums themselves:
+one transform for the inner pairs, per-bit sums for the w_0 row and one
+sum for the corner, over the supersets of S only.  At a positive point it
+has the inertia of H (Sylvester's law).  The derivative passes are
+list-level (slicing, map and sum over lists of 2^m ints); the strata
+table is the one per-subset loop.
 
-The pass and the reductions run on Python ints, and all the integers
+The passes and the reductions run on Python ints, and all the integers
 one call of a *_numerators helper or of _derivatives returns sit over one
 positive integer scale, the same for every k, m, order and support: each
 w_i = p_i / d_i is cleared on its own (_products), w_0 enters as
 p_0^(n-k-a_0) d_0^(k+a_0) over d_0^n, q = a/b as b^r a^(R-r) over a^R for
 the full rank R, and c as C over L_c.  The public evaluators divide once,
 at their boundary; the checks compare the integers, or read the signature
-of a Hessian's integer rows (a positive scale does not change the
-inertia).  Inputs are validated where they enter: each public evaluator
+of a congruent Hessian's integer rows (a positive scale does not change
+the inertia).  Inputs are validated where they enter: each public evaluator
 validates its inputs once, and the *_numerators helpers and _derivatives
 take validated inputs and trust them, as do the checks that call them.
 Inputs are ints or exact rationals (scalars.as_rational) and outputs are
@@ -46,7 +54,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from operator import ge, gt, mul
+from operator import add, ge, gt, mul
 
 from .errors import InvalidParametersError
 from .matrices import SymMatrix
@@ -141,10 +149,13 @@ def _products(point):
     """prod[mask]: for the point's rationals w_i = p_i / d_i, the product
     of p_i over the set bits of mask times that of d_i over the others, so
     prod[mask] / prod[0] is the product of the w_i in mask.  Built by
-    doubling: the masks below 2^i times d_i, then the same times p_i."""
+    doubling: the masks below 2^i times d_i (as they are when d_i = 1),
+    then the same times p_i."""
     prod = [1]
     for x in point:
-        prod = list(map(x.denominator.__mul__, prod)) + list(map(x.numerator.__mul__, prod))
+        d = x.denominator
+        low = prod if d == 1 else list(map(d.__mul__, prod))
+        prod = low + list(map(x.numerator.__mul__, prod))
     return prod
 
 
@@ -157,21 +168,13 @@ def _buckets(ranks, width):
     return tuple(mask.bit_count() * width + r for mask, r in enumerate(ranks))
 
 
-def _size_rank_sums(matroid, prod, smask):
-    """T[k (R+1) + r]: the sum of prod[A - S] over the subsets A containing
-    the set S given by smask, with |A| = k and rk(A) = r, as one flat list
-    of (n+1)(R+1) cells.  The only subset loop."""
-    n = matroid.n
+def _size_rank_sums(matroid, prod):
+    """T[k (R+1) + r]: the sum of prod[A] over the subsets A with |A| = k
+    and rk(A) = r, as one flat list of (n+1)(R+1) cells."""
     width = matroid.full_rank + 1
-    bucket = _buckets(matroid.ranks, width)
-    table = [0] * ((n + 1) * width)
-    comp = ((1 << n) - 1) ^ smask
-    sub = comp
-    while True:
-        table[bucket[sub | smask]] += prod[sub]
-        if not sub:
-            break
-        sub = (sub - 1) & comp
+    table = [0] * ((matroid.n + 1) * width)
+    for cell, x in zip(_buckets(matroid.ranks, width), prod):
+        table[cell] += x
     return table
 
 
@@ -179,7 +182,7 @@ def _strata_table(matroid, w):
     """(T, width, scale): the table T_S for S empty at the length-n point
     w, the width R + 1 of its rows, and the scale every cell is over."""
     prod = _products(w)
-    return _size_rank_sums(matroid, prod, 0), matroid.full_rank + 1, prod[0]
+    return _size_rank_sums(matroid, prod), matroid.full_rank + 1, prod[0]
 
 
 def strata_numerators(matroid, q, w):
@@ -232,41 +235,85 @@ def _w0_weights(cv, powers, w0, a0):
     """W[k (R+1) + r] = c_k (n-k)_{a0} w_0^(n-k-a0) q^(-r) times
     L_c a^R d_0^n, an integer for w_0 = p_0 / d_0: the factor a subset of
     size k and rank r carries in a derivative of order a0 in w_0, laid out
-    like T.  Sizes k > n - a0 lose their whole w_0 power and are left out."""
+    like T.  Sizes k > n - a0 lose their whole w_0 power: their cells are 0."""
     n = len(cv) - 1
     p0, d0 = w0.numerator, w0.denominator
     weights = []
     for k in range(n - a0 + 1):
         coef = cv[k] * _falling(n - k, a0) * p0 ** (n - k - a0) * d0 ** (k + a0)
-        weights += [coef * p for p in powers]
-    return weights
+        weights += map(coef.__mul__, powers)
+    return weights + [0] * ((n + 1) * len(powers) - len(weights))
+
+
+def _weighting(matroid, c, q, w0, prod):
+    """(weights, scale) for the inner products prod: weights(a0) is the
+    _w0_weights list of w_0-order a0, and every sum of weights(a0)[cell]
+    prod[A] is over the one positive integer scale."""
+    cv, cden = clear_denominators(c)
+    powers, qden = _q_inverse_powers(q, matroid.full_rank)
+    return (functools.partial(_w0_weights, cv, powers, w0),
+            cden * qden * w0.denominator ** matroid.n * prod[0])
+
+
+def _monomials(weights, cells, prod):
+    """u[t] = weights[cells[t]] * prod[t]: the weighted monomial of each
+    subset, for its size-rank cell and its product."""
+    return list(map(mul, map(weights.__getitem__, cells), prod))
+
+
+def _superset_sums(f, skip=0):
+    """F[B] = the sum of f[A] over the A containing B that agree with B on
+    the bits of skip, for f indexed by the subsets of b bits, len(f) = 2^b.
+    Each step adds the entries with the bottom bit set to those without it
+    and moves that bit to the top, so after b steps the layout is back."""
+    for i in range(len(f).bit_length() - 1):
+        hi = f[1::2]
+        f = (f[0::2] if skip >> i & 1 else list(map(add, f[0::2], hi))) + hi
+    return f
+
+
+def _bit_sums(f):
+    """([the sum of f[A] over the A containing bit i, for each bit i], the
+    sum of f), for f indexed by the subsets of b bits.  Each step folds the
+    bottom bit away."""
+    sums = []
+    while len(f) > 1:
+        hi = f[1::2]
+        sums.append(sum(hi))
+        f = list(map(add, f[0::2], hi))
+    return sums, f[0]
 
 
 def _derivatives(matroid, c, q, w):
     """(derivative, scale) at the length-(n+1) point w.
     derivative(a0, smask) / scale is the alpha-derivative of Z_c at w for
     alpha_0 = a0 and inner support smask, with one positive integer scale
-    for every order and support.  Calls share the product table, one T
-    table per inner support and one weight table per a0."""
+    for every order and support.  Calls share one superset-sum transform
+    per a0 of the weighted monomials u[A] = W[|A|, rk A] prod[A].
+
+    The transform at smask is the derivative times w^smask.  It is exact
+    at any w: a zero w_i enters prod as 1 and the transform skips its bit
+    (a subset holding i adds to the reads that hold i, where w_i has been
+    differentiated away, and to no other), and a read multiplies by
+    prod[0] / prod[smask], the product of d_i / p_i over smask, which
+    divides w^smask back out."""
     n = matroid.n
-    cv, cden = clear_denominators(c)
-    powers, qden = _q_inverse_powers(q, matroid.full_rank)
-    prod = _products(w[1:])
-    tables = {}
-    weights = {}
+    inner = w[1:]
+    zeros = sum(1 << i for i, x in enumerate(inner) if not x)
+    prod = _products([x or 1 for x in inner])
+    weights, scale = _weighting(matroid, c, q, w[0], prod)
+    cells = _buckets(matroid.ranks, matroid.full_rank + 1)
+    sums = {}
 
     def derivative(a0, smask):
         if a0 + smask.bit_count() > n:
             return 0
-        table = tables.get(smask)
-        if table is None:
-            table = tables[smask] = _size_rank_sums(matroid, prod, smask)
-        weight = weights.get(a0)
-        if weight is None:
-            weight = weights[a0] = _w0_weights(cv, powers, w[0], a0)
-        return sum(map(mul, weight, table))
+        f = sums.get(a0)
+        if f is None:
+            f = sums[a0] = _superset_sums(_monomials(weights(a0), cells, prod), zeros)
+        return f[smask] * prod[0] // prod[smask]
 
-    return derivative, cden * qden * w[0].denominator ** n * prod[0]
+    return derivative, scale
 
 
 def _first_partials(derivative, n, a0, smask):
@@ -354,18 +401,61 @@ def gradient(matroid, c, q, alpha, w):
     return tuple(Fraction(x, scale) for x in _first_partials(derivative, n, *split))
 
 
-def hessian_numerators(matroid, c, q, alpha, w):
-    """(rows, scale): the Hessian of the alpha-derivative of Z_c at w is
-    rows[i][j] / scale, over the one positive integer scale of
-    _derivatives.  A positive scale does not change the inertia, so a
-    signature can be read off the rows directly."""
+def _congruent_hessian(matroid, c, q, alpha, w):
+    """(rows, sums, total, scale): rows / scale = D H D w^S, for H the
+    Hessian of the alpha-derivative of Z_c at w, D = diag(1, w_1, ..., w_n),
+    w^S the product of the w_i over the inner support S of alpha, and the
+    one positive integer scale of _derivatives.
+
+    With u_a[A] = W_a[|A|, rk A] prod[A] on the supersets A of S (W_a the
+    _w0_weights of w_0-order a, prod the _products of w_1..w_n) and
+    a0 = alpha_0, exactly and for every w, i and j distinct and not in S:
+
+        (D H D)_ij w^S = sum over A containing S+i+j of u_a0[A],
+        (D H D)_0i w^S = sum over A containing S+i of u_(a0+1)[A],
+        (D H D)_00 w^S = sum over A containing S of u_(a0+2)[A];
+
+    the rows of S are 0.  The pairs are reads of sums, one superset-sum
+    transform of u_a0 indexed by the bits of the free indices (those not
+    in S); row 0 comes from per-bit sums of u_(a0+1), whose sum is total,
+    and from the sum of u_(a0+2), never from Euler's identity.  When no w_i
+    is 0, D is invertible, so by Sylvester's law of inertia D H D has the
+    inertia of H, also on the actives (0 and the free indices), and so do
+    the rows when w^S > 0: every Hessian check validates a positive point
+    before it calls here."""
     n = matroid.n
-    derivative, scale = _derivatives(matroid, c, q, w)
-    split = _alpha_split(alpha, n)
-    if split is None:
-        rows = [[0] * (n + 1) for _ in range(n + 1)]
-    else:
-        rows = _second_partials(derivative, n, *split)
+    prod = _products(w[1:])
+    weights, scale = _weighting(matroid, c, q, w[0], prod)
+    # an identically zero derivative: w_0-order n + 1 zeroes every weight
+    a0, smask = _alpha_split(alpha, n) or (n + 1, 0)
+    free = [i for i in range(n) if not smask >> i & 1]
+    cells = _buckets(matroid.ranks, matroid.full_rank + 1)
+    if smask:
+        # the supersets of S, indexed by their bits among the free indices
+        index = [smask]
+        for i in free:
+            index += [x | 1 << i for x in index]
+        cells = list(map(cells.__getitem__, index))
+        prod = list(map(prod.__getitem__, index))
+    sums = _superset_sums(_monomials(weights(a0), cells, prod))
+    singles, total = _bit_sums(_monomials(weights(a0 + 1), cells, prod))
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    rows[0][0] = sum(_monomials(weights(a0 + 2), cells, prod))
+    for x, i in enumerate(free):
+        rows[0][i + 1] = rows[i + 1][0] = singles[x]
+        for y in range(x + 1, len(free)):
+            j = free[y]
+            rows[i + 1][j + 1] = rows[j + 1][i + 1] = sums[1 << x | 1 << y]
+    return rows, sums, total, scale
+
+
+def hessian_numerators(matroid, c, q, alpha, w):
+    """(rows, scale): D H D w^S = rows / scale, for H the Hessian of the
+    alpha-derivative of Z_c at w, D = diag(1, w_1, ..., w_n) and S the
+    inner support of alpha (_congruent_hessian).  At a positive point the
+    rows have the inertia of H, also on the active indices, so a signature
+    can be read off them directly."""
+    rows, _, _, scale = _congruent_hessian(matroid, c, q, alpha, w)
     return tuple(map(tuple, rows)), scale
 
 
@@ -375,22 +465,24 @@ def hessian(matroid, c, q, alpha, w):
     Entry (i, j) equals the (alpha + e_i + e_j)-derivative at w.  Inner
     diagonal entries are identically zero (the polynomial is multiaffine in
     w_1..w_n), and the whole matrix is zero when the derivative has degree
-    below two.  The entries are hessian_numerators divided by its scale.
+    below two.
     """
-    cv, qv, wv = _validated(matroid, c, q, w)
-    rows, scale = hessian_numerators(matroid, cv, qv, validate_alpha(alpha, matroid.n), wv)
+    n = matroid.n
+    derivative, scale = _derivatives(matroid, *_validated(matroid, c, q, w))
+    split = _alpha_split(validate_alpha(alpha, n), n)
+    rows = [(0,) * (n + 1)] * (n + 1) if split is None else _second_partials(derivative, n, *split)
     return SymMatrix(tuple(tuple(Fraction(x, scale) for x in row) for row in rows))
 
 
 def second_order_numerators(matroid, c, q, w):
-    """(z, grad, rows, scale): Z_c, its gradient and its Hessian at the
-    length-(n+1) point w, integers over one positive integer scale, from
-    one subset pass per support.  The gradient is zero when n < 1 and the
+    """(z, grad, rows, scale): Z_c, D times its gradient and D H D for its
+    Hessian H at the length-(n+1) point w, D = diag(1, w_1, ..., w_n),
+    integers over one positive integer scale (_congruent_hessian at
+    alpha = 0): z and the inner gradient entries are reads of the same
+    transform as the pairs.  The gradient is zero when n < 1 and the
     Hessian when n < 2."""
-    n = matroid.n
-    derivative, scale = _derivatives(matroid, c, q, w)
-    return (derivative(0, 0), _first_partials(derivative, n, 0, 0),
-            _second_partials(derivative, n, 0, 0), scale)
+    rows, sums, total, scale = _congruent_hessian(matroid, c, q, (0,) * (matroid.n + 1), w)
+    return sums[0], [total] + [sums[1 << i] for i in range(matroid.n)], rows, scale
 
 
 def independent_numerators(matroid, w):

@@ -23,10 +23,15 @@ unit runs, and every check validates
 all of its inputs, its point through potts.validate_point with the sign
 its theorem needs, before it returns any verdict: the Hessian checks
 eliminate integer numerators and the strata checks compare them
-(potts.hessian_numerators, potts.strata_numerators), which trust the
-validated inputs; a Fraction is built only for a witness value.  Reports
-are plain data: serializing with sort_keys produces byte-identical output
-for identical (corpus, seed, samples), independent of the worker count.
+(potts.hessian_numerators, potts.second_order_numerators,
+potts.strata_numerators), which trust the validated inputs; a Fraction
+is built only for a witness value.  The Hessian checks eliminate the
+congruent matrix D H D, D = diag(1, w_1, ..., w_n), in place of the
+Hessian H (logconcavity D N D in place of N): they validate a positive
+point first, so D is invertible and, by Sylvester's law of inertia, the
+signature read is that of H (of N).  Reports are plain data: serializing
+with sort_keys produces byte-identical output for identical (corpus,
+seed, samples), independent of the worker count.
 
 Theorem tags used on the wire:
 
@@ -559,21 +564,24 @@ def check_log_concavity_at(matroid, c, q, w):
     if not _q_in_range(qv):
         return CheckResult(TAG_LOG_CONCAVITY, inputs, NOT_APPLICABLE,
                            {"annotations": ["q-above-one"]})
-    # N = z H - grad grad^T is an integer matrix over scale^2; with
-    # w = P / L the ray w^T N w is P^T N P over (L scale)^2, as is
-    # -n Z^2 = -n (L z)^2 / (L scale)^2
+    # D N D = z D H D - (D grad)(D grad)^T, D = diag(1, w_1, ..., w_n), is an
+    # integer matrix over scale^2, with the inertia of N by Sylvester's law
+    # (w is positive).  D v = w for v = (w_0, 1, ..., 1) = V / d_0 with
+    # V = (p_0, d_0, ..., d_0), so the ray w^T N w is V^T (D N D) V over
+    # (d_0 scale)^2, as is -n Z^2 = -n (d_0 z)^2 / (d_0 scale)^2
     z, grad, hess, scale = second_order_numerators(matroid, cv, qv, wv)
     entries = tuple(
         tuple(z * hess[i][j] - grad[i] * grad[j] for j in range(n + 1))
         for i in range(n + 1)
     )
     sig = signature(SymMatrix(entries))
-    point, lcm = clear_denominators(wv)
-    ray = sum(point[i] * sum(map(mul, entries[i], point)) for i in range(n + 1))
-    ray_ok = ray == -n * (lcm * z) ** 2
+    d0 = wv[0].denominator
+    ray_point = [wv[0].numerator] + [d0] * n
+    ray = sum(ray_point[i] * sum(map(mul, entries[i], ray_point)) for i in range(n + 1))
+    ray_ok = ray == -n * (d0 * z) ** 2
     notes = ["ray-identity"] if ray_ok else []
     witness = {"signature": _sig_list(sig),
-               "ray": scalar_to_json(Fraction(ray, (lcm * scale) ** 2))}
+               "ray": scalar_to_json(Fraction(ray, (d0 * scale) ** 2))}
     if notes:
         witness["annotations"] = notes
     verdict = PASS if (sig.n_pos == 0 and ray_ok) else FAIL
@@ -884,10 +892,15 @@ def replay_check(check):
     if isinstance(check, dict):
         check = CheckResult.from_json(check)
     inputs = check.inputs
+    if not isinstance(inputs, dict):
+        raise ParseError(f"check inputs must be an object, got {type(inputs).__name__}")
     key = (check.theorem, inputs.get("aspect"))
     if key not in CHECKS:
         raise InvalidParametersError(f"cannot replay theorem {key[0]!r} with aspect {key[1]!r}")
     name, keys = CHECKS[key]
+    for k in ("matroid", *keys):
+        if k not in inputs:
+            raise ParseError(f"check inputs are missing field {k!r}")
     matroid = matroid_from_json(inputs["matroid"])
     return call_check(name, (matroid, *(_FROM_JSON[k](inputs[k]) for k in keys)))
 

@@ -7,8 +7,10 @@ through subset-mask passes; the two routes share no code.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
 import pytest
 import sympy
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from potts_hodge import (
     InvalidParametersError,
+    SymMatrix,
     contract,
     dependent_mass,
     derivative_degree,
@@ -37,14 +40,17 @@ from potts_hodge import (
     make_uniform,
     partial_eval,
     rat,
+    signature,
     z_weighted_eval,
     zk_all,
     zk_eval,
 )
 from potts_hodge.potts import (
     _alpha_split,
+    _bit_sums,
     _derivatives,
     _first_partials,
+    _superset_sums,
     hessian_numerators,
     independent_numerators,
     second_order_numerators,
@@ -259,13 +265,14 @@ q_values = st.one_of(st.just(Fraction(1)), st.just(Fraction(1001, 1000)),
 
 
 @st.composite
-def derivative_inputs(draw):
-    """(matroid, c, q, alpha, w) on a random matroid from small_matroids."""
+def derivative_inputs(draw, coords=coordinates):
+    """(matroid, c, q, alpha, w) on a random matroid from small_matroids,
+    with the coordinates of w drawn from coords."""
     matroid = draw(small_matroids())
     n = matroid.n
     c = draw(st.lists(positive, min_size=n + 1, max_size=n + 1))
     q = draw(q_values)
-    w = draw(st.lists(coordinates, min_size=n + 1, max_size=n + 1))
+    w = draw(st.lists(coords, min_size=n + 1, max_size=n + 1))
     # alpha_0 <= 2 and a sparse inner support, so that most derivatives
     # keep degree two or more
     alpha = (draw(st.integers(0, 2)),) + tuple(
@@ -308,6 +315,39 @@ def over_one_scale(ints, scale):
     return tuple(Fraction(x, scale) for x in ints)
 
 
+@pytest.mark.parametrize("bits", range(6))
+def test_superset_sums_and_bit_sums_brute_force(bits):
+    rng = random.Random(bits)
+    size = 1 << bits
+    f = [rng.randint(-9, 9) for _ in range(size)]
+    for skip in range(size):
+        # the sums over the supersets of b that agree with b on skip
+        assert _superset_sums(f, skip) == [
+            sum(f[a] for a in range(size) if a & b == b and a & skip == b & skip)
+            for b in range(size)]
+    assert _bit_sums(f) == ([sum(f[a] for a in range(size) if a >> i & 1) for i in range(bits)],
+                            sum(f))
+
+
+@settings(max_examples=120, deadline=None)
+@given(inputs=derivative_inputs(positive))
+# alpha = 0, and a nonempty support with a w_0-order
+@example(inputs=(U24, (1, 3, 4, 3, 1), Fraction(1, 2), (0, 0, 0, 0, 0),
+                 (Fraction(1), Fraction(1, 2), Fraction(3), Fraction(2, 5), Fraction(7))))
+@example(inputs=(LIN, (1, 2, 3, 2, 1), Fraction(1, 3), (1, 1, 0, 0, 1),
+                 (Fraction(5, 4), Fraction(1, 6), Fraction(2), Fraction(9, 2), Fraction(1, 3))))
+def test_congruent_hessian_has_the_inertia_of_the_hessian(inputs):
+    # at a positive point D = diag(1, w_1, ..., w_n) is invertible and
+    # w^S > 0, so by Sylvester's law hessian_numerators has the inertia of
+    # the Hessian, on the active indices too
+    matroid, c, q, alpha, w = inputs
+    n = matroid.n
+    active = [0] + [i for i in range(1, n + 1) if not alpha[i]]
+    rows, _ = hessian_numerators(matroid, c, q, alpha, w)
+    assert signature(SymMatrix(rows).submatrix(active)) == \
+        signature(hessian(matroid, c, q, alpha, w).submatrix(active))
+
+
 @settings(max_examples=200, deadline=None)
 @given(inputs=derivative_inputs())
 # denominators that share factors (4, 6, 6: lcm 12, product 144), a zero
@@ -320,13 +360,21 @@ def over_one_scale(ints, scale):
 def test_numerators_differential(inputs):
     # each numerator helper returns integers over one positive integer
     # scale, and they divide to the public values, which
-    # test_oracle_differential holds to the sympy oracle
+    # test_oracle_differential holds to the sympy oracle; the Hessian
+    # helpers give D H D for D = diag(1, w_1, ..., w_n), and
+    # hessian_numerators times w^S for the inner support S of alpha
     matroid, c, q, alpha, w = inputs
     n = matroid.n
     zero = (0,) * (n + 1)
+    d = (1,) + tuple(w[1:])
+
+    def congruent(h, factor=1):
+        return tuple(factor * d[i] * h[i][j] * d[j] for i in range(n + 1) for j in range(n + 1))
+
+    w_support = math.prod(w[i] for i in range(1, n + 1) if alpha[i])
     rows, scale = hessian_numerators(matroid, c, q, alpha, w)
     assert over_one_scale(chain(*rows), scale) == \
-        tuple(chain(*hessian(matroid, c, q, alpha, w).entries))
+        congruent(hessian(matroid, c, q, alpha, w).entries, w_support)
     # every derivative, of every order and support, over the one scale
     derivative, scale = _derivatives(matroid, c, q, w)
     splits = [(a0, mask) for a0 in range(3) for mask in range(1 << n)]
@@ -340,9 +388,9 @@ def test_numerators_differential(inputs):
     # Z_c, its gradient and its Hessian at alpha = 0
     z, grad, hess, scale = second_order_numerators(matroid, c, q, w)
     assert over_one_scale([z], scale) == (z_weighted_eval(matroid, c, q, w),)
-    assert over_one_scale(grad, scale) == gradient(matroid, c, q, zero, w)
-    assert over_one_scale(chain(*hess), scale) == \
-        tuple(chain(*hessian(matroid, c, q, zero, w).entries))
+    assert over_one_scale(grad, scale) == \
+        tuple(map(mul, d, gradient(matroid, c, q, zero, w)))
+    assert over_one_scale(chain(*hess), scale) == congruent(hessian(matroid, c, q, zero, w).entries)
     # the strata and the independent-set strata at the inner point
     inner = w[1:]
     assert over_one_scale(*strata_numerators(matroid, q, inner)) == zk_all(matroid, q, inner)

@@ -282,6 +282,15 @@ def test_signature_rejects_float_entries():
     assert signature([[rat(1), rat(1)], [rat(1), rat(1)]]) == EigenSignature(1, 0, 1)
 
 
+def test_scaled_rows_returns_integer_entries_as_they_are():
+    ints = SymMatrix(((2, -3), (-3, 0)))
+    rows, scale = ints.scaled_rows()
+    assert rows is ints.entries and scale == 1
+    # a rational entry clears the whole matrix over the lcm of the denominators
+    mixed = SymMatrix(((2, rat(1, 2)), (rat(1, 2), rat(-1, 3))))
+    assert mixed.scaled_rows() == ([[12, 3], [3, -2]], 6)
+
+
 def test_float_eigenvalues_diagnostic():
     # U(1,2) Hessian at ones has exact spectrum {3, -1, 0}
     eigs = float_eigenvalues(SymMatrix.from_rows(H_U12))

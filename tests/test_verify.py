@@ -1086,6 +1086,19 @@ def test_replay_check_refuses_a_non_list_vector_or_multi_index(key):
             replay_check(dict(record, inputs=dict(record["inputs"], **{key: bad})))
 
 
+@pytest.mark.parametrize("drop", [None, "w", "matroid"])
+def test_replay_check_refuses_inputs_that_are_not_a_full_object(drop):
+    # inputs that are not an object, or that lack a key of the record's
+    # CHECKS row or the matroid
+    record = check_one_positive(U12, rat(1), ONES3).to_json()
+    if drop is None:
+        bad = [1]
+    else:
+        bad = {k: v for k, v in record["inputs"].items() if k != drop}
+    with pytest.raises(ParseError):
+        replay_check(dict(record, inputs=bad))
+
+
 def test_sampled_points_are_positive():
     for j in range(10):
         w = sample_positive_point(child_rng(0, 99, j), 5)
