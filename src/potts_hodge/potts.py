@@ -53,6 +53,7 @@ scalars.from_float.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from operator import add, ge, gt, mul
 
@@ -208,14 +209,6 @@ def zk_eval(matroid, k, q, w):
     return strata[k] if k <= matroid.n else ZERO
 
 
-def _falling(k, j):
-    """Falling factorial k (k-1) ... (k-j+1); equals k!/(k-j)! for k >= j."""
-    out = 1
-    for t in range(j):
-        out *= k - t
-    return out
-
-
 def _alpha_split(alpha, n):
     """(a0, smask) for an admissible alpha, or None when the derivative
     annihilates every monomial (some inner entry >= 2, or order too high)."""
@@ -231,16 +224,16 @@ def _alpha_split(alpha, n):
     return a0, smask
 
 
-def _w0_weights(cv, powers, w0, a0):
+def _w0_weights(cv, powers, w0_powers, a0):
     """W[k (R+1) + r] = c_k (n-k)_{a0} w_0^(n-k-a0) q^(-r) times
-    L_c a^R d_0^n, an integer for w_0 = p_0 / d_0: the factor a subset of
-    size k and rank r carries in a derivative of order a0 in w_0, laid out
-    like T.  Sizes k > n - a0 lose their whole w_0 power: their cells are 0."""
+    L_c a^R d_0^n, an integer for w_0 = p_0 / d_0 given as
+    w0_powers[e] = p_0^e d_0^(n-e): the factor a subset of size k and rank
+    r carries in a derivative of order a0 in w_0, laid out like T.  Sizes
+    k > n - a0 lose their whole w_0 power: their cells are 0."""
     n = len(cv) - 1
-    p0, d0 = w0.numerator, w0.denominator
     weights = []
     for k in range(n - a0 + 1):
-        coef = cv[k] * _falling(n - k, a0) * p0 ** (n - k - a0) * d0 ** (k + a0)
+        coef = cv[k] * math.perm(n - k, a0) * w0_powers[n - k - a0]
         weights += map(coef.__mul__, powers)
     return weights + [0] * ((n + 1) * len(powers) - len(weights))
 
@@ -249,10 +242,12 @@ def _weighting(matroid, c, q, w0, prod):
     """(weights, scale) for the inner products prod: weights(a0) is the
     _w0_weights list of w_0-order a0, and every sum of weights(a0)[cell]
     prod[A] is over the one positive integer scale."""
+    n = matroid.n
     cv, cden = clear_denominators(c)
     powers, qden = _q_inverse_powers(q, matroid.full_rank)
-    return (functools.partial(_w0_weights, cv, powers, w0),
-            cden * qden * w0.denominator ** matroid.n * prod[0])
+    p0, d0 = w0.numerator, w0.denominator
+    w0_powers = [p0 ** e * d0 ** (n - e) for e in range(n + 1)]
+    return functools.partial(_w0_weights, cv, powers, w0_powers), cden * qden * d0 ** n * prod[0]
 
 
 def _monomials(weights, cells, prod):
