@@ -60,7 +60,6 @@ from .spectral import (
     kernel_contains,
     kernel_identity_check,
     one_positive_equivalence_check,
-    one_positive,
     signature,
 )
 from .verify import (

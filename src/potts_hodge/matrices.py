@@ -32,16 +32,12 @@ class SymMatrix:
     entries: tuple
 
     def __post_init__(self):
-        d = len(self.entries)
-        for i, row in enumerate(self.entries):
-            if len(row) != d:
-                raise InvalidParametersError("matrix is not square")
-            for j in range(i):
-                if row[j] != self.entries[j][i]:
-                    raise InvalidParametersError(
-                        f"matrix is not symmetric at ({i},{j}): "
-                        f"{row[j]!r} != {self.entries[j][i]!r}")
-        if not all(map(is_exact_scalar, chain.from_iterable(self.entries))):
+        entries = self.entries
+        if any(len(row) != len(entries) for row in entries):
+            raise InvalidParametersError("matrix is not square")
+        if list(map(tuple, entries)) != list(zip(*entries)):
+            raise InvalidParametersError("matrix is not symmetric")
+        if not all(map(is_exact_scalar, chain.from_iterable(entries))):
             raise InvalidParametersError("matrix entries must be ints or exact rationals")
 
     @property

@@ -24,30 +24,29 @@ is
 
     (sum over the subsets A containing S of u_a[A]) / prod_{i in S} w_i,
 
-a superset sum.  _derivatives runs one superset-sum transform of u_a per
-order a and reads every support off it; the gradient and the Hessian are
-its reads at alpha + e_i and alpha + e_i + e_j.  The Hessian checks take
-instead the congruent matrix D H D with D = diag(1, w_1, ..., w_n)
-(_congruent_hessian), whose entries are the superset sums themselves:
-one transform for the inner pairs, per-bit sums for the w_0 row and one
-sum for the corner, over the supersets of S only.  At a positive point it
-has the inertia of H (Sylvester's law).  The derivative passes are
-list-level (slicing, map and sum over lists of 2^m ints); the strata
-table is the one per-subset loop.
+a superset sum.  Every derivative is read off the monomials of the
+supersets of S alone (_superset_lists): a value is one sum of them, a
+gradient their per-bit sums, and a Hessian the congruent matrix
+D H D w^S, D = diag(1, w_1, ..., w_n), whose inner pairs are reads of one
+superset-sum transform (_congruent_hessian).  At a positive point it has
+the inertia of H (Sylvester's law); the public evaluators divide D and
+w^S back out.  A zero w_i enters as 1 with its bit kept out of the sums,
+so every read is exact at any point.  These passes are list-level; the
+strata table is the one per-subset loop.
 
 The passes and the reductions run on Python ints, and all the integers
-one call of a *_numerators helper or of _derivatives returns sit over one
-positive integer scale, the same for every k, m, order and support: each
-w_i = p_i / d_i is cleared on its own (_products), w_0 enters as
+one call of a *_numerators helper or of _superset_lists returns sit over
+one positive integer scale, the same for every k, m, order and support:
+each w_i = p_i / d_i is cleared on its own (_products), w_0 enters as
 p_0^(n-k-a_0) d_0^(k+a_0) over d_0^n, q = a/b as b^r a^(R-r) over a^R for
 the full rank R, and c as C over L_c.  The public evaluators divide once,
 at their boundary; the checks compare the integers, or read the signature
 of a congruent Hessian's integer rows (a positive scale does not change
-the inertia).  Inputs are validated where they enter: each public evaluator
-validates its inputs once, and the *_numerators helpers and _derivatives
-take validated inputs and trust them, as do the checks that call them.
-Inputs are ints or exact rationals (scalars.as_rational) and outputs are
-Fractions; a caller with float inputs converts them with
+the inertia).  Inputs are validated where they enter: each public
+evaluator validates its inputs once, and the *_numerators helpers and
+_superset_lists take validated inputs and trust them, as do the checks
+that call them.  Inputs are ints or exact rationals (scalars.as_rational)
+and outputs are Fractions; a caller with float inputs converts them with
 scalars.from_float.
 """
 from __future__ import annotations
@@ -55,6 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import islice
 from operator import add, ge, gt, mul
 
 from .errors import InvalidParametersError
@@ -250,12 +250,6 @@ def _weighting(matroid, c, q, w0, prod):
     return functools.partial(_w0_weights, cv, powers, w0_powers), cden * qden * d0 ** n * prod[0]
 
 
-def _monomials(weights, cells, prod):
-    """u[t] = weights[cells[t]] * prod[t]: the weighted monomial of each
-    subset, for its size-rank cell and its product."""
-    return list(map(mul, map(weights.__getitem__, cells), prod))
-
-
 def _superset_sums(f, skip=0):
     """F[B] = the sum of f[A] over the A containing B that agree with B on
     the bits of skip, for f indexed by the subsets of b bits, len(f) = 2^b.
@@ -279,74 +273,71 @@ def _bit_sums(f):
     return sums, f[0]
 
 
-def _derivatives(matroid, c, q, w):
-    """(derivative, scale) at the length-(n+1) point w.
-    derivative(a0, smask) / scale is the alpha-derivative of Z_c at w for
-    alpha_0 = a0 and inner support smask, with one positive integer scale
-    for every order and support.  Calls share one superset-sum transform
-    per a0 of the weighted monomials u[A] = W[|A|, rk A] prod[A].
+def _single_sums(f, low):
+    """([for each bit x, the sum of f[A] over the A holding x and no other
+    bit from low up], the sum of f[:2^low]), for f indexed by the subsets
+    of b bits: _bit_sums of f[:2^low] and one slice per bit from low up."""
+    head = 1 << low
+    if head == len(f):
+        return _bit_sums(f)
+    singles, total = _bit_sums(f[:head])
+    bits = range(low, len(f).bit_length() - 1)
+    return singles + [sum(f[1 << x:(1 << x) + head]) for x in bits], total
 
-    The transform at smask is the derivative times w^smask.  It is exact
-    at any w: a zero w_i enters prod as 1 and the transform skips its bit
-    (a subset holding i adds to the reads that hold i, where w_i has been
-    differentiated away, and to no other), and a read multiplies by
-    prod[0] / prod[smask], the product of d_i / p_i over smask, which
-    divides w^smask back out."""
+
+def _superset_lists(matroid, c, q, alpha, w):
+    """(monomials, free, low, scale) for the alpha-derivative of Z_c at the
+    length-(n+1) point w, S its inner support and a0 = alpha_0.  free lists
+    the indices not in S, the low ones with w_i != 0 first.  monomials(a)[t]
+    is u_(a0+a)[A] = W[|A|, rk A] prod[A] for A = S + {free[x] : bit x of t},
+    W the _w0_weights of w_0-order a0 + a and prod the _products of w',
+    which is w with each 0 replaced by 1; every sum of them is over scale.
+    An identically zero derivative has every u zero."""
     n = matroid.n
-    inner = w[1:]
-    zeros = sum(1 << i for i, x in enumerate(inner) if not x)
-    prod = _products([x or 1 for x in inner])
+    zero = [not x for x in w[1:]]
+    prod = _products([1 if z else x for x, z in zip(w[1:], zero)])
     weights, scale = _weighting(matroid, c, q, w[0], prod)
+    a0, smask = _alpha_split(alpha, n) or (n + 1, 0)
+    free = [i for i in range(n) if not smask >> i & 1 and not zero[i]]
+    low = len(free)
+    free += [i for i in range(n) if not smask >> i & 1 and zero[i]]
     cells = _buckets(matroid.ranks, matroid.full_rank + 1)
-    sums = {}
+    if smask or low < len(free):
+        index = [smask]
+        for i in free:
+            index += [x | 1 << i for x in index]
+        cells = list(map(cells.__getitem__, index))
+        prod = list(map(prod.__getitem__, index))
 
-    def derivative(a0, smask):
-        if a0 + smask.bit_count() > n:
-            return 0
-        f = sums.get(a0)
-        if f is None:
-            f = sums[a0] = _superset_sums(_monomials(weights(a0), cells, prod), zeros)
-        return f[smask] * prod[0] // prod[smask]
+    def monomials(a):
+        return list(map(mul, map(weights(a0 + a).__getitem__, cells), prod))
 
-    return derivative, scale
-
-
-def _first_partials(derivative, n, a0, smask):
-    """Numerators of the (alpha + e_i)-derivatives, i = 0..n, for alpha
-    given as (a0, smask)."""
-    out = [derivative(a0 + 1, smask)]
-    for i in range(n):
-        bit = 1 << i
-        out.append(0 if smask & bit else derivative(a0, smask | bit))
-    return out
+    return monomials, free, low, scale
 
 
-def _second_partials(derivative, n, a0, smask):
-    """Rows of the numerators of the (alpha + e_i + e_j)-derivatives,
-    i, j = 0..n, for alpha given as (a0, smask).  Entries that touch the
-    support or repeat an inner index vanish (multiaffine)."""
-    rows = [[0] * (n + 1) for _ in range(n + 1)]
-    rows[0][0] = derivative(a0 + 2, smask)
-    free = [i for i in range(n) if not smask >> i & 1]
-    for x, i in enumerate(free):
-        with_i = smask | 1 << i
-        rows[0][i + 1] = rows[i + 1][0] = derivative(a0 + 1, with_i)
-        for j in free[x + 1:]:
-            rows[i + 1][j + 1] = rows[j + 1][i + 1] = derivative(a0, with_i | 1 << j)
-    return rows
+def _divided(rows, scale, w, alpha):
+    """X, one Fraction per entry, from the first rows of scale w'^S D' X D'
+    for D' = diag(1, w'_1, ..., w'_n), w' as in _superset_lists and S the
+    inner support of alpha."""
+    ws = math.prod(x or 1 for x, a in zip(w[1:], alpha[1:]) if a)
+    d = [1] + [x or 1 for x in w[1:]]
+    out = []
+    for row, y in zip(rows, d):
+        top, bottom = ws.denominator * y.denominator, scale * ws.numerator * y.numerator
+        out.append(tuple(Fraction(x * top * z.denominator, bottom * z.numerator)
+                         for x, z in zip(row, d)))
+    return tuple(out)
 
 
 def _validated(matroid, c, q, w):
-    """(c, q, w) validated in that order, w of length n + 1: the inputs
-    _derivatives trusts."""
+    """(c, q, w) validated in that order, w of length n + 1."""
     n = matroid.n
     return validate_coeffs(c, n), validate_q(q), validate_point(w, n + 1, "any")
 
 
 def z_weighted_eval(matroid, c, q, w):
     """Weighted polynomial Z_c at the length-(n+1) point (w_0, ..., w_n)."""
-    derivative, scale = _derivatives(matroid, *_validated(matroid, c, q, w))
-    return Fraction(derivative(0, 0), scale)
+    return partial_eval(matroid, c, q, (0,) * (matroid.n + 1), w)
 
 
 def is_identically_zero(matroid, c, q, alpha):
@@ -377,80 +368,67 @@ def partial_eval(matroid, c, q, alpha, w):
     A monomial indexed by the subset A survives exactly when the inner
     support of alpha sits inside A and a_0 is at most the w_0-exponent
     n - |A|; it then carries the falling-factorial factor from w_0^(n-|A|).
+    One sum of the restricted monomials, with no transform.
     """
-    derivative, scale = _derivatives(matroid, *_validated(matroid, c, q, w))
-    split = _alpha_split(validate_alpha(alpha, matroid.n), matroid.n)
-    if split is None:
-        return ZERO
-    return Fraction(derivative(*split), scale)
+    cv, qv, wv = _validated(matroid, c, q, w)
+    av = validate_alpha(alpha, matroid.n)
+    monomials, _, low, scale = _superset_lists(matroid, cv, qv, av, wv)
+    return _divided([[sum(islice(monomials(0), 1 << low))]], scale, wv, av)[0][0]
 
 
 def gradient(matroid, c, q, alpha, w):
     """All first partials of the alpha-derivative of Z_c at w: entry i is
-    the (alpha + e_i)-derivative."""
-    n = matroid.n
-    derivative, scale = _derivatives(matroid, *_validated(matroid, c, q, w))
-    split = _alpha_split(validate_alpha(alpha, n), n)
-    if split is None:
-        return (ZERO,) * (n + 1)
-    return tuple(Fraction(x, scale) for x in _first_partials(derivative, n, *split))
+    the (alpha + e_i)-derivative, read off the per-bit sums of the
+    restricted monomials and the sum of those of one more w_0-order."""
+    cv, qv, wv = _validated(matroid, c, q, w)
+    av = validate_alpha(alpha, matroid.n)
+    monomials, free, low, scale = _superset_lists(matroid, cv, qv, av, wv)
+    row = [sum(islice(monomials(1), 1 << low))] + [0] * matroid.n
+    for i, x in zip(free, _single_sums(monomials(0), low)[0]):
+        row[i + 1] = x
+    return _divided([row], scale, wv, av)[0]
 
 
 def _congruent_hessian(matroid, c, q, alpha, w):
-    """(rows, sums, total, scale): rows / scale = D H D w^S, for H the
-    Hessian of the alpha-derivative of Z_c at w, D = diag(1, w_1, ..., w_n),
-    w^S the product of the w_i over the inner support S of alpha, and the
-    one positive integer scale of _derivatives.
+    """(rows, sums, total, free, scale): rows / scale = D' H D' w'^S for H
+    the Hessian of the alpha-derivative of Z_c at w, as in _divided.  With
+    the monomials u_a of _superset_lists, a0 = alpha_0 and i, j distinct
+    free indices, exactly at every w:
 
-    With u_a[A] = W_a[|A|, rk A] prod[A] on the supersets A of S (W_a the
-    _w0_weights of w_0-order a, prod the _products of w_1..w_n) and
-    a0 = alpha_0, exactly and for every w, i and j distinct and not in S:
+        (D' H D')_ij w'^S = sum of u_a0[A] over the A containing S+i+j,
+        (D' H D')_0i w'^S = sum of u_(a0+1)[A] over the A containing S+i,
+        (D' H D')_00 w'^S = sum of u_(a0+2)[A] over the A containing S,
 
-        (D H D)_ij w^S = sum over A containing S+i+j of u_a0[A],
-        (D H D)_0i w^S = sum over A containing S+i of u_(a0+1)[A],
-        (D H D)_00 w^S = sum over A containing S of u_(a0+2)[A];
-
-    the rows of S are 0.  The pairs are reads of sums, one superset-sum
-    transform of u_a0 indexed by the bits of the free indices (those not
-    in S); row 0 comes from per-bit sums of u_(a0+1), whose sum is total,
-    and from the sum of u_(a0+2), never from Euler's identity.  When no w_i
-    is 0, D is invertible, so by Sylvester's law of inertia D H D has the
-    inertia of H, also on the actives (0 and the free indices), and so do
-    the rows when w^S > 0: every Hessian check validates a positive point
-    before it calls here."""
+    each A holding no index with w_k = 0 but i and j; the rows of S are 0.
+    The pairs are reads of sums, one superset-sum transform of u_a0 that
+    skips those zero bits; row 0 comes from the _single_sums of u_(a0+1),
+    whose sum is total, and the sum of u_(a0+2), never from Euler's
+    identity.  At a positive point this is D H D w^S with D invertible and
+    w^S > 0, so by Sylvester's law it has the inertia of H, also on the
+    actives (0 and the free indices); every Hessian check validates a
+    positive point before it calls here."""
     n = matroid.n
-    prod = _products(w[1:])
-    weights, scale = _weighting(matroid, c, q, w[0], prod)
-    # an identically zero derivative: w_0-order n + 1 zeroes every weight
-    a0, smask = _alpha_split(alpha, n) or (n + 1, 0)
-    free = [i for i in range(n) if not smask >> i & 1]
-    cells = _buckets(matroid.ranks, matroid.full_rank + 1)
-    if smask:
-        # the supersets of S, indexed by their bits among the free indices
-        index = [smask]
-        for i in free:
-            index += [x | 1 << i for x in index]
-        cells = list(map(cells.__getitem__, index))
-        prod = list(map(prod.__getitem__, index))
-    sums = _superset_sums(_monomials(weights(a0), cells, prod))
-    singles, total = _bit_sums(_monomials(weights(a0 + 1), cells, prod))
+    monomials, free, low, scale = _superset_lists(matroid, c, q, alpha, w)
+    head = 1 << low
+    sums = _superset_sums(monomials(0), (1 << len(free)) - head)
+    singles, total = _single_sums(monomials(1), low)
     rows = [[0] * (n + 1) for _ in range(n + 1)]
-    rows[0][0] = sum(_monomials(weights(a0 + 2), cells, prod))
+    rows[0][0] = sum(islice(monomials(2), head))
     for x, i in enumerate(free):
         rows[0][i + 1] = rows[i + 1][0] = singles[x]
         for y in range(x + 1, len(free)):
             j = free[y]
             rows[i + 1][j + 1] = rows[j + 1][i + 1] = sums[1 << x | 1 << y]
-    return rows, sums, total, scale
+    return rows, sums, total, free, scale
 
 
 def hessian_numerators(matroid, c, q, alpha, w):
-    """(rows, scale): D H D w^S = rows / scale, for H the Hessian of the
-    alpha-derivative of Z_c at w, D = diag(1, w_1, ..., w_n) and S the
-    inner support of alpha (_congruent_hessian).  At a positive point the
-    rows have the inertia of H, also on the active indices, so a signature
-    can be read off them directly."""
-    rows, _, _, scale = _congruent_hessian(matroid, c, q, alpha, w)
+    """(rows, scale): D' H D' w'^S = rows / scale, for H the Hessian of the
+    alpha-derivative of Z_c at w, D' = diag(1, w'_1, ..., w'_n), S the
+    inner support of alpha and w' the point w with each 0 replaced by 1
+    (_congruent_hessian).  At a positive point the rows have the inertia of
+    H, also on the active indices."""
+    rows, _, _, _, scale = _congruent_hessian(matroid, c, q, alpha, w)
     return tuple(map(tuple, rows)), scale
 
 
@@ -460,24 +438,23 @@ def hessian(matroid, c, q, alpha, w):
     Entry (i, j) equals the (alpha + e_i + e_j)-derivative at w.  Inner
     diagonal entries are identically zero (the polynomial is multiaffine in
     w_1..w_n), and the whole matrix is zero when the derivative has degree
-    below two.
+    below two.  The congruent rows of _congruent_hessian, divided back.
     """
-    n = matroid.n
-    derivative, scale = _derivatives(matroid, *_validated(matroid, c, q, w))
-    split = _alpha_split(validate_alpha(alpha, n), n)
-    rows = [(0,) * (n + 1)] * (n + 1) if split is None else _second_partials(derivative, n, *split)
-    return SymMatrix(tuple(tuple(Fraction(x, scale) for x in row) for row in rows))
+    cv, qv, wv = _validated(matroid, c, q, w)
+    av = validate_alpha(alpha, matroid.n)
+    rows, _, _, _, scale = _congruent_hessian(matroid, cv, qv, av, wv)
+    return SymMatrix(_divided(rows, scale, wv, av))
 
 
 def second_order_numerators(matroid, c, q, w):
-    """(z, grad, rows, scale): Z_c, D times its gradient and D H D for its
-    Hessian H at the length-(n+1) point w, D = diag(1, w_1, ..., w_n),
-    integers over one positive integer scale (_congruent_hessian at
-    alpha = 0): z and the inner gradient entries are reads of the same
-    transform as the pairs.  The gradient is zero when n < 1 and the
-    Hessian when n < 2."""
-    rows, sums, total, scale = _congruent_hessian(matroid, c, q, (0,) * (matroid.n + 1), w)
-    return sums[0], [total] + [sums[1 << i] for i in range(matroid.n)], rows, scale
+    """(z, grad, rows, scale): Z_c, D' times its gradient and D' H D' for
+    its Hessian H at the length-(n+1) point w (_congruent_hessian at
+    alpha = 0), integers over one positive integer scale: z and the inner
+    gradient entries are reads of the same transform as the pairs.  The
+    gradient is zero when n < 1 and the Hessian when n < 2."""
+    n = matroid.n
+    rows, sums, total, free, scale = _congruent_hessian(matroid, c, q, (0,) * (n + 1), w)
+    return sums[0], [total] + [sums[1 << free.index(i)] for i in range(n)], rows, scale
 
 
 def independent_numerators(matroid, w):

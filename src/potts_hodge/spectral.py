@@ -28,14 +28,15 @@ from .matrices import (
 )
 from .potts import (
     _alpha_split,
-    _derivatives,
-    _second_partials,
+    _congruent_hessian,
+    _divided,
+    hessian,
     validate_alpha,
     validate_coeffs,
     validate_point,
     validate_q,
 )
-from .scalars import clear_denominators, rat, to_float
+from .scalars import rat, to_float
 
 
 class EigenSignature(NamedTuple):
@@ -62,11 +63,6 @@ def signature(matrix):
     rows, _ = SymMatrix.from_rows(matrix).scaled_rows()
     g = math.gcd(*chain.from_iterable(rows)) or 1
     return EigenSignature(*bareiss_inertia([x // g for x in row] for row in rows))
-
-
-def one_positive(matrix):
-    """True when the matrix has exactly one positive eigenvalue."""
-    return signature(matrix).n_pos == 1
 
 
 def float_eigenvalues(matrix):
@@ -235,27 +231,18 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
                         trials=trials)
 
 
-def _bumped_hessians(matroid, derivative, alpha):
-    """(i, rows_i) for each i whose derivative dF/dw_i of the
-    alpha-derivative F is not identically zero: rows_i are the integer
-    numerators of its Hessian, all over one common scale."""
-    n = matroid.n
-    for i in range(n + 1):
-        bumped = list(alpha)
-        bumped[i] += 1
-        split = _alpha_split(bumped, n)
-        if split is not None:
-            yield i, _second_partials(derivative, n, *split)
-
-
 def euler_hessian_residual(matroid, c, q, alpha, w):
     """Largest absolute entry of (d-2) H_F - sum_i w_i H_{dF/dw_i} for the
     alpha-derivative F of Z_c; identically zero for every homogeneous F, so
     it must come out exactly 0.  Requires degree d >= 2.
 
-    With H_F = rows_F / scale and H_{dF/dw_i} = rows_i / scale from one
-    _derivatives closure and w = W / L, the difference is
-    ((d-2) L rows_F - sum_i W_i rows_i) / (L scale).
+    Each Hessian is taken in the congruent form of _congruent_hessian,
+    rows_G = scale w'^S D' H_G D' for G = F and G = dF/dw_0, and
+    rows_G = scale w'^S w'_i D' H_G D' for G = dF/dw_i, i inner, one
+    positive scale for all.  With w_0 = p_0 / d_0, d_0 scale w'^S D' R D'
+    for the residual R is (d-2) d_0 rows_F - p_0 rows_0 - d_0 sum_i rows_i
+    over the inner i outside S with w_i != 0 (w_i = w'_i there; the other
+    terms vanish), divided back entry by entry (_divided).
     """
     n = matroid.n
     cv = validate_coeffs(c, n)
@@ -267,12 +254,16 @@ def euler_hessian_residual(matroid, c, q, alpha, w):
             f"the derivative has degree {d}; the Euler Hessian identity needs degree >= 2")
     qv = validate_q(q)
     wv = validate_point(w, n + 1, "any")
-    derivative, scale = _derivatives(matroid, cv, qv, wv)
-    weights, lcm = clear_denominators(wv)
-    total = [(d - 2) * lcm * x for x in chain(*_second_partials(derivative, n, *split))]
-    for i, rows in _bumped_hessians(matroid, derivative, av):
-        total = [t - weights[i] * x for t, x in zip(total, chain(*rows))]
-    return Fraction(max(map(abs, total)), lcm * scale)
+    p0, d0 = wv[0].numerator, wv[0].denominator
+    rows, _, _, _, scale = _congruent_hessian(matroid, cv, qv, av, wv)
+    total = [[(d - 2) * d0 * x for x in row] for row in rows]
+    for i in [0] + [i for i in range(1, n + 1) if wv[i] and not av[i]]:
+        bumped = list(av)
+        bumped[i] += 1
+        factor = d0 if i else p0
+        rows = _congruent_hessian(matroid, cv, qv, bumped, wv)[0]
+        total = [[t - factor * x for t, x in zip(r, s)] for r, s in zip(total, rows)]
+    return max(map(abs, chain(*_divided(total, d0 * scale, wv, av))))
 
 
 @dataclass(frozen=True)
@@ -299,26 +290,30 @@ class KernelIdentityReport:
 def kernel_identity_check(matroid, c, q, alpha, w):
     """Exact nullspace comparison for the Hessian kernel identity.
 
-    The Hessians of F and of every dF/dw_i are taken as the integer
-    numerators of one _derivatives closure: each is its matrix times a
-    positive scale, which changes neither its nullspace nor its signature.
+    The Hessians of F and of every dF/dw_i that is not identically zero
+    are read through the public hessian.
     """
     n = matroid.n
     cv = validate_coeffs(c, n)
     av = validate_alpha(alpha, n)
-    split = _alpha_split(av, n)
-    if split is None:
+    if _alpha_split(av, n) is None:
         raise NotApplicableError("the derivative is identically zero; no Hessian to compare")
-    derivative, _ = _derivatives(matroid, cv, validate_q(q), validate_point(w, n + 1, "any"))
+    qv = validate_q(q)
+    wv = validate_point(w, n + 1, "any")
     dim = n + 1
     stacked = []
     failures = []
-    for i, rows in _bumped_hessians(matroid, derivative, av):
-        stacked.extend(rows)
-        sig = signature(rows)
+    for i in range(dim):
+        bumped = list(av)
+        bumped[i] += 1
+        if _alpha_split(bumped, n) is None:
+            continue
+        h = hessian(matroid, cv, qv, bumped, wv)
+        stacked.extend(h.entries)
+        sig = signature(h)
         if sig.n_pos != 1:
             failures.append({"index": i, "signature": tuple(sig)})
-    ker_f = exact_nullspace(_second_partials(derivative, n, *split))
+    ker_f = exact_nullspace(hessian(matroid, cv, qv, av, wv).entries)
     if stacked:
         ker_stack = exact_nullspace(stacked)
     else:

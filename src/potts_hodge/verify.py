@@ -66,6 +66,7 @@ from .matroids import independent_set_counts, simplify, structure
 from .potts import (
     _alpha_split,
     dependent_mass,
+    f_limit_residual,
     hessian_numerators,
     independent_numerators,
     log_concave_integers,
@@ -919,8 +920,6 @@ def replay_report(report):
 def dependent_mass_ratio(matroid, m, w, q):
     """Ratio of the stratum-limit residual to q times the nullity-one mass;
     tends to 1 as q -> 0 whenever some m-subset has nullity exactly one."""
-    from .potts import f_limit_residual
-
     mass = dependent_mass(matroid, m, w, nullity=1)
     if mass == 0:
         raise InvalidParametersError("no m-subset of nullity one: the leading term vanishes")

@@ -46,10 +46,8 @@ from potts_hodge import (
     zk_eval,
 )
 from potts_hodge.potts import (
-    _alpha_split,
     _bit_sums,
-    _derivatives,
-    _first_partials,
+    _single_sums,
     _superset_sums,
     hessian_numerators,
     independent_numerators,
@@ -298,6 +296,7 @@ def test_oracle_differential(inputs):
     for i, a in enumerate(alpha):
         for _ in range(a):
             deriv = deriv.diff(ws[i])
+    assert partial_eval(matroid, c, q, alpha, w) == sym_frac(deriv.eval(point))
     g = gradient(matroid, c, q, alpha, w)
     rows = hessian(matroid, c, q, alpha, w).rows()
     for i in range(n + 1):
@@ -327,6 +326,12 @@ def test_superset_sums_and_bit_sums_brute_force(bits):
             for b in range(size)]
     assert _bit_sums(f) == ([sum(f[a] for a in range(size) if a >> i & 1) for i in range(bits)],
                             sum(f))
+    for low in range(bits + 1):
+        # the reads of bit i that hold no other bit at or above low
+        assert _single_sums(f, low) == (
+            [sum(f[a] for a in range(size) if a >> i & 1 and a >> low << low in (0, 1 << i))
+             for i in range(bits)],
+            sum(f[:1 << low]))
 
 
 @settings(max_examples=120, deadline=None)
@@ -361,30 +366,21 @@ def test_numerators_differential(inputs):
     # each numerator helper returns integers over one positive integer
     # scale, and they divide to the public values, which
     # test_oracle_differential holds to the sympy oracle; the Hessian
-    # helpers give D H D for D = diag(1, w_1, ..., w_n), and
-    # hessian_numerators times w^S for the inner support S of alpha
+    # helpers give D' H D' for D' = diag(1, w'_1, ..., w'_n), and
+    # hessian_numerators times w'^S for the inner support S of alpha, where
+    # w' is w with each zero coordinate replaced by 1
     matroid, c, q, alpha, w = inputs
     n = matroid.n
     zero = (0,) * (n + 1)
-    d = (1,) + tuple(w[1:])
+    d = (1,) + tuple(x or 1 for x in w[1:])
 
     def congruent(h, factor=1):
         return tuple(factor * d[i] * h[i][j] * d[j] for i in range(n + 1) for j in range(n + 1))
 
-    w_support = math.prod(w[i] for i in range(1, n + 1) if alpha[i])
+    w_support = math.prod(w[i] or 1 for i in range(1, n + 1) if alpha[i])
     rows, scale = hessian_numerators(matroid, c, q, alpha, w)
     assert over_one_scale(chain(*rows), scale) == \
         congruent(hessian(matroid, c, q, alpha, w).entries, w_support)
-    # every derivative, of every order and support, over the one scale
-    derivative, scale = _derivatives(matroid, c, q, w)
-    splits = [(a0, mask) for a0 in range(3) for mask in range(1 << n)]
-    assert over_one_scale((derivative(*split) for split in splits), scale) == tuple(
-        partial_eval(matroid, c, q, (a0,) + tuple(mask >> i & 1 for i in range(n)), w)
-        for a0, mask in splits)
-    split = _alpha_split(alpha, n)
-    if split is not None:
-        assert over_one_scale(_first_partials(derivative, n, *split), scale) == \
-            gradient(matroid, c, q, alpha, w)
     # Z_c, its gradient and its Hessian at alpha = 0
     z, grad, hess, scale = second_order_numerators(matroid, c, q, w)
     assert over_one_scale([z], scale) == (z_weighted_eval(matroid, c, q, w),)

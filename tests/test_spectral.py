@@ -29,7 +29,6 @@ from potts_hodge import (
     make_linear,
     make_rank_table,
     make_uniform,
-    one_positive,
     rat,
     signature,
 )
@@ -78,9 +77,9 @@ def test_signature_frozen_examples():
     assert signature([[rat(0)]]) == EigenSignature(0, 0, 1)
     assert signature([]) == EigenSignature(0, 0, 0)
     assert signature(H_U12).dim == 3
-    assert one_positive(H_U12)
-    assert not one_positive([[rat(1), rat(0)], [rat(0), rat(1)]])  # two positive
-    assert one_positive(all_ones(3))
+    assert signature(H_U12).n_pos == 1
+    assert signature([[rat(1), rat(0)], [rat(0), rat(1)]]).n_pos == 2  # two positive
+    assert signature(all_ones(3)).n_pos == 1
 
 
 def test_signature_congruence_invariance():
@@ -277,6 +276,11 @@ def test_signature_rejects_float_entries():
         signature([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(InvalidParametersError):
         SymMatrix(((rat(1), True), (True, rat(1))))
+    # a ragged matrix and an asymmetric one
+    with pytest.raises(InvalidParametersError):
+        SymMatrix(((1, 2), (2,)))
+    with pytest.raises(InvalidParametersError):
+        SymMatrix(((1, 2, 3), (2, 1, 0), (3, 1, 1)))
     # exact entries classify, the singular one included
     assert signature(SymMatrix(((2, 0), (0, -1)))) == EigenSignature(1, 1, 0)
     assert signature([[rat(1), rat(1)], [rat(1), rat(1)]]) == EigenSignature(1, 0, 1)
@@ -461,10 +465,11 @@ def test_kernel_identity_rejects_vanishing_derivative():
 
 # ------------------------------------ identities against a rational reference
 #
-# euler_hessian_residual and kernel_identity_check read the Hessians of F
-# and of every dF/dw_i off one table of integer numerators.  The references
-# below are the routes they replace: one public (Fraction) hessian per
-# Hessian, combined and eliminated in Fractions.
+# euler_hessian_residual combines the congruent integer rows of the
+# Hessians of F and of every dF/dw_i; its reference takes one public
+# (Fraction) hessian per Hessian and combines them in Fractions.
+# kernel_identity_check reads the public hessian itself, so its reference
+# pins the report it builds from those Hessians.
 
 
 def reference_euler_hessian_residual(matroid, c, q, alpha, w):
