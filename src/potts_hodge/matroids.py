@@ -90,9 +90,6 @@ class Matroid:
     def full_rank(self):
         return self.ranks[-1]
 
-    def rank_mask(self, mask):
-        return self.ranks[mask]
-
     def rank(self, subset):
         """Rank of a subset given as an iterable of 1-based labels or a mask."""
         if is_int(subset):
@@ -156,8 +153,10 @@ def make_graphic(vertices, edges):
     """Cycle matroid of a multigraph on vertices 1..vertices.
 
     Edge i of the list becomes ground set element i.  Loops (u == v) and
-    parallel edges are allowed.  rank(A) = vertices - #components(A),
-    counting isolated vertices, computed by union-find per subset.
+    parallel edges are allowed.  The ranks are those of the GF(2) incidence
+    matrix (_prefix_basis_ranks), with one row per vertex that a non-loop
+    edge touches (other rows are zero, as is a loop's column), so the cost
+    does not depend on the vertex count.
     """
     _size(vertices, "vertex count")
     edge_list = []
@@ -166,32 +165,11 @@ def make_graphic(vertices, edges):
         if not all(1 <= _int(x, "edge endpoint") <= vertices for x in (u, v)):
             raise InvalidParametersError(f"edge {e!r} has endpoints outside 1..{vertices}")
         edge_list.append((u, v))
-    n = len(edge_list)
     source = {"type": "graphic", "vertices": vertices, "edges": [list(e) for e in edge_list]}
-
-    def rank_of(mask):
-        parent = list(range(vertices + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merged = 0
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                ru, rv = find(edge_list[idx][0]), find(edge_list[idx][1])
-                if ru != rv:
-                    parent[ru] = rv
-                    merged += 1
-            m >>= 1
-            idx += 1
-        return merged
-
-    return _build(n, lambda: map(rank_of, range(1 << n)), "graphic", source)
+    rows = sorted({x for u, v in edge_list if u != v for x in (u, v)})
+    return _build(len(edge_list), lambda: _prefix_basis_ranks(
+        2, [[int(u != v and x in (u, v)) for x in rows] for u, v in edge_list], len(rows)),
+        "graphic", source)
 
 
 def _is_prime(p):
@@ -207,10 +185,11 @@ def _is_prime(p):
 
 def _prefix_basis_ranks(prime, cols, rows):
     """The ranks of the columns selected by masks 0..2^n-1, by prefix bases
-    (see make_linear): a basis is ((pivot position, vector with a unit
-    pivot), ...), shared with its prefix wherever the top column adds
-    nothing.  Only the masks without the last column keep their bases,
-    since no later mask extends the others."""
+    (see make_linear), for the columns of make_linear over GF(prime) and
+    the incidence columns of make_graphic over GF(2): a basis is ((pivot
+    position, vector with a unit pivot), ...), shared with its prefix
+    wherever the top column adds nothing.  Only the masks without the last
+    column keep their bases, since no later mask extends the others."""
     bases = [()]
     ranks = [0]
     for h, col in enumerate(cols, 1):

@@ -45,7 +45,7 @@ of a congruent Hessian's integer rows (a positive scale does not change
 the inertia).  Inputs are validated where they enter: each public
 evaluator validates its inputs once, and the *_numerators helpers and
 _superset_lists take validated inputs and trust them, as do the checks
-that call them.  Inputs are ints or exact rationals (scalars.as_rational)
+that call them.  Inputs are ints or exact rationals (scalars.rat)
 and outputs are Fractions; a caller with float inputs converts them with
 scalars.from_float.
 """
@@ -60,14 +60,14 @@ from operator import add, ge, gt, mul
 from .errors import InvalidParametersError
 from .matrices import SymMatrix
 from .matroids import mask_from_labels
-from .scalars import as_rational, as_rationals, clear_denominators, is_int
+from .scalars import as_rationals, clear_denominators, is_int, rat
 
 ZERO = Fraction(0)
 
 
 def validate_q(q):
     """q as a Fraction; it must be positive."""
-    qv = as_rational(q)
+    qv = rat(q)
     if qv <= 0:
         raise InvalidParametersError(f"q must be positive, got {qv}")
     return qv

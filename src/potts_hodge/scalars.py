@@ -2,10 +2,11 @@
 
 The library computes over exact rationals only.  An integer input is an
 int, never a bool (is_int), and an exact scalar an int or a Fraction
-(is_exact_scalar); as_rational and rat refuse a float rather than coercing
-it silently, so every result is bit-reproducible.  Rationals are the
-interface type only: the evaluators and the exact signature clear the
-denominators of their inputs once (clear_denominators) and run on ints.
+(is_exact_scalar).  rat is the one conversion to a Fraction: it refuses a
+float, a bool and a zero denominator rather than coercing them silently,
+so every result is bit-reproducible.  Rationals are the interface type
+only: the evaluators and the exact signature clear the denominators of
+their inputs once (clear_denominators) and run on ints.
 
 Float mode is a format of the command line.  from_float converts a finite
 double exactly to a rational, the library evaluates exactly, and to_float
@@ -39,15 +40,21 @@ def _refused(value):
         f"exact mode requires rational inputs, got {value!r} of type {type(value).__name__}")
 
 
-def rat(numerator, denominator=1):
-    """The Fraction numerator / denominator of two ints or Fractions.  A
-    float or a bool raises, as in as_rational; float inputs go through
-    from_float."""
+def rat(numerator, denominator=None):
+    """numerator / denominator (or numerator alone) for ints and Fractions;
+    a lone Fraction comes back as is.  A float, a bool or a zero denominator
+    raises InvalidParametersError; float inputs go through from_float."""
+    if denominator is None:
+        if type(numerator) is Fraction:
+            return numerator
+        if type(numerator) is int:
+            return Fraction(numerator)
+        raise _refused(numerator)
     for value in (numerator, denominator):
         if not is_exact_scalar(value):
             raise _refused(value)
-    if denominator == 1:
-        return Fraction(numerator)
+    if denominator == 0:
+        raise InvalidParametersError(f"zero denominator in {numerator}/{denominator}")
     return Fraction(numerator, denominator)
 
 
@@ -62,21 +69,8 @@ def clear_denominators(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def as_rational(value):
-    """An int or a Fraction as a Fraction; a Fraction comes back as is.
-
-    Floats raise: a float smuggled into a rational pipeline would silently
-    poison exactness.  Float inputs go through from_float instead.
-    """
-    if type(value) is Fraction:
-        return value
-    if not is_exact_scalar(value):
-        raise _refused(value)
-    return Fraction(value)
-
-
 def as_rationals(values):
-    return tuple(map(as_rational, values))
+    return tuple(map(rat, values))
 
 
 def from_float(value):
@@ -136,7 +130,7 @@ def scalar_from_json(obj):
         raise ParseError(f"not an exact scalar: {obj!r}")
     try:
         return rat(int(obj["num"]), int(obj["den"]))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, InvalidParametersError) as exc:
         raise ParseError(f"malformed exact scalar {obj!r}") from exc
 
 

@@ -78,29 +78,14 @@ def float_eigenvalues(matrix):
     return tuple(float(e) for e in np.linalg.eigvalsh(arr))
 
 
-@dataclass(frozen=True)
-class HrDiscriminant:
-    """(u^T A v)^2 - (u^T A u)(v^T A v) together with the three forms."""
-
-    value: object
-    uu: object
-    uv: object
-    vv: object
-
-    @property
-    def u_form_positive(self):
-        return self.uu > 0
-
-
 def hr_discriminant(matrix, u, v):
+    """(u^T A v)^2 - (u^T A u)(v^T A v)."""
     mat = SymMatrix.from_rows(matrix)
     if len(u) != mat.dim or len(v) != mat.dim:
         raise InvalidParametersError(
             f"vectors must have length {mat.dim}, got {len(u)} and {len(v)}")
-    uu = bilinear(u, mat, u)
     uv = bilinear(u, mat, v)
-    vv = bilinear(v, mat, v)
-    return HrDiscriminant(value=uv * uv - uu * vv, uu=uu, uv=uv, vv=vv)
+    return uv * uv - bilinear(u, mat, u) * bilinear(v, mat, v)
 
 
 @dataclass(frozen=True)
@@ -196,10 +181,10 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     if len(positive_axes) >= 2:
         pair_pool.append((positive_axes[0], positive_axes[1]))
     for u, v in pair_pool:
-        res = hr_discriminant(mat, u, v)
-        if res.value < 0:
+        disc = hr_discriminant(mat, u, v)
+        if disc < 0:
             statement2 = False
-            counterexample = {"u": u, "v": v, "discriminant": Fraction(res.value, scale * scale)}
+            counterexample = {"u": u, "v": v, "discriminant": Fraction(disc, scale * scale)}
             break
 
     # statement 3: some witness u works against every sampled v
@@ -221,7 +206,7 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
                 v = tuple(g2 * a - g1 * b
                           for a, b in zip(positive_axes[0], positive_axes[1]))
                 probes = v_pool + [v]
-        if all(hr_discriminant(mat, u, v).value >= 0 for v in probes):
+        if all(hr_discriminant(mat, u, v) >= 0 for v in probes):
             statement3 = True
             witness = u
             break
@@ -333,9 +318,4 @@ def kernel_identity_check(matroid, c, q, alpha, w):
 
 def kernel_contains(basis, vector):
     """Is the vector inside the span of the basis (all exact)?"""
-    if all(x == 0 for x in vector):
-        return True
-    if not basis:
-        return False
-    rows = [list(v) for v in basis]
-    return exact_rank(rows + [list(vector)]) == exact_rank(rows)
+    return exact_rank([*basis, vector]) == exact_rank(basis)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,58 @@ def test_graphic_matches_forest_count():
     validate_rank_axioms(m.n, m.ranks)
 
 
+def forest_rank(vertices, edges):
+    """vertices - components of the graph on 1..vertices with the given
+    edges, the components counted by a breadth-first search."""
+    adjacent = {x: set() for x in range(1, vertices + 1)}
+    for u, v in edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    seen = set()
+    components = 0
+    for start in adjacent:
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        queue = [start]
+        while queue:
+            x = queue.pop()
+            for y in adjacent[x] - seen:
+                seen.add(y)
+                queue.append(y)
+    return vertices - components
+
+
+@st.composite
+def multigraphs(draw):
+    """0-7 vertices and at most 10 edges, loops, parallel edges and
+    untouched vertices included."""
+    vertices = draw(st.integers(0, 7))
+    if vertices == 0:
+        return 0, []
+    ends = st.integers(1, vertices)
+    return vertices, draw(st.lists(st.tuples(ends, ends), max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+def test_graphic_ranks_match_components(graph):
+    vertices, edges = graph
+    m = make_graphic(vertices, edges)
+    assert m.n == len(edges)
+    for mask in range(1 << m.n):
+        chosen = [edges[i] for i in range(m.n) if mask >> i & 1]
+        assert m.ranks[mask] == forest_rank(vertices, chosen)
+
+
+def test_graphic_cost_is_independent_of_vertex_count():
+    start = time.perf_counter()
+    m = make_graphic(10 ** 9, [(1, 2)])
+    assert m.ranks == (0, 1)
+    assert time.perf_counter() - start < 0.05
+
+
 def test_linear_gf2_example():
     # columns: e1, e2, e1+e2, e1 over GF(2)
     m = make_linear(2, [[1, 0, 1, 1], [0, 1, 1, 0]])
@@ -302,7 +355,7 @@ def test_contract_rank_identity():
     for mask in range(1 << minor.n):
         new_labels = labels_from_mask(mask)
         old_labels = tuple(sorted(names[i] for i in new_labels)) + subset
-        assert minor.rank_mask(mask) == m.rank(tuple(sorted(old_labels))) - base
+        assert minor.rank(mask) == m.rank(tuple(sorted(old_labels))) - base
 
 
 def test_contract_empty_and_errors():

@@ -523,7 +523,7 @@ def test_exact_mode_rejects_floats():
         zk_all(U12, rat(1, 2), (0.5, rat(1)))
     with pytest.raises(InvalidParametersError):
         z_weighted_eval(U12, (1.0, 1, 1), rat(1), (rat(1),) * 3)
-    for args in [(0.5,), (1, 2.0), (True,)]:
+    for args in [(0.5,), (1, 2.0), (True,), (1, 0)]:
         with pytest.raises(InvalidParametersError):
             rat(*args)
 

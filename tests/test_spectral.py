@@ -33,7 +33,7 @@ from potts_hodge import (
     signature,
 )
 from potts_hodge.errors import ImpossibleStateError
-from potts_hodge.matrices import bareiss_inertia, same_subspace
+from potts_hodge.matrices import bareiss_inertia
 from potts_hodge.scalars import from_float
 from potts_hodge import spectral
 from potts_hodge.spectral import KernelIdentityReport
@@ -307,12 +307,11 @@ def test_float_eigenvalues_diagnostic():
 
 def test_hr_discriminant_frozen():
     mat = SymMatrix.from_rows(H_U12)
-    res = hr_discriminant(mat, (rat(1), rat(1), rat(1)), (rat(0), rat(1), rat(0)))
-    assert res.uu == 8
-    assert res.uv == 2
-    assert res.vv == 0
-    assert res.value == 4
-    assert res.u_form_positive
+    u, v = (rat(1), rat(1), rat(1)), (rat(0), rat(1), rat(0))
+    assert bilinear(u, mat, u) == 8
+    assert bilinear(u, mat, v) == 2
+    assert bilinear(v, mat, v) == 0
+    assert hr_discriminant(mat, u, v) == 4
     with pytest.raises(InvalidParametersError):
         hr_discriminant(mat, (rat(1),), (rat(0), rat(1), rat(0)))
 
@@ -326,10 +325,9 @@ def test_hr_discriminant_nonnegative_for_one_positive():
     for _ in range(200):
         u = tuple(rat(rng.randint(-9, 9)) for _ in range(3))
         v = tuple(rat(rng.randint(-9, 9)) for _ in range(3))
-        res = hr_discriminant(mat, u, v)
-        if res.u_form_positive:
+        if bilinear(u, mat, u) > 0:
             found_positive_u += 1
-            assert res.value >= 0
+            assert hr_discriminant(mat, u, v) >= 0
     assert found_positive_u > 50
 
 
@@ -468,8 +466,10 @@ def test_kernel_identity_rejects_vanishing_derivative():
 # euler_hessian_residual combines the congruent integer rows of the
 # Hessians of F and of every dF/dw_i; its reference takes one public
 # (Fraction) hessian per Hessian and combines them in Fractions.
-# kernel_identity_check reads the public hessian itself, so its reference
-# pins the report it builds from those Hessians.
+# kernel_identity_check reads the public hessian, so its reference builds
+# every Hessian from a sympy expression of the weighted polynomial instead,
+# with signatures from the rational congruence reference above and
+# nullspaces and ranks from sympy.
 
 
 def reference_euler_hessian_residual(matroid, c, q, alpha, w):
@@ -487,31 +487,64 @@ def reference_euler_hessian_residual(matroid, c, q, alpha, w):
     return max((x if x >= 0 else -x) for row in total for x in row)
 
 
+def oracle_polynomial(matroid, c, q):
+    """Sympy expression of sum_A c_|A| q^(-rk A) w_0^(n-|A|) w^A at the
+    given q, written out term by term, and its variables w_0..w_n."""
+    n = matroid.n
+    ws = sympy.symbols(f"w0:{n + 1}")
+    total = sympy.Integer(0)
+    for mask, rank in enumerate(matroid.ranks):
+        size = mask.bit_count()
+        term = sympy.Rational(str(c[size])) * sympy.Rational(str(q)) ** -rank
+        term *= ws[0] ** (n - size)
+        for i in range(1, n + 1):
+            if mask >> (i - 1) & 1:
+                term *= ws[i]
+        total += term
+    return total, ws
+
+
+def _fractions(vector):
+    return tuple(Fraction(int(x.p), int(x.q)) for x in vector)
+
+
 def reference_kernel_identity_check(matroid, c, q, alpha, w):
+    expr, ws = oracle_polynomial(matroid, c, q)
+    f = expr
+    for x, a in zip(ws, alpha):
+        if a:
+            f = f.diff(x, a)
+    point = {x: sympy.Rational(str(v)) for x, v in zip(ws, w)}
+
+    def hessian_at(g):
+        return sympy.hessian(g, ws).subs(point)
+
+    def sympy_rank(vectors):
+        return sympy.Matrix(vectors).rank() if vectors else 0
+
     dim = matroid.n + 1
-    hf = hessian(matroid, c, q, alpha, w)
     stacked = []
     failures = []
-    for i in range(dim):
-        bumped = list(alpha)
-        bumped[i] += 1
-        if derivative_degree(matroid, tuple(bumped)) is None:
+    for i, x in enumerate(ws):
+        g = f.diff(x)
+        if g == 0:
             continue
-        hi = hessian(matroid, c, q, tuple(bumped), w)
-        stacked.extend(hi.rows())
-        sig = signature(hi)
+        hi = hessian_at(g)
+        stacked.extend(hi.tolist())
+        sig = reference_signature([_fractions(row) for row in hi.tolist()])
         if sig.n_pos != 1:
             failures.append({"index": i, "signature": tuple(sig)})
-    ker_f = exact_nullspace(hf.rows())
+    ker_f = [_fractions(v) for v in hessian_at(f).nullspace()]
     if stacked:
-        ker_stack = exact_nullspace(stacked)
+        ker_stack = [_fractions(v) for v in sympy.Matrix(stacked).nullspace()]
     else:
-        ker_stack = [tuple(rat(1) if i == j else rat(0) for i in range(dim)) for j in range(dim)]
+        ker_stack = [tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)]
+    joint = sympy_rank(ker_f + ker_stack)
     return KernelIdentityReport(
         hypothesis_ok=not failures, hypothesis_failures=tuple(failures),
-        kernels_equal=same_subspace(ker_f, ker_stack), kernel_dim=len(ker_f),
-        stacked_kernel_dim=len(ker_stack), kernel_basis=tuple(ker_f),
-        degree=derivative_degree(matroid, alpha), notes={"dim": dim})
+        kernels_equal=sympy_rank(ker_f) == sympy_rank(ker_stack) == joint,
+        kernel_dim=len(ker_f), stacked_kernel_dim=len(ker_stack), kernel_basis=tuple(ker_f),
+        degree=sympy.Poly(f, *ws).total_degree(), notes={"dim": dim})
 
 
 # all four constructors, with loops and parallel classes
@@ -546,6 +579,28 @@ def test_identities_match_rational_reference(data):
     w = data.draw(st.lists(big_signed, min_size=n + 1, max_size=n + 1))
     assert euler_hessian_residual(matroid, c, q, alpha, w) == \
         reference_euler_hessian_residual(matroid, c, q, alpha, w) == 0
+
+
+@pytest.mark.parametrize("index, c, q, alpha, w", [
+    # U(2,4) at a positive point: the hypothesis holds
+    (0, (1, 2, 3, 2, 1), Fraction(1, 2), (0, 0, 0, 0, 0),
+     (Fraction(2, 3), 1, Fraction(4, 3), Fraction(5, 3), 2)),
+    # a GF(2) matroid with a zero coordinate: a one-dimensional kernel
+    (7, (1, 1, 1, 1, 1), 1, (0, 0, 0, 0, 0), (1, Fraction(2, 3), 1, 2, 0)),
+    # a loop and a parallel pair at a sign-mixed point: a kernel again
+    (4, (2, 2, 2, 2), 1, (0, 0, 0, 0), (Fraction(1, 2), 1, Fraction(-1, 3), -1)),
+    # K3 with an inner derivative, a sign-mixed point and a zero coordinate
+    (1, (Fraction(3, 7), 2, 5, Fraction(1, 11)), Fraction(2, 5), (0, 1, 0, 0),
+     (Fraction(7, 5), 0, Fraction(-4, 9), Fraction(11, 2))),
+    # a loop and a parallel pair, w_0 = 0
+    (5, (1, 3, 3, 1, 1), Fraction(1, 3), (1, 0, 0, 0, 0),
+     (0, Fraction(1, 2), 3, Fraction(-2, 7), 5)),
+    # a GF(3) matroid in degree 2: the first derivatives have zero Hessians
+    (6, (2, 3, 3, 2, 1, 1), 1, (2, 0, 1, 0, 0, 0),
+     (1, Fraction(1, 3), 2, Fraction(3, 4), 1, Fraction(5, 2))),
+])
+def test_kernel_identity_matches_sympy_reference(index, c, q, alpha, w):
+    matroid = IDENTITY_MATROIDS[index]
     assert kernel_identity_check(matroid, c, q, alpha, w) == \
         reference_kernel_identity_check(matroid, c, q, alpha, w)
 
