@@ -119,18 +119,12 @@ def connected_graphs(max_edges):
 
 
 def uniform_family(max_n=7):
-    out = []
-    for n in range(2, max_n + 1):
-        for r in range(n + 1):
-            out.append(make_uniform(r, n))
-    return out
+    return [make_uniform(r, n) for n in range(2, max_n + 1) for r in range(n + 1)]
 
 
 def graphic_family(max_edges=5):
-    out = []
-    for nv, edges in connected_graphs(max_edges):
-        out.append(make_graphic(nv, [(u + 1, v + 1) for u, v in edges]))
-    return out
+    return [make_graphic(nv, [(u + 1, v + 1) for u, v in edges])
+            for nv, edges in connected_graphs(max_edges)]
 
 
 def linear_family(count=50, max_n=8, seed=DEFAULT_LINEAR_SEED):

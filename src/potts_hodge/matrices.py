@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import ImpossibleStateError, InvalidParametersError
-from .scalars import as_rationals, clear_denominators, is_exact_scalar, rat
+from .scalars import EXACT_TYPES, clear_denominators, exact_values, rat
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,11 @@ class SymMatrix:
         entries = self.entries
         if any(len(row) != len(entries) for row in entries):
             raise InvalidParametersError("matrix is not square")
-        if list(map(tuple, entries)) != list(zip(*entries)):
+        # each pair above the diagonal once against its transpose
+        if any(tuple(row[i + 1:]) != col[i + 1:]
+               for i, (row, col) in enumerate(zip(entries, zip(*entries)))):
             raise InvalidParametersError("matrix is not symmetric")
-        if not all(map(is_exact_scalar, chain.from_iterable(entries))):
+        if not EXACT_TYPES.issuperset(map(type, chain.from_iterable(entries))):
             raise InvalidParametersError("matrix entries must be ints or exact rationals")
 
     @property
@@ -51,7 +53,7 @@ class SymMatrix:
         """(rows, scale): integer rows and one positive integer scale, the
         lcm of the denominators, with entries[i][j] = rows[i][j] / scale.
         All-int entries come back as they are, with scale 1."""
-        if all(type(x) is int for x in chain.from_iterable(self.entries)):
+        if {int}.issuperset(map(type, chain.from_iterable(self.entries))):
             return self.entries, 1
         d = self.dim
         ints, scale = clear_denominators(list(chain.from_iterable(self.entries)))
@@ -59,11 +61,11 @@ class SymMatrix:
 
     @staticmethod
     def from_rows(rows):
-        """Exact matrix from rows of ints or rationals, floats raising; a
-        SymMatrix comes back as is."""
+        """Exact matrix from rows of ints or rationals, kept as they are,
+        floats raising; a SymMatrix comes back as is."""
         if isinstance(rows, SymMatrix):
             return rows
-        return SymMatrix(tuple(as_rationals(row) for row in rows))
+        return SymMatrix(tuple(map(tuple, rows)))
 
     def submatrix(self, indices):
         idx = list(indices)
@@ -199,7 +201,7 @@ def _gram(rows):
     are the columns of M from left to right that are not in the span of
     the earlier columns.
     """
-    m = [clear_denominators(as_rationals(row))[0] for row in rows]
+    m = [clear_denominators(exact_values(row))[0] for row in rows]
     d = len(m[0]) if m else 0
     return [[sum(row[i] * row[j] for row in m) for j in range(d)] for i in range(d)]
 

@@ -11,6 +11,7 @@ capped at n <= enumeration_cap() and refuses larger ground sets outright.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -61,14 +62,7 @@ def mask_from_labels(labels, n):
 
 def labels_from_mask(mask):
     """Sorted tuple of 1-based labels encoded by a mask."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -168,43 +162,46 @@ def make_graphic(vertices, edges):
     source = {"type": "graphic", "vertices": vertices, "edges": [list(e) for e in edge_list]}
     rows = sorted({x for u, v in edge_list if u != v for x in (u, v)})
     return _build(len(edge_list), lambda: _prefix_basis_ranks(
-        2, [[int(u != v and x in (u, v)) for x in rows] for u, v in edge_list], len(rows)),
+        2, [[int(u != v and x in (u, v)) for x in rows] for u, v in edge_list]),
         "graphic", source)
 
 
 def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
-def _prefix_basis_ranks(prime, cols, rows):
+def _reduced(prime, basis, col):
+    """basis, with col reduced against it appended when a nonzero remainder
+    is left: a basis is ((pivot position, vector with a unit pivot), ...)."""
+    vec = col
+    for pos, pivot in basis:
+        coef = vec[pos]
+        if coef:
+            vec = [(a - coef * b) % prime for a, b in zip(vec, pivot)]
+    for pos, a in enumerate(vec):
+        if a:
+            inv = pow(a, prime - 2, prime)
+            return basis + ((pos, [x * inv % prime for x in vec]),)
+    return basis
+
+
+def _prefix_basis_ranks(prime, cols):
     """The ranks of the columns selected by masks 0..2^n-1, by prefix bases
     (see make_linear), for the columns of make_linear over GF(prime) and
-    the incidence columns of make_graphic over GF(2): a basis is ((pivot
-    position, vector with a unit pivot), ...), shared with its prefix
-    wherever the top column adds nothing.  Only the masks without the last
-    column keep their bases, since no later mask extends the others."""
+    the incidence columns of make_graphic over GF(2): a basis is shared
+    with its prefix wherever the top column adds nothing.  A basis as
+    large as the rank of all the columns spans them, so it is not reduced
+    against again.  Only the masks without the last column keep their
+    bases, since no later mask extends the others."""
+    full = ()
+    for col in cols:
+        full = _reduced(prime, full, col)
     bases = [()]
     ranks = [0]
     for h, col in enumerate(cols, 1):
         for basis in bases[:]:
-            if len(basis) < rows:
-                vec = col
-                for pos, pivot in basis:
-                    coef = vec[pos]
-                    if coef:
-                        vec = [(a - coef * b) % prime for a, b in zip(vec, pivot)]
-                for pos, a in enumerate(vec):
-                    if a:
-                        inv = pow(a, prime - 2, prime)
-                        basis += ((pos, [x * inv % prime for x in vec]),)
-                        break
+            if len(basis) < len(full):
+                basis = _reduced(prime, basis, col)
             ranks.append(len(basis))
             if h < len(cols):
                 bases.append(basis)
@@ -219,7 +216,7 @@ def make_linear(prime, matrix):
     before it, plus that column reduced against it when the remainder is
     nonzero.  So each mask costs one vector reduction instead of a fresh
     elimination of all its columns, and none once its prefix has as many
-    basis vectors as the matrix has rows."""
+    basis vectors as the rank of the whole matrix."""
     if not _is_prime(_int(prime, "field order")):
         raise InvalidParametersError(f"field order must be prime, got {prime}")
     rows = [[_int(x, "matrix entry") % prime for x in _list(row, "matrix row")]
@@ -229,7 +226,7 @@ def make_linear(prime, matrix):
         raise InvalidParametersError("matrix rows have unequal lengths")
     cols = list(zip(*rows))
     source = {"type": "linear", "field": prime, "matrix": rows}
-    return _build(n, lambda: _prefix_basis_ranks(prime, cols, len(rows)), "linear", source)
+    return _build(n, lambda: _prefix_basis_ranks(prime, cols), "linear", source)
 
 
 def make_rank_table(n, ranks):
@@ -364,18 +361,14 @@ def structure(matroid):
     n = matroid.n
     ranks = matroid.ranks
     loops = frozenset(e + 1 for e in range(n) if ranks[1 << e] == 0)
-    nonloops = [e for e in range(n) if ranks[1 << e] == 1]
-    class_of = {}
-    classes = []
-    for e in nonloops:
-        for cls in classes:
-            rep = cls[0]
-            if ranks[(1 << rep) | (1 << e)] == 1:
+    classes = []  # in order of their least elements
+    for e in range(n):
+        if ranks[1 << e] == 1:
+            cls = next((cls for cls in classes if ranks[1 << cls[0] | 1 << e] == 1), None)
+            if cls is None:
+                classes.append([e])
+            else:
                 cls.append(e)
-                break
-        else:
-            classes.append([e])
-    classes.sort(key=lambda cls: cls[0])
     tup = tuple(frozenset(x + 1 for x in cls) for cls in classes)
     return StructureReport(loops=loops, parallel_classes=tup, rank_one_flats=len(tup))
 
@@ -400,7 +393,6 @@ def independent_set_counts(matroid):
     """Tuple (I_0, ..., I_n) where I_k counts independent k-subsets."""
     counts = [0] * (matroid.n + 1)
     for mask, r in enumerate(matroid.ranks):
-        size = mask.bit_count()
-        if r == size:
-            counts[size] += 1
+        if r == mask.bit_count():
+            counts[r] += 1
     return tuple(counts)

@@ -45,8 +45,9 @@ of a congruent Hessian's integer rows (a positive scale does not change
 the inertia).  Inputs are validated where they enter: each public
 evaluator validates its inputs once, and the *_numerators helpers and
 _superset_lists take validated inputs and trust them, as do the checks
-that call them.  Inputs are ints or exact rationals (scalars.rat)
-and outputs are Fractions; a caller with float inputs converts them with
+that call them.  Inputs are ints or Fractions, and the validators return
+them as given, an int staying an int, with signs read off numerators;
+outputs are Fractions; a caller with float inputs converts them with
 scalars.from_float.
 """
 from __future__ import annotations
@@ -55,36 +56,37 @@ import functools
 import math
 from fractions import Fraction
 from itertools import islice
-from operator import add, ge, gt, mul
+from operator import add, attrgetter, ge, gt, mul
 
 from .errors import InvalidParametersError
 from .matrices import SymMatrix
 from .matroids import mask_from_labels
-from .scalars import as_rationals, clear_denominators, is_int, rat
+from .scalars import clear_denominators, exact_scalar, exact_values, is_int
 
 ZERO = Fraction(0)
 
 
 def validate_q(q):
-    """q as a Fraction; it must be positive."""
-    qv = rat(q)
-    if qv <= 0:
-        raise InvalidParametersError(f"q must be positive, got {qv}")
-    return qv
+    """q, an int or a Fraction as given; it must be positive."""
+    if exact_scalar(q).numerator <= 0:
+        raise InvalidParametersError(f"q must be positive, got {q}")
+    return q
 
 
-_SIGNS = {"any": lambda wv: True, "positive": lambda wv: all(x > 0 for x in wv),
-          "nonnegative": lambda wv: all(x >= 0 for x in wv), "nonzero": any}
+_numerator = attrgetter("numerator")  # a Fraction's denominator is positive
+_SIGNS = {"any": lambda nums: True, "positive": lambda nums: min(nums, default=1) > 0,
+          "nonnegative": lambda nums: min(nums, default=0) >= 0, "nonzero": any}
 
 
 def validate_point(w, length, sign):
-    """w as Fractions, of the given length and with the sign its caller
-    names: "positive" or "nonnegative" (every coordinate > 0 or >= 0),
-    "nonzero" (some coordinate is not 0), or "any"."""
-    wv = as_rationals(w)
+    """w as a tuple of its ints and Fractions, of the given length and with
+    the sign its caller names: "positive" or "nonnegative" (every
+    coordinate > 0 or >= 0), "nonzero" (some coordinate is not 0), or
+    "any".  The signs are those of the numerators."""
+    wv = exact_values(w)
     if len(wv) != length:
         raise InvalidParametersError(f"w must have length {length}, got {len(wv)}")
-    if not _SIGNS[sign](wv):
+    if not _SIGNS[sign](map(_numerator, wv)):
         raise InvalidParametersError(f"w must be a {sign} point of length {length}")
     return wv
 
@@ -96,25 +98,24 @@ def _validate_index(k):
 
 def validate_coeffs(c, n):
     """Coefficient sequence c_0..c_n: right length, strictly positive.
-    Returned as Fractions."""
-    cv = as_rationals(c)
+    Returned as a tuple of its ints and Fractions."""
+    cv = exact_values(c)
     if len(cv) != n + 1:
         raise InvalidParametersError(f"coefficient sequence must have length n+1 = {n + 1}, got {len(cv)}")
-    if any(x <= 0 for x in cv):
+    if min(map(_numerator, cv), default=1) <= 0:
         raise InvalidParametersError("coefficient sequence must be strictly positive")
     return cv
 
 
 def validate_alpha(alpha, n):
     """Differentiation multi-index over w_0..w_n: n+1 nonnegative integers."""
-    out = []
-    for a in alpha:
+    out = tuple(alpha)
+    for a in out:
         if not is_int(a) or a < 0:
             raise InvalidParametersError(f"multi-index entries must be nonnegative integers, got {a!r}")
-        out.append(a)
     if len(out) != n + 1:
         raise InvalidParametersError(f"multi-index must have length n+1 = {n + 1}, got {len(out)}")
-    return tuple(out)
+    return out
 
 
 def log_concave_integers(ints, strict=True):
@@ -122,21 +123,20 @@ def log_concave_integers(ints, strict=True):
     at every inner m (>= when not strict).  Rationals c_m = ints[m] / L
     over one common denominator L > 0 are (strictly) log-concave exactly
     when their numerators are: L^2 cancels from both sides."""
-    if any(x <= 0 for x in ints):
+    if min(ints, default=1) <= 0:
         return False
-    above = gt if strict else ge
-    return all(above(ints[m] * ints[m], ints[m - 1] * ints[m + 1])
-               for m in range(1, len(ints) - 1))
+    inner = ints[1:-1]
+    return all(map(gt if strict else ge, map(mul, inner, inner), map(mul, ints, ints[2:])))
 
 
 def is_strictly_log_concave(c):
     """True when c is positive with c_m^2 > c_{m-1} c_{m+1} strictly inside."""
-    return log_concave_integers(clear_denominators(as_rationals(c))[0])
+    return log_concave_integers(clear_denominators(exact_values(c))[0])
 
 
 def is_log_concave(c):
     """Non-strict variant: positive with c_m^2 >= c_{m-1} c_{m+1} inside."""
-    return log_concave_integers(clear_denominators(as_rationals(c))[0], strict=False)
+    return log_concave_integers(clear_denominators(exact_values(c))[0], strict=False)
 
 
 def _q_inverse_powers(q, max_rank):
@@ -154,9 +154,8 @@ def _products(point):
     then the same times p_i."""
     prod = [1]
     for x in point:
-        d = x.denominator
-        low = prod if d == 1 else list(map(d.__mul__, prod))
-        prod = low + list(map(x.numerator.__mul__, prod))
+        p, d = x.numerator, x.denominator
+        prod = (prod if d == 1 else [v * d for v in prod]) + [v * p for v in prod]
     return prod
 
 
@@ -192,8 +191,7 @@ def strata_numerators(matroid, q, w):
     integer scale.  One subset pass."""
     powers, qden = _q_inverse_powers(q, matroid.full_rank)
     table, width, scale = _strata_table(matroid, w)
-    return ([sum(map(mul, powers, table[k * width:(k + 1) * width])) for k in range(matroid.n + 1)],
-            qden * scale)
+    return [sum(map(mul, powers, row)) for row in zip(*[iter(table)] * width)], qden * scale
 
 
 def zk_all(matroid, q, w):
@@ -214,14 +212,10 @@ def _alpha_split(alpha, n):
     annihilates every monomial (some inner entry >= 2, or order too high)."""
     if any(alpha[i] >= 2 for i in range(1, n + 1)):
         return None
-    smask = 0
-    for i in range(1, n + 1):
-        if alpha[i]:
-            smask |= 1 << (i - 1)
-    a0 = alpha[0]
-    if a0 + smask.bit_count() > n:
+    smask = sum(1 << (i - 1) for i in range(1, n + 1) if alpha[i])
+    if alpha[0] + smask.bit_count() > n:
         return None
-    return a0, smask
+    return alpha[0], smask
 
 
 def _w0_weights(cv, powers, w0_powers, a0):
@@ -519,7 +513,7 @@ def elementary_symmetric(indices, k, w):
     1-based index set `indices`."""
     if not is_int(k) or k < 0:
         raise InvalidParametersError(f"degree must be a nonnegative integer, got {k!r}")
-    wv, den = clear_denominators(as_rationals(w))
+    wv, den = clear_denominators(exact_values(w))
     idx = list(indices)
     if mask_from_labels(idx, len(wv)).bit_count() != len(idx):
         raise InvalidParametersError("index set contains repeats")

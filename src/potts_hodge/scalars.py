@@ -2,11 +2,14 @@
 
 The library computes over exact rationals only.  An integer input is an
 int, never a bool (is_int), and an exact scalar an int or a Fraction
-(is_exact_scalar).  rat is the one conversion to a Fraction: it refuses a
-float, a bool and a zero denominator rather than coercing them silently,
-so every result is bit-reproducible.  Rationals are the interface type
+(is_exact_scalar).  Exact inputs are validated as they are given:
+exact_scalar and exact_values refuse a float, a bool and anything else
+rather than coercing them silently, so every result is bit-reproducible,
+and they keep an int an int.  rat is the one conversion to a Fraction,
+and it also refuses a zero denominator.  Rationals are the interface type
 only: the evaluators and the exact signature clear the denominators of
-their inputs once (clear_denominators) and run on ints.
+their inputs once (clear_denominators) and run on ints, and JSON is built
+from the numerator and denominator of a value, which an int has as well.
 
 Float mode is a format of the command line.  from_float converts a finite
 double exactly to a rational, the library evaluates exactly, and to_float
@@ -29,10 +32,13 @@ def is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+EXACT_TYPES = frozenset((int, Fraction))  # bool is a subclass, not one of these
+
+
 def is_exact_scalar(value):
     """True for an int or a Fraction, False for a bool, a float and
     everything else."""
-    return type(value) in (int, Fraction)  # bool is a subclass, not one of these
+    return type(value) in EXACT_TYPES
 
 
 def _refused(value):
@@ -40,37 +46,42 @@ def _refused(value):
         f"exact mode requires rational inputs, got {value!r} of type {type(value).__name__}")
 
 
+def exact_scalar(value):
+    """value as it is, an int or a Fraction; anything else raises
+    InvalidParametersError."""
+    if type(value) in EXACT_TYPES:
+        return value
+    raise _refused(value)
+
+
+def exact_values(values):
+    """values as a tuple of ints and Fractions, each as it is; anything
+    else raises InvalidParametersError.  The types are tested in one pass."""
+    out = tuple(values)
+    if not EXACT_TYPES.issuperset(map(type, out)):
+        raise _refused(next(x for x in out if type(x) not in EXACT_TYPES))
+    return out
+
+
 def rat(numerator, denominator=None):
-    """numerator / denominator (or numerator alone) for ints and Fractions;
-    a lone Fraction comes back as is.  A float, a bool or a zero denominator
-    raises InvalidParametersError; float inputs go through from_float."""
+    """numerator / denominator (or numerator alone) as a Fraction, for ints
+    and Fractions.  A float, a bool or a zero denominator raises
+    InvalidParametersError; float inputs go through from_float."""
     if denominator is None:
-        if type(numerator) is Fraction:
-            return numerator
-        if type(numerator) is int:
-            return Fraction(numerator)
-        raise _refused(numerator)
-    for value in (numerator, denominator):
-        if not is_exact_scalar(value):
-            raise _refused(value)
-    if denominator == 0:
+        return Fraction(exact_scalar(numerator))
+    exact_scalar(numerator)
+    if exact_scalar(denominator) == 0:
         raise InvalidParametersError(f"zero denominator in {numerator}/{denominator}")
     return Fraction(numerator, denominator)
-
-
-#: multiplicative identity
-RAT_ONE = rat(1)
 
 
 def clear_denominators(values):
     """(ints, den) for exact rationals: den is the least common multiple of
     their denominators and ints[i] = den * values[i], each a Python int."""
+    if {int}.issuperset(map(type, values)):
+        return list(values), 1
     den = math.lcm(*[x.denominator for x in values])
     return [x.numerator * (den // x.denominator) for x in values], den
-
-
-def as_rationals(values):
-    return tuple(map(rat, values))
 
 
 def from_float(value):
@@ -115,7 +126,9 @@ def parse_rational(text):
 
 def scalar_to_json(value):
     """JSON form of one scalar: {"num": "...", "den": "..."} exact, bare double float."""
-    if is_exact_scalar(value):
+    if type(value) is int:
+        return {"num": str(value), "den": "1"}
+    if type(value) is Fraction:
         return {"num": str(value.numerator), "den": str(value.denominator)}
     if isinstance(value, float):
         return value

@@ -55,14 +55,16 @@ def signature(matrix):
     """Inertia of a SymMatrix, or of raw rows of ints and rationals.
 
     The integer rows of SymMatrix.scaled_rows, divided by the gcd of their
-    entries, go through a fraction-free elimination over ints
-    (bareiss_inertia); both factors are positive, so the inertia is that
-    of the matrix.  It is exact: a float entry raises
+    entries when it is above 1, go through a fraction-free elimination over
+    ints (bareiss_inertia); both factors are positive, so the inertia is
+    that of the matrix.  It is exact: a float entry raises
     InvalidParametersError where the SymMatrix is built.
     """
     rows, _ = SymMatrix.from_rows(matrix).scaled_rows()
-    g = math.gcd(*chain.from_iterable(rows)) or 1
-    return EigenSignature(*bareiss_inertia([x // g for x in row] for row in rows))
+    g = math.gcd(*chain.from_iterable(rows))
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+    return EigenSignature(*bareiss_inertia(rows))
 
 
 def float_eigenvalues(matrix):

@@ -11,25 +11,26 @@ verdicts:
 
 Each theorem has one task generator that draws seeded inputs for one
 corpus member.  run_campaign's unit of work is one matroid: the unit
-generates and runs that matroid's tasks for every requested theorem, and
-its records share one matroid JSON dict.  With workers > 1 the units are
+generates and runs that matroid's tasks for every requested theorem, its
+records share one matroid JSON dict, and its checks compute structure and
+independent_set_counts once (_once).  With workers > 1 the units are
 dealt, costliest first, into shares: this process runs one share and a
 pool runs the others, one call per share, so each matroid is pickled once
 and the sampling runs where the checks do.  One table (CHECKS) maps a
 theorem and aspect to its check and input keys for campaigns, replay and
-the CLI.  run_campaign validates its config (int seed, samples and
-workers, a str corpus_label, q_grid through potts.validate_q) before any
-unit runs, and every check validates
-all of its inputs, its point through potts.validate_point with the sign
-its theorem needs, before it returns any verdict: the Hessian checks
-eliminate integer numerators and the strata checks compare them
-(potts.hessian_numerators, potts.second_order_numerators,
-potts.strata_numerators), which trust the validated inputs; a Fraction
-is built only for a witness value.  The Hessian checks eliminate the
-congruent matrix D H D, D = diag(1, w_1, ..., w_n), in place of the
-Hessian H (logconcavity D N D in place of N): they validate a positive
-point first, so D is invertible and, by Sylvester's law of inertia, the
-signature read is that of H (of N).  Reports are plain data: serializing
+the CLI.  run_campaign validates its config before any unit runs, and
+every check validates all of its inputs (potts.validate_q,
+validate_point with the sign its theorem needs, validate_coeffs) before
+it returns any verdict.  The validators keep ints as ints and read signs
+off numerators, so a check runs on the integers it was given: the
+Hessian checks eliminate integer numerators and the strata checks
+compare them (potts.hessian_numerators, second_order_numerators,
+strata_numerators), and values are encoded through scalar_to_json and
+vector_to_json from their numerators and denominators; a Fraction is
+built only for a witness value.  The Hessian checks eliminate D H D,
+D = diag(1, w_1, ..., w_n), in place of H (logconcavity D N D in place
+of N): the point is positive, so by Sylvester's law of inertia the
+signature is that of H (of N).  Reports are plain data: serializing
 with sort_keys produces byte-identical output for identical (corpus,
 seed, samples), independent of the worker count.
 
@@ -81,28 +82,13 @@ from .potts import (
 # not called here, but perfbench/tracing.py wraps these names on this module
 from .potts import elementary_symmetric, f_all, gradient, hessian, zk_all  # noqa: F401
 from .scalars import (
-    RAT_ONE,
-    clear_denominators,
-    from_float,
-    is_int,
-    rat,
-    scalar_from_json,
-    scalar_to_json,
-    to_float,
-    vector_from_json,
-    vector_to_json,
+    clear_denominators, from_float, is_int, scalar_from_json, scalar_to_json, to_float,
+    vector_from_json, vector_to_json,
 )
 from .sampling import (
-    adversarial_points,
-    child_rng,
-    default_c_ratios,
-    default_q_grid,
-    distinct_alphas,
-    log_concave_coeffs,
-    sample_log_concave_coeffs,
-    sample_nonneg_point,
-    sample_positive_point,
-    sample_sign_mixed_point,
+    SIGN_MIXED_DEN, adversarial_points, child_rng, default_c_ratios, default_q_grid,
+    distinct_alphas, log_concave_coeffs, sample_log_concave_coeffs, sample_nonneg_point,
+    sample_positive_point, sample_sign_mixed_numerators, sample_sign_mixed_point,
 )
 from .spectral import signature
 
@@ -214,37 +200,52 @@ def summarize(checks):
         counts[c.verdict] += 1
         per = by_theorem.setdefault(c.theorem, {v: 0 for v in VERDICTS})
         per[c.verdict] += 1
-    out = {"total": len(checks)}
-    out.update(counts)
-    out["by_theorem"] = by_theorem
-    return out
+    return {"total": len(checks), **counts, "by_theorem": by_theorem}
 
 
 def _q_in_range(q):
     """The theorems quantify over 0 < q <= 1; reject q > 1 as out of scope."""
-    return q <= 1
+    return q.numerator <= q.denominator
 
 
 def _ones(length):
-    return tuple([RAT_ONE] * length)
+    return (1,) * length
+
+
+def _skipped(tag, inputs, note, verdict=NOT_APPLICABLE):
+    """The result of a check whose hypothesis fails, annotated with why."""
+    return CheckResult(tag, inputs, verdict, {"annotations": [note]})
 
 
 def _sig_list(sig):
     return [sig.n_pos, sig.n_neg, sig.n_zero]
 
 
-# (matroid, its JSON) while a campaign work unit runs: the unit's records
-# share one JSON dict; a check called on any other matroid, or outside a
-# unit, builds a fresh one
-_unit_json = ContextVar("unit_json", default=None)
+# (matroid, its JSON, a cache) while a campaign work unit runs: the unit's
+# records share one JSON dict, and its checks compute each matroid query
+# (structure, independent_set_counts) once; a check called on any other
+# matroid, or outside a unit, computes its own
+_unit = ContextVar("unit", default=None)
+
+
+def _unit_of(matroid):
+    unit = _unit.get()
+    return unit if unit is not None and unit[0] is matroid else None
 
 
 def _matroid_inputs(matroid, **extra):
-    unit = _unit_json.get()
-    shared = unit is not None and unit[0] is matroid
-    out = {"matroid": unit[1] if shared else matroid.to_json()}
-    out.update(extra)
-    return out
+    unit = _unit_of(matroid)
+    return {"matroid": unit[1] if unit else matroid.to_json(), **extra}
+
+
+def _once(query, matroid):
+    """query(matroid), computed once per work unit."""
+    unit = _unit_of(matroid)
+    if unit is None:
+        return query(matroid)
+    if query not in unit[2]:
+        unit[2][query] = query(matroid)
+    return unit[2][query]
 
 
 def _coeffs(c, n, strict=True):
@@ -273,11 +274,9 @@ def check_one_positive(matroid, q, w):
     wv = validate_point(w, n + 1, "positive")
     inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv))
     if n < 2:
-        return CheckResult(TAG_ONE_POSITIVE, inputs, NOT_APPLICABLE,
-                           {"annotations": ["degree-below-two"]})
+        return _skipped(TAG_ONE_POSITIVE, inputs, "degree-below-two")
     if not _q_in_range(qv):
-        return CheckResult(TAG_ONE_POSITIVE, inputs, NOT_APPLICABLE,
-                           {"annotations": ["q-above-one"]})
+        return _skipped(TAG_ONE_POSITIVE, inputs, "q-above-one")
     rows, _ = hessian_numerators(matroid, _ones(n + 1), qv, [0] * (n + 1), wv)
     sig = signature(SymMatrix(rows))
     notes = []
@@ -302,11 +301,9 @@ def check_derivative_one_positive(matroid, c, q, alpha, w):
     inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
                              alpha=list(alpha), w=vector_to_json(wv))
     if not _q_in_range(qv):
-        return CheckResult(TAG_DERIVATIVE_ONE_POSITIVE, inputs, NOT_APPLICABLE,
-                           {"annotations": ["q-above-one"]})
+        return _skipped(TAG_DERIVATIVE_ONE_POSITIVE, inputs, "q-above-one")
     if _alpha_split(alpha, n) is None or n - sum(alpha) < 2:
-        return CheckResult(TAG_DERIVATIVE_ONE_POSITIVE, inputs, NOT_APPLICABLE,
-                           {"annotations": ["degree-below-two"]})
+        return _skipped(TAG_DERIVATIVE_ONE_POSITIVE, inputs, "degree-below-two")
     active = [0] + [i for i in range(1, n + 1) if alpha[i] == 0]
     rows, _ = hessian_numerators(matroid, cv, qv, alpha, wv)
     sig = signature(SymMatrix(tuple(tuple(rows[i][j] for j in active) for i in active)))
@@ -352,18 +349,16 @@ def check_degree_two(matroid, c, q, w):
     inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
                              w=vector_to_json(wv), aspect="positive-point")
     if n < 2:
-        return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
-                           {"annotations": ["degree-below-two"]})
+        return _skipped(TAG_DEGREE_TWO, inputs, "degree-below-two")
     if not _q_in_range(qv):
-        return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
-                           {"annotations": ["q-above-one"]})
+        return _skipped(TAG_DEGREE_TWO, inputs, "q-above-one")
     nums, scale = strata_numerators(matroid, qv, wv)
     a, b = qv.numerator, qv.denominator
     wints, lcm = clear_denominators(wv)
     y = [x * f for x, f in zip(wints, _singleton_factors(matroid, qv))]
     e1, e2 = sum(y), _e2(y)
     correction = sum(_e2([y[i - 1] for i in cls])
-                     for cls in structure(matroid).parallel_classes if len(cls) >= 2)
+                     for cls in _once(structure, matroid).parallel_classes if len(cls) >= 2)
     # Z[1] = nums[1] / scale against e_1(y) = e1 / (a L), and
     # Z[2] = nums[2] / scale against
     # e_2(y) - (1 - q) correction = (b e2 - (b - a) correction) / (b (a L)^2)
@@ -376,7 +371,7 @@ def check_degree_two(matroid, c, q, w):
     strict_ok = nums[1] * nums[1] * bound_den > bound_num * scale * scale
     notes = ["route-match"] if routes_match else []
     newton_ok = True
-    if qv == 1:
+    if a == b:
         # e_1(y)^2 >= 2 (n/(n-1)) e_2(y); both sides are over (a L)^2
         newton_ok = (n - 1) * e1 * e1 >= 2 * n * e2
         if newton_ok:
@@ -407,8 +402,7 @@ def check_degree_two_zero_line(matroid, q, w):
     if nums[1] != 0:
         raise InvalidParametersError("the point does not lie on the Z[1] = 0 hyperplane")
     if not _q_in_range(qv):
-        return CheckResult(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE,
-                           {"annotations": ["q-above-one"]})
+        return _skipped(TAG_DEGREE_TWO, inputs, "q-above-one")
     witness = {"z2": scalar_to_json(Fraction(nums[2], scale))}
     return CheckResult(TAG_DEGREE_TWO, inputs, PASS if nums[2] < 0 else FAIL, witness)
 
@@ -423,11 +417,9 @@ def check_strata_ultra_log_concave(matroid, q, w):
     wv = validate_point(w, n, "nonnegative")
     inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv))
     if n < 2:
-        return CheckResult(TAG_STRATA_ULC, inputs, VACUOUS,
-                           {"annotations": ["no-interior-indices"]})
+        return _skipped(TAG_STRATA_ULC, inputs, "no-interior-indices", VACUOUS)
     if not _q_in_range(qv):
-        return CheckResult(TAG_STRATA_ULC, inputs, NOT_APPLICABLE,
-                           {"annotations": ["q-above-one"]})
+        return _skipped(TAG_STRATA_ULC, inputs, "q-above-one")
     nums, scale = strata_numerators(matroid, qv, wv)
     notes = []
     violations = []
@@ -463,7 +455,7 @@ def check_count_log_concavity(matroid):
     """
     n = matroid.n
     inputs = _matroid_inputs(matroid)
-    counts = independent_set_counts(matroid)
+    counts = _once(independent_set_counts, matroid)
     recount = tuple(independent_numerators(matroid, (1,) * n)[0])
     if recount != counts:
         return CheckResult(TAG_COUNT_LOG_CONCAVITY, inputs, FAIL,
@@ -518,9 +510,8 @@ def check_simplification_bound(matroid):
     """
     n = matroid.n
     inputs = _matroid_inputs(matroid)
-    counts = independent_set_counts(matroid)
-    info = structure(matroid)
-    classes = sorted(info.parallel_classes, key=min)
+    counts = _once(independent_set_counts, matroid)
+    classes = sorted(_once(structure, matroid).parallel_classes, key=min)
     ell = len(classes)
     simple = simplify(matroid)
     # an integer point: scale = 1, so the numerators are the strata
@@ -563,8 +554,7 @@ def check_log_concavity_at(matroid, c, q, w):
     inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
                              w=vector_to_json(wv))
     if not _q_in_range(qv):
-        return CheckResult(TAG_LOG_CONCAVITY, inputs, NOT_APPLICABLE,
-                           {"annotations": ["q-above-one"]})
+        return _skipped(TAG_LOG_CONCAVITY, inputs, "q-above-one")
     # D N D = z D H D - (D grad)(D grad)^T, D = diag(1, w_1, ..., w_n), is an
     # integer matrix over scale^2, with the inertia of N by Sylvester's law
     # (w is positive).  D v = w for v = (w_0, 1, ..., 1) = V / d_0 with
@@ -668,14 +658,15 @@ def call_check(name, args):
 def _matroid_checks(mi, matroid, theorems, seed, samples, q_grid):
     """One work unit: generate the tasks of corpus member mi for each
     theorem and run them, returning one list of results per theorem.  The
-    unit's records share one matroid JSON dict."""
-    token = _unit_json.set((matroid, matroid.to_json()))
+    unit's records share one matroid JSON dict, and its checks each
+    matroid query (_once)."""
+    token = _unit.set((matroid, matroid.to_json(), {}))
     try:
         return [[call_check(name, args)
                  for name, args in THEOREM_TASKS[tag](mi, matroid, seed, samples, q_grid)]
                 for tag in theorems]
     finally:
-        _unit_json.reset(token)
+        _unit.reset(token)
 
 
 def _run_share(units):
@@ -727,10 +718,10 @@ def _execute(units, workers):
 
 def _tasks_one_positive(mi, matroid, seed, samples, q_grid):
     dim = matroid.n + 1
+    stress = adversarial_points(dim)
     for qi, q in enumerate(q_grid):
-        points = list(adversarial_points(dim))
-        points += [sample_positive_point(child_rng(seed, 11, mi, qi, j), dim)
-                   for j in range(samples)]
+        points = stress + [sample_positive_point(child_rng(seed, 11, mi, qi, j), dim)
+                           for j in range(samples)]
         for w in points:
             yield "check_one_positive", (matroid, q, w)
 
@@ -759,12 +750,13 @@ def _zero_line_point(matroid, q, rng):
     n = matroid.n
     lam = _singleton_factors(matroid, q)
     total = sum(lam)
+    den = q.numerator * SIGN_MIXED_DEN
     for _ in range(32):
-        v, den = clear_denominators(sample_sign_mixed_point(rng, n))
+        v = sample_sign_mixed_numerators(rng, n)
         s = sum(map(mul, lam, v))
         w = [total * x - s for x in v]
         if any(w):
-            return tuple(Fraction(x, q.numerator * den) for x in w)
+            return tuple(Fraction(x, den) for x in w)
     raise InvalidParametersError("could not sample a nonzero point on the Z[1] = 0 plane")
 
 
@@ -789,18 +781,15 @@ def _tasks_degree_two(mi, matroid, seed, samples, q_grid):
 def _tasks_strata_ulc(mi, matroid, seed, samples, q_grid):
     n = matroid.n
     # reference point first: q = 1 at all-ones is tight at every index
-    yield "check_strata_ultra_log_concave", (matroid, rat(1), _ones(n))
+    yield "check_strata_ultra_log_concave", (matroid, 1, _ones(n))
     for j in range(samples):
         w = sample_nonneg_point(child_rng(seed, 41, mi, j), n)
         yield "check_strata_ultra_log_concave", (matroid, q_grid[j % len(q_grid)], w)
 
 
-def _tasks_count_log_concavity(mi, matroid, seed, samples, q_grid):
-    yield "check_count_log_concavity", (matroid,)
-
-
-def _tasks_simplification(mi, matroid, seed, samples, q_grid):
-    yield "check_simplification_bound", (matroid,)
+def _tasks_once(name):
+    """The task generator of a theorem checked once per matroid."""
+    return lambda mi, matroid, seed, samples, q_grid: [(name, (matroid,))]
 
 
 def _tasks_log_concavity(mi, matroid, seed, samples, q_grid):
@@ -817,8 +806,8 @@ THEOREM_TASKS = {
     TAG_DERIVATIVE_ONE_POSITIVE: _tasks_derivative_one_positive,
     TAG_DEGREE_TWO: _tasks_degree_two,
     TAG_STRATA_ULC: _tasks_strata_ulc,
-    TAG_COUNT_LOG_CONCAVITY: _tasks_count_log_concavity,
-    TAG_SIMPLIFICATION: _tasks_simplification,
+    TAG_COUNT_LOG_CONCAVITY: _tasks_once("check_count_log_concavity"),
+    TAG_SIMPLIFICATION: _tasks_once("check_simplification_bound"),
     TAG_LOG_CONCAVITY: _tasks_log_concavity,
 }
 
@@ -860,16 +849,11 @@ def run_campaign(corpus, config=None):
     per_matroid = _execute(units, cfg.workers)
     checks = [check for ti in range(len(theorems)) for unit in per_matroid for check in unit[ti]]
     elapsed = time.perf_counter() - start
-    campaign = {
-        "name": "verification-campaign",
-        "corpus": cfg.corpus_label,
-        "matroids": len(corpus),
-        "seed": cfg.seed,
-        "samples": cfg.samples,
-        "theorems": list(theorems),
-    }
+    campaign = {"name": "verification-campaign", "corpus": cfg.corpus_label,
+                "matroids": len(corpus), "seed": cfg.seed, "samples": cfg.samples,
+                "theorems": list(theorems)}
     if given_grid:
-        campaign["q_grid"] = [scalar_to_json(q) for q in given_grid]
+        campaign["q_grid"] = vector_to_json(given_grid)
     return VerificationReport(campaign=campaign, checks=tuple(checks),
                               summary=summarize(checks), timing_seconds=elapsed)
 

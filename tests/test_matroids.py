@@ -28,6 +28,8 @@ from potts_hodge import (
     structure,
     validate_rank_axioms,
 )
+from potts_hodge import matroids
+from potts_hodge.matrices import exact_rank
 from potts_hodge.matroids import MAX_N_ENV_VAR, enumeration_cap
 
 
@@ -291,6 +293,87 @@ def test_linear_ranks_match_per_subset_elimination(case):
     assert m.n == len(cols)
     assert m.ranks == tuple(reference_linear_rank(prime, cols, mask) for mask in range(1 << m.n))
     validate_rank_axioms(m.n, m.ranks)
+
+
+def reference_prefix_basis_ranks(prime, cols, rows):
+    """The prefix-basis builder before it bounded its bases by the full
+    rank: a basis stops growing only once it has `rows` vectors."""
+    bases = [()]
+    ranks = [0]
+    for h, col in enumerate(cols, 1):
+        for basis in bases[:]:
+            if len(basis) < rows:
+                vec = col
+                for pos, pivot in basis:
+                    coef = vec[pos]
+                    if coef:
+                        vec = [(a - coef * b) % prime for a, b in zip(vec, pivot)]
+                for pos, a in enumerate(vec):
+                    if a:
+                        inv = pow(a, prime - 2, prime)
+                        basis += ((pos, [x * inv % prime for x in vec]),)
+                        break
+            ranks.append(len(basis))
+            if h < len(cols):
+                bases.append(basis)
+    return ranks
+
+
+# a prime above every minor of a matrix of at most 4 rows with entries in
+# [-9, 9] (Hadamard: (9 * 2)^4 = 104,976), so its ranks are the rational ones
+BIG_PRIME = 1_000_003
+
+
+@st.composite
+def deficient_matrices(draw):
+    """(prime, rows of integers) whose columns are combinations, with
+    coefficients in {-1, 0, 1}, of at most max(1, rows - 1) seed columns,
+    so the rank is below the row count wherever there are two rows or more:
+    over GF(2), GF(3) or, with seed entries in [-3, 3] and so entries in
+    [-9, 9], the rationals."""
+    prime = draw(st.sampled_from((2, 3, BIG_PRIME)))
+    nrows = draw(st.integers(1, 4))
+    low = 0 if prime < BIG_PRIME else -3
+    high = prime - 1 if prime < BIG_PRIME else 3
+    entry = st.integers(low, high)
+    seeds = draw(st.lists(st.lists(entry, min_size=nrows, max_size=nrows),
+                          min_size=1, max_size=max(1, nrows - 1)))
+    cols = []
+    for _ in range(draw(st.integers(0, 9))):
+        coefs = draw(st.lists(st.integers(-1, 1), min_size=len(seeds), max_size=len(seeds)))
+        cols.append([sum(c * s[r] for c, s in zip(coefs, seeds)) for r in range(nrows)])
+    return prime, [[col[r] for col in cols] for r in range(nrows)] if cols else [[]] * nrows
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(), deficient_matrices())
+def test_prefix_basis_ranks_match_the_row_bounded_builder(graph, case):
+    vertices, edges = graph
+    touched = sorted({x for u, v in edges if u != v for x in (u, v)})
+    incidence = [[int(u != v and x in (u, v)) for x in touched] for u, v in edges]
+    assert (matroids._prefix_basis_ranks(2, incidence)
+            == reference_prefix_basis_ranks(2, incidence, len(touched)))
+    prime, matrix = case
+    cols = [[x % prime for x in col] for col in zip(*matrix)]
+    ranks = matroids._prefix_basis_ranks(prime, cols)
+    assert ranks == reference_prefix_basis_ranks(prime, cols, len(matrix))
+    if prime == BIG_PRIME:
+        for mask in range(1 << len(cols)):
+            chosen = [col for i, col in enumerate(zip(*matrix)) if mask >> i & 1]
+            assert ranks[mask] == (exact_rank(list(zip(*chosen))) if chosen else 0)
+
+
+def test_prefix_bases_stop_at_the_full_rank(monkeypatch):
+    # M(K6) has rank 5 on 6 touched vertices: the row bound never stopped
+    # a basis, so every one of the 2^15 - 1 nonempty masks was reduced; the
+    # full rank stops every basis that reaches it
+    reductions = []
+    reduce = matroids._reduced
+    monkeypatch.setattr(matroids, "_reduced",
+                        lambda *args: reductions.append(1) or reduce(*args))
+    k6 = make_graphic(6, list(itertools.combinations(range(1, 7), 2)))
+    assert k6.full_rank == 5
+    assert len(reductions) < (1 << k6.n) // 2  # 10,789 of 32,768 masks
 
 
 def test_rank_table_round_trip():

@@ -6,6 +6,7 @@ substitutes exact rationals.  The package evaluates the same quantities
 through subset-mask passes; the two routes share no code.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -53,8 +54,17 @@ from potts_hodge.potts import (
     independent_numerators,
     second_order_numerators,
     strata_numerators,
+    validate_coeffs,
+    validate_point,
+    validate_q,
 )
-from potts_hodge.scalars import from_float, is_exact_scalar, to_float
+from potts_hodge.scalars import (
+    from_float,
+    is_exact_scalar,
+    scalar_to_json,
+    to_float,
+    vector_to_json,
+)
 
 U24 = make_uniform(2, 4)
 U12 = make_uniform(1, 2)
@@ -538,6 +548,89 @@ def test_exact_mode_rejects_floats():
 ])
 def test_is_exact_scalar(value, exact):
     assert is_exact_scalar(value) is exact
+
+
+# The validators and the JSON encoder as they were when every exact input
+# went through rat to a Fraction: the references for the ones that keep an
+# int an int and test signs on numerators.
+def reference_validate_q(q):
+    qv = rat(q)
+    if qv <= 0:
+        raise InvalidParametersError(f"q must be positive, got {qv}")
+    return qv
+
+
+REFERENCE_SIGNS = {"any": lambda wv: True, "positive": lambda wv: all(x > 0 for x in wv),
+                   "nonnegative": lambda wv: all(x >= 0 for x in wv), "nonzero": any}
+
+
+def reference_validate_point(w, length, sign):
+    wv = tuple(map(rat, w))
+    if len(wv) != length:
+        raise InvalidParametersError(f"w must have length {length}, got {len(wv)}")
+    if not REFERENCE_SIGNS[sign](wv):
+        raise InvalidParametersError(f"w must be a {sign} point of length {length}")
+    return wv
+
+
+def reference_validate_coeffs(c, n):
+    cv = tuple(map(rat, c))
+    if len(cv) != n + 1:
+        raise InvalidParametersError("wrong length")
+    if any(x <= 0 for x in cv):
+        raise InvalidParametersError("coefficient sequence must be strictly positive")
+    return cv
+
+
+def reference_scalar_to_json(value):
+    """scalar_to_json(Fraction(num, den)) for an exact value num/den."""
+    if is_exact_scalar(value):
+        value = Fraction(value.numerator, value.denominator)
+        return {"num": str(value.numerator), "den": str(value.denominator)}
+    if isinstance(value, float):
+        return value
+    raise InvalidParametersError(f"cannot serialize scalar {value!r}")
+
+
+def outcome(fn, *args):
+    """("value", the JSON text of the result) or ("raised", exception type)."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the type is the outcome
+        return "raised", type(exc)
+    return "value", json.dumps(value if isinstance(value, dict) else vector_to_json(value)
+                               if isinstance(value, tuple) else scalar_to_json(value))
+
+
+BOUNDARY_SCALARS = st.one_of(
+    st.integers(-30, 30), st.just(0), st.just(Fraction(0)),
+    st.fractions(min_value=-30, max_value=30, max_denominator=40),
+    st.booleans(), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(BOUNDARY_SCALARS, max_size=6), st.integers(0, 6),
+       st.sampled_from(sorted(REFERENCE_SIGNS)))
+def test_boundary_matches_the_fraction_reference(values, length, sign):
+    # equal values (so equal JSON) and equal exception types, with the
+    # validated tuples compared as values: an int equals its Fraction
+    for value in values:
+        assert outcome(validate_q, value) == outcome(reference_validate_q, value)
+        assert outcome(scalar_to_json, value) == outcome(reference_scalar_to_json, value)
+    new = outcome(validate_point, values, length, sign)
+    assert new == outcome(reference_validate_point, values, length, sign)
+    if new[0] == "value":
+        assert validate_point(values, length, sign) == reference_validate_point(values, length, sign)
+    for n in (length - 1, len(values) - 1):
+        assert outcome(validate_coeffs, values, n) == outcome(reference_validate_coeffs, values, n)
+
+
+def test_validated_values_keep_their_type():
+    # ints stay ints and Fractions stay Fractions: nothing is converted
+    w = (1, Fraction(1, 2), 0, Fraction(-3))
+    assert [type(x) for x in validate_point(w, 4, "any")] == [int, Fraction, int, Fraction]
+    assert type(validate_q(1)) is int and type(validate_q(Fraction(1, 2))) is Fraction
+    assert vector_to_json(w) == [reference_scalar_to_json(x) for x in w]
 
 
 def test_parameter_validation():

@@ -47,7 +47,7 @@ from potts_hodge import (
     z_weighted_eval,
     zk_all,
 )
-from potts_hodge import verify
+from potts_hodge import sampling, verify
 from potts_hodge.potts import strata_numerators
 from potts_hodge.sampling import (
     child_rng,
@@ -913,18 +913,26 @@ def test_campaign_under_the_benchmark_tracer():
     import potts_hodge as ph
 
     corpus = generate_corpus("graphic,K3")
-    config = CampaignConfig(seed=1, samples=2)
-    expected = json.dumps(run_campaign(corpus, config).to_json(), sort_keys=True)
-    tracer = tracing.Tracer(ph)
-    try:
-        with tracer.installed():
-            report = run_campaign(corpus, config)
-        counts = tracer.counters.snapshot()
-    finally:
-        tracer.close()
-    assert json.dumps(report.to_json(), sort_keys=True) == expected
-    assert counts["verify.check.calls"] == len(report.checks) > 0
-    assert counts["spectral.signature.calls"] > 0
+    strata = CampaignConfig(theorems=("deg2", "ulc", "simplification"), seed=3, samples=2)
+    for config, hessians in ((CampaignConfig(seed=1, samples=2), True), (strata, False)):
+        expected = json.dumps(run_campaign(corpus, config).to_json(), sort_keys=True)
+        tracer = tracing.Tracer(ph)
+        try:
+            with tracer.installed():
+                report = run_campaign(corpus, config)
+            counts = tracer.counters.snapshot()
+        finally:
+            tracer.close()
+        assert json.dumps(report.to_json(), sort_keys=True) == expected
+        assert counts["verify.check.calls"] == len(report.checks) > 0
+        assert (counts["spectral.signature.calls"] > 0) == hessians
+        assert counts["scalars.json.calls"] > 0
+        assert counts["matroids.structure.calls"] >= 1
+    # one matroid: its work unit computes structure and the independent-set
+    # counts once for all its deg2 and simplification checks, plus one
+    # simplify, however many checks there are
+    assert len(report.checks) > 3
+    assert counts["matroids.structure.calls"] == 3
 
 
 def test_exact_library_never_loads_numpy():
@@ -1104,3 +1112,27 @@ def test_sampled_points_are_positive():
         w = sample_positive_point(child_rng(0, 99, j), 5)
         assert len(w) == 5
         assert all(x > 0 for x in w)
+
+
+def test_sampler_draws_are_random_randint_draws():
+    # the samplers draw their ints in one call each; a seed gives the ints
+    # Random.randint gives it, so campaigns keep their pinned reports
+    for seed in range(40):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for low, high in [(1, 100), (-9, 9), (1, 9), (3, 8), (0, 0), (0, 1), (1, 2 ** 40)]:
+            assert ([sampling._randint(ours, low, high) for _ in range(25)]
+                    == [stdlib.randint(low, high) for _ in range(25)])
+
+
+def test_sign_mixed_samples_are_the_rational_draws():
+    # the numerators over SIGN_MIXED_DEN are the coordinates num/den drawn
+    # num first, each num uniform in [-9, 9] and den in [1, 9]
+    for j in range(30):
+        rng, reference = child_rng(0, 7, j), child_rng(0, 7, j)
+        w = sample_sign_mixed_point(rng, 6)
+        while True:
+            drawn = [Fraction(reference.randint(-9, 9), reference.randint(1, 9)) for _ in range(6)]
+            if any(drawn):
+                break
+        assert w == tuple(drawn)
+        assert all(type(x) is Fraction for x in w)

@@ -1,19 +1,19 @@
 """Interleaved A/B CPU comparison of one benchmark campaign on two trees.
 
     python3 tools/ab_campaign.py PARENT_TREE CHANGE_TREE [--workload NAME] [--rounds N]
-                                 [--workers N]
+                                 [--workers N] [--seed N]
 
 Each tree is a checkout of this repository.  Its src/potts_hodge is
 imported under its own package name (ab_parent, ab_change) in this one
 interpreter, so both run on the same host state, with the same warm
 caches and the same imported stdlib.  Each tree builds the workload's
 corpus (perfbench/workloads.py of this checkout) with its own package;
-then every round runs the workload's campaign once per tree at
---workers (default 1), flipping which tree goes first each round, and
-times run_campaign after a full garbage collection, in CPU seconds of
-this process plus the worker processes it reaped (RUSAGE_CHILDREN), and
-in wall seconds.  The report's sorted-key JSON dump is hashed outside
-the timed region.
+then every round runs the workload's campaign at campaign seed --seed
+(default 0) once per tree at --workers (default 1), flipping which tree
+goes first each round, and times run_campaign after a full garbage
+collection, in CPU seconds of this process plus the worker processes it
+reaped (RUSAGE_CHILDREN), and in wall seconds.  The report's sorted-key
+JSON dump is hashed outside the timed region.
 
 Printed: one line per round with the CPU seconds of each tree and the
 CPU ratio change/parent, then the median ratio and its quartiles (the
@@ -46,8 +46,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS, build_corpus, campaign_config  # noqa: E402
-
-SEED = 0
 
 
 def load_package(tree, name):
@@ -90,6 +88,8 @@ def main(argv=None):
     parser.add_argument("--rounds", type=int, default=12)
     parser.add_argument("--workers", type=int, default=1,
                         help="campaign worker processes for both trees (default 1)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="campaign seed for both trees (default 0)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -99,7 +99,7 @@ def main(argv=None):
     sides = []
     for tree, name in ((args.parent, "ab_parent"), (args.change, "ab_change")):
         ph = load_package(tree, name)
-        sides.append((ph, build_corpus(ph, workload), campaign_config(ph, workload, SEED, workers=args.workers)))
+        sides.append((ph, build_corpus(ph, workload), campaign_config(ph, workload, args.seed, workers=args.workers)))
     # one untimed warm-up per tree; its digests are the reference
     digests = {run_once(*side)[2] for side in sides}
     cpus, walls = [], []
