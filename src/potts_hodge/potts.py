@@ -163,8 +163,8 @@ def _products(point):
 def _buckets(ranks, width):
     """bucket[mask] = |mask| * width + rk(mask), the cell of a subset in a
     flat size x rank table of the given width (R + 1).  Cached per rank
-    table rather than stored on the Matroid, which a campaign pickles into
-    each pool work unit."""
+    table rather than stored on the Matroid, which a campaign hands to
+    each share's child process (pickled where children are spawned)."""
     return tuple(mask.bit_count() * width + r for mask, r in enumerate(ranks))
 
 

@@ -14,9 +14,10 @@ corpus member.  run_campaign's unit of work is one matroid: the unit
 generates and runs that matroid's tasks for every requested theorem, its
 records share one matroid JSON dict, and its checks compute structure and
 independent_set_counts once (_once).  With workers > 1 the units are
-dealt, costliest first, into shares: this process runs one share and a
-pool runs the others, one call per share, so each matroid is pickled once
-and the sampling runs where the checks do.  One table (CHECKS) maps a
+dealt, costliest first, into shares: this process runs one share and
+one child process per other share runs the rest, each placed on its own
+CPU of the affinity set and sending its records back over a pipe, so the
+sampling runs where the checks do.  One table (CHECKS) maps a
 theorem and aspect to its check and input keys for campaigns, replay and
 the CLI.  run_campaign validates its config before any unit runs, and
 every check validates all of its inputs (potts.validate_q,
@@ -669,12 +670,46 @@ def _matroid_checks(mi, matroid, theorems, seed, samples, q_grid):
         _unit.reset(token)
 
 
-def _run_share(units):
-    """A pool worker's share of the units: per unit, per theorem, its
-    records as plain (theorem, inputs, verdict, witness) tuples."""
-    return [[[(r.theorem, r.inputs, r.verdict, r.witness) for r in results]
-             for results in _matroid_checks(*unit)]
-            for unit in units]
+def _place(cpu):
+    """Pin the calling thread to CPU `cpu` (None: leave it).  Best effort:
+    a CPU the thread may not use leaves it where it was."""
+    if cpu is not None:
+        try:
+            os.sched_setaffinity(0, (cpu,))
+        except OSError:
+            pass
+
+
+def _run_share(units, sender, cpu):
+    """A share's child process: pin itself to `cpu` (see _place), run its
+    units and send back over the pipe end `sender` either (True, per unit,
+    per theorem, its records as plain (theorem, inputs, verdict, witness)
+    tuples) or (False, the exception that stopped it)."""
+    _place(cpu)
+    try:
+        records = [[[(r.theorem, r.inputs, r.verdict, r.witness) for r in results]
+                    for results in _matroid_checks(*unit)]
+                   for unit in units]
+    except Exception as exc:  # the caller raises it
+        sender.send((False, exc))
+    else:
+        sender.send((True, records))
+    finally:
+        sender.close()
+
+
+def _receive(child, receiver):
+    """The records a share's child process sent, or raise what stopped it."""
+    try:
+        ok, payload = receiver.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(
+            f"a campaign share's process exited with code {child.exitcode} "
+            "without sending its records") from None
+    if not ok:
+        raise payload
+    return payload
 
 
 def _execute(units, workers):
@@ -685,28 +720,60 @@ def _execute(units, workers):
     The processes are capped at min(workers, units, usable CPUs).  Under a
     cap of one everything runs here.  Otherwise the units are dealt
     round-robin into cap shares, costliest first (2^n down, then unit
-    index): this process runs share 0 while a pool of cap - 1 processes
-    runs the others, one submitted call per share, each returning its
-    records as plain tuples.  Tasks are sampled in the process that runs
-    them."""
+    index): this process runs share 0 and one child process per other
+    share runs that share, sending its records back as plain tuples (or
+    the exception that stopped it) over a one-way pipe.  Tasks are sampled
+    in the process that runs them.  Where the platform reports an affinity
+    set, share s is placed on the s-th of its CPUs in sorted order: each
+    child pins itself, and this thread pins itself to the first once the
+    children have started (so a child that cannot be placed keeps the
+    whole set) and gets its saved set back when the campaign returns or
+    raises.  Without placement the kernel may keep a young child on the
+    caller's CPU for longer than a short campaign lasts, and the shares
+    take turns instead of running side by side.  Every child is joined;
+    one still running when the campaign raises is terminated first."""
     # more processes than units or usable CPUs (the affinity set, where the
-    # platform has one) gain nothing; a pool starts all its processes at once
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    cap = min(workers, len(units), cpus or 1)
+    # platform has one) gain nothing
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    cap = min(workers, len(units), len(cpus) or os.cpu_count() or 1)
     if cap <= 1:
         return [_matroid_checks(*unit) for unit in units]
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
 
     order = sorted(range(len(units)), key=lambda i: (-units[i][1].n, i))
     shares = [order[s::cap] for s in range(cap)]
+    places = cpus or [None] * cap
     results = [None] * len(units)
-    with ProcessPoolExecutor(max_workers=cap - 1) as pool:
-        futures = [pool.submit(_run_share, [units[i] for i in share]) for share in shares[1:]]
+    children = []
+    try:
+        for s, share in enumerate(shares[1:], 1):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_run_share,
+                args=([units[i] for i in share], sender, places[s]))
+            children.append((share, child, receiver))
+            try:
+                child.start()
+            finally:
+                sender.close()
+        _place(places[0])
         for i in shares[0]:
             results[i] = _matroid_checks(*units[i])
-        for share, future in zip(shares[1:], futures):
-            for i, records in zip(share, future.result()):
+        for share, child, receiver in children:
+            for i, records in zip(share, _receive(child, receiver)):
                 results[i] = [[CheckResult(*r) for r in per_theorem] for per_theorem in records]
+    except BaseException:
+        for _, child, _ in children:
+            if child.is_alive():
+                child.terminate()
+        raise
+    finally:
+        for _, child, receiver in children:
+            if child.pid is not None:
+                child.join()
+            receiver.close()
+        if cpus:
+            os.sched_setaffinity(0, cpus)
     return results
 
 
@@ -818,8 +885,9 @@ def run_campaign(corpus, config=None):
     The unit of work is one matroid: it generates and runs that matroid's
     tasks for every requested theorem, and its records share one matroid
     JSON dict.  At workers=1 every unit runs in this process; above it,
-    this process runs one share of the units and a pool of at most
-    workers - 1 processes runs the rest (see _execute).  The checks are
+    this process runs one share of the units and at most workers - 1
+    child processes, one per share and each on its own CPU where the
+    platform allows, run the rest (see _execute).  The checks are
     reported theorem by theorem (in ALL_THEOREMS order), matroid by
     matroid within a theorem.  The worker count affects wall time only, so
     the report content is a function of (corpus, seed, samples, theorems,

@@ -387,7 +387,7 @@ def test_verify_campaign_json_byte_stability(capsys):
       "--theorem", "simplification", "--samples", "3", "--workers", "2"],
      "14ded8b2b39788c0de86485126e0f05f4ff1f0cfd4a4d28e22c63703094bd4fc"),
     # the only pin of qHR, cqHR and logconcavity on the default q grid, and
-    # of all seven theorems through the worker pool
+    # of all seven theorems through the share processes
     (["--workers", "2"],
      "234cdf89dc76ca936e7ab9abe0f8467a10545144a939c62613d5f33b30f8b808"),
 ])

@@ -26,3 +26,6 @@ def test_ab_campaign_on_one_tree(workload, workers, seed):
     assert out.returncode == 0, out.stderr
     pins = json.loads((ROOT / "perfbench" / "pins.json").read_text(encoding="utf-8"))
     assert f"reports identical: sha256 {pins[workload][seed or '0']}" in out.stdout
+    # above one worker, each tree's CPU / wall shows whether its shares
+    # ran side by side
+    assert ("CPU/wall" in out.stdout) == (workers != "1")

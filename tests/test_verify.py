@@ -1,6 +1,5 @@
 """Theorem checks, campaign plumbing, replay, and the corpus generators."""
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import importlib.util
@@ -802,6 +801,14 @@ SPAN_CORPUS = [
 ]
 
 
+# this thread's CPU affinity set, read through the real function whatever a
+# test fakes (None where the platform has no affinity sets), and its value
+# when the tests were collected, before any campaign ran: a campaign that
+# left this thread pinned would also move a set read at the start of a test
+_real_affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+_AFFINITY_AT_START = _real_affinity(0)
+
+
 def _usable_cpus(monkeypatch, count):
     """Make the campaign cap see `count` usable CPUs whatever the host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
@@ -810,10 +817,12 @@ def _usable_cpus(monkeypatch, count):
 def test_per_matroid_units_are_worker_independent(monkeypatch):
     assert [m.n for m in SPAN_CORPUS] == list(range(9))
     # three usable CPUs, so workers=3 runs three shares: this process and
-    # a pool of two
+    # two children, placed on CPUs 0, 1 and 2 (a placement on a CPU the
+    # host lacks fails and leaves that process unplaced)
     _usable_cpus(monkeypatch, 3)
     reports = [run_campaign(SPAN_CORPUS, CampaignConfig(seed=4, samples=2, workers=workers))
                for workers in (1, 2, 3)]
+    assert _real_affinity(0) == _AFFINITY_AT_START
     texts = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
     assert texts[0] == texts[1] == texts[2]
     # fewer units than workers: two shares at workers=3
@@ -836,7 +845,7 @@ def test_a_share_exception_reaches_the_caller(monkeypatch, share):
 
     def raising_in(where):
         """The check, raising in this process (the parent's share), in a
-        pool worker, or on every call (serial)."""
+        share's child process, or on every call (serial)."""
         def check(matroid):
             if where == "serial" or (os.getpid() == parent) == (where == "parent"):
                 raise SamplingFailureError(f"raised in the {where} share")
@@ -852,6 +861,25 @@ def test_a_share_exception_reaches_the_caller(monkeypatch, share):
     monkeypatch.setattr(verify, "check_count_log_concavity", raising_in(share))
     with pytest.raises(SamplingFailureError, match=f"in the {share} share"):
         run_campaign(corpus, dataclasses.replace(config, workers=2))
+    assert _real_affinity(0) == _AFFINITY_AT_START
+    assert multiprocessing.active_children() == []
+
+
+def test_a_share_process_that_exits_without_sending_is_reported(monkeypatch):
+    parent = os.getpid()
+    original = verify.check_count_log_concavity
+
+    def check(matroid):
+        if os.getpid() != parent:
+            os._exit(3)
+        return original(matroid)
+
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "check_count_log_concavity", check)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run_campaign(generate_corpus("uniform,n<=3"),
+                     CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY,), workers=2))
+    assert _real_affinity(0) == _AFFINITY_AT_START
     assert multiprocessing.active_children() == []
 
 
@@ -975,34 +1003,39 @@ def test_campaign_rejects_negative_samples_and_workers(monkeypatch):
     (5000, 3, 3),     # capped at the core count
     (5000, 64, 7),    # capped at the unit (matroid) count
     (2, 64, 2),
-    (5000, 1, None),  # one core: serial, no pool at all
+    (5000, 1, None),  # one core: serial, no child process at all
     # cpus: (the machine's count, the size of the affinity set)
     (5000, (64, 1), None),  # taskset -c 0 on a large machine: serial
     (5000, (64, 3), 3),     # capped at the affinity set, not the machine
 ])
 def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
-    sizes, submitted = [], []
+    started, placed = [], []
 
-    class InProcessPool:
-        """Records the pool size and the submitted shares, and runs each
-        submitted call in this process; starts nothing."""
+    class InProcessShare:
+        """Stands in for a share's child process: records the share's unit
+        indices and CPU, and runs the share in this process when started;
+        starts nothing."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, target, args):
+            self._target, self._args = target, args
+            self.pid = None
 
-        def __enter__(self):
-            return self
+        def start(self):
+            units, sender, cpu = self._args
+            started.append(([unit[0] for unit in units], cpu))
+            self.pid = os.getpid()
+            self._target(*self._args)
 
-        def __exit__(self, *exc):
+        def is_alive(self):
             return False
 
-        def submit(self, fn, units):
-            submitted.append([unit[0] for unit in units])
-            future = concurrent.futures.Future()
-            future.set_result(fn(units))
-            return future
+        def join(self):
+            pass
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(multiprocessing, "Process", InProcessShare)
+    # record each placement instead of pinning this thread
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: placed.append(set(cpus)),
+                        raising=False)
     machine, usable = cpus if isinstance(cpus, tuple) else (cpus, None)
     monkeypatch.setattr(os, "cpu_count", lambda: machine)
     if usable is None:
@@ -1013,12 +1046,20 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
     corpus = generate_corpus("uniform,n<=3")  # 7 matroids: 7 work units
     theorems = (TAG_COUNT_LOG_CONCAVITY,)
     report = run_campaign(corpus, CampaignConfig(theorems=theorems, workers=workers))
-    # this process runs one share beside a pool of cap - 1
-    assert sizes == ([] if cap is None else [cap - 1])
-    # units dealt round-robin, costliest first: the four n = 3 members
-    # (3..6), then the three n = 2 ones (0..2); share 0 stays here
+    # this process runs one share beside cap - 1 child processes, units
+    # dealt round-robin, costliest first: the four n = 3 members (3..6),
+    # then the three n = 2 ones (0..2); share 0 stays here
     by_cost = [3, 4, 5, 6, 0, 1, 2]
-    assert submitted == ([] if cap is None else [by_cost[s::cap] for s in range(1, cap)])
+    shares = [] if cap is None else [by_cost[s::cap] for s in range(1, cap)]
+    assert [units for units, _ in started] == shares
+    # share s goes to CPU s of the affinity set: each child pins itself,
+    # then this thread pins itself to CPU 0 and gets its set back at the
+    # end; without an affinity set nothing is placed
+    if usable is None or cap is None:
+        assert placed == [] and all(cpu is None for _, cpu in started)
+    else:
+        assert [cpu for _, cpu in started] == list(range(1, cap))
+        assert placed == [{s} for s in range(1, cap)] + [{0}, set(range(usable))]
     serial = run_campaign(corpus, CampaignConfig(theorems=theorems))
     assert report.to_json() == serial.to_json()
 

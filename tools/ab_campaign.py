@@ -11,7 +11,7 @@ corpus (perfbench/workloads.py of this checkout) with its own package;
 then every round runs the workload's campaign at campaign seed --seed
 (default 0) once per tree at --workers (default 1), flipping which tree
 goes first each round, and times run_campaign after a full garbage
-collection, in CPU seconds of this process plus the worker processes it
+collection, in CPU seconds of this process plus the share processes it
 reaped (RUSAGE_CHILDREN), and in wall seconds.  The report's sorted-key
 JSON dump is hashed outside the timed region.
 
@@ -19,8 +19,10 @@ Printed: one line per round with the CPU seconds of each tree and the
 CPU ratio change/parent, then the median ratio and its quartiles (the
 quartiles from two rounds on).  With
 --workers above 1, each round line also gives the wall seconds and their
-ratio, and the summary gives the median wall ratio and the median CPU and
-wall seconds of each tree.  Exit status 1 when any report's sha256
+ratio, and the summary gives the median wall ratio and, for each tree,
+the median CPU and wall seconds and the median CPU / wall of a run: about
+1 when the shares took turns on one CPU, near --workers when they ran side
+by side.  Exit status 1 when any report's sha256
 differs between the trees (or between rounds), else 0.
 
 Why not perfbench/run.py pairs: a pair runs the two trees in separate
@@ -70,8 +72,8 @@ def cpu_seconds():
 
 def run_once(ph, corpus, config):
     """(CPU seconds, wall seconds of run_campaign, sha256 of the report's
-    JSON dump).  run_campaign joins its pool, so its workers are reaped
-    and counted before it returns."""
+    JSON dump).  run_campaign joins its share processes, so they are
+    reaped and counted before it returns."""
     gc.collect()
     cpu, wall = cpu_seconds(), time.perf_counter()
     report = ph.run_campaign(corpus, config)
@@ -128,7 +130,8 @@ def main(argv=None):
     if args.workers > 1:
         print(f"{args.workload} at workers={args.workers}: median per run, " + ", ".join(
             f"{name} CPU {statistics.median(c[i] for c in cpus):.3f} s "
-            f"wall {statistics.median(w[i] for w in walls):.3f} s"
+            f"wall {statistics.median(w[i] for w in walls):.3f} s "
+            f"CPU/wall {statistics.median(c[i] / w[i] for c, w in zip(cpus, walls)):.2f}"
             for i, name in enumerate(("parent", "change"))))
     if len(digests) != 1:
         print(f"report sha256 differs: {sorted(digests)}", file=sys.stderr)
