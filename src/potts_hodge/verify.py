@@ -12,15 +12,15 @@ verdicts:
 Each theorem has one task generator that draws seeded inputs for one
 corpus member.  run_campaign's unit of work is one matroid: the unit
 generates and runs that matroid's tasks for every requested theorem, its
-records share one matroid JSON dict, and its checks compute structure and
-independent_set_counts once (_once).  With workers > 1 the units are
-dealt, costliest first, into shares: this process runs one share and
-one child process per other share runs the rest, each placed on its own
-CPU of the affinity set and sending its records back over a pipe, so the
-sampling runs where the checks do.  One table (CHECKS) maps a
-theorem and aspect to its check and input keys for campaigns, replay and
-the CLI.  run_campaign validates its config before any unit runs, and
-every check validates all of its inputs (potts.validate_q,
+records share one matroid JSON dict, and its checks compute structure
+and independent_set_counts once (_once).  With workers > 1 the units are
+dealt, costliest first, into shares: this process runs one share and one
+child process per other share runs the rest, each placed on its own CPU
+when the shares fill the affinity set and sending its records back over
+a pipe, so the sampling runs where the checks do.  One table (CHECKS)
+maps a theorem and aspect to its check and input keys for campaigns,
+replay and the CLI.  run_campaign validates its config before any unit
+runs, and every check validates all of its inputs (potts.validate_q,
 validate_point with the sign its theorem needs, validate_coeffs) before
 it returns any verdict.  The validators keep ints as ints and read signs
 off numerators, so a check runs on the integers it was given: the
@@ -671,21 +671,22 @@ def _matroid_checks(mi, matroid, theorems, seed, samples, q_grid):
 
 
 def _place(cpu):
-    """Pin the calling thread to CPU `cpu` (None: leave it).  Best effort:
-    a CPU the thread may not use leaves it where it was."""
-    if cpu is not None:
-        try:
-            os.sched_setaffinity(0, (cpu,))
-        except OSError:
-            pass
+    """Pin the calling thread to CPU `cpu`.  Best effort: a CPU the thread
+    may not use leaves it where it was."""
+    try:
+        os.sched_setaffinity(0, (cpu,))
+    except OSError:
+        pass
 
 
 def _run_share(units, sender, cpu):
-    """A share's child process: pin itself to `cpu` (see _place), run its
-    units and send back over the pipe end `sender` either (True, per unit,
-    per theorem, its records as plain (theorem, inputs, verdict, witness)
-    tuples) or (False, the exception that stopped it)."""
-    _place(cpu)
+    """A share's child process: pin itself to `cpu` (see _place; None
+    leaves it unplaced), run its units and send back over the pipe end
+    `sender` either (True, per unit, per theorem, its records as plain
+    (theorem, inputs, verdict, witness) tuples) or (False, the exception
+    that stopped it)."""
+    if cpu is not None:
+        _place(cpu)
     try:
         records = [[[(r.theorem, r.inputs, r.verdict, r.witness) for r in results]
                     for results in _matroid_checks(*unit)]
@@ -723,15 +724,18 @@ def _execute(units, workers):
     index): this process runs share 0 and one child process per other
     share runs that share, sending its records back as plain tuples (or
     the exception that stopped it) over a one-way pipe.  Tasks are sampled
-    in the process that runs them.  Where the platform reports an affinity
-    set, share s is placed on the s-th of its CPUs in sorted order: each
-    child pins itself, and this thread pins itself to the first once the
-    children have started (so a child that cannot be placed keeps the
-    whole set) and gets its saved set back when the campaign returns or
-    raises.  Without placement the kernel may keep a young child on the
-    caller's CPU for longer than a short campaign lasts, and the shares
-    take turns instead of running side by side.  Every child is joined;
-    one still running when the campaign raises is terminated first."""
+    in the process that runs them.  When the shares fill the whole
+    affinity set (cap equal to its size), share s is placed on the s-th of
+    its CPUs in sorted order: each child pins itself, and this thread pins
+    itself to the first once the children have started (so a child that
+    cannot be placed keeps the whole set) and gets its saved set back when
+    the campaign returns or raises.  Without placement the kernel may keep
+    a young child on the caller's CPU for longer than a short campaign
+    lasts, and the shares take turns instead of running side by side.  A
+    campaign that uses only part of the set is not placed, so campaigns
+    running side by side do not all pin themselves to the same lowest
+    CPUs.  Every child is joined; one still running when the campaign
+    raises is terminated first."""
     # more processes than units or usable CPUs (the affinity set, where the
     # platform has one) gain nothing
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
@@ -742,7 +746,7 @@ def _execute(units, workers):
 
     order = sorted(range(len(units)), key=lambda i: (-units[i][1].n, i))
     shares = [order[s::cap] for s in range(cap)]
-    places = cpus or [None] * cap
+    placed = cap == len(cpus)
     results = [None] * len(units)
     children = []
     try:
@@ -750,13 +754,14 @@ def _execute(units, workers):
             receiver, sender = multiprocessing.Pipe(duplex=False)
             child = multiprocessing.Process(
                 target=_run_share,
-                args=([units[i] for i in share], sender, places[s]))
+                args=([units[i] for i in share], sender, cpus[s] if placed else None))
             children.append((share, child, receiver))
             try:
                 child.start()
             finally:
                 sender.close()
-        _place(places[0])
+        if placed:
+            _place(cpus[0])
         for i in shares[0]:
             results[i] = _matroid_checks(*units[i])
         for share, child, receiver in children:
@@ -772,7 +777,7 @@ def _execute(units, workers):
             if child.pid is not None:
                 child.join()
             receiver.close()
-        if cpus:
+        if placed:
             os.sched_setaffinity(0, cpus)
     return results
 
@@ -886,8 +891,8 @@ def run_campaign(corpus, config=None):
     tasks for every requested theorem, and its records share one matroid
     JSON dict.  At workers=1 every unit runs in this process; above it,
     this process runs one share of the units and at most workers - 1
-    child processes, one per share and each on its own CPU where the
-    platform allows, run the rest (see _execute).  The checks are
+    child processes, one per share and each on its own CPU when they
+    fill the affinity set, run the rest (see _execute).  The checks are
     reported theorem by theorem (in ALL_THEOREMS order), matroid by
     matroid within a theorem.  The worker count affects wall time only, so
     the report content is a function of (corpus, seed, samples, theorems,

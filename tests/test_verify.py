@@ -810,18 +810,30 @@ _AFFINITY_AT_START = _real_affinity(0)
 
 
 def _usable_cpus(monkeypatch, count):
-    """Make the campaign cap see `count` usable CPUs whatever the host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    """Make a campaign see `count` usable CPUs whatever the host has: this
+    thread's affinity set is faked as CPUs 0..count-1, and a placement
+    changes the fake set of the process that makes it, never a real one.
+    Returns the fake set, which a campaign must leave as it found it."""
+    affinity = set(range(count))
+
+    def set_affinity(pid, cpus):
+        affinity.clear()
+        affinity.update(cpus)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", set_affinity, raising=False)
+    return affinity
 
 
 def test_per_matroid_units_are_worker_independent(monkeypatch):
     assert [m.n for m in SPAN_CORPUS] == list(range(9))
-    # three usable CPUs, so workers=3 runs three shares: this process and
-    # two children, placed on CPUs 0, 1 and 2 (a placement on a CPU the
-    # host lacks fails and leaves that process unplaced)
-    _usable_cpus(monkeypatch, 3)
+    # three usable CPUs, so workers=3 runs three shares, this process and
+    # two children, placed on CPUs 0, 1 and 2; workers=2 fills two of
+    # them and is not placed
+    affinity = _usable_cpus(monkeypatch, 3)
     reports = [run_campaign(SPAN_CORPUS, CampaignConfig(seed=4, samples=2, workers=workers))
                for workers in (1, 2, 3)]
+    assert affinity == {0, 1, 2}
     assert _real_affinity(0) == _AFFINITY_AT_START
     texts = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
     assert texts[0] == texts[1] == texts[2]
@@ -852,7 +864,7 @@ def test_a_share_exception_reaches_the_caller(monkeypatch, share):
             return original(matroid)
         return check
 
-    _usable_cpus(monkeypatch, 2)
+    affinity = _usable_cpus(monkeypatch, 2)
     corpus = generate_corpus("uniform,n<=3")
     config = CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY,))
     monkeypatch.setattr(verify, "check_count_log_concavity", raising_in("serial"))
@@ -861,6 +873,7 @@ def test_a_share_exception_reaches_the_caller(monkeypatch, share):
     monkeypatch.setattr(verify, "check_count_log_concavity", raising_in(share))
     with pytest.raises(SamplingFailureError, match=f"in the {share} share"):
         run_campaign(corpus, dataclasses.replace(config, workers=2))
+    assert affinity == {0, 1}
     assert _real_affinity(0) == _AFFINITY_AT_START
     assert multiprocessing.active_children() == []
 
@@ -874,12 +887,43 @@ def test_a_share_process_that_exits_without_sending_is_reported(monkeypatch):
             os._exit(3)
         return original(matroid)
 
-    _usable_cpus(monkeypatch, 2)
+    affinity = _usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(verify, "check_count_log_concavity", check)
     with pytest.raises(RuntimeError, match="exited with code 3"):
         run_campaign(generate_corpus("uniform,n<=3"),
                      CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY,), workers=2))
+    assert affinity == {0, 1}
     assert _real_affinity(0) == _AFFINITY_AT_START
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(len(_AFFINITY_AT_START or ()) < 2,
+                    reason="placement needs an affinity set of two CPUs or more")
+def test_shares_run_on_their_own_cpus_and_the_caller_gets_its_set_back(monkeypatch):
+    # narrow this thread to the last two CPUs of its set (so the set need
+    # not start at CPU 0), run a campaign that fills it, and read each
+    # check's own affinity set off its witness
+    two = sorted(_AFFINITY_AT_START)[-2:]
+    original = verify.check_count_log_concavity
+
+    def check(matroid):
+        result = original(matroid)
+        return dataclasses.replace(result, witness={"cpus": sorted(os.sched_getaffinity(0))})
+
+    monkeypatch.setattr(verify, "check_count_log_concavity", check)
+    os.sched_setaffinity(0, two)
+    try:
+        report = run_campaign(generate_corpus("uniform,n<=3"),
+                              CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY,), workers=2))
+        assert os.sched_getaffinity(0) == set(two)
+    finally:
+        os.sched_setaffinity(0, _AFFINITY_AT_START)
+    # dealt costliest first (members 3..6 have n = 3, 0..2 have n = 2):
+    # 3, 5, 0 and 2 run here, on the first CPU, the others in the child,
+    # on the second
+    here = {3, 5, 0, 2}
+    assert [c.witness["cpus"] for c in report.checks] == [
+        [two[0]] if mi in here else [two[1]] for mi in range(7)]
     assert multiprocessing.active_children() == []
 
 
@@ -1004,12 +1048,29 @@ def test_campaign_rejects_negative_samples_and_workers(monkeypatch):
     (5000, 64, 7),    # capped at the unit (matroid) count
     (2, 64, 2),
     (5000, 1, None),  # one core: serial, no child process at all
-    # cpus: (the machine's count, the size of the affinity set)
-    (5000, (64, 1), None),  # taskset -c 0 on a large machine: serial
+    # cpus: (the machine's count, the size of the affinity set, its last
+    # CPUs)
+    (5000, (64, 1), None),  # taskset -c 63 on a large machine: serial
     (5000, (64, 3), 3),     # capped at the affinity set, not the machine
+    (2, (64, 3), 2),        # two of the set's three CPUs: not placed
 ])
 def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
     started, placed = [], []
+
+    class Channel:
+        """Stands in for a one-way pipe: keeps what is sent for recv."""
+
+        def __init__(self):
+            self.sent = []
+
+        def send(self, obj):
+            self.sent.append(obj)
+
+        def recv(self):
+            return self.sent.pop(0)
+
+        def close(self):
+            pass
 
     class InProcessShare:
         """Stands in for a share's child process: records the share's unit
@@ -1032,7 +1093,12 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
         def join(self):
             pass
 
+    def pipe(duplex):
+        channel = Channel()
+        return channel, channel
+
     monkeypatch.setattr(multiprocessing, "Process", InProcessShare)
+    monkeypatch.setattr(multiprocessing, "Pipe", pipe)
     # record each placement instead of pinning this thread
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: placed.append(set(cpus)),
                         raising=False)
@@ -1041,8 +1107,8 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
     if usable is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)),
-                            raising=False)
+        affinity = list(range(machine - usable, machine))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
     corpus = generate_corpus("uniform,n<=3")  # 7 matroids: 7 work units
     theorems = (TAG_COUNT_LOG_CONCAVITY,)
     report = run_campaign(corpus, CampaignConfig(theorems=theorems, workers=workers))
@@ -1052,14 +1118,14 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
     by_cost = [3, 4, 5, 6, 0, 1, 2]
     shares = [] if cap is None else [by_cost[s::cap] for s in range(1, cap)]
     assert [units for units, _ in started] == shares
-    # share s goes to CPU s of the affinity set: each child pins itself,
-    # then this thread pins itself to CPU 0 and gets its set back at the
-    # end; without an affinity set nothing is placed
-    if usable is None or cap is None:
+    # when the shares fill the affinity set, share s goes to its s-th CPU:
+    # each child pins itself, then this thread pins itself to the first
+    # and gets its set back at the end; otherwise nothing is placed
+    if cap is None or cap != usable:
         assert placed == [] and all(cpu is None for _, cpu in started)
     else:
-        assert [cpu for _, cpu in started] == list(range(1, cap))
-        assert placed == [{s} for s in range(1, cap)] + [{0}, set(range(usable))]
+        assert [cpu for _, cpu in started] == affinity[1:]
+        assert placed == [{cpu} for cpu in affinity[1:]] + [{affinity[0]}, set(affinity)]
     serial = run_campaign(corpus, CampaignConfig(theorems=theorems))
     assert report.to_json() == serial.to_json()
 
