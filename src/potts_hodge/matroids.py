@@ -373,14 +373,14 @@ def structure(matroid):
     return StructureReport(loops=loops, parallel_classes=tup, rank_one_flats=len(tup))
 
 
-def simplify(matroid):
+def simplify(matroid, info=None):
     """Simplification: drop loops, keep one representative per parallel class.
 
     Representatives are the minimal labels, in increasing order, so the result
     is deterministic.  An all-loop (or empty) matroid degenerates to the empty
-    matroid, flagged through its provenance.
+    matroid, flagged through its provenance.  info: its structure, if known.
     """
-    info = structure(matroid)
+    info = info or structure(matroid)
     reps = sorted(min(cls) for cls in info.parallel_classes)
     ell = len(reps)
     if ell == 0:

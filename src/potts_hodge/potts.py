@@ -16,38 +16,36 @@ A subset A of 1..n has the cell bucket[A] = |A| (R+1) + rk(A) in a flat
 size x rank list of (n+1)(R+1) cells, R the full rank; the bucket list is
 cached per rank table.  The strata, f[m] and the dependent masses are
 read off one table T of the sums of prod_{i in A} w_i over the subsets in
-each cell (_size_rank_sums).  A derivative weights each subset by its
-cell: with W_a[k (R+1) + r] = c_k (n-k)_a w_0^(n-k-a) q^(-r) and the
-weighted monomials u_a[A] = W_a[bucket[A]] prod_{i in A} w_i, the
-alpha-derivative of Z_c for S the inner support of alpha and a = alpha_0
-is
-
-    (sum over the subsets A containing S of u_a[A]) / prod_{i in S} w_i,
-
-a superset sum.  Every derivative is read off the monomials of the
-supersets of S alone (_superset_lists): a value is one sum of them, a
+each cell (_size_rank_sums).  A derivative of multi-index alpha, inner
+support S and degree d reads one list over the subsets A containing S,
+u[A] = c_|A| q^(-rk A) prod_{i in A - S} w'_i / w_0', w' the point w with
+each 0 replaced by 1 (w_0' too): one _products pass over the ratios and
+one weight per cell (_superset_lists).  Its w_0-order-a list is
+u_a[A] = (n-|A|)_a u[A] (_order_factors), and by homogeneity the sum of
+u_a[A] over the A containing S, for a = alpha_0, is w_0'^(-d) times the
+alpha-derivative of Z_c.  A value is one sum of these monomials, a
 gradient their per-bit sums, and a Hessian the congruent matrix
-D H D w^S, D = diag(1, w_1, ..., w_n), whose inner pairs are reads of one
-superset-sum transform (_congruent_hessian).  At a positive point it has
-the inertia of H (Sylvester's law); the public evaluators divide D and
-w^S back out.  A zero w_i enters as 1 with its bit kept out of the sums,
-so every read is exact at any point.  These passes are list-level; the
-strata table is the one per-subset loop.
+w_0'^(-d) D H D, D = diag(w_0', w'_1, ..., w'_n), its inner pairs read
+off one superset-sum transform (_congruent_hessian); at a positive point
+it has the inertia of H (Sylvester's law), and the public evaluators
+divide D and w_0'^(-d) back out.  A zero w_i enters as 1 with its bit
+kept out of the sums, so every read is exact at any point.  These passes
+are list-level; the strata table is the one per-subset loop.
 
-The passes and the reductions run on Python ints, and all the integers
-one call of a *_numerators helper or of _superset_lists returns sit over
-one positive integer scale, the same for every k, m, order and support:
-each w_i = p_i / d_i is cleared on its own (_products), w_0 enters as
-p_0^(n-k-a_0) d_0^(k+a_0) over d_0^n, q = a/b as b^r a^(R-r) over a^R for
-the full rank R, and c as C over L_c.  The public evaluators divide once,
-at their boundary; the checks compare the integers, or read the signature
-of a congruent Hessian's integer rows (a positive scale does not change
-the inertia).  Inputs are validated where they enter: each public
-evaluator validates its inputs once, and the *_numerators helpers and
-_superset_lists take validated inputs and trust them, as do the checks
-that call them.  Inputs are ints or Fractions, and the validators return
-them as given, an int staying an int, with signs read off numerators;
-outputs are Fractions; a caller with float inputs converts them with
+The passes and the reductions run on Python ints.  The strata helpers
+return integers over one positive integer scale: each w_i = p_i / d_i is
+cleared on its own (_products) and q = a/b as b^r a^(R-r) over a^R for
+the full rank R.  The derivative lists clear the ratios (in lowest terms)
+and c (as C over L_c) the same way, and are w_0'^(-d) times their values
+over their scale.  The public evaluators divide once, at their boundary;
+the checks compare the integers, or read the signature of a congruent
+Hessian's integer rows (a positive factor does not change the inertia).
+Inputs are validated where they enter: each public evaluator validates
+its inputs once, and the *_numerators helpers and _superset_lists take
+validated inputs and trust them, as do the checks that call them.
+Inputs are ints or Fractions, and the validators return them as given,
+an int staying an int, with signs read off numerators; outputs are
+Fractions; a caller with float inputs converts them with
 scalars.from_float.
 """
 from __future__ import annotations
@@ -74,6 +72,7 @@ def validate_q(q):
 
 
 _numerator = attrgetter("numerator")  # a Fraction's denominator is positive
+_denominator = attrgetter("denominator")
 _SIGNS = {"any": lambda nums: True, "positive": lambda nums: min(nums, default=1) > 0,
           "nonnegative": lambda nums: min(nums, default=0) >= 0, "nonzero": any}
 
@@ -146,17 +145,25 @@ def _q_inverse_powers(q, max_rank):
     return [b ** r * a ** (max_rank - r) for r in range(max_rank + 1)], a ** max_rank
 
 
-def _products(point):
-    """prod[mask]: for the point's rationals w_i = p_i / d_i, the product
-    of p_i over the set bits of mask times that of d_i over the others, so
-    prod[mask] / prod[0] is the product of the w_i in mask.  Built by
-    doubling: the masks below 2^i times d_i (as they are when d_i = 1),
-    then the same times p_i."""
+def _products(nums, dens):
+    """prod[mask]: for rationals x_i = p_i / d_i given as their numerators
+    and positive denominators, the product of p_i over the set bits of
+    mask times that of d_i over the others, so prod[mask] / prod[0] is the
+    product of the x_i in mask.  Built by doubling: the masks below 2^i
+    times d_i (as they are when d_i = 1), then the same times p_i."""
     prod = [1]
-    for x in point:
-        p, d = x.numerator, x.denominator
+    for p, d in zip(nums, dens):
         prod = (prod if d == 1 else [v * d for v in prod]) + [v * p for v in prod]
     return prod
+
+
+def _ratios(w):
+    """(numerators, denominators) of the ratios w'_i / w_0', i = 1..n, in
+    lowest terms over positive denominators (w' as in the docstring)."""
+    p0, d0 = (w[0] or 1).numerator, (w[0] or 1).denominator
+    pairs = [(x.numerator * d0, x.denominator * p0) if x else (d0, p0) for x in w[1:]]
+    gcds = [math.gcd(p, d) if d > 0 else -math.gcd(p, d) for p, d in pairs]
+    return [p // g for (p, _), g in zip(pairs, gcds)], [d // g for (_, d), g in zip(pairs, gcds)]
 
 
 @functools.lru_cache(maxsize=256)
@@ -181,7 +188,7 @@ def _size_rank_sums(matroid, prod):
 def _strata_table(matroid, w):
     """(T, width, scale): the table T_S for S empty at the length-n point
     w, the width R + 1 of its rows, and the scale every cell is over."""
-    prod = _products(w)
+    prod = _products(map(_numerator, w), map(_denominator, w))
     return _size_rank_sums(matroid, prod), matroid.full_rank + 1, prod[0]
 
 
@@ -218,30 +225,17 @@ def _alpha_split(alpha, n):
     return alpha[0], smask
 
 
-def _w0_weights(cv, powers, w0_powers, a0):
-    """W[k (R+1) + r] = c_k (n-k)_{a0} w_0^(n-k-a0) q^(-r) times
-    L_c a^R d_0^n, an integer for w_0 = p_0 / d_0 given as
-    w0_powers[e] = p_0^e d_0^(n-e): the factor a subset of size k and rank
-    r carries in a derivative of order a0 in w_0, laid out like T.  Sizes
-    k > n - a0 lose their whole w_0 power: their cells are 0."""
-    n = len(cv) - 1
-    weights = []
-    for k in range(n - a0 + 1):
-        coef = cv[k] * math.perm(n - k, a0) * w0_powers[n - k - a0]
-        weights += map(coef.__mul__, powers)
-    return weights + [0] * ((n + 1) * len(powers) - len(weights))
-
-
-def _weighting(matroid, c, q, w0, prod):
-    """(weights, scale) for the inner products prod: weights(a0) is the
-    _w0_weights list of w_0-order a0, and every sum of weights(a0)[cell]
-    prod[A] is over the one positive integer scale."""
-    n = matroid.n
-    cv, cden = clear_denominators(c)
-    powers, qden = _q_inverse_powers(q, matroid.full_rank)
-    p0, d0 = w0.numerator, w0.denominator
-    w0_powers = [p0 ** e * d0 ** (n - e) for e in range(n + 1)]
-    return functools.partial(_w0_weights, cv, powers, w0_powers), cden * qden * d0 ** n * prod[0]
+@functools.lru_cache(maxsize=256)
+def _order_factors(m, a, w0_zero):
+    """factor[t] = (m - |t|)_a for t over the subsets of m bits, the factor
+    a w_0-derivative of order a puts on w_0^(n-|A|) for A = S + t and
+    m = n - |S|; None when every factor is 1 (a = 0 at w_0 != 0).  At
+    w_0 = 0 the power w_0^(n-|A|-a) is 0 unless |A| = n - a, so only
+    |t| = m - a keeps its factor, a!."""
+    if a == 0 and not w0_zero:
+        return None
+    factors = [0 if w0_zero and k != m - a else math.perm(m - k, a) for k in range(m + 1)]
+    return tuple(factors[t.bit_count()] for t in range(1 << m))
 
 
 def _superset_sums(f, skip=0):
@@ -282,44 +276,44 @@ def _single_sums(f, low):
 def _superset_lists(matroid, c, q, alpha, w):
     """(monomials, free, low, scale) for the alpha-derivative of Z_c at the
     length-(n+1) point w, S its inner support and a0 = alpha_0.  free lists
-    the indices not in S, the low ones with w_i != 0 first.  monomials(a)[t]
-    is u_(a0+a)[A] = W[|A|, rk A] prod[A] for A = S + {free[x] : bit x of t},
-    W the _w0_weights of w_0-order a0 + a and prod the _products of w',
-    which is w with each 0 replaced by 1; every sum of them is over scale.
-    An identically zero derivative has every u zero."""
+    the indices not in S, the low ones with w_i != 0 first.  monomials(a)
+    iterates over u_(a0+a)[A] (module docstring) for A = S + {free[x] :
+    bit x of t} in the order of t, integers over scale.  An identically
+    zero derivative has every u_a zero."""
     n = matroid.n
-    zero = [not x for x in w[1:]]
-    prod = _products([1 if z else x for x, z in zip(w[1:], zero)])
-    weights, scale = _weighting(matroid, c, q, w[0], prod)
+    nums, dens = _ratios(w)
+    cv, cden = clear_denominators(c)
+    powers, qden = _q_inverse_powers(q, matroid.full_rank)
+    weights = [x * y for x in cv for y in powers]
     a0, smask = _alpha_split(alpha, n) or (n + 1, 0)
-    free = [i for i in range(n) if not smask >> i & 1 and not zero[i]]
+    free = [i for i in range(n) if not smask >> i & 1 and w[i + 1]]
     low = len(free)
-    free += [i for i in range(n) if not smask >> i & 1 and zero[i]]
+    free += [i for i in range(n) if not smask >> i & 1 and not w[i + 1]]
+    prod = _products([nums[i] for i in free], [dens[i] for i in free])
     cells = _buckets(matroid.ranks, matroid.full_rank + 1)
     if smask or low < len(free):
         index = [smask]
         for i in free:
             index += [x | 1 << i for x in index]
-        cells = list(map(cells.__getitem__, index))
-        prod = list(map(prod.__getitem__, index))
+        cells = map(cells.__getitem__, index)
+    u = list(map(mul, map(weights.__getitem__, cells), prod))
 
     def monomials(a):
-        return list(map(mul, map(weights(a0 + a).__getitem__, cells), prod))
+        factors = _order_factors(len(free), a0 + a, not w[0])
+        return iter(u) if factors is None else map(mul, factors, u)
 
-    return monomials, free, low, scale
+    return monomials, free, low, cden * qden * prod[0]
 
 
-def _divided(rows, scale, w, alpha):
-    """X, one Fraction per entry, from the first rows of scale w'^S D' X D'
-    for D' = diag(1, w'_1, ..., w'_n), w' as in _superset_lists and S the
-    inner support of alpha."""
-    ws = math.prod(x or 1 for x, a in zip(w[1:], alpha[1:]) if a)
-    d = [1] + [x or 1 for x in w[1:]]
+def _divided(rows, scale, w, alpha, left, right):
+    """X, one Fraction per entry, from rows = scale w_0'^(-d) L X R, d the
+    degree of the alpha-derivative and L, R the diagonals left and right."""
+    base = scale * Fraction(w[0] or 1) ** (sum(alpha) + 1 - len(w))
     out = []
-    for row, y in zip(rows, d):
-        top, bottom = ws.denominator * y.denominator, scale * ws.numerator * y.numerator
-        out.append(tuple(Fraction(x * top * z.denominator, bottom * z.numerator)
-                         for x, z in zip(row, d)))
+    for row, y in zip(rows, left):
+        m = base * y
+        out.append(tuple(Fraction(x * m.denominator * z.denominator, m.numerator * z.numerator)
+                         for x, z in zip(row, right)))
     return tuple(out)
 
 
@@ -367,7 +361,7 @@ def partial_eval(matroid, c, q, alpha, w):
     cv, qv, wv = _validated(matroid, c, q, w)
     av = validate_alpha(alpha, matroid.n)
     monomials, _, low, scale = _superset_lists(matroid, cv, qv, av, wv)
-    return _divided([[sum(islice(monomials(0), 1 << low))]], scale, wv, av)[0][0]
+    return _divided([[sum(islice(monomials(0), 1 << low))]], scale, wv, av, (1,), (1,))[0][0]
 
 
 def gradient(matroid, c, q, alpha, w):
@@ -378,34 +372,33 @@ def gradient(matroid, c, q, alpha, w):
     av = validate_alpha(alpha, matroid.n)
     monomials, free, low, scale = _superset_lists(matroid, cv, qv, av, wv)
     row = [sum(islice(monomials(1), 1 << low))] + [0] * matroid.n
-    for i, x in zip(free, _single_sums(monomials(0), low)[0]):
+    for i, x in zip(free, _single_sums(list(monomials(0)), low)[0]):
         row[i + 1] = x
-    return _divided([row], scale, wv, av)[0]
+    return _divided([row], scale, wv, av, (1,), [x or 1 for x in wv])[0]
 
 
 def _congruent_hessian(matroid, c, q, alpha, w):
-    """(rows, sums, total, free, scale): rows / scale = D' H D' w'^S for H
-    the Hessian of the alpha-derivative of Z_c at w, as in _divided.  With
-    the monomials u_a of _superset_lists, a0 = alpha_0 and i, j distinct
-    free indices, exactly at every w:
+    """(rows, sums, total, free, scale): rows / scale = w_0'^(-d) D H D for
+    H the Hessian of the alpha-derivative of Z_c at w, as in the module
+    docstring.  With the monomials u_a of _superset_lists, a0 = alpha_0, S
+    the inner support and i, j distinct free indices, exactly at every w:
 
-        (D' H D')_ij w'^S = sum of u_a0[A] over the A containing S+i+j,
-        (D' H D')_0i w'^S = sum of u_(a0+1)[A] over the A containing S+i,
-        (D' H D')_00 w'^S = sum of u_(a0+2)[A] over the A containing S,
+        w_0'^(-d) (D H D)_ij = sum of u_a0[A] over the A containing S+i+j,
+        w_0'^(-d) (D H D)_0i = sum of u_(a0+1)[A] over the A containing S+i,
+        w_0'^(-d) (D H D)_00 = sum of u_(a0+2)[A] over the A containing S,
 
     each A holding no index with w_k = 0 but i and j; the rows of S are 0.
     The pairs are reads of sums, one superset-sum transform of u_a0 that
     skips those zero bits; row 0 comes from the _single_sums of u_(a0+1),
-    whose sum is total, and the sum of u_(a0+2), never from Euler's
-    identity.  At a positive point this is D H D w^S with D invertible and
-    w^S > 0, so by Sylvester's law it has the inertia of H, also on the
-    actives (0 and the free indices); every Hessian check validates a
-    positive point before it calls here."""
+    whose sum is total, and the corner from the sum of u_(a0+2), never
+    from Euler's identity.  At a positive point, by Sylvester's law, the
+    rows have the inertia of H, also on the actives (0 and the free
+    indices); every Hessian check validates a positive point first."""
     n = matroid.n
     monomials, free, low, scale = _superset_lists(matroid, c, q, alpha, w)
     head = 1 << low
-    sums = _superset_sums(monomials(0), (1 << len(free)) - head)
-    singles, total = _single_sums(monomials(1), low)
+    sums = _superset_sums(list(monomials(0)), (1 << len(free)) - head)
+    singles, total = _single_sums(list(monomials(1)), low)
     rows = [[0] * (n + 1) for _ in range(n + 1)]
     rows[0][0] = sum(islice(monomials(2), head))
     for x, i in enumerate(free):
@@ -417,11 +410,9 @@ def _congruent_hessian(matroid, c, q, alpha, w):
 
 
 def hessian_numerators(matroid, c, q, alpha, w):
-    """(rows, scale): D' H D' w'^S = rows / scale, for H the Hessian of the
-    alpha-derivative of Z_c at w, D' = diag(1, w'_1, ..., w'_n), S the
-    inner support of alpha and w' the point w with each 0 replaced by 1
-    (_congruent_hessian).  At a positive point the rows have the inertia of
-    H, also on the active indices."""
+    """(rows, scale): rows / scale = w_0'^(-d) D H D for H the Hessian of
+    the alpha-derivative of Z_c at w (_congruent_hessian).  At a positive
+    point the rows have the inertia of H, also on the active indices."""
     rows, _, _, _, scale = _congruent_hessian(matroid, c, q, alpha, w)
     return tuple(map(tuple, rows)), scale
 
@@ -437,15 +428,17 @@ def hessian(matroid, c, q, alpha, w):
     cv, qv, wv = _validated(matroid, c, q, w)
     av = validate_alpha(alpha, matroid.n)
     rows, _, _, _, scale = _congruent_hessian(matroid, cv, qv, av, wv)
-    return SymMatrix(_divided(rows, scale, wv, av))
+    d = [x or 1 for x in wv]
+    return SymMatrix(_divided(rows, scale, wv, av, d, d))
 
 
 def second_order_numerators(matroid, c, q, w):
-    """(z, grad, rows, scale): Z_c, D' times its gradient and D' H D' for
-    its Hessian H at the length-(n+1) point w (_congruent_hessian at
-    alpha = 0), integers over one positive integer scale: z and the inner
-    gradient entries are reads of the same transform as the pairs.  The
-    gradient is zero when n < 1 and the Hessian when n < 2."""
+    """(z, grad, rows, scale): Z_c, D times its gradient and D H D for its
+    Hessian H at the length-(n+1) point w (_congruent_hessian at
+    alpha = 0), integers over one positive scale as w_0'^(-n) times their
+    values: z and the inner gradient entries are reads of the same
+    transform as the pairs.  The gradient is zero when n < 1 and the
+    Hessian when n < 2."""
     n = matroid.n
     rows, sums, total, free, scale = _congruent_hessian(matroid, c, q, (0,) * (n + 1), w)
     return sums[0], [total] + [sums[1 << free.index(i)] for i in range(n)], rows, scale

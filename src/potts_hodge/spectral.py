@@ -9,11 +9,11 @@ diagnostic that no verdict reads.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, repeat
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InvalidParametersError, NotApplicableError
@@ -24,19 +24,21 @@ from .matrices import (
     congruence_diagonalize,
     exact_nullspace,
     exact_rank,
+    mat_vec,
     same_subspace,
 )
 from .potts import (
     _alpha_split,
     _congruent_hessian,
     _divided,
+    _ratios,
     hessian,
     validate_alpha,
     validate_coeffs,
     validate_point,
     validate_q,
 )
-from .scalars import rat, to_float
+from .scalars import clear_denominators, rat, to_float
 
 
 class EigenSignature(NamedTuple):
@@ -54,16 +56,12 @@ class EigenSignature(NamedTuple):
 def signature(matrix):
     """Inertia of a SymMatrix, or of raw rows of ints and rationals.
 
-    The integer rows of SymMatrix.scaled_rows, divided by the gcd of their
-    entries when it is above 1, go through a fraction-free elimination over
-    ints (bareiss_inertia); both factors are positive, so the inertia is
-    that of the matrix.  It is exact: a float entry raises
+    The integer rows of SymMatrix.scaled_rows go through a fraction-free
+    elimination over ints (bareiss_inertia); their scale is positive, so
+    the inertia is that of the matrix.  It is exact: a float entry raises
     InvalidParametersError where the SymMatrix is built.
     """
     rows, _ = SymMatrix.from_rows(matrix).scaled_rows()
-    g = math.gcd(*chain.from_iterable(rows))
-    if g > 1:
-        rows = [[x // g for x in row] for row in rows]
     return EigenSignature(*bareiss_inertia(rows))
 
 
@@ -122,18 +120,23 @@ def _sample_int_vector(rng, dim):
 
 
 def _positive_form_draws(rng, mat, fallback):
-    """Integer vectors of positive form, each the first of up to 1000
-    draws.  Once 1000 draws find none, the positive cone is too thin for
-    the [-9, 9] sampler, and the fallback (a vector of positive form)
-    stands in for that draw and every later one, without drawing again."""
+    """(probe, vector, factor) triples of positive form: a draw is the
+    first of up to 1000 with positive form, its own probe with factor 1.
+    Once 1000 draws find none, the positive cone is too thin for the
+    [-9, 9] sampler, and the fallback triple stands in for that draw and
+    every later one, without drawing again."""
     while True:
         for _ in range(1000):
             u = _sample_int_vector(rng, mat.dim)
             if bilinear(u, mat, u) > 0:
-                yield u
+                yield u, u, 1
                 break
         else:
             yield from repeat(fallback)
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
 
 
 def one_positive_equivalence_check(matrix, trials=100, seed=0):
@@ -154,10 +157,11 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     [-9, 9] sampler), the first positive axis stands in for that draw and
     for every later one of the check, which makes no further attempt.
 
-    The forms are evaluated on the integer matrix L A, L the lcm of the
-    denominators of A: L > 0 keeps the sign of every form and multiplies
-    each HR discriminant by L^2, so a counterexample reports its
-    discriminant divided by L^2, the one of A.
+    The forms are evaluated in integers, on L A for L the lcm of the
+    denominators of A, with each positive axis p probed as k p, k > 0 the
+    lcm of its denominators: positive factors keep the sign of every form,
+    so a counterexample reports its vectors as drawn (an axis as p) and
+    its discriminant divided by (L k_u k_v)^2, the one of A.
     """
     mat = SymMatrix.from_rows(matrix)
     vectors, diag = congruence_diagonalize(mat)
@@ -170,45 +174,48 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     statement1 = sig.n_pos == 1
     rows, scale = mat.scaled_rows()
     mat = SymMatrix(tuple(map(tuple, rows)))
+    axes = [(tuple(ints), p, k) for p in positive_axes for ints, k in [clear_denominators(p)]]
 
     # statement 2: all pairs with positive u-form
     statement2 = True
     counterexample = None
     pair_pool = []
-    positive_draws = _positive_form_draws(rng, mat, positive_axes[0])
+    positive_draws = _positive_form_draws(rng, mat, axes[0])
     for _ in range(trials):
         u = next(positive_draws)
         v = _sample_int_vector(rng, mat.dim)
-        pair_pool.append((u, v))
-    if len(positive_axes) >= 2:
-        pair_pool.append((positive_axes[0], positive_axes[1]))
-    for u, v in pair_pool:
-        disc = hr_discriminant(mat, u, v)
+        pair_pool.append((u, (v, v, 1)))
+    if len(axes) >= 2:
+        pair_pool.append((axes[0], axes[1]))
+    for (pu, u, ku), (pv, v, kv) in pair_pool:
+        disc = hr_discriminant(mat, pu, pv)
         if disc < 0:
             statement2 = False
-            counterexample = {"u": u, "v": v, "discriminant": Fraction(disc, scale * scale)}
+            counterexample = {"u": u, "v": v,
+                              "discriminant": Fraction(disc, (scale * ku * kv) ** 2)}
             break
 
     # statement 3: some witness u works against every sampled v
     v_pool = [_sample_int_vector(rng, mat.dim) for _ in range(trials)]
-    v_pool.extend(positive_axes)
+    v_pool.extend(pa for pa, _, _ in axes)
+    forms = [(v, bilinear(v, mat, v)) for v in v_pool]
     statement3 = False
     witness = None
-    candidates = [positive_axes[0]]
+    candidates = [axes[0]]
     candidates += islice(positive_draws, 5)
-    for u in candidates:
-        probes = v_pool
-        if len(positive_axes) >= 2:
-            # v = g2*p1 - g1*p2 with g_i = u^T A p_i: then u^T A v = 0 and
-            # v^T A v = g2^2 d1 + g1^2 d2 > 0 unless g1 = g2 = 0, impossible
-            # for u of positive form
-            g1 = bilinear(u, mat, positive_axes[0])
-            g2 = bilinear(u, mat, positive_axes[1])
+    for pu, u, _ in candidates:
+        au = mat_vec(mat, pu)
+        uu = _dot(pu, au)
+        probes = forms
+        if len(axes) >= 2:
+            # v = g2*P1 - g1*P2 with g_i = u^T A P_i (axis probes P_i): then
+            # u^T A v = 0 and v^T A v > 0 unless g1 = g2 = 0, impossible
+            p1, p2 = axes[0][0], axes[1][0]
+            g1, g2 = _dot(au, p1), _dot(au, p2)
             if g1 != 0 or g2 != 0:
-                v = tuple(g2 * a - g1 * b
-                          for a, b in zip(positive_axes[0], positive_axes[1]))
-                probes = v_pool + [v]
-        if all(hr_discriminant(mat, u, v) >= 0 for v in probes):
+                v = tuple(g2 * a - g1 * b for a, b in zip(p1, p2))
+                probes = forms + [(v, bilinear(v, mat, v))]
+        if all(_dot(v, au) ** 2 >= uu * vv for v, vv in probes):
             statement3 = True
             witness = u
             break
@@ -224,12 +231,11 @@ def euler_hessian_residual(matroid, c, q, alpha, w):
     it must come out exactly 0.  Requires degree d >= 2.
 
     Each Hessian is taken in the congruent form of _congruent_hessian,
-    rows_G = scale w'^S D' H_G D' for G = F and G = dF/dw_0, and
-    rows_G = scale w'^S w'_i D' H_G D' for G = dF/dw_i, i inner, one
-    positive scale for all.  With w_0 = p_0 / d_0, d_0 scale w'^S D' R D'
-    for the residual R is (d-2) d_0 rows_F - p_0 rows_0 - d_0 sum_i rows_i
-    over the inner i outside S with w_i != 0 (w_i = w'_i there; the other
-    terms vanish), divided back entry by entry (_divided).
+    rows_G = scale_G w_0'^(-e) D H_G D for G of degree e, scale_G d_i =
+    scale_F for G = dF/dw_i and the ratio w_i / w_0' = p_i / d_i.  So
+    scale_F w_0'^(-d) D R D for the residual R is (d-2) rows_F minus rows_G
+    for G = dF/dw_0 (if w_0 != 0) and p_i rows_G for each G = dF/dw_i, i
+    inner outside S with w_i != 0, divided back entry by entry (_divided).
     """
     n = matroid.n
     cv = validate_coeffs(c, n)
@@ -241,16 +247,16 @@ def euler_hessian_residual(matroid, c, q, alpha, w):
             f"the derivative has degree {d}; the Euler Hessian identity needs degree >= 2")
     qv = validate_q(q)
     wv = validate_point(w, n + 1, "any")
-    p0, d0 = wv[0].numerator, wv[0].denominator
     rows, _, _, _, scale = _congruent_hessian(matroid, cv, qv, av, wv)
-    total = [[(d - 2) * d0 * x for x in row] for row in rows]
-    for i in [0] + [i for i in range(1, n + 1) if wv[i] and not av[i]]:
+    total = [[(d - 2) * x for x in row] for row in rows]
+    factors = [1] + _ratios(wv)[0]
+    for i in [i for i in range(n + 1) if wv[i] and (i == 0 or not av[i])]:
         bumped = list(av)
         bumped[i] += 1
-        factor = d0 if i else p0
         rows = _congruent_hessian(matroid, cv, qv, bumped, wv)[0]
-        total = [[t - factor * x for t, x in zip(r, s)] for r, s in zip(total, rows)]
-    return max(map(abs, chain(*_divided(total, d0 * scale, wv, av))))
+        total = [[t - factors[i] * x for t, x in zip(r, s)] for r, s in zip(total, rows)]
+    diagonal = [x or 1 for x in wv]
+    return max(map(abs, chain(*_divided(total, scale, wv, av, diagonal, diagonal))))
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,10 @@ compare them (potts.hessian_numerators, second_order_numerators,
 strata_numerators), and values are encoded through scalar_to_json and
 vector_to_json from their numerators and denominators; a Fraction is
 built only for a witness value.  The Hessian checks eliminate D H D,
-D = diag(1, w_1, ..., w_n), in place of H (logconcavity D N D in place
-of N): the point is positive, so by Sylvester's law of inertia the
-signature is that of H (of N).  Reports are plain data: serializing
+D = diag(w_0, w_1, ..., w_n), times a positive factor, in place of H
+(Sylvester's law: the point is positive), and logconcavity the bordered
+[[Z, (D grad)^T], [D grad, D H D]] in place of N = Z H - grad grad^T
+(Haynsworth's inertia additivity).  Reports are plain data: serializing
 with sort_keys produces byte-identical output for identical (corpus,
 seed, samples), independent of the worker count.
 
@@ -61,7 +62,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .errors import InvalidParametersError, ParseError
+from .errors import ImpossibleStateError, InvalidParametersError, ParseError
 from .matrices import SymMatrix
 from .matroids import from_json as matroid_from_json
 from .matroids import independent_set_counts, simplify, structure
@@ -514,7 +515,7 @@ def check_simplification_bound(matroid):
     counts = _once(independent_set_counts, matroid)
     classes = sorted(_once(structure, matroid).parallel_classes, key=min)
     ell = len(classes)
-    simple = simplify(matroid)
+    simple = simplify(matroid, _once(structure, matroid))
     # an integer point: scale = 1, so the numerators are the strata
     rerouted, _ = independent_numerators(simple, [len(cls) for cls in classes])
     notes = []
@@ -547,7 +548,13 @@ def check_simplification_bound(matroid):
 def check_log_concavity_at(matroid, c, q, w):
     """log Z_c is concave at a positive point: the matrix
     N = Z * H - grad grad^T must have no positive eigenvalue, and along the
-    base ray w^T N w = -n Z^2 exactly (homogeneity of degree n)."""
+    base ray w^T N w = -n Z^2 exactly (homogeneity of degree n).
+
+    No N is built: for D = diag(w_0, ..., w_n) the bordered matrix
+    B = [[Z, (D grad)^T], [D grad, D H D]] has the Schur complement
+    D N D / Z at Z > 0, so In(B) = (1, 0, 0) + In(N) by Haynsworth's
+    inertia additivity and Sylvester's law.  D 1 = w, so the ray is
+    Z 1^T (D H D) 1 - (1^T D grad)^2."""
     n = matroid.n
     cv, _ = _coeffs(c, n, strict=False)
     qv = validate_q(q)
@@ -556,27 +563,21 @@ def check_log_concavity_at(matroid, c, q, w):
                              w=vector_to_json(wv))
     if not _q_in_range(qv):
         return _skipped(TAG_LOG_CONCAVITY, inputs, "q-above-one")
-    # D N D = z D H D - (D grad)(D grad)^T, D = diag(1, w_1, ..., w_n), is an
-    # integer matrix over scale^2, with the inertia of N by Sylvester's law
-    # (w is positive).  D v = w for v = (w_0, 1, ..., 1) = V / d_0 with
-    # V = (p_0, d_0, ..., d_0), so the ray w^T N w is V^T (D N D) V over
-    # (d_0 scale)^2, as is -n Z^2 = -n (d_0 z)^2 / (d_0 scale)^2
+    # B and the ray over a positive factor: z / scale = Z / w_0^n
     z, grad, hess, scale = second_order_numerators(matroid, cv, qv, wv)
-    entries = tuple(
-        tuple(z * hess[i][j] - grad[i] * grad[j] for j in range(n + 1))
-        for i in range(n + 1)
-    )
-    sig = signature(SymMatrix(entries))
-    d0 = wv[0].denominator
-    ray_point = [wv[0].numerator] + [d0] * n
-    ray = sum(ray_point[i] * sum(map(mul, entries[i], ray_point)) for i in range(n + 1))
-    ray_ok = ray == -n * (d0 * z) ** 2
+    if z <= 0:
+        raise ImpossibleStateError(f"Z_c is not positive at the positive point {wv}")
+    bordered = (z, *grad), *((g, *row) for g, row in zip(grad, hess))
+    n_pos, n_neg, n_zero = signature(SymMatrix(bordered))
+    sig = [n_pos - 1, n_neg, n_zero]
+    ray = z * sum(map(sum, hess)) - sum(grad) ** 2
+    ray_ok = ray == -n * z * z
     notes = ["ray-identity"] if ray_ok else []
-    witness = {"signature": _sig_list(sig),
-               "ray": scalar_to_json(Fraction(ray, (d0 * scale) ** 2))}
+    witness = {"signature": sig,
+               "ray": scalar_to_json(Fraction(ray, scale * scale) * wv[0] ** (2 * n))}
     if notes:
         witness["annotations"] = notes
-    verdict = PASS if (sig.n_pos == 0 and ray_ok) else FAIL
+    verdict = PASS if (sig[0] == 0 and ray_ok) else FAIL
     return CheckResult(TAG_LOG_CONCAVITY, inputs, verdict, witness)
 
 

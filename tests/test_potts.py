@@ -11,7 +11,6 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain
-from operator import mul
 
 import pytest
 import sympy
@@ -49,6 +48,7 @@ from potts_hodge import (
 from potts_hodge.potts import (
     _bit_sums,
     _single_sums,
+    _superset_lists,
     _superset_sums,
     hessian_numerators,
     independent_numerators,
@@ -290,6 +290,13 @@ def derivative_inputs(draw, coords=coordinates):
 
 @settings(max_examples=120, deadline=None)
 @given(inputs=derivative_inputs())
+# w_0 = 0 at w_0-orders 0, 1 and 2, with a zero inner coordinate in the last
+@example(inputs=(K3, tuple(map(Fraction, (1, 2, 2, 1))), Fraction(1, 2), (0, 0, 0, 0),
+                 (Fraction(0), Fraction(2), Fraction(3), Fraction(1, 2))))
+@example(inputs=(U24, tuple(map(Fraction, (1, 2, 3, 2, 1))), Fraction(2, 3), (1, 0, 1, 0, 0),
+                 (Fraction(0), Fraction(1, 4), Fraction(2), Fraction(5, 6), Fraction(-7, 6))))
+@example(inputs=(LIN, tuple(map(Fraction, (2, 3, 3, 2, 1))), Fraction(1, 3), (2, 0, 0, 0, 0),
+                 (Fraction(0), Fraction(-2), Fraction(3), Fraction(0), Fraction(2))))
 def test_oracle_differential(inputs):
     matroid, c, q, alpha, w = inputs
     n = matroid.n
@@ -352,9 +359,9 @@ def test_superset_sums_and_bit_sums_brute_force(bits):
 @example(inputs=(LIN, (1, 2, 3, 2, 1), Fraction(1, 3), (1, 1, 0, 0, 1),
                  (Fraction(5, 4), Fraction(1, 6), Fraction(2), Fraction(9, 2), Fraction(1, 3))))
 def test_congruent_hessian_has_the_inertia_of_the_hessian(inputs):
-    # at a positive point D = diag(1, w_1, ..., w_n) is invertible and
-    # w^S > 0, so by Sylvester's law hessian_numerators has the inertia of
-    # the Hessian, on the active indices too
+    # at a positive point D = diag(w_0, w_1, ..., w_n) is invertible and
+    # w_0^(-d) > 0, so by Sylvester's law hessian_numerators has the
+    # inertia of the Hessian, on the active indices too
     matroid, c, q, alpha, w = inputs
     n = matroid.n
     active = [0] + [i for i in range(1, n + 1) if not alpha[i]]
@@ -376,31 +383,72 @@ def test_numerators_differential(inputs):
     # each numerator helper returns integers over one positive integer
     # scale, and they divide to the public values, which
     # test_oracle_differential holds to the sympy oracle; the Hessian
-    # helpers give D' H D' for D' = diag(1, w'_1, ..., w'_n), and
-    # hessian_numerators times w'^S for the inner support S of alpha, where
-    # w' is w with each zero coordinate replaced by 1
+    # helpers give D H D for D = diag(w_0', w'_1, ..., w'_n), where w' is w
+    # with each zero coordinate replaced by 1, times w_0'^(-d) for d the
+    # degree of the derivative (d = n in second_order_numerators)
     matroid, c, q, alpha, w = inputs
     n = matroid.n
     zero = (0,) * (n + 1)
-    d = (1,) + tuple(x or 1 for x in w[1:])
+    d = tuple(x or 1 for x in w)
 
-    def congruent(h, factor=1):
+    def congruent(h, factor):
         return tuple(factor * d[i] * h[i][j] * d[j] for i in range(n + 1) for j in range(n + 1))
 
-    w_support = math.prod(w[i] or 1 for i in range(1, n + 1) if alpha[i])
     rows, scale = hessian_numerators(matroid, c, q, alpha, w)
     assert over_one_scale(chain(*rows), scale) == \
-        congruent(hessian(matroid, c, q, alpha, w).entries, w_support)
+        congruent(hessian(matroid, c, q, alpha, w).entries, Fraction(d[0]) ** (sum(alpha) - n))
     # Z_c, its gradient and its Hessian at alpha = 0
+    factor = Fraction(d[0]) ** -n
     z, grad, hess, scale = second_order_numerators(matroid, c, q, w)
-    assert over_one_scale([z], scale) == (z_weighted_eval(matroid, c, q, w),)
+    assert over_one_scale([z], scale) == (factor * z_weighted_eval(matroid, c, q, w),)
     assert over_one_scale(grad, scale) == \
-        tuple(map(mul, d, gradient(matroid, c, q, zero, w)))
-    assert over_one_scale(chain(*hess), scale) == congruent(hessian(matroid, c, q, zero, w).entries)
+        tuple(factor * x * y for x, y in zip(d, gradient(matroid, c, q, zero, w)))
+    assert over_one_scale(chain(*hess), scale) == \
+        congruent(hessian(matroid, c, q, zero, w).entries, factor)
     # the strata and the independent-set strata at the inner point
     inner = w[1:]
     assert over_one_scale(*strata_numerators(matroid, q, inner)) == zk_all(matroid, q, inner)
     assert over_one_scale(*independent_numerators(matroid, inner)) == f_all(matroid, inner)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=derivative_inputs())
+# w_0 = 0 with a zero inner coordinate, and w_0 < 0 at w_0-order 2
+@example(inputs=(U24, tuple(map(Fraction, (1, 2, 3, 2, 1))), Fraction(2, 3), (1, 0, 1, 0, 0),
+                 (Fraction(0), Fraction(1, 4), Fraction(0), Fraction(5, 6), Fraction(-7, 6))))
+@example(inputs=(K3, tuple(map(Fraction, (1, 2, 2, 1))), Fraction(1, 2), (2, 0, 0, 0),
+                 (Fraction(-3, 2), Fraction(1, 2), Fraction(2), Fraction(-4))))
+def test_order_lists_brute_force(inputs):
+    # the w_0-order-a list of _superset_lists, entry t for the subset
+    # A = S + {free[x] : bit x of t} of size k and rank r, is
+    # c_k (n-k)_a w_0^(n-k-a) q^(-r) w'^A over scale, divided by
+    # w_0'^(n-|S|-a) w'^S, where w' is w with each 0 replaced by 1 (the
+    # bits of the zero inner coordinates come last in free and are kept
+    # out of the sums that read the list)
+    matroid, c, q, alpha, w = inputs
+    n = matroid.n
+    monomials, free, low, scale = _superset_lists(matroid, c, q, alpha, w)
+    assert type(scale) is int and scale > 0
+    support = [i for i in range(n) if alpha[i + 1]]
+    if alpha[0] + len(support) > n:  # an identically zero derivative
+        assert not any(chain(monomials(0), monomials(1), monomials(2)))
+        return
+    assert sorted(free) == [i for i in range(n) if not alpha[i + 1]]
+    assert all(w[i + 1] for i in free[:low]) and not any(w[i + 1] for i in free[low:])
+    w0 = Fraction(w[0] or 1)
+    wp = [x or 1 for x in w]
+    for b in range(3):
+        a = alpha[0] + b
+        entries = list(monomials(b))
+        assert len(entries) == 1 << len(free) and all(type(x) is int for x in entries)
+        for t, value in enumerate(entries):
+            subset = support + [i for x, i in enumerate(free) if t >> x & 1]
+            k, r = len(subset), matroid.ranks[sum(1 << i for i in subset)]
+            expected = 0 if n - k - a < 0 else \
+                c[k] * math.perm(n - k, a) * w[0] ** (n - k - a) * q ** -r * \
+                math.prod(wp[i + 1] for i in subset)
+            assert Fraction(value, scale) * w0 ** (n - len(support) - a) * \
+                math.prod(wp[i + 1] for i in support) == expected
 
 
 def test_identically_zero_classification():

@@ -201,6 +201,47 @@ def test_signature_matches_congruence_reference(rows):
 
 
 @settings(max_examples=200, deadline=None)
+@given(symmetric_rational_matrices(), st.integers(1, 10 ** 30))
+@example([[rat(2), rat(4)], [rat(4), rat(-6)]], 6)
+def test_signature_is_unchanged_by_positive_integer_scaling(rows, k):
+    # signature eliminates the integer rows as they come, without dividing
+    # out their gcd: a positive factor must not change the inertia
+    assert signature([[k * x for x in row] for row in rows]) == signature(rows)
+
+
+@st.composite
+def bordered_forms(draw):
+    """(z, g, rows): z > 0, a vector g and a symmetric matrix H = rows of
+    one dimension.  Half the draws take H = M + g g^T / z, so that
+    N = z H - g g^T = z M, singular whenever M has duplicated rows."""
+    rows = draw(symmetric_rational_matrices())
+    dim = len(rows)
+    z = draw(st.builds(rat, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6)))
+    g = [draw(ENTRIES) for _ in range(dim)]
+    if draw(st.booleans()):
+        rows = [[rows[i][j] + g[i] * g[j] / z for j in range(dim)] for i in range(dim)]
+    return z, g, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(bordered_forms())
+# N = 0: H = g g^T / z
+@example((rat(2), [rat(1), rat(3)], [[rat(1, 2), rat(3, 2)], [rat(3, 2), rat(9, 2)]]))
+@example((rat(1), [], []))
+def test_bordered_signature_is_that_of_the_schur_complement(form):
+    # Haynsworth: at z > 0 the bordered matrix [[z, g^T], [g, H]] has the
+    # inertia (1, 0, 0) plus that of its Schur complement H - g g^T / z,
+    # which is N / z for N = z H - g g^T: check_log_concavity_at reads the
+    # signature of N off the bordered matrix
+    z, g, rows = form
+    dim = len(rows)
+    bordered = [[z] + g] + [[g[i]] + rows[i] for i in range(dim)]
+    n = [[z * rows[i][j] - g[i] * g[j] for j in range(dim)] for i in range(dim)]
+    pos, neg, zero = signature(bordered)
+    assert (pos - 1, neg, zero) == signature(n) == reference_signature(n)
+
+
+@settings(max_examples=200, deadline=None)
 @given(symmetric_rational_matrices())
 @example([])
 @example([[rat(0), rat(1, 2)], [rat(1, 2), rat(0)]])
@@ -352,6 +393,20 @@ def test_equivalence_agreement_two_positive():
     assert rep.agree
     assert rep.counterexample is not None
     u, v = rep.counterexample["u"], rep.counterexample["v"]
+    assert rep.counterexample["discriminant"] < 0
+
+
+def test_equivalence_reports_the_positive_axes_as_they_are():
+    # with no sampled pairs the statement-2 counterexample is the pair of
+    # positive axes, probed as integer multiples but reported as the
+    # rational columns of the congruence, with the discriminant of A
+    a = [[rat(1, 2), rat(1, 3), rat(0)], [rat(1, 3), rat(1), rat(0)], [rat(0), rat(0), rat(-1)]]
+    vectors, diag = congruence_diagonalize(a)
+    p1, p2 = [v for v, d in zip(vectors, diag) if d > 0]
+    assert any(x.denominator > 1 for x in p1 + p2)
+    rep = one_positive_equivalence_check(a, trials=0, seed=1)
+    assert not rep.statement2
+    assert rep.counterexample == {"u": p1, "v": p2, "discriminant": hr_discriminant(a, p1, p2)}
     assert rep.counterexample["discriminant"] < 0
 
 

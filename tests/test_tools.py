@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("workload, workers, seed", [
     pytest.param("strata-parallel", "2", None, id="strata-parallel-2"),
     pytest.param("default-campaign", "1", None, id="default-campaign-1"),
+    pytest.param("default-campaign", "1", "7", id="default-campaign-1-seed-7"),
     pytest.param("strata-parallel", "1", "5", id="strata-parallel-1-seed-5")])
 def test_ab_campaign_on_one_tree(workload, workers, seed):
     # this checkout as both trees: one round must run both campaigns and

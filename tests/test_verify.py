@@ -47,6 +47,7 @@ from potts_hodge import (
     zk_all,
 )
 from potts_hodge import sampling, verify
+from potts_hodge.errors import ImpossibleStateError
 from potts_hodge.potts import strata_numerators
 from potts_hodge.sampling import (
     child_rng,
@@ -335,6 +336,16 @@ def test_log_concavity_check():
     with pytest.raises(InvalidParametersError):
         check_log_concavity_at(U12, (1, 1, 2), rat(1), ONES3)  # not log-concave
     assert check_log_concavity_at(U12, (1, 1, 1), rat(2), ONES3).verdict == NOT_APPLICABLE
+
+
+def test_log_concavity_check_raises_where_z_is_not_positive(monkeypatch):
+    # the bordered signature gives that of N only at Z > 0, which a positive
+    # point always has: a Z <= 0 there is an impossible state, not a verdict
+    for z in (0, -5):
+        monkeypatch.setattr(verify, "second_order_numerators",
+                            lambda *args, z=z: (z, [1, 1, 1], [[0, 1, 1], [1, 0, 1], [1, 1, 0]], 1))
+        with pytest.raises(ImpossibleStateError):
+            check_log_concavity_at(U12, (1, 1, 1), rat(1), ONES3)
 
 
 # ----------------------------------------- checks against a rational reference
@@ -1005,6 +1016,27 @@ def test_campaign_under_the_benchmark_tracer():
     # simplify, however many checks there are
     assert len(report.checks) > 3
     assert counts["matroids.structure.calls"] == 3
+
+
+def test_a_work_unit_computes_structure_once(monkeypatch):
+    # the simplification check hands simplify the unit's cached structure,
+    # so one structure pass serves every deg2 and simplification check of
+    # a matroid: wrapped where matroids.simplify and verify look it up
+    from potts_hodge import matroids
+
+    calls = []
+    real = matroids.structure
+
+    def counted(matroid):
+        calls.append(matroid)
+        return real(matroid)
+
+    monkeypatch.setattr(matroids, "structure", counted)
+    monkeypatch.setattr(verify, "structure", counted)
+    corpus = generate_corpus("graphic,K3;uniform,n<=4")
+    report = run_campaign(corpus, CampaignConfig(theorems=("deg2", "simplification"), samples=2))
+    assert len(report.checks) > 2 * len(corpus)
+    assert len(calls) == len(corpus)
 
 
 def test_exact_library_never_loads_numpy():
