@@ -25,16 +25,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .corpus import generate_corpus, parse_corpus_spec
-from .errors import (
-    InvalidParametersError,
-    NotAMatroidError,
-    ParseError,
-    PottsHodgeError,
-    ResourceLimitError,
-)
+from .errors import InvalidParametersError, ParseError, PottsHodgeError, ResourceLimitError
 from .matroids import from_json as matroid_from_json
 from .potts import derivative_degree, hessian, z_weighted_eval, zk_all, zk_eval
 from .scalars import EXACT, FLOAT, from_float, parse_rational, to_float
@@ -125,26 +120,22 @@ def _cmd_eval(args):
     q = _parse_scalar(args.q, mode)
     w = _parse_vector(args.w, mode, "--w")
     if args.c is not None:
-        c = _parse_vector(args.c, mode, "--c")
-        value = _shown(z_weighted_eval(matroid, c, q, w), mode)
-        if args.json:
-            _dump_json({"value": scalar_to_json(value)})
-        else:
-            print(_format_scalar(value))
-        return EXIT_OK
-    if args.k is not None:
-        value = _shown(zk_eval(matroid, args.k, q, w), mode)
-        if args.json:
-            _dump_json({"k": args.k, "value": scalar_to_json(value)})
-        else:
-            print(_format_scalar(value))
-        return EXIT_OK
-    strata = [_shown(x, mode) for x in zk_all(matroid, q, w)]
-    if args.json:
-        _dump_json({"strata": vector_to_json(strata)})
+        payload, value = {}, z_weighted_eval(matroid, _parse_vector(args.c, mode, "--c"), q, w)
+    elif args.k is not None:
+        payload, value = {"k": args.k}, zk_eval(matroid, args.k, q, w)
     else:
-        for k, value in enumerate(strata):
-            print(f"Z[{k}] = {_format_scalar(value)}")
+        strata = [_shown(x, mode) for x in zk_all(matroid, q, w)]
+        if args.json:
+            _dump_json({"strata": vector_to_json(strata)})
+        else:
+            for k, value in enumerate(strata):
+                print(f"Z[{k}] = {_format_scalar(value)}")
+        return EXIT_OK
+    value = _shown(value, mode)
+    if args.json:
+        _dump_json({**payload, "value": scalar_to_json(value)})
+    else:
+        print(_format_scalar(value))
     return EXIT_OK
 
 
@@ -246,9 +237,13 @@ def _single_check_args_given(args):
 def _cmd_verify(args):
     if args.out:
         # an unwritable path is a usage error before any check runs (append
-        # mode: an existing report is not truncated until one replaces it)
+        # mode: an existing report is not truncated until one replaces it; a
+        # file the probe creates is removed again, so a failed run leaves none)
         try:
+            created = not os.path.exists(args.out)
             open(args.out, "a", encoding="utf-8").close()
+            if created:
+                os.remove(args.out)
         except OSError as exc:
             raise InvalidParametersError(f"cannot write --out file {args.out!r}: {exc}") from exc
     if args.matroid is not None and _single_check_args_given(args):
@@ -381,9 +376,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, InvalidParametersError, NotAMatroidError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -133,7 +133,7 @@ def sample_alpha(rng, n, min_degree=2):
 def distinct_alphas(seed, n, count, min_degree=2):
     """Up to `count` distinct admissible multi-indices, the zero index
     first whenever it is admissible; smaller ground sets may admit fewer."""
-    out = [(0,) * (n + 1)] if n >= min_degree else []
+    out = [(0,) * (n + 1)] if n >= min_degree and count > 0 else []
     seen = set(out)
     for attempt in range(count * 50):
         if len(out) >= count:

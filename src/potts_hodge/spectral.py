@@ -32,13 +32,12 @@ from .potts import (
     _congruent_hessian,
     _divided,
     _ratios,
-    hessian,
     validate_alpha,
     validate_coeffs,
     validate_point,
     validate_q,
 )
-from .scalars import clear_denominators, rat, to_float
+from .scalars import clear_denominators, to_float
 
 
 class EigenSignature(NamedTuple):
@@ -163,7 +162,8 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     so a counterexample reports its vectors as drawn (an axis as p) and
     its discriminant divided by (L k_u k_v)^2, the one of A.
     """
-    mat = SymMatrix.from_rows(matrix)
+    rows, scale = SymMatrix.from_rows(matrix).scaled_rows()
+    mat = SymMatrix(tuple(map(tuple, rows)))
     vectors, diag = congruence_diagonalize(mat)
     positive_axes = [v for v, d in zip(vectors, diag) if d > 0]
     n_neg = sum(1 for d in diag if d < 0)
@@ -172,8 +172,6 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
         return EquivalenceReport(applicable=False, signature=sig)
     rng = random.Random(seed)
     statement1 = sig.n_pos == 1
-    rows, scale = mat.scaled_rows()
-    mat = SymMatrix(tuple(map(tuple, rows)))
     axes = [(tuple(ints), p, k) for p in positive_axes for ints, k in [clear_denominators(p)]]
 
     # statement 2: all pairs with positive u-form
@@ -225,36 +223,46 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
                         trials=trials)
 
 
+def _identity_hessians(matroid, c, q, alpha, w, least_degree):
+    """(d, w, alpha, rows, scale, partials): c and alpha validated, the
+    degree d of the alpha-derivative F checked (NotApplicableError), then
+    q and w; rows / scale = w_0'^(-d) D H_F D (_congruent_hessian), and
+    partials[i] the congruent rows of each dF/dw_i not identically zero."""
+    n = matroid.n
+    cv = validate_coeffs(c, n)
+    av = validate_alpha(alpha, n)
+    if _alpha_split(av, n) is None:
+        raise NotApplicableError("the derivative is identically zero; no Hessian to compare")
+    d = n - sum(av)
+    if d < least_degree:
+        raise NotApplicableError(
+            f"the derivative has degree {d}; the identity needs degree >= {least_degree}")
+    qv = validate_q(q)
+    wv = validate_point(w, n + 1, "any")
+    rows, _, _, _, scale = _congruent_hessian(matroid, cv, qv, av, wv)
+    bumps = ([a + (i == j) for j, a in enumerate(av)] for i in range(n + 1))
+    partials = {i: _congruent_hessian(matroid, cv, qv, b, wv)[0]
+                for i, b in enumerate(bumps) if _alpha_split(b, n) is not None}
+    return d, wv, av, rows, scale, partials
+
+
 def euler_hessian_residual(matroid, c, q, alpha, w):
     """Largest absolute entry of (d-2) H_F - sum_i w_i H_{dF/dw_i} for the
     alpha-derivative F of Z_c; identically zero for every homogeneous F, so
     it must come out exactly 0.  Requires degree d >= 2.
 
-    Each Hessian is taken in the congruent form of _congruent_hessian,
-    rows_G = scale_G w_0'^(-e) D H_G D for G of degree e, scale_G d_i =
-    scale_F for G = dF/dw_i and the ratio w_i / w_0' = p_i / d_i.  So
-    scale_F w_0'^(-d) D R D for the residual R is (d-2) rows_F minus rows_G
-    for G = dF/dw_0 (if w_0 != 0) and p_i rows_G for each G = dF/dw_i, i
-    inner outside S with w_i != 0, divided back entry by entry (_divided).
+    The Hessians come from _identity_hessians, rows_G = scale_G w_0'^(-e)
+    D H_G D for G of degree e, with scale_G d_i = scale_F for G = dF/dw_i
+    and w_i / w_0' = p_i / d_i.  So scale_F w_0'^(-d) D R D for the residual
+    R is (d-2) rows_F minus p_i rows_G for each dF/dw_i with w_i != 0
+    (p_0 = 1), divided back entry by entry (_divided).
     """
-    n = matroid.n
-    cv = validate_coeffs(c, n)
-    av = validate_alpha(alpha, n)
-    split = _alpha_split(av, n)
-    d = None if split is None else n - sum(av)
-    if d is None or d < 2:
-        raise NotApplicableError(
-            f"the derivative has degree {d}; the Euler Hessian identity needs degree >= 2")
-    qv = validate_q(q)
-    wv = validate_point(w, n + 1, "any")
-    rows, _, _, _, scale = _congruent_hessian(matroid, cv, qv, av, wv)
+    d, wv, av, rows, scale, partials = _identity_hessians(matroid, c, q, alpha, w, 2)
     total = [[(d - 2) * x for x in row] for row in rows]
     factors = [1] + _ratios(wv)[0]
-    for i in [i for i in range(n + 1) if wv[i] and (i == 0 or not av[i])]:
-        bumped = list(av)
-        bumped[i] += 1
-        rows = _congruent_hessian(matroid, cv, qv, bumped, wv)[0]
-        total = [[t - factors[i] * x for t, x in zip(r, s)] for r, s in zip(total, rows)]
+    for i, rows_g in partials.items():
+        if wv[i]:
+            total = [[t - factors[i] * x for t, x in zip(r, s)] for r, s in zip(total, rows_g)]
     diagonal = [x or 1 for x in wv]
     return max(map(abs, chain(*_divided(total, scale, wv, av, diagonal, diagonal))))
 
@@ -283,43 +291,40 @@ class KernelIdentityReport:
 def kernel_identity_check(matroid, c, q, alpha, w):
     """Exact nullspace comparison for the Hessian kernel identity.
 
-    The Hessians of F and of every dF/dw_i that is not identically zero
-    are read through the public hessian.
+    Each Hessian comes from _identity_hessians as a positive multiple of
+    w_0'^(-e) D H D, e its degree and D = diag(w'), so by Sylvester's law
+    H_G for G = dF/dw_i has the inertia of its rows, with the positive and
+    negative counts swapped when w_0' < 0 and e = d - 1 is odd.  D is
+    common and invertible, so the kernels compare as the rows give them,
+    and each reduced-echelon vector y of F's rows, with its 1 at its last
+    nonzero column j, is reported as D y / D_jj, that of ker H_F.
     """
-    n = matroid.n
-    cv = validate_coeffs(c, n)
-    av = validate_alpha(alpha, n)
-    if _alpha_split(av, n) is None:
-        raise NotApplicableError("the derivative is identically zero; no Hessian to compare")
-    qv = validate_q(q)
-    wv = validate_point(w, n + 1, "any")
-    dim = n + 1
-    stacked = []
+    d, wv, _, rows, _, partials = _identity_hessians(matroid, c, q, alpha, w, 0)
+    dim = len(wv)
     failures = []
-    for i in range(dim):
-        bumped = list(av)
-        bumped[i] += 1
-        if _alpha_split(bumped, n) is None:
-            continue
-        h = hessian(matroid, cv, qv, bumped, wv)
-        stacked.extend(h.entries)
-        sig = signature(h)
-        if sig.n_pos != 1:
-            failures.append({"index": i, "signature": tuple(sig)})
-    ker_f = exact_nullspace(hessian(matroid, cv, qv, av, wv).entries)
-    if stacked:
-        ker_stack = exact_nullspace(stacked)
-    else:
-        # no constraints at all: the joint kernel is the whole space
-        ker_stack = [tuple(rat(1) if i == j else rat(0) for i in range(dim)) for j in range(dim)]
+    for i, rows_g in partials.items():
+        pos, neg, zero = bareiss_inertia(rows_g)
+        if wv[0] < 0 and d % 2 == 0:
+            pos, neg = neg, pos
+        if pos != 1:
+            failures.append({"index": i, "signature": (pos, neg, zero)})
+    ker_f = exact_nullspace(rows)
+    # with no partials the joint kernel is the whole space, that of a zero row
+    stacked = [row for rows_g in partials.values() for row in rows_g] or [[0] * dim]
+    ker_stack = exact_nullspace(stacked)
+    diagonal = [x or 1 for x in wv]
+    basis = []
+    for y in ker_f:
+        j = max(k for k, x in enumerate(y) if x)
+        basis.append(tuple(x * z / diagonal[j] for x, z in zip(y, diagonal)))
     return KernelIdentityReport(
         hypothesis_ok=not failures,
         hypothesis_failures=tuple(failures),
         kernels_equal=same_subspace(ker_f, ker_stack),
         kernel_dim=len(ker_f),
         stacked_kernel_dim=len(ker_stack),
-        kernel_basis=tuple(ker_f),
-        degree=n - sum(av),
+        kernel_basis=tuple(basis),
+        degree=d,
         notes={"dim": dim},
     )
 

@@ -440,6 +440,15 @@ def test_verify_usage_error_keeps_an_existing_out_file(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == "old report\n"
 
 
+@pytest.mark.parametrize("failing", [["--corpus", "bogus"], ["--q-grid", "2/0"]])
+def test_verify_usage_error_leaves_no_new_out_file(tmp_path, capsys, failing):
+    # the early --out check removes a file it created, so a failed run leaves none
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", *failing, "--out", str(path))
+    assert code == EXIT_USAGE
+    assert not path.exists()
+
+
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
     # no honest corpus input fails, so synthesize a failing report at the
     # seam the command reads from

@@ -475,7 +475,7 @@ def test_euler_hessian_residual_needs_degree_two():
     w = (rat(1), rat(1), rat(1))
     with pytest.raises(NotApplicableError):
         euler_hessian_residual(U12, (1, 1, 1), rat(1), (1, 0, 0), w)  # degree 1
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(NotApplicableError, match="identically zero"):
         euler_hessian_residual(U12, (1, 1, 1), rat(1), (0, 2, 0), w)  # zero
 
 
@@ -518,13 +518,12 @@ def test_kernel_identity_rejects_vanishing_derivative():
 
 # ------------------------------------ identities against a rational reference
 #
-# euler_hessian_residual combines the congruent integer rows of the
-# Hessians of F and of every dF/dw_i; its reference takes one public
-# (Fraction) hessian per Hessian and combines them in Fractions.
-# kernel_identity_check reads the public hessian, so its reference builds
-# every Hessian from a sympy expression of the weighted polynomial instead,
-# with signatures from the rational congruence reference above and
-# nullspaces and ranks from sympy.
+# Both identities read the congruent integer rows of the Hessians of F and
+# of every dF/dw_i.  The Euler reference takes one public (Fraction)
+# hessian per Hessian and combines them in Fractions.  The kernel
+# reference builds every Hessian from a sympy expression of the weighted
+# polynomial, with signatures from the rational congruence reference above
+# and nullspaces and ranks from sympy, so it shares no code with the rows.
 
 
 def reference_euler_hessian_residual(matroid, c, q, alpha, w):
@@ -653,6 +652,13 @@ def test_identities_match_rational_reference(data):
     # a GF(3) matroid in degree 2: the first derivatives have zero Hessians
     (6, (2, 3, 3, 2, 1, 1), 1, (2, 0, 1, 0, 0, 0),
      (1, Fraction(1, 3), 2, Fraction(3, 4), 1, Fraction(5, 2))),
+    # U(2,4) with w_0 < 0: each dF/dw_i has odd degree 3, so its rows have
+    # the inertia of its Hessian with the positive and negative counts swapped
+    (0, (1, 2, 3, 2, 1), Fraction(1, 2), (0, 0, 0, 0, 0),
+     (Fraction(-2, 3), 1, Fraction(4, 3), Fraction(5, 3), 2)),
+    # a constant derivative: no first derivative survives, so the joint
+    # kernel is the whole space
+    (0, (1, 2, 3, 2, 1), Fraction(1, 2), (2, 1, 0, 1, 0), (1, 2, 0, -1, 3)),
 ])
 def test_kernel_identity_matches_sympy_reference(index, c, q, alpha, w):
     matroid = IDENTITY_MATROIDS[index]

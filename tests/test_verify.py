@@ -1253,6 +1253,19 @@ def test_sampled_points_are_positive():
         assert all(x > 0 for x in w)
 
 
+def test_distinct_alphas_returns_at_most_count():
+    assert sampling.distinct_alphas(1, 4, 0) == []
+    assert sampling.distinct_alphas(1, 4, 1) == [(0, 0, 0, 0, 0)]
+    # n = 3 admits five indices of degree >= 2 (zero, e_0 and each inner
+    # e_i), n = 2 only zero, and n = 1 none, all fewer than asked for
+    alphas = sampling.distinct_alphas(1, 3, 10)
+    assert alphas[0] == (0, 0, 0, 0)
+    assert sorted(alphas) == sorted([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0),
+                                     (0, 0, 1, 0), (0, 0, 0, 1)])
+    assert sampling.distinct_alphas(1, 2, 5) == [(0, 0, 0)]
+    assert sampling.distinct_alphas(1, 1, 3) == []
+
+
 def test_sampler_draws_are_random_randint_draws():
     # the samplers draw their ints in one call each; a seed gives the ints
     # Random.randint gives it, so campaigns keep their pinned reports
