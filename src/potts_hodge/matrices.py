@@ -35,9 +35,10 @@ class SymMatrix:
         entries = self.entries
         if any(len(row) != len(entries) for row in entries):
             raise InvalidParametersError("matrix is not square")
-        # each pair above the diagonal once against its transpose
-        if any(tuple(row[i + 1:]) != col[i + 1:]
-               for i, (row, col) in enumerate(zip(entries, zip(*entries)))):
+        # one comparison against the transpose; rows that are not tuples
+        # compare as tuples
+        transpose = tuple(zip(*entries))
+        if transpose != entries and transpose != tuple(map(tuple, entries)):
             raise InvalidParametersError("matrix is not symmetric")
         if not EXACT_TYPES.issuperset(map(type, chain.from_iterable(entries))):
             raise InvalidParametersError("matrix entries must be ints or exact rationals")

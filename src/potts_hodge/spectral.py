@@ -4,8 +4,10 @@ verification campaigns.
 Exact signatures, congruence transforms, ranks and nullspaces all come from
 the one fraction-free symmetric elimination over integers in matrices.py,
 so they are never subject to rounding.  There is no float signature: a
-SymMatrix is exact, and float_eigenvalues, the one user of numpy, is a
-diagnostic that no verdict reads.
+SymMatrix is exact, and float_eigenvalues, a diagnostic that no verdict
+reads, bisects the exact eigenvalues with the same elimination and rounds
+each once.  The package has no runtime dependency beyond the standard
+library.
 """
 from __future__ import annotations
 
@@ -65,16 +67,42 @@ def signature(matrix):
 
 
 def float_eigenvalues(matrix):
-    """Diagnostic spectrum: eigenvalues of the matrix with each entry
-    rounded once to a double, ascending.  Not contractual; classification
-    belongs to signature()."""
-    mat = SymMatrix.from_rows(matrix)
-    if mat.dim == 0:
-        return ()
-    import numpy as np
+    """Diagnostic spectrum: the exact eigenvalues, ascending, each rounded
+    once to the nearest double (to_float).  Classification belongs to
+    signature().
 
-    arr = np.array([[to_float(x) for x in row] for row in mat.entries], dtype=float)
-    return tuple(float(e) for e in np.linalg.eigvalsh(arr))
+    For the integer rows R = scale A and a rational t = p/q, q > 0, the
+    negative and zero indices of bareiss_inertia(q R - p I) count the
+    eigenvalues of R below t and at t.  The k-th is bisected, from a power
+    of two above the Gershgorin bound, until a midpoint is it or both ends
+    over the scale round to one double, which is then its rounding too.
+    The midpoints reach every dyadic rational, so an eigenvalue halfway
+    between two doubles is met exactly.  Counts are kept for the later
+    eigenvalues, whose bisections start down the same path.
+    """
+    rows, scale = SymMatrix.from_rows(matrix).scaled_rows()
+    bound = 1 << max((sum(map(abs, row)) for row in rows), default=0).bit_length()
+    counts = {}  # t -> (eigenvalues of R below t, at t)
+    out = []
+    for k in range(len(rows)):
+        lo, hi, at = Fraction(-bound), Fraction(bound), None
+        while at is None and to_float(lo / scale) != to_float(hi / scale):
+            t = (lo + hi) / 2
+            if t not in counts:
+                p, q = t.numerator, t.denominator
+                shifted = [[q * x for x in row] for row in rows]
+                for i, row in enumerate(shifted):
+                    row[i] -= p
+                counts[t] = bareiss_inertia(shifted)[1:]
+            below, zero = counts[t]
+            if below > k:
+                hi = t
+            elif below + zero <= k:
+                lo = t
+            else:
+                at = t
+        out.append(to_float((lo if at is None else at) / scale))
+    return tuple(out)
 
 
 def hr_discriminant(matrix, u, v):

@@ -119,6 +119,22 @@ def test_malformed_matroid_json(capsys):
     assert "line 1, column" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "--matroid", U24, "--q", "half", "--w", "1,2,3,4", "--mode", "float"),
+     "cannot parse scalar 'half'"),
+    (("eval", "--matroid", U24, "--q", "1", "--w", " "),
+     "--w must be a nonempty comma-separated list"),
+    (("hessian", "--matroid", U12, "--q", "1", "--w", "1,1,1", "--alpha", "0,1/2,0"),
+     "multi-index entries must be integers: '0,1/2,0'"),
+    # a directory: open() fails whatever the working directory holds
+    (("eval", "--matroid", ".", "--q", "1", "--w", "1"), "cannot read matroid file '.'"),
+])
+def test_malformed_point_arguments_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_hessian_output(capsys):
     code, out, _ = run(capsys, "hessian", "--matroid", U12, "--q", "1",
                        "--w", "1,1,1")
@@ -168,9 +184,10 @@ def test_spectrum_float_singular_prints_exact_signature(capsys):
     assert outs[0].splitlines()[0] == "signature: 1 positive, 1 negative, 1 zero"
 
 
-# sha256 of the float-mode stdout on K3 at q = 0.5, w = 1,2,3,4, c = 1,2,2,1
+# sha256 of the float-mode stdout on K3 at q = 0.5, w = 1,2,3,4, c = 1,2,2,1;
+# the spectrum's eigenvalues are the exact ones, each rounded once
 FLOAT_K3_DIGESTS = [
-    (("spectrum", "--json"), "a0027a60c375a7a285dc267a9db7f69dce4d17378651b53b98b4dcd9c1f5be24"),
+    (("spectrum", "--json"), "d7b11588b8223a59917fc9c5284fe776ba65213c0af1b0e6678931b1eff14140"),
     (("spectrum",), "af7ed65d036459699a9af9634f5f60363e483b060d03f32f35457309c6191bc5"),
     (("hessian", "--json"), "71b2c870c9de99250f30a53fdb129b26631a379435ba7bd4b0e40cf9baf2d9ea"),
     (("hessian",), "c04f89c33fcb66a8f1f5b01bcb4d7ca21c73a2bc5055ef471bdea65638fdb77a"),

@@ -447,6 +447,11 @@ def test_contract_empty_and_errors():
     assert minor.ranks == m.ranks
     with pytest.raises(InvalidParametersError):
         contract(m, (4,))
+    for mask in (-1, 8):
+        with pytest.raises(InvalidParametersError, match=f"mask {mask} out of range for n=3"):
+            m.rank(mask)
+        with pytest.raises(InvalidParametersError, match=f"mask {mask} out of range for n=3"):
+            contract(m, mask)
 
 
 def test_structure_linear_example():
@@ -558,6 +563,9 @@ def test_enumeration_cap(monkeypatch):
         make_uniform(2, 5)
     monkeypatch.setenv(MAX_N_ENV_VAR, "not-a-number")
     with pytest.raises(InvalidParametersError):
+        enumeration_cap()
+    monkeypatch.setenv(MAX_N_ENV_VAR, "-1")
+    with pytest.raises(InvalidParametersError, match="must be nonnegative, got -1"):
         enumeration_cap()
 
 

@@ -584,6 +584,8 @@ def test_exact_mode_rejects_floats():
     for args in [(0.5,), (1, 2.0), (True,), (1, 0)]:
         with pytest.raises(InvalidParametersError):
             rat(*args)
+    with pytest.raises(InvalidParametersError, match="cannot convert <object object at"):
+        from_float(object())
 
 
 @pytest.mark.parametrize("value, exact", [
@@ -751,6 +753,9 @@ def test_f_all_and_limit():
     assert dependent_mass(U24, 2, w) == 0
     assert f_limit_residual(U24, 3, w, rat(1, 100)) == rat(1, 2)
     assert f_limit_residual(U24, 3, w, rat(1, 10**4)) == rat(1, 200)
+    # no stratum above n
+    assert f_limit_residual(U24, 5, w, rat(1, 2)) == 0
+    assert dependent_mass(U24, 5, w) == 0
 
 
 def test_dependent_mass_mixed_nullity():
@@ -782,6 +787,8 @@ def test_elementary_symmetric_values_and_errors():
         elementary_symmetric((1, 1), 1, w)
     with pytest.raises(InvalidParametersError):
         elementary_symmetric((0,), 1, w)
+    with pytest.raises(InvalidParametersError, match="degree must be a nonnegative integer, got -1"):
+        elementary_symmetric((1, 2), -1, w)
 
 
 def test_log_concavity_predicates():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -320,8 +321,12 @@ def test_signature_rejects_float_entries():
     # a ragged matrix and an asymmetric one
     with pytest.raises(InvalidParametersError):
         SymMatrix(((1, 2), (2,)))
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(InvalidParametersError, match="matrix is not symmetric"):
         SymMatrix(((1, 2, 3), (2, 1, 0), (3, 1, 1)))
+    # rows given as lists are compared as tuples
+    assert SymMatrix(([1, 2], [2, 3])).dim == 2
+    with pytest.raises(InvalidParametersError, match="matrix is not symmetric"):
+        SymMatrix(([1, 2], [3, 1]))
     # exact entries classify, the singular one included
     assert signature(SymMatrix(((2, 0), (0, -1)))) == EigenSignature(1, 1, 0)
     assert signature([[rat(1), rat(1)], [rat(1), rat(1)]]) == EigenSignature(1, 0, 1)
@@ -344,6 +349,70 @@ def test_float_eigenvalues_diagnostic():
     assert abs(eigs[1]) < 1e-12
     assert abs(eigs[2] - 3) < 1e-12
     assert float_eigenvalues([[rat(5)]]) == (5.0,)
+
+
+def _reflection(v):
+    """I - 2 v v^T / v^T v, a rational orthogonal matrix."""
+    norm = sum(x * x for x in v)
+    return [[int(i == j) - Fraction(2 * a * b, norm) for j, b in enumerate(v)]
+            for i, a in enumerate(v)]
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+# planted eigenvalues: zeros and repeats, doubles, non-dyadic rationals, a
+# tiny one, and two exactly halfway between doubles, which round to even
+PLANTED = (0, 0, 1, 1, -1, 3, Fraction(1, 3), Fraction(-5, 7), Fraction(22, 7), 2 ** 40,
+           Fraction(-1, 2 ** 60), 1 + Fraction(1, 2 ** 53), 1 + Fraction(3, 2 ** 53))
+
+
+def _eigenvalue_cases():
+    """(rows, planted eigenvalues or None): seeded random symmetric rational
+    matrices of dims 0-6, then Q D Q^T for rational orthogonal Q (a product
+    of two reflections) and diagonals D drawn from PLANTED, dims 1-6."""
+    rng = random.Random(26)
+    cases = []
+    for dim in range(7):
+        for _ in range(12):
+            rows = [[0] * dim for _ in range(dim)]
+            for i in range(dim):
+                for j in range(i, dim):
+                    rows[i][j] = rows[j][i] = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+            cases.append((rows, None))
+    spectra = [[rng.choice(PLANTED) for _ in range(dim)] for dim in range(1, 7) for _ in range(12)]
+    spectra.append([0, PLANTED[-2], 0, PLANTED[-1]])
+    for eig in spectra:
+        dim = len(eig)
+        q = _product(*(_reflection([rng.randint(-3, 3) or 1 for _ in range(dim)])
+                       for _ in range(2)))
+        diagonal = [[eig[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+        cases.append((_product(_product(q, diagonal), [list(c) for c in zip(*q)]), sorted(eig)))
+    return cases
+
+
+def test_float_eigenvalues_are_the_exact_ones_rounded_once():
+    # against mpmath at 60 digits, and the planted spectra exactly: each
+    # eigenvalue, ascending, is the double nearest it, ties to even, and
+    # the signs count as the exact signature does
+    cases = _eigenvalue_cases()
+    assert len(cases) > 150
+    for rows, planted in cases:
+        got = float_eigenvalues(rows)
+        with mpmath.workdps(60):
+            reference = [Fraction(str(x)) for x in sorted(mpmath.eigsy(
+                mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row]
+                               for row in rows]), eigvals_only=True))] if rows else []
+        if planted is not None:
+            assert all(abs(r - e) < Fraction(1, 10 ** 40) * (1 + abs(e))
+                       for r, e in zip(reference, planted))
+            reference = planted
+        assert got == tuple(float(Fraction(e)) for e in reference)
+        sig = signature(rows)
+        assert (sum(e > 0 for e in got), sum(e < 0 for e in got), got.count(0)) == sig
+    # the last case plants both ties: 1 + 2^-53 rounds down, 1 + 3 * 2^-53 up
+    assert float_eigenvalues(cases[-1][0]) == (0.0, 0.0, 1.0, 1 + 2 ** -51)
 
 
 def test_hr_discriminant_frozen():

@@ -1,5 +1,6 @@
 """Theorem checks, campaign plumbing, replay, and the corpus generators."""
 
+import ast
 import dataclasses
 import hashlib
 import importlib.util
@@ -178,6 +179,10 @@ def test_degree_two_guards_and_zero_line():
     with pytest.raises(InvalidParametersError):
         check_degree_two(K3, (1, 2, 4, 1), rat(1, 2), ONES3)  # t = 1: not allowed
     assert check_degree_two(K3, (1, 3, 3, 1), rat(2), ONES3).verdict == NOT_APPLICABLE
+    # one element: Z has no quadratic stratum
+    single = check_degree_two(make_uniform(1, 1), (1, 2), rat(1, 2), (rat(3),))
+    assert single.verdict == NOT_APPLICABLE
+    assert single.witness == {"annotations": ["degree-below-two"]}
 
     # Z[1](w) = (1/q)(w1 + w2 + w3) on K3: the plane is w1 + w2 + w3 = 0
     res = check_degree_two_zero_line(K3, rat(1, 2), (rat(1), rat(1), rat(-2)))
@@ -741,6 +746,10 @@ def test_corpus_spec_parsing():
         parse_corpus_spec("unknown-family")
     with pytest.raises(ParseError):
         parse_corpus_spec("uniform,count=x")
+    with pytest.raises(ParseError, match="empty corpus spec"):
+        parse_corpus_spec("  ")
+    with pytest.raises(ParseError, match="empty family group"):
+        parse_corpus_spec("uniform,n<=3; ,")
     for spec in ("linear,count=-1", "uniform,n<=-1", "graphic,edges<=-3", "linear,n<=-2"):
         with pytest.raises(ParseError, match="negative bound"):
             parse_corpus_spec(spec)
@@ -1039,21 +1048,45 @@ def test_a_work_unit_computes_structure_once(monkeypatch):
     assert len(calls) == len(corpus)
 
 
+def test_the_package_imports_only_the_standard_library():
+    # the runtime has no dependency: every import of every module is the
+    # standard library's or the package's own
+    package = Path(verify.__file__).resolve().parent
+    foreign = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, name) for name in names
+                        if name.partition(".")[0] not in {*sys.stdlib_module_names, package.name}]
+    assert foreign == []
+
+
 def test_exact_library_never_loads_numpy():
-    # numpy serves only the float_eigenvalues diagnostic, so importing the
-    # package and running a campaign, in a fresh interpreter, leaves it out
+    # importing the package, running a campaign and printing a spectrum in
+    # both modes and formats, in a fresh interpreter, leaves numpy out
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from potts_hodge import CampaignConfig, generate_corpus, run_campaign\n"
-        "report = run_campaign(generate_corpus('graphic,K3'), CampaignConfig(samples=1))\n"
+        "from potts_hodge.cli import main\n"
+        "corpus = generate_corpus('graphic,K3')\n"
+        "report = run_campaign(corpus, CampaignConfig(samples=1))\n"
         "assert report.checks and report.ok\n"
+        "k3 = json.dumps(corpus[0].to_json())\n"
+        "for flags in ([], ['--json'], ['--mode', 'float'], ['--mode', 'float', '--json']):\n"
+        "    assert main(['spectrum', '--matroid', k3, '--q', '1/2', '--w', '1,2,3,4', *flags]) == 0\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))\n"
     )
     src = str(Path(verify.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.count("signature: 1 positive, 3 negative, 0 zero") == 2
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_campaign_rejects_negative_samples_and_workers(monkeypatch):
@@ -1173,6 +1206,8 @@ def test_report_round_trip_and_replay():
     # single-check replay round-trips through plain dicts as well
     fresh = replay_check(report.checks[0].to_json())
     assert fresh == report.checks[0]
+    with pytest.raises(ParseError, match="check record must be an object, got list"):
+        CheckResult.from_json([report.checks[0].to_json()])
 
 
 def test_replay_report_names_exactly_the_edited_checks():
@@ -1251,6 +1286,8 @@ def test_sampled_points_are_positive():
         w = sample_positive_point(child_rng(0, 99, j), 5)
         assert len(w) == 5
         assert all(x > 0 for x in w)
+    # the stress points of an empty ground set are the one empty point
+    assert sampling.adversarial_points(0) == [()]
 
 
 def test_distinct_alphas_returns_at_most_count():
