@@ -56,7 +56,6 @@ from .spectral import (
     EigenSignature,
     euler_hessian_residual,
     float_eigenvalues,
-    hr_discriminant,
     kernel_contains,
     kernel_identity_check,
     one_positive_equivalence_check,

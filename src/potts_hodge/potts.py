@@ -16,7 +16,8 @@ A subset A of 1..n has the cell bucket[A] = |A| (R+1) + rk(A) in a flat
 size x rank list of (n+1)(R+1) cells, R the full rank; the bucket list is
 cached per rank table.  The strata, f[m] and the dependent masses are
 read off one table T of the sums of prod_{i in A} w_i over the subsets in
-each cell (_size_rank_sums).  A derivative of multi-index alpha, inner
+each cell (_strata_table), and Z[1] and Z[2] alone off the singleton and
+pair ranks (quadratic_numerators).  A derivative of multi-index alpha, inner
 support S and degree d reads one list over the subsets A containing S,
 u[A] = c_|A| q^(-rk A) prod_{i in A - S} w'_i / w_0', w' the point w with
 each 0 replaced by 1 (w_0' too): one _products pass over the ratios and
@@ -53,7 +54,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from operator import add, attrgetter, ge, gt, mul
 
 from .errors import InvalidParametersError
@@ -175,21 +176,17 @@ def _buckets(ranks, width):
     return tuple(mask.bit_count() * width + r for mask, r in enumerate(ranks))
 
 
-def _size_rank_sums(matroid, prod):
-    """T[k (R+1) + r]: the sum of prod[A] over the subsets A with |A| = k
-    and rk(A) = r, as one flat list of (n+1)(R+1) cells."""
+def _strata_table(matroid, w):
+    """(T, width, scale) at the length-n point w: T[k (R+1) + r] is the
+    sum of prod_{i in A} w_i over the subsets A with |A| = k and
+    rk(A) = r, one flat list of (n+1)(R+1) cells, each an integer over
+    the one positive scale; width is R + 1, the length of a row."""
+    prod = _products(map(_numerator, w), map(_denominator, w))
     width = matroid.full_rank + 1
     table = [0] * ((matroid.n + 1) * width)
     for cell, x in zip(_buckets(matroid.ranks, width), prod):
         table[cell] += x
-    return table
-
-
-def _strata_table(matroid, w):
-    """(T, width, scale): the table T_S for S empty at the length-n point
-    w, the width R + 1 of its rows, and the scale every cell is over."""
-    prod = _products(map(_numerator, w), map(_denominator, w))
-    return _size_rank_sums(matroid, prod), matroid.full_rank + 1, prod[0]
+    return table, width, prod[0]
 
 
 def strata_numerators(matroid, q, w):
@@ -199,6 +196,20 @@ def strata_numerators(matroid, q, w):
     powers, qden = _q_inverse_powers(q, matroid.full_rank)
     table, width, scale = _strata_table(matroid, w)
     return [sum(map(mul, powers, row)) for row in zip(*[iter(table)] * width)], qden * scale
+
+
+def quadratic_numerators(matroid, q, w):
+    """(z1, z2, scale): Z[1] = z1 / scale and Z[2] = z2 / scale at the
+    length-n point w, integers over one positive scale (a L)^2 for q = a/b
+    and w = W / L.  Read off the singleton and pair ranks r <= 2, each
+    term times a^2 q^(-r) = a^(2-r) b^r: no subset pass."""
+    a, b = q.numerator, q.denominator
+    factors, ranks = (a * a, a * b, b * b), matroid.ranks
+    wints, lcm = clear_denominators(w)
+    z1 = sum(factors[ranks[1 << i]] * x for i, x in enumerate(wints))
+    z2 = sum(factors[ranks[1 << i | 1 << j]] * x * y
+             for (i, x), (j, y) in combinations(enumerate(wints), 2))
+    return z1 * lcm, z2, (a * lcm) ** 2
 
 
 def zk_all(matroid, q, w):
@@ -249,28 +260,20 @@ def _superset_sums(f, skip=0):
     return f
 
 
-def _bit_sums(f):
-    """([the sum of f[A] over the A containing bit i, for each bit i], the
-    sum of f), for f indexed by the subsets of b bits.  Each step folds the
-    bottom bit away."""
-    sums = []
+def _single_sums(f, low):
+    """([for each bit x, the sum of f[A] over the A holding x and no other
+    bit from low up], the sum of f[:2^low]), for f indexed by the subsets
+    of b bits.  Each bit from low up is one slice of f; each step of the
+    loop folds the bottom bit of f[:2^low] away."""
+    size = 1 << low
+    bits = range(low, len(f).bit_length() - 1)
+    singles = [sum(f[1 << x:(1 << x) + size]) for x in bits]
+    sums, f = [], f[:size]
     while len(f) > 1:
         hi = f[1::2]
         sums.append(sum(hi))
         f = list(map(add, f[0::2], hi))
-    return sums, f[0]
-
-
-def _single_sums(f, low):
-    """([for each bit x, the sum of f[A] over the A holding x and no other
-    bit from low up], the sum of f[:2^low]), for f indexed by the subsets
-    of b bits: _bit_sums of f[:2^low] and one slice per bit from low up."""
-    head = 1 << low
-    if head == len(f):
-        return _bit_sums(f)
-    singles, total = _bit_sums(f[:head])
-    bits = range(low, len(f).bit_length() - 1)
-    return singles + [sum(f[1 << x:(1 << x) + head]) for x in bits], total
+    return sums + singles, f[0]
 
 
 def _superset_lists(matroid, c, q, alpha, w):

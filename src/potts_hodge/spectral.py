@@ -18,7 +18,7 @@ from itertools import chain, islice, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .errors import InvalidParametersError, NotApplicableError
+from .errors import NotApplicableError
 from .matrices import (
     SymMatrix,
     bareiss_inertia,
@@ -103,16 +103,6 @@ def float_eigenvalues(matrix):
                 at = t
         out.append(to_float((lo if at is None else at) / scale))
     return tuple(out)
-
-
-def hr_discriminant(matrix, u, v):
-    """(u^T A v)^2 - (u^T A u)(v^T A v)."""
-    mat = SymMatrix.from_rows(matrix)
-    if len(u) != mat.dim or len(v) != mat.dim:
-        raise InvalidParametersError(
-            f"vectors must have length {mat.dim}, got {len(u)} and {len(v)}")
-    uv = bilinear(u, mat, v)
-    return uv * uv - bilinear(u, mat, u) * bilinear(v, mat, v)
 
 
 @dataclass(frozen=True)
@@ -214,7 +204,9 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     if len(axes) >= 2:
         pair_pool.append((axes[0], axes[1]))
     for (pu, u, ku), (pv, v, kv) in pair_pool:
-        disc = hr_discriminant(mat, pu, pv)
+        # the discriminant (u^T A v)^2 - (u^T A u)(v^T A v)
+        uv = bilinear(pu, mat, pv)
+        disc = uv * uv - bilinear(pu, mat, pu) * bilinear(pv, mat, pv)
         if disc < 0:
             statement2 = False
             counterexample = {"u": u, "v": v,

@@ -26,15 +26,15 @@ it returns any verdict.  The validators keep ints as ints and read signs
 off numerators, so a check runs on the integers it was given: the
 Hessian checks eliminate integer numerators and the strata checks
 compare them (potts.hessian_numerators, second_order_numerators,
-strata_numerators), and values are encoded through scalar_to_json and
-vector_to_json from their numerators and denominators; a Fraction is
-built only for a witness value.  The Hessian checks eliminate D H D,
-D = diag(w_0, w_1, ..., w_n), times a positive factor, in place of H
-(Sylvester's law: the point is positive), and logconcavity the bordered
-[[Z, (D grad)^T], [D grad, D H D]] in place of N = Z H - grad grad^T
-(Haynsworth's inertia additivity).  Reports are plain data: serializing
-with sort_keys produces byte-identical output for identical (corpus,
-seed, samples), independent of the worker count.
+strata_numerators, quadratic_numerators), and values are encoded through
+scalar_to_json and vector_to_json from their numerators and
+denominators; a Fraction is built only for a witness value.  The Hessian
+checks eliminate D H D, D = diag(w_0, w_1, ..., w_n), times a positive
+factor, in place of H (Sylvester's law: the point is positive), and
+logconcavity the bordered [[Z, (D grad)^T], [D grad, D H D]] in place of
+N = Z H - grad grad^T (Haynsworth's inertia additivity).  Reports are
+plain data: serializing with sort_keys produces byte-identical output
+for identical (corpus, seed, samples), independent of the worker count.
 
 Theorem tags used on the wire:
 
@@ -73,6 +73,7 @@ from .potts import (
     hessian_numerators,
     independent_numerators,
     log_concave_integers,
+    quadratic_numerators,
     second_order_numerators,
     strata_numerators,
     validate_alpha,
@@ -219,10 +220,6 @@ def _skipped(tag, inputs, note, verdict=NOT_APPLICABLE):
     return CheckResult(tag, inputs, verdict, {"annotations": [note]})
 
 
-def _sig_list(sig):
-    return [sig.n_pos, sig.n_neg, sig.n_zero]
-
-
 # (matroid, its JSON, a cache) while a campaign work unit runs: the unit's
 # records share one JSON dict, and its checks compute each matroid query
 # (structure, independent_set_counts) once; a check called on any other
@@ -284,7 +281,7 @@ def check_one_positive(matroid, q, w):
     notes = []
     if sig.n_zero:
         notes.append("singular-hessian")
-    witness = {"signature": _sig_list(sig)}
+    witness = {"signature": list(sig)}
     if notes:
         witness["annotations"] = notes
     verdict = PASS if sig.n_pos == 1 else FAIL
@@ -309,7 +306,7 @@ def check_derivative_one_positive(matroid, c, q, alpha, w):
     active = [0] + [i for i in range(1, n + 1) if alpha[i] == 0]
     rows, _ = hessian_numerators(matroid, cv, qv, alpha, wv)
     sig = signature(SymMatrix(tuple(tuple(rows[i][j] for j in active) for i in active)))
-    witness = {"signature": _sig_list(sig), "active": active}
+    witness = {"signature": list(sig), "active": active}
     expected = sig.n_pos == 1 and sig.n_zero == 0 and sig.n_neg == len(active) - 1
     return CheckResult(TAG_DERIVATIVE_ONE_POSITIVE, inputs, PASS if expected else FAIL, witness)
 
@@ -331,9 +328,10 @@ def _e2(values):
 def check_degree_two(matroid, c, q, w):
     """Quadratic-stratum checks at a nonzero inner point (signs allowed).
 
-    Route equality: Z[1] and Z[2] from subset enumeration must match the
-    parallel-class form e_1(y) and e_2(y) - (1-q) * sum over classes of
-    e_2(y restricted to the class), with y_i = q^(-rk({i})) w_i.
+    Route equality: Z[1] and Z[2] read off the singleton and pair ranks
+    (potts.quadratic_numerators) must match the parallel-class form e_1(y)
+    and e_2(y) - (1-q) * sum over classes of e_2(y restricted to the
+    class), with y_i = q^(-rk({i})) w_i.
 
     Inequality: Z[1]^2 > 2 (c_0 c_2 / c_1^2) (n / (n-1)) Z[2] for every
     w != 0; the coefficient ratio is below one by strict log-concavity.
@@ -341,8 +339,9 @@ def check_degree_two(matroid, c, q, w):
     Z[1]^2 >= 2 (n/(n-1)) e_2(y) is also confirmed (the classical mean
     inequality, valid for arbitrary signs).
 
-    Both run on integers, Z[k] = nums[k] / scale and y_i = Y_i / (a L) for
-    q = a/b and w = W / L, cross-multiplied by their positive denominators.
+    Both run on integers, Z[1] = z1 / scale, Z[2] = z2 / scale and
+    y_i = Y_i / (a L) for q = a/b and w = W / L, cross-multiplied by their
+    positive denominators.
     """
     n = matroid.n
     cv, cints = _coeffs(c, n)
@@ -354,23 +353,22 @@ def check_degree_two(matroid, c, q, w):
         return _skipped(TAG_DEGREE_TWO, inputs, "degree-below-two")
     if not _q_in_range(qv):
         return _skipped(TAG_DEGREE_TWO, inputs, "q-above-one")
-    nums, scale = strata_numerators(matroid, qv, wv)
+    z1, z2, scale = quadratic_numerators(matroid, qv, wv)
     a, b = qv.numerator, qv.denominator
     wints, lcm = clear_denominators(wv)
     y = [x * f for x, f in zip(wints, _singleton_factors(matroid, qv))]
     e1, e2 = sum(y), _e2(y)
     correction = sum(_e2([y[i - 1] for i in cls])
                      for cls in _once(structure, matroid).parallel_classes if len(cls) >= 2)
-    # Z[1] = nums[1] / scale against e_1(y) = e1 / (a L), and
-    # Z[2] = nums[2] / scale against
-    # e_2(y) - (1 - q) correction = (b e2 - (b - a) correction) / (b (a L)^2)
+    # Z[1] = z1 / scale against e_1(y) = e1 / (a L), and Z[2] = z2 / scale
+    # against e_2(y) - (1 - q) correction = (b e2 - (b - a) correction) / (b (a L)^2)
     y_den = a * lcm
-    routes_match = (nums[1] * y_den == e1 * scale
-                    and nums[2] * b * y_den * y_den == (b * e2 - (b - a) * correction) * scale)
+    routes_match = (z1 * y_den == e1 * scale
+                    and z2 * b * y_den * y_den == (b * e2 - (b - a) * correction) * scale)
     # bound = 2 (c_0 c_2 / c_1^2) (n / (n-1)) Z[2], with c_k = cints[k] / L_c
-    bound_num = 2 * cints[0] * cints[2] * n * nums[2]
+    bound_num = 2 * cints[0] * cints[2] * n * z2
     bound_den = cints[1] * cints[1] * (n - 1) * scale
-    strict_ok = nums[1] * nums[1] * bound_den > bound_num * scale * scale
+    strict_ok = z1 * z1 * bound_den > bound_num * scale * scale
     notes = ["route-match"] if routes_match else []
     newton_ok = True
     if a == b:
@@ -379,8 +377,8 @@ def check_degree_two(matroid, c, q, w):
         if newton_ok:
             notes.append("mean-bound-at-q1")
     witness = {
-        "z1": scalar_to_json(Fraction(nums[1], scale)),
-        "z2": scalar_to_json(Fraction(nums[2], scale)),
+        "z1": scalar_to_json(Fraction(z1, scale)),
+        "z2": scalar_to_json(Fraction(z2, scale)),
         "bound": scalar_to_json(Fraction(bound_num, bound_den)),
         "routes_match": routes_match,
     }
@@ -400,13 +398,13 @@ def check_degree_two_zero_line(matroid, q, w):
     wv = validate_point(w, n, "nonzero")
     inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv),
                              aspect="zero-line")
-    nums, scale = strata_numerators(matroid, qv, wv)
-    if nums[1] != 0:
+    z1, z2, scale = quadratic_numerators(matroid, qv, wv)
+    if z1 != 0:
         raise InvalidParametersError("the point does not lie on the Z[1] = 0 hyperplane")
     if not _q_in_range(qv):
         return _skipped(TAG_DEGREE_TWO, inputs, "q-above-one")
-    witness = {"z2": scalar_to_json(Fraction(nums[2], scale))}
-    return CheckResult(TAG_DEGREE_TWO, inputs, PASS if nums[2] < 0 else FAIL, witness)
+    witness = {"z2": scalar_to_json(Fraction(z2, scale))}
+    return CheckResult(TAG_DEGREE_TWO, inputs, PASS if z2 < 0 else FAIL, witness)
 
 
 def check_strata_ultra_log_concave(matroid, q, w):

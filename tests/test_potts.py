@@ -28,6 +28,7 @@ from potts_hodge import (
     f_all,
     f_limit_residual,
     f_m_eval,
+    generate_corpus,
     gradient,
     hessian,
     is_identically_zero,
@@ -46,12 +47,12 @@ from potts_hodge import (
     zk_eval,
 )
 from potts_hodge.potts import (
-    _bit_sums,
     _single_sums,
     _superset_lists,
     _superset_sums,
     hessian_numerators,
     independent_numerators,
+    quadratic_numerators,
     second_order_numerators,
     strata_numerators,
     validate_coeffs,
@@ -341,14 +342,36 @@ def test_superset_sums_and_bit_sums_brute_force(bits):
         assert _superset_sums(f, skip) == [
             sum(f[a] for a in range(size) if a & b == b and a & skip == b & skip)
             for b in range(size)]
-    assert _bit_sums(f) == ([sum(f[a] for a in range(size) if a >> i & 1) for i in range(bits)],
-                            sum(f))
+    assert _single_sums(f, bits) == (
+        [sum(f[a] for a in range(size) if a >> i & 1) for i in range(bits)], sum(f))
     for low in range(bits + 1):
         # the reads of bit i that hold no other bit at or above low
         assert _single_sums(f, low) == (
             [sum(f[a] for a in range(size) if a >> i & 1 and a >> low << low in (0, 1 << i))
              for i in range(bits)],
             sum(f[:1 << low]))
+
+
+def test_quadratic_numerators_match_the_strata():
+    # Z[1] and Z[2] off the singletons and pairs equal those of the full
+    # subset pass on every default-corpus matroid (loops and parallel
+    # classes included), at q in (0, 1] and at positive, sign-mixed,
+    # zero-holding and 10^(+-12)-sized points
+    rng = random.Random(27)
+    points = [
+        lambda n: [Fraction(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(n)],
+        lambda n: [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(n)],
+        lambda n: [rng.choice((0, 0, 3, Fraction(-2, 7))) for _ in range(n)],
+        lambda n: [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+                   * Fraction(10) ** rng.choice((-12, 12)) for _ in range(n)]]
+    qs = (1, Fraction(1, 2), Fraction(3, 7), Fraction(1, 10 ** 12), Fraction(10 ** 12 - 1, 10 ** 12))
+    for matroid in generate_corpus("default"):
+        for q in qs:
+            for point in points:
+                w = tuple(point(matroid.n))
+                z1, z2, scale = quadratic_numerators(matroid, q, w)
+                strata = over_one_scale(*strata_numerators(matroid, q, w))
+                assert over_one_scale([z1, z2], scale) == strata[1:3]
 
 
 @settings(max_examples=120, deadline=None)

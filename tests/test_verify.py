@@ -49,7 +49,7 @@ from potts_hodge import (
 )
 from potts_hodge import sampling, verify
 from potts_hodge.errors import ImpossibleStateError
-from potts_hodge.potts import strata_numerators
+from potts_hodge.potts import quadratic_numerators, strata_numerators
 from potts_hodge.sampling import (
     child_rng,
     log_concave_coeffs,
@@ -572,13 +572,18 @@ def test_strata_checks_match_rational_reference(data):
         nums, scale = strata_numerators(*args)
         return altered(nums), scale
 
+    def altered_quadratic(*args):
+        z1, z2, scale = quadratic_numerators(*args)
+        return (*altered([0, z1, z2] + [0] * (n - 2))[1:3], scale)
+
     cases = [(check_degree_two, reference_degree_two, (c, q, tuple(signed))),
              (check_strata_ultra_log_concave, reference_strata_ulc, (q, nonneg))]
     if any(on_plane) and (alter is None or alter[0] >= 2):
         cases.append((check_degree_two_zero_line, reference_zero_line, (q, on_plane)))
     for check, reference, args in cases:
         strata = altered(zk_all(matroid, q, args[-1]))
-        with mock.patch.object(verify, "strata_numerators", altered_numerators):
+        with mock.patch.object(verify, "strata_numerators", altered_numerators), \
+                mock.patch.object(verify, "quadratic_numerators", altered_quadratic):
             result = check(matroid, *args)
         assert (result.verdict, result.witness) == reference(matroid, *args, strata)
     if n >= 2:
@@ -780,6 +785,21 @@ def test_run_campaign_small():
     # every theorem family produced at least one check
     seen = {c.theorem for c in report.checks}
     assert seen == set(ALL_THEOREMS)
+
+
+def test_degree_two_campaign_runs_no_subset_pass():
+    # deg2 reads Z[1] and Z[2] off the singletons and pairs alone, so a
+    # campaign of it passes with the full strata pass unavailable
+    def no_subset_pass(*args):
+        raise AssertionError("deg2 called strata_numerators")
+
+    corpus = generate_corpus("default")
+    cfg = CampaignConfig(theorems=(TAG_DEGREE_TWO,), samples=1)
+    with mock.patch.object(verify, "strata_numerators", no_subset_pass):
+        report = run_campaign(corpus, cfg)
+    assert report.ok and report.summary[PASS] == report.summary["total"]
+    aspects = {c.inputs["aspect"] for c in report.checks}
+    assert aspects == {"positive-point", "zero-line"}
 
 
 def test_run_campaign_q_grid_override():
