@@ -115,6 +115,8 @@ def _shown(value, mode):
 
 
 def _cmd_eval(args):
+    if args.c is not None and args.k is not None:
+        raise InvalidParametersError("eval takes --k or --c, not both")
     matroid = _load_matroid(args.matroid)
     mode = args.mode
     q = _parse_scalar(args.q, mode)
@@ -200,7 +202,7 @@ def _run_single_check(args):
         raise InvalidParametersError("--matroid verification takes exactly one --theorem")
     tag = args.theorem[0]
     # a theorem's first CHECKS row is the one a single input runs
-    name, keys = next(row for (theorem, _), row in CHECKS.items() if theorem == tag)
+    _, name, keys = next(row for (theorem, _), row in CHECKS.items() if theorem == tag)
     for key in _PARSE_INPUT:
         if key not in keys and getattr(args, key) is not None:
             raise InvalidParametersError(f"theorem {tag} takes no --{key}")
@@ -235,6 +237,8 @@ def _single_check_args_given(args):
 
 
 def _cmd_verify(args):
+    if args.corpus is not None and args.matroid is not None:
+        raise InvalidParametersError("verify takes --corpus or --matroid, not both")
     if args.out:
         # an unwritable path is a usage error before any check runs (append
         # mode: an existing report is not truncated until one replaces it; a

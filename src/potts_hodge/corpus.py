@@ -219,6 +219,8 @@ def parse_corpus_spec(text):
                     kwargs["linear_max_n"] = _parse_bound(clause, "n", text)
         elif family == "structured":
             families.append("structured")
+            if parts[1:]:
+                raise ParseError(f"cannot parse clause {parts[1]!r} in corpus spec {text!r}")
         else:
             raise ParseError(f"unknown corpus family {family!r} in {text!r}")
     return CorpusSpec(families=tuple(families), **kwargs)

@@ -9,32 +9,33 @@ verdicts:
   vacuous         the claim quantifies over an empty range here
   not-applicable  a hypothesis is not met (q > 1, degree too low, ...)
 
-Each theorem has one task generator that draws seeded inputs for one
-corpus member.  run_campaign's unit of work is one matroid: the unit
-generates and runs that matroid's tasks for every requested theorem, its
-records share one matroid JSON dict, and its checks compute structure
-and independent_set_counts once (_once).  With workers > 1 the units are
-dealt, costliest first, into shares: this process runs one share and one
-child process per other share runs the rest, each placed on its own CPU
-when the shares fill the affinity set and sending its records back over
-a pipe, so the sampling runs where the checks do.  One table (CHECKS)
-maps a theorem and aspect to its check and input keys for campaigns,
-replay and the CLI.  run_campaign validates its config before any unit
-runs, and every check validates all of its inputs (potts.validate_q,
-validate_point with the sign its theorem needs, validate_coeffs) before
-it returns any verdict.  The validators keep ints as ints and read signs
-off numerators, so a check runs on the integers it was given: the
-Hessian checks eliminate integer numerators and the strata checks
-compare them (potts.hessian_numerators, second_order_numerators,
-strata_numerators, quadratic_numerators), and values are encoded through
-scalar_to_json and vector_to_json from their numerators and
-denominators; a Fraction is built only for a witness value.  The Hessian
-checks eliminate D H D, D = diag(w_0, w_1, ..., w_n), times a positive
-factor, in place of H (Sylvester's law: the point is positive), and
-logconcavity the bordered [[Z, (D grad)^T], [D grad, D H D]] in place of
-N = Z H - grad grad^T (Haynsworth's inertia additivity).  Reports are
-plain data: serializing with sort_keys produces byte-identical output
-for identical (corpus, seed, samples), independent of the worker count.
+Each check kind is one row of one table (CHECKS), read by campaigns,
+replay and the CLI: its theorem and aspect map to the task generator
+that draws its seeded inputs for one corpus member, its check function
+name and its input keys.  run_campaign's unit of work is one matroid:
+the unit generates and runs that matroid's tasks for every requested
+theorem, its records share one matroid JSON dict, and its checks compute
+structure and independent_set_counts once (_once).  With workers > 1 the
+units are dealt, costliest first, into shares: this process runs one
+share and one child process per other share runs the rest, each placed
+on its own CPU when the shares fill the affinity set and sending its
+records back over a pipe, so the sampling runs where the checks do.
+run_campaign validates its config before any unit runs, and every check
+validates all of its inputs (potts.validate_q, validate_point with the
+sign its theorem needs, validate_coeffs) before it returns any verdict.
+The validators keep ints as ints and read signs off numerators, so a
+check runs on the integers it was given: the Hessian checks eliminate
+integer numerators and the strata checks compare them
+(potts.hessian_numerators, second_order_numerators, strata_numerators,
+quadratic_numerators), and values are encoded through scalar_to_json and
+vector_to_json from their numerators and denominators; a Fraction is
+built only for a witness value.  The Hessian checks eliminate D H D,
+D = diag(w_0, w_1, ..., w_n), times a positive factor, in place of H
+(Sylvester's law: the point is positive), and logconcavity the bordered
+[[Z, (D grad)^T], [D grad, D H D]] in place of N = Z H - grad grad^T
+(Haynsworth's inertia additivity).  Reports are plain data: serializing
+with sort_keys produces byte-identical output for identical (corpus,
+seed, samples), independent of the worker count.
 
 Theorem tags used on the wire:
 
@@ -108,15 +109,6 @@ TAG_STRATA_ULC = "ulc"
 TAG_COUNT_LOG_CONCAVITY = "mason"
 TAG_SIMPLIFICATION = "simplification"
 TAG_LOG_CONCAVITY = "logconcavity"
-ALL_THEOREMS = (
-    TAG_ONE_POSITIVE,
-    TAG_DERIVATIVE_ONE_POSITIVE,
-    TAG_DEGREE_TWO,
-    TAG_STRATA_ULC,
-    TAG_COUNT_LOG_CONCAVITY,
-    TAG_SIMPLIFICATION,
-    TAG_LOG_CONCAVITY,
-)
 
 
 @dataclass(frozen=True)
@@ -610,6 +602,124 @@ def log_slice_second_difference(matroid, c, q, w, direction):
 # ----------------------------------------------------------- campaigns
 
 
+# Task generators: (mi, matroid, seed, samples, q_grid) -> the argument
+# tuples (matroid, *inputs) of one CHECKS row's check for corpus member mi.
+# Every sample draws from its own child_rng(seed, stream, mi, ...), so a
+# task does not depend on the order in which the others were generated.
+
+
+def _tasks_one_positive(mi, matroid, seed, samples, q_grid):
+    dim = matroid.n + 1
+    stress = adversarial_points(dim)
+    for qi, q in enumerate(q_grid):
+        points = stress + [sample_positive_point(child_rng(seed, 11, mi, qi, j), dim)
+                           for j in range(samples)]
+        for w in points:
+            yield matroid, q, w
+
+
+def _tasks_derivative_one_positive(mi, matroid, seed, samples, q_grid):
+    n = matroid.n
+    coeffs = [log_concave_coeffs(n, ratio) for ratio in default_c_ratios()[:samples]]
+    alphas = distinct_alphas(child_rng(seed, 21, mi).randrange(2 ** 32),
+                             n, samples, min_degree=2)
+    for ci, c in enumerate(coeffs):
+        for ai, alpha in enumerate(alphas):
+            for t in range(samples):
+                w = sample_positive_point(child_rng(seed, 22, mi, ci, ai, t), n + 1)
+                yield matroid, c, q_grid[t % len(q_grid)], alpha, w
+
+
+def _zero_line_point(matroid, q, rng):
+    """Nonzero inner point with Z[1] = 0, built by projecting a sign-mixed
+    sample along the all-ones direction (Z[1] is linear with positive
+    singleton coefficients, so the projection always lands on the plane).
+
+    In integers: a Z[1] = sum_i lam_i w_i with lam = _singleton_factors,
+    and a sample v = V / D projects to w_i = (total V_i - s) / (a D), with
+    total = sum_i lam_i and s = sum_i lam_i V_i."""
+    n = matroid.n
+    lam = _singleton_factors(matroid, q)
+    total = sum(lam)
+    den = q.numerator * SIGN_MIXED_DEN
+    for _ in range(32):
+        v = sample_sign_mixed_numerators(rng, n)
+        s = sum(map(mul, lam, v))
+        w = [total * x - s for x in v]
+        if any(w):
+            return tuple(Fraction(x, den) for x in w)
+    raise InvalidParametersError("could not sample a nonzero point on the Z[1] = 0 plane")
+
+
+def _tasks_degree_two(mi, matroid, seed, samples, q_grid):
+    n = matroid.n
+    if n < 2:
+        return
+    for j in range(samples):
+        rng = child_rng(seed, 31, mi, j)
+        c = sample_log_concave_coeffs(rng, n)
+        # the strict bound quantifies over all nonzero w: alternate
+        # positive and sign-mixed samples
+        w = sample_positive_point(rng, n) if j % 2 == 0 else \
+            sample_sign_mixed_point(rng, n)
+        yield matroid, c, q_grid[j % len(q_grid)], w
+
+
+def _tasks_degree_two_zero_line(mi, matroid, seed, samples, q_grid):
+    if matroid.n < 2:
+        return
+    for j in range(samples):
+        q = q_grid[j % len(q_grid)]
+        yield matroid, q, _zero_line_point(matroid, q, child_rng(seed, 32, mi, j))
+
+
+def _tasks_strata_ulc(mi, matroid, seed, samples, q_grid):
+    n = matroid.n
+    # reference point first: q = 1 at all-ones is tight at every index
+    yield matroid, 1, _ones(n)
+    for j in range(samples):
+        w = sample_nonneg_point(child_rng(seed, 41, mi, j), n)
+        yield matroid, q_grid[j % len(q_grid)], w
+
+
+def _tasks_once(mi, matroid, seed, samples, q_grid):
+    """The one task of a theorem checked once per matroid."""
+    yield (matroid,)
+
+
+def _tasks_log_concavity(mi, matroid, seed, samples, q_grid):
+    n = matroid.n
+    for j in range(samples):
+        rng = child_rng(seed, 71, mi, j)
+        c = _ones(n + 1) if j == 0 else sample_log_concave_coeffs(rng, n)
+        w = sample_positive_point(rng, n + 1)
+        yield matroid, c, q_grid[j % len(q_grid)], w
+
+
+# One row per check kind, in report order: (theorem, aspect) -> (task
+# generator, check function name, input keys after the matroid, in call
+# order).  Campaigns, replay_check and the CLI's single check all read it;
+# aspect is the "aspect" input of the record (None when the theorem has
+# one check), and a theorem's first row is its single-check default.
+# Checks are looked up by name in this module's globals at call time, so
+# a wrapper installed on a check_* name is what runs.
+CHECKS = {
+    (TAG_ONE_POSITIVE, None): (_tasks_one_positive, "check_one_positive", ("q", "w")),
+    (TAG_DERIVATIVE_ONE_POSITIVE, None): (
+        _tasks_derivative_one_positive, "check_derivative_one_positive",
+        ("c", "q", "alpha", "w")),
+    (TAG_DEGREE_TWO, "positive-point"): (_tasks_degree_two, "check_degree_two", ("c", "q", "w")),
+    (TAG_DEGREE_TWO, "zero-line"): (
+        _tasks_degree_two_zero_line, "check_degree_two_zero_line", ("q", "w")),
+    (TAG_STRATA_ULC, None): (_tasks_strata_ulc, "check_strata_ultra_log_concave", ("q", "w")),
+    (TAG_COUNT_LOG_CONCAVITY, None): (_tasks_once, "check_count_log_concavity", ()),
+    (TAG_SIMPLIFICATION, None): (_tasks_once, "check_simplification_bound", ()),
+    (TAG_LOG_CONCAVITY, None): (_tasks_log_concavity, "check_log_concavity_at", ("c", "q", "w")),
+}
+# the theorem tags, in report order
+ALL_THEOREMS = tuple(dict.fromkeys(tag for tag, _ in CHECKS))
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Knobs for run_campaign; samples s is the one count.
@@ -631,40 +741,22 @@ class CampaignConfig:
     q_grid: tuple = ()
 
 
-# (theorem, aspect) -> (check function name, input keys after the matroid,
-# in call order).  Campaign tasks, replay_check and the CLI's single check
-# all call through it; aspect is the "aspect" input of the record (None
-# when the theorem has one check), and a theorem's first row is its
-# single-check default.  Functions are looked up in this module's globals
-# at call time, so a wrapper installed on a check_* name is what runs.
-CHECKS = {
-    (TAG_ONE_POSITIVE, None): ("check_one_positive", ("q", "w")),
-    (TAG_DERIVATIVE_ONE_POSITIVE, None):
-        ("check_derivative_one_positive", ("c", "q", "alpha", "w")),
-    (TAG_DEGREE_TWO, "positive-point"): ("check_degree_two", ("c", "q", "w")),
-    (TAG_DEGREE_TWO, "zero-line"): ("check_degree_two_zero_line", ("q", "w")),
-    (TAG_STRATA_ULC, None): ("check_strata_ultra_log_concave", ("q", "w")),
-    (TAG_COUNT_LOG_CONCAVITY, None): ("check_count_log_concavity", ()),
-    (TAG_SIMPLIFICATION, None): ("check_simplification_bound", ()),
-    (TAG_LOG_CONCAVITY, None): ("check_log_concavity_at", ("c", "q", "w")),
-}
-
-
 def call_check(name, args):
     """Run the check named in a CHECKS row on (matroid, *inputs)."""
     return globals()[name](*args)
 
 
 def _matroid_checks(mi, matroid, theorems, seed, samples, q_grid):
-    """One work unit: generate the tasks of corpus member mi for each
-    theorem and run them, returning one list of results per theorem.  The
-    unit's records share one matroid JSON dict, and its checks each
-    matroid query (_once)."""
+    """One work unit: run the tasks of corpus member mi that each theorem's
+    CHECKS rows generate, returning one list of results per theorem.  The
+    unit's records share one matroid JSON dict, and its checks compute
+    each matroid query once (_once)."""
     token = _unit.set((matroid, matroid.to_json(), {}))
     try:
         return [[call_check(name, args)
-                 for name, args in THEOREM_TASKS[tag](mi, matroid, seed, samples, q_grid)]
-                for tag in theorems]
+                 for (tag, _), (tasks, name, _) in CHECKS.items() if tag == theorem
+                 for args in tasks(mi, matroid, seed, samples, q_grid)]
+                for theorem in theorems]
     finally:
         _unit.reset(token)
 
@@ -781,108 +873,6 @@ def _execute(units, workers):
     return results
 
 
-# Task generators: (mi, matroid, seed, samples, q_grid) -> (check name,
-# args) tasks for corpus member mi.  Every sample draws from its own
-# child_rng(seed, stream, mi, ...), so a task does not depend on the order
-# in which the others were generated.
-
-
-def _tasks_one_positive(mi, matroid, seed, samples, q_grid):
-    dim = matroid.n + 1
-    stress = adversarial_points(dim)
-    for qi, q in enumerate(q_grid):
-        points = stress + [sample_positive_point(child_rng(seed, 11, mi, qi, j), dim)
-                           for j in range(samples)]
-        for w in points:
-            yield "check_one_positive", (matroid, q, w)
-
-
-def _tasks_derivative_one_positive(mi, matroid, seed, samples, q_grid):
-    n = matroid.n
-    coeffs = [log_concave_coeffs(n, ratio) for ratio in default_c_ratios()[:samples]]
-    alphas = distinct_alphas(child_rng(seed, 21, mi).randrange(2 ** 32),
-                             n, samples, min_degree=2)
-    for ci, c in enumerate(coeffs):
-        for ai, alpha in enumerate(alphas):
-            for t in range(samples):
-                w = sample_positive_point(child_rng(seed, 22, mi, ci, ai, t), n + 1)
-                yield ("check_derivative_one_positive",
-                       (matroid, c, q_grid[t % len(q_grid)], alpha, w))
-
-
-def _zero_line_point(matroid, q, rng):
-    """Nonzero inner point with Z[1] = 0, built by projecting a sign-mixed
-    sample along the all-ones direction (Z[1] is linear with positive
-    singleton coefficients, so the projection always lands on the plane).
-
-    In integers: a Z[1] = sum_i lam_i w_i with lam = _singleton_factors,
-    and a sample v = V / D projects to w_i = (total V_i - s) / (a D), with
-    total = sum_i lam_i and s = sum_i lam_i V_i."""
-    n = matroid.n
-    lam = _singleton_factors(matroid, q)
-    total = sum(lam)
-    den = q.numerator * SIGN_MIXED_DEN
-    for _ in range(32):
-        v = sample_sign_mixed_numerators(rng, n)
-        s = sum(map(mul, lam, v))
-        w = [total * x - s for x in v]
-        if any(w):
-            return tuple(Fraction(x, den) for x in w)
-    raise InvalidParametersError("could not sample a nonzero point on the Z[1] = 0 plane")
-
-
-def _tasks_degree_two(mi, matroid, seed, samples, q_grid):
-    n = matroid.n
-    if n < 2:
-        return
-    for j in range(samples):
-        rng = child_rng(seed, 31, mi, j)
-        c = sample_log_concave_coeffs(rng, n)
-        # the strict bound quantifies over all nonzero w: alternate
-        # positive and sign-mixed samples
-        w = sample_positive_point(rng, n) if j % 2 == 0 else \
-            sample_sign_mixed_point(rng, n)
-        yield "check_degree_two", (matroid, c, q_grid[j % len(q_grid)], w)
-    for j in range(samples):
-        q = q_grid[j % len(q_grid)]
-        w = _zero_line_point(matroid, q, child_rng(seed, 32, mi, j))
-        yield "check_degree_two_zero_line", (matroid, q, w)
-
-
-def _tasks_strata_ulc(mi, matroid, seed, samples, q_grid):
-    n = matroid.n
-    # reference point first: q = 1 at all-ones is tight at every index
-    yield "check_strata_ultra_log_concave", (matroid, 1, _ones(n))
-    for j in range(samples):
-        w = sample_nonneg_point(child_rng(seed, 41, mi, j), n)
-        yield "check_strata_ultra_log_concave", (matroid, q_grid[j % len(q_grid)], w)
-
-
-def _tasks_once(name):
-    """The task generator of a theorem checked once per matroid."""
-    return lambda mi, matroid, seed, samples, q_grid: [(name, (matroid,))]
-
-
-def _tasks_log_concavity(mi, matroid, seed, samples, q_grid):
-    n = matroid.n
-    for j in range(samples):
-        rng = child_rng(seed, 71, mi, j)
-        c = _ones(n + 1) if j == 0 else sample_log_concave_coeffs(rng, n)
-        w = sample_positive_point(rng, n + 1)
-        yield "check_log_concavity_at", (matroid, c, q_grid[j % len(q_grid)], w)
-
-
-THEOREM_TASKS = {
-    TAG_ONE_POSITIVE: _tasks_one_positive,
-    TAG_DERIVATIVE_ONE_POSITIVE: _tasks_derivative_one_positive,
-    TAG_DEGREE_TWO: _tasks_degree_two,
-    TAG_STRATA_ULC: _tasks_strata_ulc,
-    TAG_COUNT_LOG_CONCAVITY: _tasks_once("check_count_log_concavity"),
-    TAG_SIMPLIFICATION: _tasks_once("check_simplification_bound"),
-    TAG_LOG_CONCAVITY: _tasks_log_concavity,
-}
-
-
 def run_campaign(corpus, config=None):
     """Run the configured theorems over a corpus and aggregate a report.
 
@@ -898,7 +888,7 @@ def run_campaign(corpus, config=None):
     q_grid) alone.
     """
     cfg = config or CampaignConfig()
-    unknown = [t for t in cfg.theorems if t not in THEOREM_TASKS]
+    unknown = [t for t in cfg.theorems if t not in ALL_THEOREMS]
     if unknown:
         raise InvalidParametersError(f"unknown theorem tags {unknown!r}")
     if not is_int(cfg.seed):
@@ -954,7 +944,7 @@ def replay_check(check):
     key = (check.theorem, inputs.get("aspect"))
     if key not in CHECKS:
         raise InvalidParametersError(f"cannot replay theorem {key[0]!r} with aspect {key[1]!r}")
-    name, keys = CHECKS[key]
+    _, name, keys = CHECKS[key]
     for k in ("matroid", *keys):
         if k not in inputs:
             raise ParseError(f"check inputs are missing field {k!r}")

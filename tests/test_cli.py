@@ -128,6 +128,13 @@ def test_malformed_matroid_json(capsys):
      "multi-index entries must be integers: '0,1/2,0'"),
     # a directory: open() fails whatever the working directory holds
     (("eval", "--matroid", ".", "--q", "1", "--w", "1"), "cannot read matroid file '.'"),
+    (("eval", "--matroid", U24, "--q", "1/2", "--w", "1,1,1,1,1", "--k", "2",
+      "--c", "1,1,1,1,1"), "eval takes --k or --c, not both"),
+    # a campaign of one and a single check alike, before the spec is parsed
+    (("verify", "--corpus", "bogus-family", "--matroid", K3, "--theorem", "mason"),
+     "verify takes --corpus or --matroid, not both"),
+    (("verify", "--corpus", "bogus-family", "--matroid", K3, "--theorem", "ulc",
+      "--q", "1", "--w", "1,1,1"), "verify takes --corpus or --matroid, not both"),
 ])
 def test_malformed_point_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

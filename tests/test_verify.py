@@ -746,6 +746,8 @@ def test_corpus_spec_parsing():
     assert len(lin) == 4 and all(m.n <= 4 for m in lin)
     mixed = generate_corpus("graphic,K3;structured")
     assert len(mixed) == 6
+    with pytest.raises(ParseError, match="cannot parse clause 'n<=3'"):
+        parse_corpus_spec("structured,n<=3")
     assert generate_corpus("default") == generate_corpus()
     with pytest.raises(ParseError):
         parse_corpus_spec("unknown-family")
@@ -760,6 +762,24 @@ def test_corpus_spec_parsing():
             parse_corpus_spec(spec)
     # a seed is not a bound: it may be negative
     assert parse_corpus_spec("linear,count=2,seed=-7").linear_seed == -7
+
+
+def test_every_checks_row_generates_the_inputs_of_its_check():
+    # a row's generator yields (matroid, *inputs), one input per key, and
+    # its check records that theorem, aspect and keys; on n >= 2, on n < 2
+    # and on a member with a loop and a parallel class
+    assert ALL_THEOREMS == ("qHR", "cqHR", "deg2", "ulc", "mason", "simplification",
+                            "logconcavity")
+    looped = generate_corpus("structured")[0]
+    assert not looped.ranks[0b100] and max(map(len, structure(looped).parallel_classes)) == 2
+    for (tag, aspect), (tasks, name, keys) in verify.CHECKS.items():
+        assert list(tasks(0, K3, 3, 2, (rat(1, 2),)))
+        for matroid in (K3, SINGLE, looped):
+            for args in tasks(0, matroid, 3, 2, (rat(1, 2),)):
+                assert len(args) == 1 + len(keys) and args[0] is matroid
+                result = verify.call_check(name, args)
+                assert (result.theorem, result.inputs.get("aspect")) == (tag, aspect)
+                assert result.inputs.keys() - {"aspect"} == {"matroid", *keys}
 
 
 def test_corpus_members_are_matroids():
