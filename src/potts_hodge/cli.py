@@ -40,6 +40,7 @@ from .verify import (
     CHECKS,
     CampaignConfig,
     FAIL,
+    VERDICTS,
     VerificationReport,
     call_check,
     check_count_log_concavity,
@@ -93,8 +94,8 @@ def _load_matroid(arg):
     return matroid_from_json(text)
 
 
-def _dump_json(obj):
-    print(json.dumps(obj, sort_keys=True, indent=2))
+def _dump_json(obj, file=None):
+    print(json.dumps(obj, sort_keys=True, indent=2), file=file)
 
 
 def _format_scalar(x):
@@ -198,6 +199,10 @@ _PARSE_INPUT = {
 
 
 def _run_single_check(args):
+    for option in ("q_grid", "seed", "samples", "workers"):
+        if getattr(args, option) is not None:
+            raise InvalidParametersError(f"--{option.replace('_', '-')} applies to campaigns, "
+                                         "not to a single check")
     if len(args.theorem or ()) != 1:
         raise InvalidParametersError("--matroid verification takes exactly one --theorem")
     tag = args.theorem[0]
@@ -220,8 +225,7 @@ def _run_single_check(args):
 def _report_text(report):
     lines = []
     for tag, counts in report.summary.get("by_theorem", {}).items():
-        parts = ", ".join(f"{counts[v]} {v}" for v in ("pass", "fail", "vacuous", "not-applicable")
-                          if counts.get(v))
+        parts = ", ".join(f"{counts[v]} {v}" for v in VERDICTS if counts.get(v))
         lines.append(f"{tag}: {parts}")
     for check in report.checks:
         if check.verdict == FAIL:
@@ -230,10 +234,6 @@ def _report_text(report):
     fails = report.summary.get(FAIL, 0)
     lines.append(f"{total} checks: " + ("all passed" if fails == 0 else f"{fails} FAILED"))
     return "\n".join(lines)
-
-
-def _single_check_args_given(args):
-    return any(getattr(args, name) is not None for name in _PARSE_INPUT)
 
 
 def _cmd_verify(args):
@@ -250,10 +250,7 @@ def _cmd_verify(args):
                 os.remove(args.out)
         except OSError as exc:
             raise InvalidParametersError(f"cannot write --out file {args.out!r}: {exc}") from exc
-    if args.matroid is not None and _single_check_args_given(args):
-        if args.q_grid is not None:
-            raise InvalidParametersError("--q-grid applies to campaigns; use --q "
-                                         "for a single check")
+    if args.matroid is not None and any(getattr(args, key) is not None for key in _PARSE_INPUT):
         report = _run_single_check(args)
     else:
         if args.matroid is not None:
@@ -266,14 +263,15 @@ def _cmd_verify(args):
         theorems = tuple(args.theorem) if args.theorem else ALL_THEOREMS
         # run_campaign validates the grid with the rest of the config
         q_grid = () if args.q_grid is None else _parse_vector(args.q_grid, EXACT, "--q-grid")
-        config = CampaignConfig(theorems=theorems, seed=args.seed, samples=args.samples,
-                                workers=args.workers, corpus_label=corpus_spec,
-                                q_grid=q_grid)
+        config = CampaignConfig(
+            theorems=theorems, seed=0 if args.seed is None else args.seed,
+            samples=3 if args.samples is None else args.samples,
+            workers=1 if args.workers is None else args.workers,
+            corpus_label=corpus_spec, q_grid=q_grid)
         report = run_campaign(corpus, config)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(include_timing=True), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            _dump_json(report.to_json(include_timing=True), fh)
     if args.json:
         _dump_json(report.to_json())
     else:
@@ -347,12 +345,14 @@ def build_parser():
     p_verify.add_argument("--corpus", help="corpus spec, e.g. 'default' or 'uniform,n<=4'")
     p_verify.add_argument("--theorem", action="append", choices=ALL_THEOREMS,
                           help="restrict to one theorem tag (repeatable)")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--samples", "--trials", type=int, default=3,
-                          help="sample count per randomized stream")
+    # the campaign options default to None so that a single check can
+    # refuse them; a campaign reads None as seed 0, 3 samples, 1 worker
+    p_verify.add_argument("--seed", type=int, help="campaign seed (default 0)")
+    p_verify.add_argument("--samples", "--trials", type=int,
+                          help="sample count per randomized stream (default 3)")
     p_verify.add_argument("--q-grid", dest="q_grid",
                           help="comma-separated q values replacing the default grid")
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=int, help="worker processes (default 1)")
     p_verify.add_argument("--matroid", help="check one explicit input instead of a corpus")
     p_verify.add_argument("--c", help="coefficient sequence for single-input checks")
     p_verify.add_argument("--q", help="q for single-input checks")

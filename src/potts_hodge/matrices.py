@@ -228,12 +228,3 @@ def exact_nullspace(rows):
     a = _bordered(gram, d)
     _, radical, last = bareiss_eliminate(a, d)
     return [tuple(rat(x, last) for x in a[i][d:]) for i in radical]
-
-
-def same_subspace(basis_a, basis_b):
-    """Do two lists of vectors span the same subspace?"""
-    ra = exact_rank(basis_a)
-    if ra != exact_rank(basis_b):
-        return False
-    return exact_rank(list(basis_a) + list(basis_b)) == ra
-

@@ -27,7 +27,6 @@ from .matrices import (
     exact_nullspace,
     exact_rank,
     mat_vec,
-    same_subspace,
 )
 from .potts import (
     _alpha_split,
@@ -309,7 +308,7 @@ class KernelIdentityReport:
 
 
 def kernel_identity_check(matroid, c, q, alpha, w):
-    """Exact nullspace comparison for the Hessian kernel identity.
+    """Exact kernel comparison for the Hessian kernel identity.
 
     Each Hessian comes from _identity_hessians as a positive multiple of
     w_0'^(-e) D H D, e its degree and D = diag(w'), so by Sylvester's law
@@ -331,7 +330,9 @@ def kernel_identity_check(matroid, c, q, alpha, w):
     ker_f = exact_nullspace(rows)
     # with no partials the joint kernel is the whole space, that of a zero row
     stacked = [row for rows_g in partials.values() for row in rows_g] or [[0] * dim]
-    ker_stack = exact_nullspace(stacked)
+    # the kernels are equal exactly when the row spaces are: equal ranks,
+    # and no rank gained by joining the rows
+    rank_stack = exact_rank(stacked)
     diagonal = [x or 1 for x in wv]
     basis = []
     for y in ker_f:
@@ -340,9 +341,9 @@ def kernel_identity_check(matroid, c, q, alpha, w):
     return KernelIdentityReport(
         hypothesis_ok=not failures,
         hypothesis_failures=tuple(failures),
-        kernels_equal=same_subspace(ker_f, ker_stack),
+        kernels_equal=dim - len(ker_f) == rank_stack == exact_rank([*rows, *stacked]),
         kernel_dim=len(ker_f),
-        stacked_kernel_dim=len(ker_stack),
+        stacked_kernel_dim=dim - rank_stack,
         kernel_basis=tuple(basis),
         degree=d,
         notes={"dim": dim},

@@ -27,9 +27,11 @@ The validators keep ints as ints and read signs off numerators, so a
 check runs on the integers it was given: the Hessian checks eliminate
 integer numerators and the strata checks compare them
 (potts.hessian_numerators, second_order_numerators, strata_numerators,
-quadratic_numerators), and values are encoded through scalar_to_json and
-vector_to_json from their numerators and denominators; a Fraction is
-built only for a witness value.  The Hessian checks eliminate D H D,
+quadratic_numerators); a Fraction is built only for a witness value.  A
+check's body holds its mathematics only: its validated inputs are
+encoded in one place (_matroid_inputs, beside their decoder _FROM_JSON),
+and _result builds every record, its notes and violations joining the
+witness.  The Hessian checks eliminate D H D,
 D = diag(w_0, w_1, ..., w_n), times a positive factor, in place of H
 (Sylvester's law: the point is positive), and logconcavity the bordered
 [[Z, (D grad)^T], [D grad, D H D]] in place of N = Z H - grad grad^T
@@ -207,9 +209,17 @@ def _ones(length):
     return (1,) * length
 
 
-def _skipped(tag, inputs, note, verdict=NOT_APPLICABLE):
-    """The result of a check whose hypothesis fails, annotated with why."""
-    return CheckResult(tag, inputs, verdict, {"annotations": [note]})
+def _result(tag, inputs, verdict, witness=None, notes=(), violations=()):
+    """A check's record, the one place one is built: a nonempty list of
+    notes becomes the "annotations" of the witness (a new dict if None),
+    and then a nonempty list of violations its "violations"."""
+    if notes or violations:
+        witness = {} if witness is None else witness
+        if notes:
+            witness["annotations"] = notes
+        if violations:
+            witness["violations"] = violations
+    return CheckResult(tag, inputs, verdict, witness)
 
 
 # (matroid, its JSON, a cache) while a campaign work unit runs: the unit's
@@ -222,11 +232,6 @@ _unit = ContextVar("unit", default=None)
 def _unit_of(matroid):
     unit = _unit.get()
     return unit if unit is not None and unit[0] is matroid else None
-
-
-def _matroid_inputs(matroid, **extra):
-    unit = _unit_of(matroid)
-    return {"matroid": unit[1] if unit else matroid.to_json(), **extra}
 
 
 def _once(query, matroid):
@@ -250,6 +255,45 @@ def _coeffs(c, n, strict=True):
     return cv, ints
 
 
+def _matroid_inputs(matroid, aspect=None, **values):
+    """A record's inputs: the matroid's JSON (a work unit's shared dict),
+    each validated value in call order in the wire form that _FROM_JSON
+    reads back (q a scalar, c and w vectors, alpha a list), then the aspect
+    if any.  The encoders are looked up at call time, so a wrapper on this
+    module's *_to_json names sees every call."""
+    unit = _unit_of(matroid)
+    inputs = {"matroid": unit[1] if unit else matroid.to_json()}
+    for key, value in values.items():
+        inputs[key] = (scalar_to_json(value) if key == "q" else list(value) if key == "alpha"
+                       else vector_to_json(value))
+    if aspect is not None:
+        inputs["aspect"] = aspect
+    return inputs
+
+
+def _multi_index_from_json(obj):
+    if not isinstance(obj, (list, tuple)):
+        raise ParseError(f"not a multi-index list: {obj!r}")
+    return tuple(obj)
+
+
+_FROM_JSON = {"c": vector_from_json, "q": scalar_from_json, "alpha": _multi_index_from_json,
+              "w": vector_from_json}
+
+
+def _ulc_terms(seq, size):
+    """The two sides of ultra-log-concavity at size s: the triples
+    (m, m (s-m) a_m^2, (m+1) (s-m+1) a_(m-1) a_(m+1)) for 1 <= m <= s-1."""
+    for m in range(1, size):
+        yield (m, m * (size - m) * seq[m] * seq[m],
+               (m + 1) * (size - m + 1) * seq[m - 1] * seq[m + 1])
+
+
+def _tight(m, lhs):
+    """The note of an index m where both sides are equal."""
+    return f"equality-at-{m}" if lhs else f"vacuous-at-{m}"
+
+
 # ---------------------------------------------------------------- checks
 #
 # Every check validates all of its inputs before it returns any verdict,
@@ -263,21 +307,15 @@ def check_one_positive(matroid, q, w):
     n = matroid.n
     qv = validate_q(q)
     wv = validate_point(w, n + 1, "positive")
-    inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv))
+    inputs = _matroid_inputs(matroid, q=qv, w=wv)
     if n < 2:
-        return _skipped(TAG_ONE_POSITIVE, inputs, "degree-below-two")
+        return _result(TAG_ONE_POSITIVE, inputs, NOT_APPLICABLE, notes=["degree-below-two"])
     if not _q_in_range(qv):
-        return _skipped(TAG_ONE_POSITIVE, inputs, "q-above-one")
+        return _result(TAG_ONE_POSITIVE, inputs, NOT_APPLICABLE, notes=["q-above-one"])
     rows, _ = hessian_numerators(matroid, _ones(n + 1), qv, [0] * (n + 1), wv)
     sig = signature(SymMatrix(rows))
-    notes = []
-    if sig.n_zero:
-        notes.append("singular-hessian")
-    witness = {"signature": list(sig)}
-    if notes:
-        witness["annotations"] = notes
-    verdict = PASS if sig.n_pos == 1 else FAIL
-    return CheckResult(TAG_ONE_POSITIVE, inputs, verdict, witness)
+    return _result(TAG_ONE_POSITIVE, inputs, PASS if sig.n_pos == 1 else FAIL,
+                   {"signature": list(sig)}, ["singular-hessian"] if sig.n_zero else ())
 
 
 def check_derivative_one_positive(matroid, c, q, alpha, w):
@@ -289,18 +327,18 @@ def check_derivative_one_positive(matroid, c, q, alpha, w):
     qv = validate_q(q)
     alpha = validate_alpha(alpha, n)
     wv = validate_point(w, n + 1, "positive")
-    inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
-                             alpha=list(alpha), w=vector_to_json(wv))
+    inputs = _matroid_inputs(matroid, c=cv, q=qv, alpha=alpha, w=wv)
     if not _q_in_range(qv):
-        return _skipped(TAG_DERIVATIVE_ONE_POSITIVE, inputs, "q-above-one")
+        return _result(TAG_DERIVATIVE_ONE_POSITIVE, inputs, NOT_APPLICABLE, notes=["q-above-one"])
     if _alpha_split(alpha, n) is None or n - sum(alpha) < 2:
-        return _skipped(TAG_DERIVATIVE_ONE_POSITIVE, inputs, "degree-below-two")
+        return _result(TAG_DERIVATIVE_ONE_POSITIVE, inputs, NOT_APPLICABLE,
+                       notes=["degree-below-two"])
     active = [0] + [i for i in range(1, n + 1) if alpha[i] == 0]
     rows, _ = hessian_numerators(matroid, cv, qv, alpha, wv)
     sig = signature(SymMatrix(tuple(tuple(rows[i][j] for j in active) for i in active)))
     witness = {"signature": list(sig), "active": active}
     expected = sig.n_pos == 1 and sig.n_zero == 0 and sig.n_neg == len(active) - 1
-    return CheckResult(TAG_DERIVATIVE_ONE_POSITIVE, inputs, PASS if expected else FAIL, witness)
+    return _result(TAG_DERIVATIVE_ONE_POSITIVE, inputs, PASS if expected else FAIL, witness)
 
 
 def _singleton_factors(matroid, q):
@@ -339,12 +377,11 @@ def check_degree_two(matroid, c, q, w):
     cv, cints = _coeffs(c, n)
     qv = validate_q(q)
     wv = validate_point(w, n, "nonzero")
-    inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
-                             w=vector_to_json(wv), aspect="positive-point")
+    inputs = _matroid_inputs(matroid, "positive-point", c=cv, q=qv, w=wv)
     if n < 2:
-        return _skipped(TAG_DEGREE_TWO, inputs, "degree-below-two")
+        return _result(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE, notes=["degree-below-two"])
     if not _q_in_range(qv):
-        return _skipped(TAG_DEGREE_TWO, inputs, "q-above-one")
+        return _result(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE, notes=["q-above-one"])
     z1, z2, scale = quadratic_numerators(matroid, qv, wv)
     a, b = qv.numerator, qv.denominator
     wints, lcm = clear_denominators(wv)
@@ -374,10 +411,8 @@ def check_degree_two(matroid, c, q, w):
         "bound": scalar_to_json(Fraction(bound_num, bound_den)),
         "routes_match": routes_match,
     }
-    if notes:
-        witness["annotations"] = notes
     verdict = PASS if (routes_match and strict_ok and newton_ok) else FAIL
-    return CheckResult(TAG_DEGREE_TWO, inputs, verdict, witness)
+    return _result(TAG_DEGREE_TWO, inputs, verdict, witness, notes)
 
 
 def check_degree_two_zero_line(matroid, q, w):
@@ -388,15 +423,14 @@ def check_degree_two_zero_line(matroid, q, w):
     n = matroid.n
     qv = validate_q(q)
     wv = validate_point(w, n, "nonzero")
-    inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv),
-                             aspect="zero-line")
+    inputs = _matroid_inputs(matroid, "zero-line", q=qv, w=wv)
     z1, z2, scale = quadratic_numerators(matroid, qv, wv)
     if z1 != 0:
         raise InvalidParametersError("the point does not lie on the Z[1] = 0 hyperplane")
     if not _q_in_range(qv):
-        return _skipped(TAG_DEGREE_TWO, inputs, "q-above-one")
+        return _result(TAG_DEGREE_TWO, inputs, NOT_APPLICABLE, notes=["q-above-one"])
     witness = {"z2": scalar_to_json(Fraction(z2, scale))}
-    return CheckResult(TAG_DEGREE_TWO, inputs, PASS if z2 < 0 else FAIL, witness)
+    return _result(TAG_DEGREE_TWO, inputs, PASS if z2 < 0 else FAIL, witness)
 
 
 def check_strata_ultra_log_concave(matroid, q, w):
@@ -407,35 +441,26 @@ def check_strata_ultra_log_concave(matroid, q, w):
     n = matroid.n
     qv = validate_q(q)
     wv = validate_point(w, n, "nonnegative")
-    inputs = _matroid_inputs(matroid, q=scalar_to_json(qv), w=vector_to_json(wv))
+    inputs = _matroid_inputs(matroid, q=qv, w=wv)
     if n < 2:
-        return _skipped(TAG_STRATA_ULC, inputs, "no-interior-indices", VACUOUS)
+        return _result(TAG_STRATA_ULC, inputs, VACUOUS, notes=["no-interior-indices"])
     if not _q_in_range(qv):
-        return _skipped(TAG_STRATA_ULC, inputs, "q-above-one")
+        return _result(TAG_STRATA_ULC, inputs, NOT_APPLICABLE, notes=["q-above-one"])
     nums, scale = strata_numerators(matroid, qv, wv)
     notes = []
     violations = []
     tight_nonzero = 0
-    for m in range(1, n):
-        lhs = m * (n - m) * nums[m] * nums[m]
-        rhs = (m + 1) * (n - m + 1) * nums[m - 1] * nums[m + 1]
+    for m, lhs, rhs in _ulc_terms(nums, n):
         if lhs < rhs:
             violations.append({"m": m, "lhs": scalar_to_json(Fraction(lhs, scale * scale)),
                                "rhs": scalar_to_json(Fraction(rhs, scale * scale))})
         elif lhs == rhs:
-            if lhs == 0:
-                notes.append(f"vacuous-at-{m}")
-            else:
-                notes.append(f"equality-at-{m}")
+            notes.append(_tight(m, lhs))
+            if lhs:
                 tight_nonzero += 1
     if tight_nonzero == n - 1:
         notes.append("zero-slack-everywhere")
-    witness = {}
-    if notes:
-        witness["annotations"] = notes
-    if violations:
-        witness["violations"] = violations
-    return CheckResult(TAG_STRATA_ULC, inputs, FAIL if violations else PASS, witness or None)
+    return _result(TAG_STRATA_ULC, inputs, FAIL if violations else PASS, None, notes, violations)
 
 
 def check_count_log_concavity(matroid):
@@ -450,37 +475,27 @@ def check_count_log_concavity(matroid):
     counts = _once(independent_set_counts, matroid)
     recount = tuple(independent_numerators(matroid, (1,) * n)[0])
     if recount != counts:
-        return CheckResult(TAG_COUNT_LOG_CONCAVITY, inputs, FAIL,
-                           {"counts": list(counts), "recount": list(recount),
-                            "annotations": ["route-mismatch"]})
+        return _result(TAG_COUNT_LOG_CONCAVITY, inputs, FAIL,
+                       {"counts": list(counts), "recount": list(recount)}, ["route-mismatch"])
     if n < 2:
-        return CheckResult(TAG_COUNT_LOG_CONCAVITY, inputs, VACUOUS,
-                           {"counts": list(counts),
-                            "annotations": ["route-match", "no-interior-indices"]})
+        return _result(TAG_COUNT_LOG_CONCAVITY, inputs, VACUOUS, {"counts": list(counts)},
+                       ["route-match", "no-interior-indices"])
     notes = ["route-match"]
     violations = []
-    for k in range(1, n):
-        lhs = k * (n - k) * counts[k] * counts[k]
-        rhs = (k + 1) * (n - k + 1) * counts[k - 1] * counts[k + 1]
+    for k, lhs, rhs in _ulc_terms(counts, n):
         saturated = counts[k + 1] == math.comb(n, k + 1)
         if lhs < rhs:
             violations.append({"k": k, "lhs": lhs, "rhs": rhs})
-            continue
-        if lhs == rhs:
-            if lhs == 0:
-                notes.append(f"vacuous-at-{k}")
-                continue
-            notes.append(f"equality-at-{k}")
-            if not saturated:
+        elif lhs == rhs:
+            notes.append(_tight(k, lhs))
+            if lhs and not saturated:
                 violations.append({"k": k, "reason": "equality-without-saturation",
                                    "count": counts[k + 1], "expected": math.comb(n, k + 1)})
         elif saturated:
             violations.append({"k": k, "reason": "saturation-without-equality",
                                "lhs": lhs, "rhs": rhs})
-    witness = {"counts": list(counts), "annotations": notes}
-    if violations:
-        witness["violations"] = violations
-    return CheckResult(TAG_COUNT_LOG_CONCAVITY, inputs, FAIL if violations else PASS, witness)
+    return _result(TAG_COUNT_LOG_CONCAVITY, inputs, FAIL if violations else PASS,
+                   {"counts": list(counts)}, notes, violations)
 
 
 def binomial_dominance(ell, n, m):
@@ -517,22 +532,20 @@ def check_simplification_bound(matroid):
                                "reason": "class-size-route-mismatch"})
     if not violations:
         notes.append("class-size-route-match")
-    for m in range(1, ell):
-        lhs = m * (ell - m) * counts[m] * counts[m]
-        rhs = (m + 1) * (ell - m + 1) * counts[m - 1] * counts[m + 1]
+    for m, lhs, rhs in _ulc_terms(counts, ell):
         if lhs < rhs:
             violations.append({"m": m, "lhs": lhs, "rhs": rhs,
                                "reason": "simple-size-bound"})
         elif lhs == rhs:
-            notes.append(f"equality-at-{m}" if lhs else f"vacuous-at-{m}")
+            notes.append(_tight(m, lhs))
         if not binomial_dominance(ell, n, m):
             violations.append({"m": m, "reason": "binomial-dominance"})
     if ell < 2:
         notes.append("no-interior-indices")
+    # the annotations list is part of the witness even when it is empty
     witness = {"counts": list(counts), "simple_size": ell, "annotations": notes}
-    if violations:
-        witness["violations"] = violations
-    return CheckResult(TAG_SIMPLIFICATION, inputs, FAIL if violations else PASS, witness)
+    return _result(TAG_SIMPLIFICATION, inputs, FAIL if violations else PASS, witness,
+                   violations=violations)
 
 
 def check_log_concavity_at(matroid, c, q, w):
@@ -549,10 +562,9 @@ def check_log_concavity_at(matroid, c, q, w):
     cv, _ = _coeffs(c, n, strict=False)
     qv = validate_q(q)
     wv = validate_point(w, n + 1, "positive")
-    inputs = _matroid_inputs(matroid, c=vector_to_json(cv), q=scalar_to_json(qv),
-                             w=vector_to_json(wv))
+    inputs = _matroid_inputs(matroid, c=cv, q=qv, w=wv)
     if not _q_in_range(qv):
-        return _skipped(TAG_LOG_CONCAVITY, inputs, "q-above-one")
+        return _result(TAG_LOG_CONCAVITY, inputs, NOT_APPLICABLE, notes=["q-above-one"])
     # B and the ray over a positive factor: z / scale = Z / w_0^n
     z, grad, hess, scale = second_order_numerators(matroid, cv, qv, wv)
     if z <= 0:
@@ -562,13 +574,10 @@ def check_log_concavity_at(matroid, c, q, w):
     sig = [n_pos - 1, n_neg, n_zero]
     ray = z * sum(map(sum, hess)) - sum(grad) ** 2
     ray_ok = ray == -n * z * z
-    notes = ["ray-identity"] if ray_ok else []
     witness = {"signature": sig,
                "ray": scalar_to_json(Fraction(ray, scale * scale) * wv[0] ** (2 * n))}
-    if notes:
-        witness["annotations"] = notes
-    verdict = PASS if (sig[0] == 0 and ray_ok) else FAIL
-    return CheckResult(TAG_LOG_CONCAVITY, inputs, verdict, witness)
+    return _result(TAG_LOG_CONCAVITY, inputs, PASS if (sig[0] == 0 and ray_ok) else FAIL,
+                   witness, ["ray-identity"] if ray_ok else ())
 
 
 def log_slice_second_difference(matroid, c, q, w, direction):
@@ -921,16 +930,6 @@ def run_campaign(corpus, config=None):
 
 
 # -------------------------------------------------------------- replay
-
-
-def _multi_index_from_json(obj):
-    if not isinstance(obj, (list, tuple)):
-        raise ParseError(f"not a multi-index list: {obj!r}")
-    return tuple(obj)
-
-
-_FROM_JSON = {"c": vector_from_json, "q": scalar_from_json, "alpha": _multi_index_from_json,
-              "w": vector_from_json}
 
 
 def replay_check(check):

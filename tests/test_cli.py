@@ -135,6 +135,13 @@ def test_malformed_matroid_json(capsys):
      "verify takes --corpus or --matroid, not both"),
     (("verify", "--corpus", "bogus-family", "--matroid", K3, "--theorem", "ulc",
       "--q", "1", "--w", "1,1,1"), "verify takes --corpus or --matroid, not both"),
+    # a single check draws no samples and starts no workers
+    (("verify", "--matroid", K3, "--theorem", "ulc", "--q", "1", "--w", "1,1,1",
+      "--seed", "5"), "--seed applies to campaigns, not to a single check"),
+    (("verify", "--matroid", K3, "--theorem", "ulc", "--q", "1", "--w", "1,1,1",
+      "--trials", "9"), "--samples applies to campaigns, not to a single check"),
+    (("verify", "--matroid", K3, "--theorem", "ulc", "--q", "1", "--w", "1,1,1",
+      "--workers", "4"), "--workers applies to campaigns, not to a single check"),
 ])
 def test_malformed_point_arguments_are_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -766,8 +766,10 @@ def test_corpus_spec_parsing():
 
 def test_every_checks_row_generates_the_inputs_of_its_check():
     # a row's generator yields (matroid, *inputs), one input per key, and
-    # its check records that theorem, aspect and keys; on n >= 2, on n < 2
-    # and on a member with a loop and a parallel class
+    # its check records that theorem, aspect and keys, each input in the
+    # wire form that _FROM_JSON decodes back to its value, so a record sent
+    # through JSON replays to itself; on n >= 2, on n < 2 and on a member
+    # with a loop and a parallel class
     assert ALL_THEOREMS == ("qHR", "cqHR", "deg2", "ulc", "mason", "simplification",
                             "logconcavity")
     looped = generate_corpus("structured")[0]
@@ -780,6 +782,10 @@ def test_every_checks_row_generates_the_inputs_of_its_check():
                 result = verify.call_check(name, args)
                 assert (result.theorem, result.inputs.get("aspect")) == (tag, aspect)
                 assert result.inputs.keys() - {"aspect"} == {"matroid", *keys}
+                for key, value in zip(keys, args[1:]):
+                    decoded = verify._FROM_JSON[key](result.inputs[key])
+                    assert decoded == (value if key == "q" else tuple(value)), (name, key)
+                assert verify.replay_check(json.loads(json.dumps(result.to_json()))) == result
 
 
 def test_corpus_members_are_matroids():
@@ -1065,6 +1071,28 @@ def test_campaign_under_the_benchmark_tracer():
     # simplify, however many checks there are
     assert len(report.checks) > 3
     assert counts["matroids.structure.calls"] == 3
+
+
+def test_benchmark_seeds_reproduce_their_pinned_reports(monkeypatch):
+    # the benchmark rejects a run whose report moved from perfbench/pins.json;
+    # seeds 0 and 19 of each workload, as perfbench/workloads.py builds them
+    # (strata-parallel at its two workers), show such a move here first
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are built
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    pins = json.loads((bench / "pins.json").read_text(encoding="utf-8"))
+    import potts_hodge as ph
+
+    for name, workload in workloads.WORKLOADS.items():
+        corpus = workloads.build_corpus(ph, workload)
+        for seed in (0, 19):
+            report = run_campaign(corpus, workloads.campaign_config(ph, workload, seed))
+            text = json.dumps(report.to_json(), sort_keys=True, indent=2)
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pins[name][str(seed)], \
+                (name, seed)
 
 
 def test_a_work_unit_computes_structure_once(monkeypatch):
