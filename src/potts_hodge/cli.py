@@ -229,7 +229,7 @@ def _report_text(report):
         lines.append(f"{tag}: {parts}")
     for check in report.checks:
         if check.verdict == FAIL:
-            lines.append(f"FAIL {check.theorem}: witness={check.witness}")
+            lines.append(f"FAIL {check.theorem}: witness={json.dumps(check.witness, sort_keys=True)}")
     total = report.summary.get("total", 0)
     fails = report.summary.get(FAIL, 0)
     lines.append(f"{total} checks: " + ("all passed" if fails == 0 else f"{fails} FAILED"))
@@ -302,7 +302,7 @@ def _cmd_mason(args):
         for note in check.annotations:
             print(f"  note: {note}")
         for violation in (check.witness or {}).get("violations", ()):
-            print(f"  violation: {violation}")
+            print(f"  violation: {json.dumps(violation, sort_keys=True)}")
     return EXIT_OK if check.verdict != FAIL else EXIT_CHECK_FAILED
 
 

@@ -171,8 +171,7 @@ def _ratios(w):
 def _buckets(ranks, width):
     """bucket[mask] = |mask| * width + rk(mask), the cell of a subset in a
     flat size x rank table of the given width (R + 1).  Cached per rank
-    table rather than stored on the Matroid, which a campaign hands to
-    each share's child process (pickled where children are spawned)."""
+    table rather than stored on the Matroid, which stays as it was built."""
     return tuple(mask.bit_count() * width + r for mask, r in enumerate(ranks))
 
 

@@ -15,11 +15,12 @@ that draws its seeded inputs for one corpus member, its check function
 name and its input keys.  run_campaign's unit of work is one matroid:
 the unit generates and runs that matroid's tasks for every requested
 theorem, its records share one matroid JSON dict, and its checks compute
-structure and independent_set_counts once (_once).  With workers > 1 the
-units are dealt, costliest first, into shares: this process runs one
-share and one child process per other share runs the rest, each placed
-on its own CPU when the shares fill the affinity set and sending its
-records back over a pipe, so the sampling runs where the checks do.
+structure and independent_set_counts once (_once).  With workers > 1
+this process and its forked children claim the units one at a time,
+costliest first, from one shared counter, each on its own CPU when they
+fill the affinity set; a child streams each unit's records back over a
+pipe as soon as the unit is done, so the sampling runs where the checks
+do and no process waits on a fixed share.
 run_campaign validates its config before any unit runs, and every check
 validates all of its inputs (potts.validate_q, validate_point with the
 sign its theorem needs, validate_coeffs) before it returns any verdict.
@@ -57,6 +58,7 @@ Theorem tags used on the wire:
 """
 from __future__ import annotations
 
+import marshal
 import math
 import os
 import time
@@ -191,12 +193,13 @@ class VerificationReport:
 
 
 def summarize(checks):
-    counts = {v: 0 for v in VERDICTS}
     by_theorem = {}
     for c in checks:
-        counts[c.verdict] += 1
-        per = by_theorem.setdefault(c.theorem, {v: 0 for v in VERDICTS})
+        per = by_theorem.get(c.theorem)
+        if per is None:
+            per = by_theorem[c.theorem] = dict.fromkeys(VERDICTS, 0)
         per[c.verdict] += 1
+    counts = {v: sum(per[v] for per in by_theorem.values()) for v in VERDICTS}
     return {"total": len(checks), **counts, "by_theorem": by_theorem}
 
 
@@ -770,47 +773,72 @@ def _matroid_checks(mi, matroid, theorems, seed, samples, q_grid):
         _unit.reset(token)
 
 
-def _place(cpu):
-    """Pin the calling thread to CPU `cpu`.  Best effort: a CPU the thread
-    may not use leaves it where it was."""
+def _place(pid, cpu):
+    """Pin process `pid` (0: the calling thread) to CPU `cpu`.  Best
+    effort: a CPU the process may not use, or a process that has already
+    exited, leaves it where it was."""
     try:
-        os.sched_setaffinity(0, (cpu,))
+        os.sched_setaffinity(pid, (cpu,))
     except OSError:
         pass
 
 
-def _run_share(units, sender, cpu):
-    """A share's child process: pin itself to `cpu` (see _place; None
-    leaves it unplaced), run its units and send back over the pipe end
-    `sender` either (True, per unit, per theorem, its records as plain
-    (theorem, inputs, verdict, witness) tuples) or (False, the exception
-    that stopped it)."""
-    if cpu is not None:
-        _place(cpu)
+def _claim(claims):
+    """The index of the next unclaimed unit in the claims file (file
+    descriptor `claims`), or None once every unit is taken.  The processes
+    of a campaign share the file's one offset, which the kernel moves
+    atomically, so each four-byte read takes a different unit."""
+    taken = os.read(claims, 4)
+    return int.from_bytes(taken, "little") if taken else None
+
+
+def _run_claims(units, claims, sender):
+    """A campaign's child process: claim units until none is left and send
+    each one's records over the pipe end `sender` as soon as the unit is
+    done, as marshal data: (True, unit index, per theorem its records as
+    plain (theorem, inputs, verdict, witness) tuples), then (True, None,
+    None); or (False, None, the pickled exception that stopped it)."""
     try:
-        records = [[[(r.theorem, r.inputs, r.verdict, r.witness) for r in results]
-                    for results in _matroid_checks(*unit)]
-                   for unit in units]
+        while (i := _claim(claims)) is not None:
+            records = [[(r.theorem, r.inputs, r.verdict, r.witness) for r in results]
+                       for results in _matroid_checks(*units[i])]
+            sender.send_bytes(marshal.dumps((True, i, records)))
     except Exception as exc:  # the caller raises it
-        sender.send((False, exc))
+        import pickle
+        sender.send_bytes(marshal.dumps((False, None, pickle.dumps(exc))))
     else:
-        sender.send((True, records))
+        sender.send_bytes(marshal.dumps((True, None, None)))
     finally:
         sender.close()
 
 
-def _receive(child, receiver):
-    """The records a share's child process sent, or raise what stopped it."""
+def _receive(child, receiver, sent):
+    """Take one message from a child process: append a unit's (index,
+    records) to `sent` and return True, return False at the end marker,
+    or raise what stopped the child."""
     try:
-        ok, payload = receiver.recv()
+        ok, i, records = marshal.loads(receiver.recv_bytes())
     except EOFError:
         child.join()
         raise RuntimeError(
-            f"a campaign share's process exited with code {child.exitcode} "
+            f"a campaign child process exited with code {child.exitcode} "
             "without sending its records") from None
     if not ok:
-        raise payload
-    return payload
+        import pickle
+        raise pickle.loads(records)
+    if i is None:
+        return False
+    sent.append((i, records))
+    return True
+
+
+def _drain(child, receiver, sent):
+    """Take every message a child process has sent so far (see _receive);
+    False once its end marker has come."""
+    while receiver.poll():
+        if not _receive(child, receiver, sent):
+            return False
+    return True
 
 
 def _execute(units, workers):
@@ -819,66 +847,84 @@ def _execute(units, workers):
     same at any worker count.
 
     The processes are capped at min(workers, units, usable CPUs).  Under a
-    cap of one everything runs here.  Otherwise the units are dealt
-    round-robin into cap shares, costliest first (2^n down, then unit
-    index): this process runs share 0 and one child process per other
-    share runs that share, sending its records back as plain tuples (or
-    the exception that stopped it) over a one-way pipe.  Tasks are sampled
-    in the process that runs them.  When the shares fill the whole
-    affinity set (cap equal to its size), share s is placed on the s-th of
-    its CPUs in sorted order: each child pins itself, and this thread pins
-    itself to the first once the children have started (so a child that
-    cannot be placed keeps the whole set) and gets its saved set back when
-    the campaign returns or raises.  Without placement the kernel may keep
-    a young child on the caller's CPU for longer than a short campaign
-    lasts, and the shares take turns instead of running side by side.  A
-    campaign that uses only part of the set is not placed, so campaigns
-    running side by side do not all pin themselves to the same lowest
-    CPUs.  Every child is joined; one still running when the campaign
-    raises is terminated first."""
+    cap of one, or where the platform cannot fork, everything runs here.
+    Otherwise this process forks cap - 1 children, and all of them claim
+    units one at a time, costliest first (2^n down, then unit index),
+    from one claims file whose offset they share: a process that draws
+    long units or starts late runs fewer, and no unit is bound to any
+    process.  Tasks are sampled in the process that runs them.  A child
+    sends each unit's records over its one-way pipe as soon as the unit is
+    done, as marshal data (the records are plain data, and a unit's
+    records still share one matroid JSON dict), then an end marker or the
+    exception that stopped it.  This process takes whatever has arrived
+    after each unit of its own, waits for every end marker, and then
+    rebuilds the children's CheckResults.  When the processes fill the
+    whole affinity set (cap equal to its size), child s is placed on the
+    s-th of its CPUs in sorted order and this thread on the first: this
+    thread pins each child as soon as it has started (a child that cannot
+    be placed keeps the whole set), then itself, and gets its saved set
+    back when the campaign returns or raises.  Without placement the
+    kernel may keep a young child on the caller's CPU for longer than a
+    short campaign lasts, and the processes take turns instead of running
+    side by side.  A campaign that uses only part of the set is not
+    placed, so campaigns running side by side do not all pin themselves
+    to the same lowest CPUs.  Every child is joined; one still running
+    when the campaign raises is terminated first."""
     # more processes than units or usable CPUs (the affinity set, where the
     # platform has one) gain nothing
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     cap = min(workers, len(units), len(cpus) or os.cpu_count() or 1)
-    if cap <= 1:
+    if cap <= 1 or not hasattr(os, "fork"):
         return [_matroid_checks(*unit) for unit in units]
     import multiprocessing
+    import tempfile
 
+    # the children inherit the claims file's descriptor, so they are forked
+    fork = multiprocessing.get_context("fork")
     order = sorted(range(len(units)), key=lambda i: (-units[i][1].n, i))
-    shares = [order[s::cap] for s in range(cap)]
     placed = cap == len(cpus)
     results = [None] * len(units)
-    children = []
-    try:
-        for s, share in enumerate(shares[1:], 1):
-            receiver, sender = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(
-                target=_run_share,
-                args=([units[i] for i in share], sender, cpus[s] if placed else None))
-            children.append((share, child, receiver))
-            try:
-                child.start()
-            finally:
-                sender.close()
-        if placed:
-            _place(cpus[0])
-        for i in shares[0]:
-            results[i] = _matroid_checks(*units[i])
-        for share, child, receiver in children:
-            for i, records in zip(share, _receive(child, receiver)):
+    sent, children = [], []
+    # a regular file, not a memfd: concurrent reads through one memfd
+    # offset have returned the same position to two processes
+    with tempfile.TemporaryFile(buffering=0) as file:
+        file.write(b"".join(i.to_bytes(4, "little") for i in order))
+        file.seek(0)
+        claims = file.fileno()
+        try:
+            for s in range(1, cap):
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                child = fork.Process(target=_run_claims, args=(units, claims, sender))
+                children.append((child, receiver))
+                try:
+                    child.start()
+                finally:
+                    sender.close()
+                if placed:
+                    _place(child.pid, cpus[s])
+            if placed:
+                _place(0, cpus[0])
+            running = children
+            while (i := _claim(claims)) is not None:
+                results[i] = _matroid_checks(*units[i])
+                running = [c for c in running if _drain(*c, sent)]
+            for child, receiver in running:
+                while _receive(child, receiver, sent):
+                    pass
+            for i, records in sent:
                 results[i] = [[CheckResult(*r) for r in per_theorem] for per_theorem in records]
-    except BaseException:
-        for _, child, _ in children:
-            if child.is_alive():
-                child.terminate()
-        raise
-    finally:
-        for _, child, receiver in children:
-            if child.pid is not None:
-                child.join()
-            receiver.close()
-        if placed:
-            os.sched_setaffinity(0, cpus)
+        except BaseException:
+            for child, _ in children:
+                if child.is_alive():
+                    child.terminate()
+            raise
+        finally:
+            for child, receiver in children:
+                if child.pid is not None:
+                    child.join()
+                receiver.close()
+            if placed:
+                os.sched_setaffinity(0, cpus)
     return results
 
 
@@ -888,13 +934,13 @@ def run_campaign(corpus, config=None):
     The unit of work is one matroid: it generates and runs that matroid's
     tasks for every requested theorem, and its records share one matroid
     JSON dict.  At workers=1 every unit runs in this process; above it,
-    this process runs one share of the units and at most workers - 1
-    child processes, one per share and each on its own CPU when they
-    fill the affinity set, run the rest (see _execute).  The checks are
-    reported theorem by theorem (in ALL_THEOREMS order), matroid by
-    matroid within a theorem.  The worker count affects wall time only, so
-    the report content is a function of (corpus, seed, samples, theorems,
-    q_grid) alone.
+    this process and at most workers - 1 child processes, each on its own
+    CPU when they fill the affinity set, claim the units one at a time
+    and the children stream each unit's records back (see _execute).  The
+    checks are reported theorem by theorem (in ALL_THEOREMS order),
+    matroid by matroid within a theorem.  The worker count affects wall
+    time only, so the report content is a function of (corpus, seed,
+    samples, theorems, q_grid) alone.
     """
     cfg = config or CampaignConfig()
     unknown = [t for t in cfg.theorems if t not in ALL_THEOREMS]

@@ -497,6 +497,27 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
     assert "1 FAILED" in out
 
 
+def test_failing_witnesses_print_as_sorted_json(monkeypatch, capsys):
+    # the text report's FAIL line and mason's violation lines print their
+    # dicts as sorted-key JSON, whatever order a check inserted the keys in
+    import potts_hodge.verify as verify
+
+    monkeypatch.setattr(verify, "strata_numerators", lambda matroid, q, w: ([1, 3, 3, 9], 1))
+    code, out, _ = run(capsys, "verify", "--matroid", K3, "--theorem", "ulc", "--q", "1",
+                       "--w", "1,1,1")
+    assert code == EXIT_CHECK_FAILED
+    assert ('FAIL ulc: witness={"annotations": ["equality-at-1"], "violations": [{"lhs": '
+            '{"den": "1", "num": "18"}, "m": 2, "rhs": {"den": "1", "num": "162"}}]}') \
+        in out.splitlines()
+    # 1*2*6^2 = 72 = 2*3*1*12 at k = 1, but I_2 = 12 is not C(3, 2) = 3
+    monkeypatch.setattr(verify, "independent_set_counts", lambda matroid: (1, 6, 12, 0))
+    monkeypatch.setattr(verify, "independent_numerators", lambda matroid, w: ([1, 6, 12, 0], 1))
+    code, out, _ = run(capsys, "mason", "--matroid", K3)
+    assert code == EXIT_CHECK_FAILED
+    assert '  violation: {"count": 12, "expected": 3, "k": 1, "reason": ' \
+        '"equality-without-saturation"}' in out.splitlines()
+
+
 def test_verify_unknown_theorem_tag_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--theorem", "nope"])

@@ -14,20 +14,22 @@ ROOT = Path(__file__).resolve().parents[1]
     pytest.param("strata-parallel", "2", None, id="strata-parallel-2"),
     pytest.param("default-campaign", "1", None, id="default-campaign-1"),
     pytest.param("default-campaign", "1", "7", id="default-campaign-1-seed-7"),
-    pytest.param("strata-parallel", "1", "5", id="strata-parallel-1-seed-5")])
+    pytest.param("strata-parallel", "1", "5", id="strata-parallel-1-seed-5"),
+    pytest.param("strata-parallel", None, None, id="strata-parallel-default-workers")])
 def test_ab_campaign_on_one_tree(workload, workers, seed):
     # this checkout as both trees: one round must run both campaigns and
     # find their reports identical, each the benchmark's pinned report of
-    # the --seed given (0 by default)
+    # the --seed given (0 by default); without --workers the campaigns run
+    # at the workload's own count, 2 for strata-parallel
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_campaign.py"), str(ROOT), str(ROOT),
-         "--workload", workload, "--rounds", "1", "--workers", workers,
-         *(["--seed", seed] if seed else [])],
+         "--workload", workload, "--rounds", "1",
+         *(["--workers", workers] if workers else []), *(["--seed", seed] if seed else [])],
         capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     pins = json.loads((ROOT / "perfbench" / "pins.json").read_text(encoding="utf-8"))
     assert f"reports identical: sha256 {pins[workload][seed or '0']}" in out.stdout
-    # above one worker, each tree's CPU / wall shows whether its shares
+    # above one worker, each tree's CPU / wall shows whether its processes
     # ran side by side
     assert ("CPU/wall" in out.stdout) == (workers != "1")
 

@@ -6,12 +6,15 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import marshal
 import math
 import multiprocessing
 import os
+import pickle
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -893,7 +896,7 @@ def _usable_cpus(monkeypatch, count):
 
 def test_per_matroid_units_are_worker_independent(monkeypatch):
     assert [m.n for m in SPAN_CORPUS] == list(range(9))
-    # three usable CPUs, so workers=3 runs three shares, this process and
+    # three usable CPUs, so workers=3 runs three processes, this one and
     # two children, placed on CPUs 0, 1 and 2; workers=2 fills two of
     # them and is not placed
     affinity = _usable_cpus(monkeypatch, 3)
@@ -903,7 +906,7 @@ def test_per_matroid_units_are_worker_independent(monkeypatch):
     assert _real_affinity(0) == _AFFINITY_AT_START
     texts = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
     assert texts[0] == texts[1] == texts[2]
-    # fewer units than workers: two shares at workers=3
+    # fewer units than workers: two processes at workers=3
     few = {json.dumps(run_campaign([K3, U24], CampaignConfig(
         seed=2, samples=2, workers=workers)).to_json(), sort_keys=True) for workers in (1, 2, 3)}
     assert len(few) == 1
@@ -916,32 +919,33 @@ def test_per_matroid_units_are_worker_independent(monkeypatch):
     assert order == sorted(order)
 
 
-@pytest.mark.parametrize("share", ["parent", "worker"])
-def test_a_share_exception_reaches_the_caller(monkeypatch, share):
+@pytest.mark.parametrize("member", [3, 2], ids=["first-claimed", "last-claimed"])
+def test_a_unit_exception_reaches_the_caller(monkeypatch, member):
+    # the campaign raises on one named matroid, whichever process claims
+    # it: member 3 is claimed first (n = 3, lowest index), member 2 last
+    # (n = 2, highest index); this process takes 0.05 s a unit, so it
+    # usually runs the first and the child the last
     parent = os.getpid()
+    corpus = generate_corpus("uniform,n<=3")
+    bad = corpus[member].to_json()
     original = verify.check_count_log_concavity
 
-    def raising_in(where):
-        """The check, raising in this process (the parent's share), in a
-        share's child process, or on every call (serial)."""
-        def check(matroid):
-            if where == "serial" or (os.getpid() == parent) == (where == "parent"):
-                raise SamplingFailureError(f"raised in the {where} share")
-            return original(matroid)
-        return check
+    def check(matroid):
+        if matroid.to_json() == bad:
+            raise SamplingFailureError(f"raised on member {member}")
+        if os.getpid() == parent:
+            time.sleep(0.05)
+        return original(matroid)
 
     affinity = _usable_cpus(monkeypatch, 2)
-    corpus = generate_corpus("uniform,n<=3")
     config = CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY,))
-    monkeypatch.setattr(verify, "check_count_log_concavity", raising_in("serial"))
-    with pytest.raises(SamplingFailureError):
-        run_campaign(corpus, config)
-    monkeypatch.setattr(verify, "check_count_log_concavity", raising_in(share))
-    with pytest.raises(SamplingFailureError, match=f"in the {share} share"):
-        run_campaign(corpus, dataclasses.replace(config, workers=2))
-    assert affinity == {0, 1}
-    assert _real_affinity(0) == _AFFINITY_AT_START
-    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(verify, "check_count_log_concavity", check)
+    for workers in (1, 2):
+        with pytest.raises(SamplingFailureError, match=f"on member {member}$"):
+            run_campaign(corpus, dataclasses.replace(config, workers=workers))
+        assert affinity == {0, 1}
+        assert _real_affinity(0) == _AFFINITY_AT_START
+        assert multiprocessing.active_children() == []
 
 
 def test_a_share_process_that_exits_without_sending_is_reported(monkeypatch):
@@ -951,6 +955,7 @@ def test_a_share_process_that_exits_without_sending_is_reported(monkeypatch):
     def check(matroid):
         if os.getpid() != parent:
             os._exit(3)
+        time.sleep(0.1)  # so the child claims a unit before this process takes them all
         return original(matroid)
 
     affinity = _usable_cpus(monkeypatch, 2)
@@ -963,18 +968,131 @@ def test_a_share_process_that_exits_without_sending_is_reported(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_child_that_dies_after_streaming_a_unit_is_reported(monkeypatch):
+    # the child sends its first unit's records, then exits on its second
+    # unit: the caller reads the first message, then the end of the pipe
+    parent = os.getpid()
+    original = verify.check_count_log_concavity
+    done = []
+
+    def check(matroid):
+        if os.getpid() == parent:
+            time.sleep(0.1)  # so the child claims two units
+        elif done:
+            os._exit(3)
+        done.append(matroid)
+        return original(matroid)
+
+    affinity = _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "check_count_log_concavity", check)
+    with pytest.raises(RuntimeError, match="exited with code 3 without sending its records"):
+        run_campaign(generate_corpus("uniform,n<=3"),
+                     CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY,), workers=2))
+    assert affinity == {0, 1}
+    assert _real_affinity(0) == _AFFINITY_AT_START
+    assert multiprocessing.active_children() == []
+
+
+def test_a_slow_child_unit_leaves_every_other_unit_to_the_caller(monkeypatch, tmp_path):
+    # the child's first unit takes 0.3 s; meanwhile this process claims
+    # and runs all the others, and the report is the serial one.  Each
+    # call appends "<pid> <corpus index>" to a log (one O_APPEND write, so
+    # the two processes never interleave a line)
+    parent = os.getpid()
+    corpus = generate_corpus("uniform,n<=3")
+    members = [m.to_json() for m in corpus]
+    config = CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY,), workers=2)
+    serial = json.dumps(run_campaign(corpus, dataclasses.replace(config, workers=1)).to_json(),
+                        sort_keys=True)
+    log = tmp_path / "units"
+    original = verify.check_count_log_concavity
+    slept = []
+
+    def check(matroid):
+        if os.getpid() == parent:
+            time.sleep(0.01)  # so the child starts before every unit is claimed
+        elif not slept:
+            slept.append(matroid)
+            time.sleep(0.3)
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{os.getpid()} {members.index(matroid.to_json())}\n".encode())
+        finally:
+            os.close(fd)
+        return original(matroid)
+
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "check_count_log_concavity", check)
+    report = run_campaign(corpus, config)
+    ran = {}
+    for line in log.read_text().splitlines():
+        pid, mi = map(int, line.split())
+        ran.setdefault(pid, []).append(mi)
+    assert parent in ran and len(ran) == 2
+    child = next(pid for pid in ran if pid != parent)
+    assert len(ran[child]) == 1
+    assert sorted(ran[parent] + ran[child]) == list(range(7))
+    assert json.dumps(report.to_json(), sort_keys=True) == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_sends_each_claimed_unit_as_one_message(monkeypatch, tmp_path):
+    # the child's side of the wire, run in this process: units in claims
+    # file order, one marshal message per unit holding the unit's records
+    # as plain tuples (they share one matroid JSON dict), then the end
+    # marker; a raised exception goes over pickled, after what was sent
+    units = [(mi, m, ALL_THEOREMS, 1, 1, verify.default_q_grid()) for mi, m in enumerate([K3, U24])]
+    sent = []
+
+    class Sender:
+        send_bytes = sent.append
+
+        def close(self):
+            pass
+
+    def run_claims(order):
+        sent.clear()
+        with open(tmp_path / "claims", "w+b", buffering=0) as file:
+            file.write(b"".join(i.to_bytes(4, "little") for i in order))
+            file.seek(0)
+            verify._run_claims(units, file.fileno(), Sender())
+        return [marshal.loads(data) for data in sent]
+
+    messages = run_claims([1, 0])
+    assert [m[:2] for m in messages] == [(True, 1), (True, 0), (True, None)]
+    for _, i, records in messages[:2]:
+        assert records == [[(r.theorem, r.inputs, r.verdict, r.witness) for r in results]
+                           for results in verify._matroid_checks(*units[i])]
+        matroids = [inputs["matroid"] for per_theorem in records for _, inputs, _, _ in per_theorem]
+        assert len(matroids) > 1 and all(m is matroids[0] for m in matroids)
+    original = verify.check_count_log_concavity
+
+    def check(matroid):
+        if matroid is K3:
+            raise SamplingFailureError("raised on K3")
+        return original(matroid)
+
+    monkeypatch.setattr(verify, "check_count_log_concavity", check)
+    messages = run_claims([1, 0])
+    assert [m[:2] for m in messages] == [(True, 1), (False, None)]
+    with pytest.raises(SamplingFailureError, match="raised on K3"):
+        raise pickle.loads(messages[1][2])
+
+
 @pytest.mark.skipif(len(_AFFINITY_AT_START or ()) < 2,
                     reason="placement needs an affinity set of two CPUs or more")
 def test_shares_run_on_their_own_cpus_and_the_caller_gets_its_set_back(monkeypatch):
     # narrow this thread to the last two CPUs of its set (so the set need
     # not start at CPU 0), run a campaign that fills it, and read each
-    # check's own affinity set off its witness
+    # check's process and affinity set off its witness
     two = sorted(_AFFINITY_AT_START)[-2:]
     original = verify.check_count_log_concavity
 
     def check(matroid):
+        time.sleep(0.05)  # so both processes claim units
         result = original(matroid)
-        return dataclasses.replace(result, witness={"cpus": sorted(os.sched_getaffinity(0))})
+        return dataclasses.replace(
+            result, witness={"cpus": sorted(os.sched_getaffinity(0)), "pid": os.getpid()})
 
     monkeypatch.setattr(verify, "check_count_log_concavity", check)
     os.sched_setaffinity(0, two)
@@ -984,12 +1102,10 @@ def test_shares_run_on_their_own_cpus_and_the_caller_gets_its_set_back(monkeypat
         assert os.sched_getaffinity(0) == set(two)
     finally:
         os.sched_setaffinity(0, _AFFINITY_AT_START)
-    # dealt costliest first (members 3..6 have n = 3, 0..2 have n = 2):
-    # 3, 5, 0 and 2 run here, on the first CPU, the others in the child,
-    # on the second
-    here = {3, 5, 0, 2}
+    # this process ran its units on the first CPU, the child on the second
+    assert len({c.witness["pid"] for c in report.checks}) == 2
     assert [c.witness["cpus"] for c in report.checks] == [
-        [two[0]] if mi in here else [two[1]] for mi in range(7)]
+        [two[0]] if c.witness["pid"] == os.getpid() else [two[1]] for c in report.checks]
     assert multiprocessing.active_children() == []
 
 
@@ -1188,36 +1304,37 @@ def test_campaign_rejects_negative_samples_and_workers(monkeypatch):
     (2, (64, 3), 2),        # two of the set's three CPUs: not placed
 ])
 def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
-    started, placed = [], []
+    started, placed, ran = [], [], []
 
     class Channel:
-        """Stands in for a one-way pipe: keeps what is sent for recv."""
+        """Stands in for a one-way pipe: keeps what is sent for recv_bytes."""
 
         def __init__(self):
             self.sent = []
 
-        def send(self, obj):
-            self.sent.append(obj)
+        def send_bytes(self, data):
+            self.sent.append(data)
 
-        def recv(self):
+        def recv_bytes(self):
             return self.sent.pop(0)
+
+        def poll(self):
+            return bool(self.sent)
 
         def close(self):
             pass
 
-    class InProcessShare:
-        """Stands in for a share's child process: records the share's unit
-        indices and CPU, and runs the share in this process when started;
-        starts nothing."""
+    class InProcessChild:
+        """Stands in for a child process: takes a made-up pid and claims
+        units in this process when started; starts nothing."""
 
         def __init__(self, target, args):
             self._target, self._args = target, args
             self.pid = None
 
         def start(self):
-            units, sender, cpu = self._args
-            started.append(([unit[0] for unit in units], cpu))
-            self.pid = os.getpid()
+            self.pid = 10**6 + len(started)
+            started.append(self.pid)
             self._target(*self._args)
 
         def is_alive(self):
@@ -1230,10 +1347,17 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
         channel = Channel()
         return channel, channel
 
-    monkeypatch.setattr(multiprocessing, "Process", InProcessShare)
+    original = verify.check_count_log_concavity
+
+    def check(matroid):
+        ran.append(matroid.to_json())
+        return original(matroid)
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", InProcessChild)
     monkeypatch.setattr(multiprocessing, "Pipe", pipe)
-    # record each placement instead of pinning this thread
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: placed.append(set(cpus)),
+    monkeypatch.setattr(verify, "check_count_log_concavity", check)
+    # record each placement instead of pinning a process
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: placed.append((pid, set(cpus))),
                         raising=False)
     machine, usable = cpus if isinstance(cpus, tuple) else (cpus, None)
     monkeypatch.setattr(os, "cpu_count", lambda: machine)
@@ -1243,22 +1367,26 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
         affinity = list(range(machine - usable, machine))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
     corpus = generate_corpus("uniform,n<=3")  # 7 matroids: 7 work units
+    members = [m.to_json() for m in corpus]
     theorems = (TAG_COUNT_LOG_CONCAVITY,)
     report = run_campaign(corpus, CampaignConfig(theorems=theorems, workers=workers))
-    # this process runs one share beside cap - 1 child processes, units
-    # dealt round-robin, costliest first: the four n = 3 members (3..6),
-    # then the three n = 2 ones (0..2); share 0 stays here
+    # cap - 1 children beside this process; every unit runs once, claimed
+    # costliest first: the four n = 3 members (3..6), then the three n = 2
+    # ones (0..2) (the first stand-in child claims them all); serially in
+    # corpus order
+    assert len(started) == (0 if cap is None else cap - 1)
     by_cost = [3, 4, 5, 6, 0, 1, 2]
-    shares = [] if cap is None else [by_cost[s::cap] for s in range(1, cap)]
-    assert [units for units, _ in started] == shares
-    # when the shares fill the affinity set, share s goes to its s-th CPU:
-    # each child pins itself, then this thread pins itself to the first
-    # and gets its set back at the end; otherwise nothing is placed
+    assert [members.index(m) for m in ran] == (list(range(7)) if cap is None else by_cost)
+    # when the processes fill the affinity set, child s goes to its s-th
+    # CPU, pinned by this thread as soon as it has started, then this
+    # thread to the first, and it gets its set back at the end; otherwise
+    # nothing is placed
     if cap is None or cap != usable:
-        assert placed == [] and all(cpu is None for _, cpu in started)
+        assert placed == []
     else:
-        assert [cpu for _, cpu in started] == affinity[1:]
-        assert placed == [{cpu} for cpu in affinity[1:]] + [{affinity[0]}, set(affinity)]
+        assert placed == [(pid, {cpu}) for pid, cpu in zip(started, affinity[1:])] + [
+            (0, {affinity[0]}), (0, set(affinity))]
+    ran.clear()
     serial = run_campaign(corpus, CampaignConfig(theorems=theorems))
     assert report.to_json() == serial.to_json()
 
