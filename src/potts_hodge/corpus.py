@@ -128,8 +128,11 @@ def graphic_family(max_edges=5):
 
 
 def linear_family(count=50, max_n=8, seed=DEFAULT_LINEAR_SEED):
-    """Seeded random GF(2)/GF(3) column matroids; zero columns (loops) and
-    repeated columns (parallel elements) arise naturally."""
+    """Seeded random GF(2)/GF(3) column matroids on 2..max_n elements, none
+    when max_n < 2; zero columns (loops) and repeated columns (parallel
+    elements) arise naturally."""
+    if max_n < 2:
+        return []
     out = []
     for i in range(count):
         rng = child_rng(seed, i)

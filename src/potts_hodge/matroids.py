@@ -315,14 +315,13 @@ def from_json(obj):
     raise ParseError(f"unknown matroid type {kind!r}")
 
 
-def _minor_ranks(matroid, elements, base):
-    """ranks[mask]: the rank of the set base together with the 0-based
-    elements selected by the set bits of mask, built lowest bit first."""
-    union = [base] * (1 << len(elements))
-    for mask in range(1, len(union)):
-        low = mask & -mask
-        union[mask] = union[mask ^ low] | 1 << elements[low.bit_length() - 1]
-    return [matroid.ranks[x] for x in union]
+def subset_masks(elements, base=0):
+    """masks[t]: the mask of base together with the 0-based elements[x]
+    for the set bits x of t, for t = 0 .. 2^len(elements) - 1."""
+    masks = [base]
+    for e in elements:
+        masks += [x | 1 << e for x in masks]
+    return masks
 
 
 def contract(matroid, subset):
@@ -338,7 +337,7 @@ def contract(matroid, subset):
     keep = [e for e in range(matroid.n) if not smask & (1 << e)]
     rs = matroid.ranks[smask]
     m = len(keep)
-    new_ranks = tuple(r - rs for r in _minor_ranks(matroid, keep, smask))
+    new_ranks = tuple(matroid.ranks[x] - rs for x in subset_masks(keep, smask))
     relabeling = {new + 1: keep[new] + 1 for new in range(m)}
     minor = Matroid(n=m, ranks=new_ranks, provenance=f"contraction({matroid.provenance})")
     return minor, relabeling
@@ -385,7 +384,7 @@ def simplify(matroid, info=None):
     ell = len(reps)
     if ell == 0:
         return Matroid(n=0, ranks=(0,), provenance="simplification-degenerate")
-    ranks = tuple(_minor_ranks(matroid, [r - 1 for r in reps], 0))
+    ranks = tuple(map(matroid.ranks.__getitem__, subset_masks([r - 1 for r in reps])))
     return Matroid(n=ell, ranks=ranks, provenance="simplification")
 
 

@@ -59,7 +59,7 @@ from operator import add, attrgetter, ge, gt, mul
 
 from .errors import InvalidParametersError
 from .matrices import SymMatrix
-from .matroids import mask_from_labels
+from .matroids import mask_from_labels, subset_masks
 from .scalars import clear_denominators, exact_scalar, exact_values, is_int
 
 ZERO = Fraction(0)
@@ -294,10 +294,7 @@ def _superset_lists(matroid, c, q, alpha, w):
     prod = _products([nums[i] for i in free], [dens[i] for i in free])
     cells = _buckets(matroid.ranks, matroid.full_rank + 1)
     if smask or low < len(free):
-        index = [smask]
-        for i in free:
-            index += [x | 1 << i for x in index]
-        cells = map(cells.__getitem__, index)
+        cells = map(cells.__getitem__, subset_masks(free, smask))
     u = list(map(mul, map(weights.__getitem__, cells), prod))
 
     def monomials(a):

@@ -17,10 +17,11 @@ the unit generates and runs that matroid's tasks for every requested
 theorem, its records share one matroid JSON dict, and its checks compute
 structure and independent_set_counts once (_once).  With workers > 1
 this process and its forked children claim the units one at a time,
-costliest first, from one shared counter, each on its own CPU when they
-fill the affinity set; a child streams each unit's records back over a
-pipe as soon as the unit is done, so the sampling runs where the checks
-do and no process waits on a fixed share.
+costliest first, from one shared counter; a child streams each unit's
+records back over a pipe as soon as the unit is done, so the sampling
+runs where the checks do and no process waits on a fixed share.  When
+the processes fill the affinity set each child is pinned to a CPU of its
+own; the calling thread's set is never changed.
 run_campaign validates its config before any unit runs, and every check
 validates all of its inputs (potts.validate_q, validate_point with the
 sign its theorem needs, validate_coeffs) before it returns any verdict.
@@ -773,16 +774,6 @@ def _matroid_checks(mi, matroid, theorems, seed, samples, q_grid):
         _unit.reset(token)
 
 
-def _place(pid, cpu):
-    """Pin process `pid` (0: the calling thread) to CPU `cpu`.  Best
-    effort: a CPU the process may not use, or a process that has already
-    exited, leaves it where it was."""
-    try:
-        os.sched_setaffinity(pid, (cpu,))
-    except OSError:
-        pass
-
-
 def _claim(claims):
     """The index of the next unclaimed unit in the claims file (file
     descriptor `claims`), or None once every unit is taken.  The processes
@@ -859,17 +850,17 @@ def _execute(units, workers):
     exception that stopped it.  This process takes whatever has arrived
     after each unit of its own, waits for every end marker, and then
     rebuilds the children's CheckResults.  When the processes fill the
-    whole affinity set (cap equal to its size), child s is placed on the
-    s-th of its CPUs in sorted order and this thread on the first: this
-    thread pins each child as soon as it has started (a child that cannot
-    be placed keeps the whole set), then itself, and gets its saved set
-    back when the campaign returns or raises.  Without placement the
-    kernel may keep a young child on the caller's CPU for longer than a
-    short campaign lasts, and the processes take turns instead of running
-    side by side.  A campaign that uses only part of the set is not
-    placed, so campaigns running side by side do not all pin themselves
-    to the same lowest CPUs.  Every child is joined; one still running
-    when the campaign raises is terminated first."""
+    whole affinity set (cap equal to its size), this thread pins child s
+    (s = 1, ..., cap - 1) to the s-th of its CPUs in sorted order,
+    counting from 0, as soon as the child has started, which leaves the
+    first free for this thread (a child that cannot be placed keeps the
+    whole set); this thread's own set is never changed.  Without
+    placement the kernel may keep a young child on the caller's CPU for
+    longer than a short campaign lasts, and the processes take turns
+    instead of running side by side.  A campaign that uses only part of
+    the set is not placed, so campaigns running side by side do not all
+    pin children to the same lowest CPUs.  Every child is joined; one
+    still running when the campaign raises is terminated first."""
     # more processes than units or usable CPUs (the affinity set, where the
     # platform has one) gain nothing
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
@@ -901,16 +892,21 @@ def _execute(units, workers):
                 finally:
                     sender.close()
                 if placed:
-                    _place(child.pid, cpus[s])
-            if placed:
-                _place(0, cpus[0])
+                    # best effort: a CPU the child may not use, or a child
+                    # that has already exited, leaves it where it was
+                    try:
+                        os.sched_setaffinity(child.pid, (cpus[s],))
+                    except OSError:
+                        pass
             running = children
             while (i := _claim(claims)) is not None:
                 results[i] = _matroid_checks(*units[i])
+                # drained after each unit, or a child blocks on a full pipe (1.4x wall)
                 running = [c for c in running if _drain(*c, sent)]
             for child, receiver in running:
                 while _receive(child, receiver, sent):
                     pass
+            # rebuilt here, not on arrival while a child runs (1.02x the wall time)
             for i, records in sent:
                 results[i] = [[CheckResult(*r) for r in per_theorem] for per_theorem in records]
         except BaseException:
@@ -923,8 +919,6 @@ def _execute(units, workers):
                 if child.pid is not None:
                     child.join()
                 receiver.close()
-            if placed:
-                os.sched_setaffinity(0, cpus)
     return results
 
 
@@ -934,9 +928,10 @@ def run_campaign(corpus, config=None):
     The unit of work is one matroid: it generates and runs that matroid's
     tasks for every requested theorem, and its records share one matroid
     JSON dict.  At workers=1 every unit runs in this process; above it,
-    this process and at most workers - 1 child processes, each on its own
-    CPU when they fill the affinity set, claim the units one at a time
-    and the children stream each unit's records back (see _execute).  The
+    this process and at most workers - 1 child processes claim the units
+    one at a time and the children stream each unit's records back.  The
+    children are pinned to CPUs of their own when the processes fill the
+    affinity set; this thread's set is never changed (see _execute).  The
     checks are reported theorem by theorem (in ALL_THEOREMS order),
     matroid by matroid within a theorem.  The worker count affects wall
     time only, so the report content is a function of (corpus, seed,

@@ -363,6 +363,16 @@ def test_verify_rejects_an_empty_corpus(capsys):
     assert out == "" and "uniform,n<=1" in err
 
 
+def test_a_linear_family_below_two_elements_is_an_empty_corpus(capsys):
+    # linear matroids start at n = 2: listing the family prints none, and
+    # a campaign over it is refused as a usage error, not a failed check
+    code, out, err = run(capsys, "corpus", "--spec", "linear,count=3,n<=1")
+    assert (code, out.strip(), err) == (EXIT_OK, "0 matroids", "")
+    code, out, err = run(capsys, "verify", "--corpus", "linear,n<=1")
+    assert code == EXIT_USAGE
+    assert out == "" and "corpus 'linear,n<=1' has no matroids" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("corpus", "--spec", "linear,count=-1"),
     ("corpus", "--spec", "uniform,n<=-1"),

@@ -441,6 +441,14 @@ def test_contract_rank_identity():
         assert minor.rank(mask) == m.rank(tuple(sorted(old_labels))) - base
 
 
+def test_subset_masks_lift_each_minor_mask_in_order():
+    # mask t selects elements[x] for the set bits x of t, on top of base
+    elements, base = [4, 0, 2], 0b10
+    assert matroids.subset_masks(elements, base) == [
+        base | sum(1 << e for x, e in enumerate(elements) if t >> x & 1) for t in range(8)]
+    assert matroids.subset_masks([]) == [0]
+
+
 def test_contract_empty_and_errors():
     m = make_uniform(2, 3)
     minor, names = contract(m, ())

@@ -747,6 +747,8 @@ def test_corpus_spec_parsing():
     assert len(k3) == 1 and k3[0].ranks == K3.ranks
     lin = generate_corpus("linear,count=4,n<=4,seed=7")
     assert len(lin) == 4 and all(m.n <= 4 for m in lin)
+    # linear matroids start at n = 2, as uniform ones do: no draw below it
+    assert generate_corpus("linear,count=3,n<=1") == generate_corpus("uniform,n<=1") == []
     mixed = generate_corpus("graphic,K3;structured")
     assert len(mixed) == 6
     with pytest.raises(ParseError, match="cannot parse clause 'n<=3'"):
@@ -879,17 +881,23 @@ _AFFINITY_AT_START = _real_affinity(0)
 
 
 def _usable_cpus(monkeypatch, count):
-    """Make a campaign see `count` usable CPUs whatever the host has: this
-    thread's affinity set is faked as CPUs 0..count-1, and a placement
-    changes the fake set of the process that makes it, never a real one.
-    Returns the fake set, which a campaign must leave as it found it."""
+    """Make a campaign see `count` usable CPUs whatever the host has: every
+    pid has a fake affinity set, this thread's (pid 0) CPUs 0..count-1 and
+    any other pid's the same until it is placed, and a placement changes
+    the fake set of the pid it names, never a real one.  Returns this
+    thread's fake set, which a campaign must leave as it found it."""
     affinity = set(range(count))
+    placed = {}
 
     def set_affinity(pid, cpus):
-        affinity.clear()
-        affinity.update(cpus)
+        if pid:
+            placed[pid] = set(cpus)
+        else:
+            affinity.clear()
+            affinity.update(cpus)
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(placed.get(pid, affinity)), raising=False)
     monkeypatch.setattr(os, "sched_setaffinity", set_affinity, raising=False)
     return affinity
 
@@ -897,8 +905,8 @@ def _usable_cpus(monkeypatch, count):
 def test_per_matroid_units_are_worker_independent(monkeypatch):
     assert [m.n for m in SPAN_CORPUS] == list(range(9))
     # three usable CPUs, so workers=3 runs three processes, this one and
-    # two children, placed on CPUs 0, 1 and 2; workers=2 fills two of
-    # them and is not placed
+    # two children, the children placed on CPUs 1 and 2; workers=2 fills
+    # two of them and is not placed
     affinity = _usable_cpus(monkeypatch, 3)
     reports = [run_campaign(SPAN_CORPUS, CampaignConfig(seed=4, samples=2, workers=workers))
                for workers in (1, 2, 3)]
@@ -948,7 +956,7 @@ def test_a_unit_exception_reaches_the_caller(monkeypatch, member):
         assert multiprocessing.active_children() == []
 
 
-def test_a_share_process_that_exits_without_sending_is_reported(monkeypatch):
+def test_a_child_process_that_exits_without_sending_is_reported(monkeypatch):
     parent = os.getpid()
     original = verify.check_count_log_concavity
 
@@ -1081,7 +1089,7 @@ def test_a_child_sends_each_claimed_unit_as_one_message(monkeypatch, tmp_path):
 
 @pytest.mark.skipif(len(_AFFINITY_AT_START or ()) < 2,
                     reason="placement needs an affinity set of two CPUs or more")
-def test_shares_run_on_their_own_cpus_and_the_caller_gets_its_set_back(monkeypatch):
+def test_children_run_on_their_own_cpus_and_the_caller_keeps_its_set(monkeypatch):
     # narrow this thread to the last two CPUs of its set (so the set need
     # not start at CPU 0), run a campaign that fills it, and read each
     # check's process and affinity set off its witness
@@ -1102,10 +1110,11 @@ def test_shares_run_on_their_own_cpus_and_the_caller_gets_its_set_back(monkeypat
         assert os.sched_getaffinity(0) == set(two)
     finally:
         os.sched_setaffinity(0, _AFFINITY_AT_START)
-    # this process ran its units on the first CPU, the child on the second
+    # the child ran its units on the second CPU alone; this process ran
+    # its own on its whole set, which the campaign never changed
     assert len({c.witness["pid"] for c in report.checks}) == 2
     assert [c.witness["cpus"] for c in report.checks] == [
-        [two[0]] if c.witness["pid"] == os.getpid() else [two[1]] for c in report.checks]
+        two if c.witness["pid"] == os.getpid() else [two[1]] for c in report.checks]
     assert multiprocessing.active_children() == []
 
 
@@ -1378,14 +1387,12 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
     by_cost = [3, 4, 5, 6, 0, 1, 2]
     assert [members.index(m) for m in ran] == (list(range(7)) if cap is None else by_cost)
     # when the processes fill the affinity set, child s goes to its s-th
-    # CPU, pinned by this thread as soon as it has started, then this
-    # thread to the first, and it gets its set back at the end; otherwise
-    # nothing is placed
+    # CPU, pinned by this thread as soon as it has started, and this
+    # thread is never placed; otherwise nothing is placed
     if cap is None or cap != usable:
         assert placed == []
     else:
-        assert placed == [(pid, {cpu}) for pid, cpu in zip(started, affinity[1:])] + [
-            (0, {affinity[0]}), (0, set(affinity))]
+        assert placed == [(pid, {cpu}) for pid, cpu in zip(started, affinity[1:])]
     ran.clear()
     serial = run_campaign(corpus, CampaignConfig(theorems=theorems))
     assert report.to_json() == serial.to_json()
