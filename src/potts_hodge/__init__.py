@@ -38,6 +38,7 @@ from .potts import (
     dependent_mass,
     derivative_degree,
     elementary_symmetric,
+    euler_hessian_residual,
     f_all,
     f_limit_residual,
     f_m_eval,
@@ -46,6 +47,7 @@ from .potts import (
     is_identically_zero,
     is_log_concave,
     is_strictly_log_concave,
+    kernel_identity_check,
     partial_eval,
     z_weighted_eval,
     zk_all,
@@ -54,10 +56,8 @@ from .potts import (
 from .scalars import EXACT, FLOAT, parse_rational, rat, scalar_from_json, scalar_to_json
 from .spectral import (
     EigenSignature,
-    euler_hessian_residual,
     float_eigenvalues,
     kernel_contains,
-    kernel_identity_check,
     one_positive_equivalence_check,
     signature,
 )

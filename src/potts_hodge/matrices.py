@@ -75,12 +75,16 @@ class SymMatrix:
 
 def mat_vec(matrix, vector):
     ents = SymMatrix.from_rows(matrix).entries
+    if len(vector) != len(ents):
+        raise InvalidParametersError(f"vector of length {len(vector)} for a matrix of size {len(ents)}")
     return tuple(sum(row[j] * vector[j] for j in range(len(vector))) for row in ents)
 
 
 def bilinear(u, matrix, v):
     """u^T A v for a symmetric matrix A."""
     av = mat_vec(matrix, v)
+    if len(u) != len(av):
+        raise InvalidParametersError(f"vector of length {len(u)} for a matrix of size {len(av)}")
     return sum(ui * x for ui, x in zip(u, av))
 
 
@@ -204,6 +208,8 @@ def _gram(rows):
     """
     m = [clear_denominators(exact_values(row))[0] for row in rows]
     d = len(m[0]) if m else 0
+    if any(len(row) != d for row in m):
+        raise InvalidParametersError("matrix rows have unequal lengths")
     return [[sum(row[i] * row[j] for row in m) for j in range(d)] for i in range(d)]
 
 

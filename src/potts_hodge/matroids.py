@@ -11,7 +11,6 @@ capped at n <= enumeration_cap() and refuses larger ground sets outright.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -52,6 +51,8 @@ def _check_cap(n, what):
 
 def mask_from_labels(labels, n):
     """Bit mask for an iterable of 1-based element labels."""
+    if not hasattr(labels, "__iter__"):
+        raise InvalidParametersError(f"element labels must be an iterable, got {labels!r}")
     mask = 0
     for e in labels:
         if not is_int(e) or not 1 <= e <= n:
@@ -166,8 +167,28 @@ def make_graphic(vertices, edges):
         "graphic", source)
 
 
+# the first 12 primes: as Miller-Rabin bases they decide every p < 2^64
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p):
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    """Deterministic Miller-Rabin over _BASES, exact for every p < 2^64
+    (make_linear refuses larger field orders): 12 modular powers, where
+    trial division to the square root of p ~ 2^61 takes ~10^9 steps."""
+    if p < 2 or p in _BASES:
+        return p in _BASES
+    s = ((p - 1) & -(p - 1)).bit_length() - 1  # p - 1 = 2^s d with d odd
+    for a in _BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _reduced(prime, basis, col):
@@ -217,7 +238,9 @@ def make_linear(prime, matrix):
     nonzero.  So each mask costs one vector reduction instead of a fresh
     elimination of all its columns, and none once its prefix has as many
     basis vectors as the rank of the whole matrix."""
-    if not _is_prime(_int(prime, "field order")):
+    if _int(prime, "field order") >= 1 << 64:
+        raise InvalidParametersError(f"field order must be below 2^64, got {prime}")
+    if not _is_prime(prime):
         raise InvalidParametersError(f"field order must be prime, got {prime}")
     rows = [[_int(x, "matrix entry") % prime for x in _list(row, "matrix row")]
             for row in _list(matrix, "matrix")]

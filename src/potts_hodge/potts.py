@@ -25,13 +25,17 @@ one weight per cell (_superset_lists).  Its w_0-order-a list is
 u_a[A] = (n-|A|)_a u[A] (_order_factors), and by homogeneity the sum of
 u_a[A] over the A containing S, for a = alpha_0, is w_0'^(-d) times the
 alpha-derivative of Z_c.  A value is one sum of these monomials, a
-gradient their per-bit sums, and a Hessian the congruent matrix
-w_0'^(-d) D H D, D = diag(w_0', w'_1, ..., w'_n), its inner pairs read
-off one superset-sum transform (_congruent_hessian); at a positive point
-it has the inertia of H (Sylvester's law), and the public evaluators
+gradient their per-bit sums, and second_order_numerators is the one
+reader of second order: the value, D times the gradient and the
+congruent Hessian D H D, D = diag(w_0', w'_1, ..., w'_n), all times
+w_0'^(-d) and read off one superset-sum transform.  At a positive point
+D H D has the inertia of H (Sylvester's law), and the public evaluators
 divide D and w_0'^(-d) back out.  A zero w_i enters as 1 with its bit
 kept out of the sums, so every read is exact at any point.  These passes
-are list-level; the strata table is the one per-subset loop.
+are list-level; the strata table is the one per-subset loop.  The Euler
+and kernel identities of criterion 05 (euler_hessian_residual,
+kernel_identity_check) live here too, beside the format of the rows
+they combine.
 
 The passes and the reductions run on Python ints.  The strata helpers
 return integers over one positive integer scale: each w_i = p_i / d_i is
@@ -53,12 +57,13 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from operator import add, attrgetter, ge, gt, mul
 
-from .errors import InvalidParametersError
-from .matrices import SymMatrix
+from .errors import InvalidParametersError, NotApplicableError
+from .matrices import SymMatrix, bareiss_inertia, exact_nullspace, exact_rank
 from .matroids import mask_from_labels, subset_masks
 from .scalars import clear_denominators, exact_scalar, exact_values, is_int
 
@@ -327,6 +332,14 @@ def z_weighted_eval(matroid, c, q, w):
     return partial_eval(matroid, c, q, (0,) * (matroid.n + 1), w)
 
 
+def derivative_degree(matroid, alpha):
+    """Degree of the alpha-derivative of Z_c (None when identically zero)."""
+    av = validate_alpha(alpha, matroid.n)
+    if _alpha_split(av, matroid.n) is None:
+        return None
+    return matroid.n - sum(av)
+
+
 def is_identically_zero(matroid, c, q, alpha):
     """Symbolic test: is the alpha-derivative of Z_c the zero polynomial?
 
@@ -334,19 +347,9 @@ def is_identically_zero(matroid, c, q, alpha):
     when some inner index exceeds 1 (multiaffine variables) or the total
     order a_0 + |support| exceeds n.
     """
-    n = matroid.n
-    validate_coeffs(c, n)
+    validate_coeffs(c, matroid.n)
     validate_q(q)
-    av = validate_alpha(alpha, n)
-    return _alpha_split(av, n) is None
-
-
-def derivative_degree(matroid, alpha):
-    """Degree of the alpha-derivative of Z_c (None when identically zero)."""
-    av = validate_alpha(alpha, matroid.n)
-    if _alpha_split(av, matroid.n) is None:
-        return None
-    return matroid.n - sum(av)
+    return derivative_degree(matroid, alpha) is None
 
 
 def partial_eval(matroid, c, q, alpha, w):
@@ -376,44 +379,44 @@ def gradient(matroid, c, q, alpha, w):
     return _divided([row], scale, wv, av, (1,), [x or 1 for x in wv])[0]
 
 
-def _congruent_hessian(matroid, c, q, alpha, w):
-    """(rows, sums, total, free, scale): rows / scale = w_0'^(-d) D H D for
-    H the Hessian of the alpha-derivative of Z_c at w, as in the module
-    docstring.  With the monomials u_a of _superset_lists, a0 = alpha_0, S
-    the inner support and i, j distinct free indices, exactly at every w:
+def second_order_numerators(matroid, c, q, alpha, w):
+    """(z, grad, rows, scale): the alpha-derivative F of Z_c at the
+    length-(n+1) point w, D times its gradient and D H D for its Hessian
+    H, D = diag(w_0', w'_1, ..., w'_n), integers over one positive scale
+    as w_0'^(-d) times their values, d the degree of F.  With the
+    monomials u_a of _superset_lists, a0 = alpha_0, S the inner support
+    and i, j distinct free indices, exactly at every w:
 
-        w_0'^(-d) (D H D)_ij = sum of u_a0[A] over the A containing S+i+j,
-        w_0'^(-d) (D H D)_0i = sum of u_(a0+1)[A] over the A containing S+i,
+        w_0'^(-d) F          = sum of u_a0[A] over the A containing S,
+        w_0'^(-d) (D grad)_0 = sum of u_(a0+1)[A] over the A containing S,
+        w_0'^(-d) (D grad)_i = sum of u_a0[A] over the A containing S+i,
         w_0'^(-d) (D H D)_00 = sum of u_(a0+2)[A] over the A containing S,
+        w_0'^(-d) (D H D)_0i = sum of u_(a0+1)[A] over the A containing S+i,
+        w_0'^(-d) (D H D)_ij = sum of u_a0[A] over the A containing S+i+j,
 
-    each A holding no index with w_k = 0 but i and j; the rows of S are 0.
-    The pairs are reads of sums, one superset-sum transform of u_a0 that
-    skips those zero bits; row 0 comes from the _single_sums of u_(a0+1),
-    whose sum is total, and the corner from the sum of u_(a0+2), never
-    from Euler's identity.  At a positive point, by Sylvester's law, the
-    rows have the inertia of H, also on the actives (0 and the free
-    indices); every Hessian check validates a positive point first."""
+    each A holding no index with w_k = 0 but i and j; the entries of S
+    are 0.  z, the inner gradient and the pairs are reads of one
+    superset-sum transform of u_a0 that skips those zero bits; row 0 and
+    grad_0 come from the _single_sums of u_(a0+1), and the corner from the
+    sum of u_(a0+2), never from Euler's identity.  At a positive point, by
+    Sylvester's law, the rows have the inertia of H, also on the actives
+    (0 and the free indices); every Hessian check validates a positive
+    point first."""
     n = matroid.n
     monomials, free, low, scale = _superset_lists(matroid, c, q, alpha, w)
     head = 1 << low
     sums = _superset_sums(list(monomials(0)), (1 << len(free)) - head)
     singles, total = _single_sums(list(monomials(1)), low)
+    grad = [total] + [0] * n
     rows = [[0] * (n + 1) for _ in range(n + 1)]
     rows[0][0] = sum(islice(monomials(2), head))
     for x, i in enumerate(free):
+        grad[i + 1] = sums[1 << x]
         rows[0][i + 1] = rows[i + 1][0] = singles[x]
         for y in range(x + 1, len(free)):
             j = free[y]
             rows[i + 1][j + 1] = rows[j + 1][i + 1] = sums[1 << x | 1 << y]
-    return rows, sums, total, free, scale
-
-
-def hessian_numerators(matroid, c, q, alpha, w):
-    """(rows, scale): rows / scale = w_0'^(-d) D H D for H the Hessian of
-    the alpha-derivative of Z_c at w (_congruent_hessian).  At a positive
-    point the rows have the inertia of H, also on the active indices."""
-    rows, _, _, _, scale = _congruent_hessian(matroid, c, q, alpha, w)
-    return tuple(map(tuple, rows)), scale
+    return sums[0], grad, rows, scale
 
 
 def hessian(matroid, c, q, alpha, w):
@@ -422,25 +425,122 @@ def hessian(matroid, c, q, alpha, w):
     Entry (i, j) equals the (alpha + e_i + e_j)-derivative at w.  Inner
     diagonal entries are identically zero (the polynomial is multiaffine in
     w_1..w_n), and the whole matrix is zero when the derivative has degree
-    below two.  The congruent rows of _congruent_hessian, divided back.
+    below two.  The congruent rows of second_order_numerators, divided back.
     """
     cv, qv, wv = _validated(matroid, c, q, w)
     av = validate_alpha(alpha, matroid.n)
-    rows, _, _, _, scale = _congruent_hessian(matroid, cv, qv, av, wv)
+    _, _, rows, scale = second_order_numerators(matroid, cv, qv, av, wv)
     d = [x or 1 for x in wv]
     return SymMatrix(_divided(rows, scale, wv, av, d, d))
 
 
-def second_order_numerators(matroid, c, q, w):
-    """(z, grad, rows, scale): Z_c, D times its gradient and D H D for its
-    Hessian H at the length-(n+1) point w (_congruent_hessian at
-    alpha = 0), integers over one positive scale as w_0'^(-n) times their
-    values: z and the inner gradient entries are reads of the same
-    transform as the pairs.  The gradient is zero when n < 1 and the
-    Hessian when n < 2."""
+def _identity_hessians(matroid, c, q, alpha, w, least_degree):
+    """(d, w, alpha, rows, scale, partials): c and alpha validated, the
+    degree d of the alpha-derivative F checked (NotApplicableError), then
+    q and w; rows / scale = w_0'^(-d) D H_F D (second_order_numerators),
+    and partials[i] the congruent rows of each dF/dw_i not identically
+    zero."""
     n = matroid.n
-    rows, sums, total, free, scale = _congruent_hessian(matroid, c, q, (0,) * (n + 1), w)
-    return sums[0], [total] + [sums[1 << free.index(i)] for i in range(n)], rows, scale
+    cv = validate_coeffs(c, n)
+    av = validate_alpha(alpha, n)
+    d = derivative_degree(matroid, av)
+    if d is None:
+        raise NotApplicableError("the derivative is identically zero; no Hessian to compare")
+    if d < least_degree:
+        raise NotApplicableError(
+            f"the derivative has degree {d}; the identity needs degree >= {least_degree}")
+    qv = validate_q(q)
+    wv = validate_point(w, n + 1, "any")
+    _, _, rows, scale = second_order_numerators(matroid, cv, qv, av, wv)
+    bumps = ([a + (i == j) for j, a in enumerate(av)] for i in range(n + 1))
+    partials = {i: second_order_numerators(matroid, cv, qv, b, wv)[2]
+                for i, b in enumerate(bumps) if _alpha_split(b, n) is not None}
+    return d, wv, av, rows, scale, partials
+
+
+def euler_hessian_residual(matroid, c, q, alpha, w):
+    """Largest absolute entry of (d-2) H_F - sum_i w_i H_{dF/dw_i} for the
+    alpha-derivative F of Z_c; identically zero for every homogeneous F, so
+    it must come out exactly 0.  Requires degree d >= 2.
+
+    The Hessians come from _identity_hessians, rows_G = scale_G w_0'^(-e)
+    D H_G D for G of degree e, with scale_G d_i = scale_F for G = dF/dw_i
+    and w_i / w_0' = p_i / d_i.  So scale_F w_0'^(-d) D R D for the residual
+    R is (d-2) rows_F minus p_i rows_G for each dF/dw_i with w_i != 0
+    (p_0 = 1), divided back entry by entry (_divided).
+    """
+    d, wv, av, rows, scale, partials = _identity_hessians(matroid, c, q, alpha, w, 2)
+    total = [[(d - 2) * x for x in row] for row in rows]
+    factors = [1] + _ratios(wv)[0]
+    for i, rows_g in partials.items():
+        if wv[i]:
+            total = [[t - factors[i] * x for t, x in zip(r, s)] for r, s in zip(total, rows_g)]
+    diagonal = [x or 1 for x in wv]
+    return max(map(abs, chain(*_divided(total, scale, wv, av, diagonal, diagonal))))
+
+
+@dataclass(frozen=True)
+class KernelIdentityReport:
+    """Comparison of ker H_F with the joint kernel of all H_{dF/dw_i}.
+
+    The identity requires every non-vanishing first derivative to have a
+    Hessian with exactly one positive eigenvalue; identically-zero
+    derivatives are exempt (their Hessians constrain nothing).  When the
+    hypothesis fails the kernels are still computed and reported, but the
+    equality verdict is diagnostic rather than a theorem instance.
+    """
+
+    hypothesis_ok: bool
+    hypothesis_failures: tuple
+    kernels_equal: bool
+    kernel_dim: int
+    stacked_kernel_dim: int
+    kernel_basis: tuple
+    degree: int
+    notes: dict = field(default_factory=dict)
+
+
+def kernel_identity_check(matroid, c, q, alpha, w):
+    """Exact kernel comparison for the Hessian kernel identity.
+
+    Each Hessian comes from _identity_hessians as a positive multiple of
+    w_0'^(-e) D H D, e its degree and D = diag(w'), so by Sylvester's law
+    H_G for G = dF/dw_i has the inertia of its rows, with the positive and
+    negative counts swapped when w_0' < 0 and e = d - 1 is odd.  D is
+    common and invertible, so the kernels compare as the rows give them,
+    and each reduced-echelon vector y of F's rows, with its 1 at its last
+    nonzero column j, is reported as D y / D_jj, that of ker H_F.
+    """
+    d, wv, _, rows, _, partials = _identity_hessians(matroid, c, q, alpha, w, 0)
+    dim = len(wv)
+    failures = []
+    for i, rows_g in partials.items():
+        pos, neg, zero = bareiss_inertia(rows_g)
+        if wv[0] < 0 and d % 2 == 0:
+            pos, neg = neg, pos
+        if pos != 1:
+            failures.append({"index": i, "signature": (pos, neg, zero)})
+    ker_f = exact_nullspace(rows)
+    # with no partials the joint kernel is the whole space, that of a zero row
+    stacked = [row for rows_g in partials.values() for row in rows_g] or [[0] * dim]
+    # the kernels are equal exactly when the row spaces are: equal ranks,
+    # and no rank gained by joining the rows
+    rank_stack = exact_rank(stacked)
+    diagonal = [x or 1 for x in wv]
+    basis = []
+    for y in ker_f:
+        j = max(k for k, x in enumerate(y) if x)
+        basis.append(tuple(x * z / diagonal[j] for x, z in zip(y, diagonal)))
+    return KernelIdentityReport(
+        hypothesis_ok=not failures,
+        hypothesis_failures=tuple(failures),
+        kernels_equal=dim - len(ker_f) == rank_stack == exact_rank([*rows, *stacked]),
+        kernel_dim=len(ker_f),
+        stacked_kernel_dim=dim - rank_stack,
+        kernel_basis=tuple(basis),
+        degree=d,
+        notes={"dim": dim},
+    )
 
 
 def independent_numerators(matroid, w):

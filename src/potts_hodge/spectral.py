@@ -1,44 +1,28 @@
-"""Signatures of symmetric matrices and the spectral identities used by the
-verification campaigns.
+"""Signatures of symmetric matrices and the equivalence of the
+one-positive-eigenvalue criteria.
 
 Exact signatures, congruence transforms, ranks and nullspaces all come from
 the one fraction-free symmetric elimination over integers in matrices.py,
 so they are never subject to rounding.  There is no float signature: a
 SymMatrix is exact, and float_eigenvalues, a diagnostic that no verdict
 reads, bisects the exact eigenvalues with the same elimination and rounds
-each once.  The package has no runtime dependency beyond the standard
-library.
+each once.  The Euler and kernel identities, which combine the integer
+Hessian rows of potts.second_order_numerators, live in potts.py beside
+that format: this module reads matrices only.  The package has no
+runtime dependency beyond the standard library.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import mul
 from typing import NamedTuple
 
-from .errors import NotApplicableError
-from .matrices import (
-    SymMatrix,
-    bareiss_inertia,
-    bilinear,
-    congruence_diagonalize,
-    exact_nullspace,
-    exact_rank,
-    mat_vec,
-)
-from .potts import (
-    _alpha_split,
-    _congruent_hessian,
-    _divided,
-    _ratios,
-    validate_alpha,
-    validate_coeffs,
-    validate_point,
-    validate_q,
-)
-from .scalars import clear_denominators, to_float
+from .errors import InvalidParametersError
+from .matrices import SymMatrix, bareiss_inertia, bilinear, congruence_diagonalize, exact_rank, mat_vec
+from .scalars import clear_denominators, is_int, to_float
 
 
 class EigenSignature(NamedTuple):
@@ -179,6 +163,8 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
     so a counterexample reports its vectors as drawn (an axis as p) and
     its discriminant divided by (L k_u k_v)^2, the one of A.
     """
+    if not is_int(trials) or trials < 0:
+        raise InvalidParametersError(f"trials must be a nonnegative integer, got {trials!r}")
     rows, scale = SymMatrix.from_rows(matrix).scaled_rows()
     mat = SymMatrix(tuple(map(tuple, rows)))
     vectors, diag = congruence_diagonalize(mat)
@@ -240,114 +226,6 @@ def one_positive_equivalence_check(matrix, trials=100, seed=0):
                         statement2=statement2, statement3=statement3,
                         witness_u=witness, counterexample=counterexample,
                         trials=trials)
-
-
-def _identity_hessians(matroid, c, q, alpha, w, least_degree):
-    """(d, w, alpha, rows, scale, partials): c and alpha validated, the
-    degree d of the alpha-derivative F checked (NotApplicableError), then
-    q and w; rows / scale = w_0'^(-d) D H_F D (_congruent_hessian), and
-    partials[i] the congruent rows of each dF/dw_i not identically zero."""
-    n = matroid.n
-    cv = validate_coeffs(c, n)
-    av = validate_alpha(alpha, n)
-    if _alpha_split(av, n) is None:
-        raise NotApplicableError("the derivative is identically zero; no Hessian to compare")
-    d = n - sum(av)
-    if d < least_degree:
-        raise NotApplicableError(
-            f"the derivative has degree {d}; the identity needs degree >= {least_degree}")
-    qv = validate_q(q)
-    wv = validate_point(w, n + 1, "any")
-    rows, _, _, _, scale = _congruent_hessian(matroid, cv, qv, av, wv)
-    bumps = ([a + (i == j) for j, a in enumerate(av)] for i in range(n + 1))
-    partials = {i: _congruent_hessian(matroid, cv, qv, b, wv)[0]
-                for i, b in enumerate(bumps) if _alpha_split(b, n) is not None}
-    return d, wv, av, rows, scale, partials
-
-
-def euler_hessian_residual(matroid, c, q, alpha, w):
-    """Largest absolute entry of (d-2) H_F - sum_i w_i H_{dF/dw_i} for the
-    alpha-derivative F of Z_c; identically zero for every homogeneous F, so
-    it must come out exactly 0.  Requires degree d >= 2.
-
-    The Hessians come from _identity_hessians, rows_G = scale_G w_0'^(-e)
-    D H_G D for G of degree e, with scale_G d_i = scale_F for G = dF/dw_i
-    and w_i / w_0' = p_i / d_i.  So scale_F w_0'^(-d) D R D for the residual
-    R is (d-2) rows_F minus p_i rows_G for each dF/dw_i with w_i != 0
-    (p_0 = 1), divided back entry by entry (_divided).
-    """
-    d, wv, av, rows, scale, partials = _identity_hessians(matroid, c, q, alpha, w, 2)
-    total = [[(d - 2) * x for x in row] for row in rows]
-    factors = [1] + _ratios(wv)[0]
-    for i, rows_g in partials.items():
-        if wv[i]:
-            total = [[t - factors[i] * x for t, x in zip(r, s)] for r, s in zip(total, rows_g)]
-    diagonal = [x or 1 for x in wv]
-    return max(map(abs, chain(*_divided(total, scale, wv, av, diagonal, diagonal))))
-
-
-@dataclass(frozen=True)
-class KernelIdentityReport:
-    """Comparison of ker H_F with the joint kernel of all H_{dF/dw_i}.
-
-    The identity requires every non-vanishing first derivative to have a
-    Hessian with exactly one positive eigenvalue; identically-zero
-    derivatives are exempt (their Hessians constrain nothing).  When the
-    hypothesis fails the kernels are still computed and reported, but the
-    equality verdict is diagnostic rather than a theorem instance.
-    """
-
-    hypothesis_ok: bool
-    hypothesis_failures: tuple
-    kernels_equal: bool
-    kernel_dim: int
-    stacked_kernel_dim: int
-    kernel_basis: tuple
-    degree: int
-    notes: dict = field(default_factory=dict)
-
-
-def kernel_identity_check(matroid, c, q, alpha, w):
-    """Exact kernel comparison for the Hessian kernel identity.
-
-    Each Hessian comes from _identity_hessians as a positive multiple of
-    w_0'^(-e) D H D, e its degree and D = diag(w'), so by Sylvester's law
-    H_G for G = dF/dw_i has the inertia of its rows, with the positive and
-    negative counts swapped when w_0' < 0 and e = d - 1 is odd.  D is
-    common and invertible, so the kernels compare as the rows give them,
-    and each reduced-echelon vector y of F's rows, with its 1 at its last
-    nonzero column j, is reported as D y / D_jj, that of ker H_F.
-    """
-    d, wv, _, rows, _, partials = _identity_hessians(matroid, c, q, alpha, w, 0)
-    dim = len(wv)
-    failures = []
-    for i, rows_g in partials.items():
-        pos, neg, zero = bareiss_inertia(rows_g)
-        if wv[0] < 0 and d % 2 == 0:
-            pos, neg = neg, pos
-        if pos != 1:
-            failures.append({"index": i, "signature": (pos, neg, zero)})
-    ker_f = exact_nullspace(rows)
-    # with no partials the joint kernel is the whole space, that of a zero row
-    stacked = [row for rows_g in partials.values() for row in rows_g] or [[0] * dim]
-    # the kernels are equal exactly when the row spaces are: equal ranks,
-    # and no rank gained by joining the rows
-    rank_stack = exact_rank(stacked)
-    diagonal = [x or 1 for x in wv]
-    basis = []
-    for y in ker_f:
-        j = max(k for k, x in enumerate(y) if x)
-        basis.append(tuple(x * z / diagonal[j] for x, z in zip(y, diagonal)))
-    return KernelIdentityReport(
-        hypothesis_ok=not failures,
-        hypothesis_failures=tuple(failures),
-        kernels_equal=dim - len(ker_f) == rank_stack == exact_rank([*rows, *stacked]),
-        kernel_dim=len(ker_f),
-        stacked_kernel_dim=dim - rank_stack,
-        kernel_basis=tuple(basis),
-        degree=d,
-        notes={"dim": dim},
-    )
 
 
 def kernel_contains(basis, vector):

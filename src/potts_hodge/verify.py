@@ -27,9 +27,10 @@ validates all of its inputs (potts.validate_q, validate_point with the
 sign its theorem needs, validate_coeffs) before it returns any verdict.
 The validators keep ints as ints and read signs off numerators, so a
 check runs on the integers it was given: the Hessian checks eliminate
-integer numerators and the strata checks compare them
-(potts.hessian_numerators, second_order_numerators, strata_numerators,
-quadratic_numerators); a Fraction is built only for a witness value.  A
+the integer rows of potts.second_order_numerators, the one reader of a
+derivative's value, gradient and Hessian, and the strata checks compare
+those of strata_numerators and quadratic_numerators; a Fraction is built
+only for a witness value.  No module imports another's private names.  A
 check's body holds its mathematics only: its validated inputs are
 encoded in one place (_matroid_inputs, beside their decoder _FROM_JSON),
 and _result builds every record, its notes and violations joining the
@@ -73,10 +74,9 @@ from .matrices import SymMatrix
 from .matroids import from_json as matroid_from_json
 from .matroids import independent_set_counts, simplify, structure
 from .potts import (
-    _alpha_split,
     dependent_mass,
+    derivative_degree,
     f_limit_residual,
-    hessian_numerators,
     independent_numerators,
     log_concave_integers,
     quadratic_numerators,
@@ -185,6 +185,8 @@ class VerificationReport:
         if not isinstance(obj, dict):
             raise ParseError(f"report must be an object, got {type(obj).__name__}")
         try:
+            if not isinstance(obj["checks"], list):
+                raise ParseError(f"report checks must be a list, got {type(obj['checks']).__name__}")
             checks = tuple(CheckResult.from_json(c) for c in obj["checks"])
             return VerificationReport(campaign=obj["campaign"], checks=checks,
                                       summary=obj["summary"],
@@ -316,7 +318,7 @@ def check_one_positive(matroid, q, w):
         return _result(TAG_ONE_POSITIVE, inputs, NOT_APPLICABLE, notes=["degree-below-two"])
     if not _q_in_range(qv):
         return _result(TAG_ONE_POSITIVE, inputs, NOT_APPLICABLE, notes=["q-above-one"])
-    rows, _ = hessian_numerators(matroid, _ones(n + 1), qv, [0] * (n + 1), wv)
+    _, _, rows, _ = second_order_numerators(matroid, _ones(n + 1), qv, (0,) * (n + 1), wv)
     sig = signature(SymMatrix(rows))
     return _result(TAG_ONE_POSITIVE, inputs, PASS if sig.n_pos == 1 else FAIL,
                    {"signature": list(sig)}, ["singular-hessian"] if sig.n_zero else ())
@@ -334,11 +336,12 @@ def check_derivative_one_positive(matroid, c, q, alpha, w):
     inputs = _matroid_inputs(matroid, c=cv, q=qv, alpha=alpha, w=wv)
     if not _q_in_range(qv):
         return _result(TAG_DERIVATIVE_ONE_POSITIVE, inputs, NOT_APPLICABLE, notes=["q-above-one"])
-    if _alpha_split(alpha, n) is None or n - sum(alpha) < 2:
+    degree = derivative_degree(matroid, alpha)
+    if degree is None or degree < 2:
         return _result(TAG_DERIVATIVE_ONE_POSITIVE, inputs, NOT_APPLICABLE,
                        notes=["degree-below-two"])
     active = [0] + [i for i in range(1, n + 1) if alpha[i] == 0]
-    rows, _ = hessian_numerators(matroid, cv, qv, alpha, wv)
+    _, _, rows, _ = second_order_numerators(matroid, cv, qv, alpha, wv)
     sig = signature(SymMatrix(tuple(tuple(rows[i][j] for j in active) for i in active)))
     witness = {"signature": list(sig), "active": active}
     expected = sig.n_pos == 1 and sig.n_zero == 0 and sig.n_neg == len(active) - 1
@@ -570,7 +573,7 @@ def check_log_concavity_at(matroid, c, q, w):
     if not _q_in_range(qv):
         return _result(TAG_LOG_CONCAVITY, inputs, NOT_APPLICABLE, notes=["q-above-one"])
     # B and the ray over a positive factor: z / scale = Z / w_0^n
-    z, grad, hess, scale = second_order_numerators(matroid, cv, qv, wv)
+    z, grad, hess, scale = second_order_numerators(matroid, cv, qv, (0,) * (n + 1), wv)
     if z <= 0:
         raise ImpossibleStateError(f"Z_c is not positive at the positive point {wv}")
     bordered = (z, *grad), *((g, *row) for g, row in zip(grad, hess))
@@ -941,6 +944,9 @@ def run_campaign(corpus, config=None):
     unknown = [t for t in cfg.theorems if t not in ALL_THEOREMS]
     if unknown:
         raise InvalidParametersError(f"unknown theorem tags {unknown!r}")
+    if not cfg.theorems:
+        # like an empty corpus: a campaign of no checks would pass vacuously
+        raise InvalidParametersError("no theorem selected")
     if not is_int(cfg.seed):
         raise InvalidParametersError(f"seed must be an integer, got {cfg.seed!r}")
     if not is_int(cfg.samples) or cfg.samples < 0:

@@ -8,6 +8,7 @@ Exact arithmetic throughout except where a float tolerance is stated.
 import random
 
 from potts_hodge import (
+    euler_hessian_residual,
     generate_corpus,
     hessian,
     kernel_contains,
@@ -27,7 +28,6 @@ from potts_hodge.sampling import (
     sample_positive_point,
     sample_sign_mixed_point,
 )
-from potts_hodge.spectral import euler_hessian_residual
 from potts_hodge.verify import (
     FAIL,
     PASS,

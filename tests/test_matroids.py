@@ -2,7 +2,11 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -235,6 +239,31 @@ def test_linear_gf3_vs_gf2():
         make_linear(4, cols)  # composite modulus
     with pytest.raises(InvalidParametersError):
         make_linear(2, [[1, 0], [0]])  # ragged rows
+
+
+def test_field_order_test_agrees_with_trial_division():
+    def trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+    assert [p for p in range(10 ** 5) if matroids._is_prime(p)] == \
+        [p for p in range(10 ** 5) if trial_division(p)]
+
+
+def test_field_order_limits():
+    # GF(2^61 - 1) builds at once; composites below 2^64, among them a
+    # strong pseudoprime to the bases 2, 3, 5 and 7, are not prime, and
+    # an order of 2^64 or more is refused before any primality test
+    code = "from potts_hodge import make_linear; print(make_linear(2 ** 61 - 1, [[1, 2]]).ranks)"
+    src = str(Path(matroids.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=10, check=True)
+    assert out.stdout.strip() == "(0, 1, 1, 1)"
+    for composite in ((2 ** 31 - 1) * (2 ** 32 - 5), 151 * 751 * 28351):
+        with pytest.raises(InvalidParametersError, match="must be prime"):
+            make_linear(composite, [[1, 2]])
+    with pytest.raises(InvalidParametersError, match="below 2\\^64"):
+        make_linear(2 ** 64 + 13, [[1, 2]])
 
 
 def test_linear_zero_matrix_all_loops():

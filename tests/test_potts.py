@@ -50,7 +50,6 @@ from potts_hodge.potts import (
     _single_sums,
     _superset_lists,
     _superset_sums,
-    hessian_numerators,
     independent_numerators,
     quadratic_numerators,
     second_order_numerators,
@@ -383,12 +382,13 @@ def test_quadratic_numerators_match_the_strata():
                  (Fraction(5, 4), Fraction(1, 6), Fraction(2), Fraction(9, 2), Fraction(1, 3))))
 def test_congruent_hessian_has_the_inertia_of_the_hessian(inputs):
     # at a positive point D = diag(w_0, w_1, ..., w_n) is invertible and
-    # w_0^(-d) > 0, so by Sylvester's law hessian_numerators has the
-    # inertia of the Hessian, on the active indices too
+    # w_0^(-d) > 0, so by Sylvester's law the rows of
+    # second_order_numerators have the inertia of the Hessian, on the
+    # active indices too
     matroid, c, q, alpha, w = inputs
     n = matroid.n
     active = [0] + [i for i in range(1, n + 1) if not alpha[i]]
-    rows, _ = hessian_numerators(matroid, c, q, alpha, w)
+    _, _, rows, _ = second_order_numerators(matroid, c, q, alpha, w)
     assert signature(SymMatrix(rows).submatrix(active)) == \
         signature(hessian(matroid, c, q, alpha, w).submatrix(active))
 
@@ -405,29 +405,22 @@ def test_congruent_hessian_has_the_inertia_of_the_hessian(inputs):
 def test_numerators_differential(inputs):
     # each numerator helper returns integers over one positive integer
     # scale, and they divide to the public values, which
-    # test_oracle_differential holds to the sympy oracle; the Hessian
-    # helpers give D H D for D = diag(w_0', w'_1, ..., w'_n), where w' is w
-    # with each zero coordinate replaced by 1, times w_0'^(-d) for d the
-    # degree of the derivative (d = n in second_order_numerators)
+    # test_oracle_differential holds to the sympy oracle;
+    # second_order_numerators gives the alpha-derivative, D times its
+    # gradient and D H D for D = diag(w_0', w'_1, ..., w'_n), where w' is w
+    # with each zero coordinate replaced by 1, all times w_0'^(-d) for d
+    # the degree of the derivative
     matroid, c, q, alpha, w = inputs
     n = matroid.n
-    zero = (0,) * (n + 1)
     d = tuple(x or 1 for x in w)
-
-    def congruent(h, factor):
-        return tuple(factor * d[i] * h[i][j] * d[j] for i in range(n + 1) for j in range(n + 1))
-
-    rows, scale = hessian_numerators(matroid, c, q, alpha, w)
-    assert over_one_scale(chain(*rows), scale) == \
-        congruent(hessian(matroid, c, q, alpha, w).entries, Fraction(d[0]) ** (sum(alpha) - n))
-    # Z_c, its gradient and its Hessian at alpha = 0
-    factor = Fraction(d[0]) ** -n
-    z, grad, hess, scale = second_order_numerators(matroid, c, q, w)
-    assert over_one_scale([z], scale) == (factor * z_weighted_eval(matroid, c, q, w),)
+    factor = Fraction(d[0]) ** (sum(alpha) - n)
+    z, grad, rows, scale = second_order_numerators(matroid, c, q, alpha, w)
+    assert over_one_scale([z], scale) == (factor * partial_eval(matroid, c, q, alpha, w),)
     assert over_one_scale(grad, scale) == \
-        tuple(factor * x * y for x, y in zip(d, gradient(matroid, c, q, zero, w)))
-    assert over_one_scale(chain(*hess), scale) == \
-        congruent(hessian(matroid, c, q, zero, w).entries, factor)
+        tuple(factor * x * y for x, y in zip(d, gradient(matroid, c, q, alpha, w)))
+    h = hessian(matroid, c, q, alpha, w).entries
+    assert over_one_scale(chain(*rows), scale) == \
+        tuple(factor * d[i] * h[i][j] * d[j] for i in range(n + 1) for j in range(n + 1))
     # the strata and the independent-set strata at the inner point
     inner = w[1:]
     assert over_one_scale(*strata_numerators(matroid, q, inner)) == zk_all(matroid, q, inner)

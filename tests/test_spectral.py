@@ -36,7 +36,7 @@ from potts_hodge.errors import ImpossibleStateError
 from potts_hodge.matrices import bareiss_inertia
 from potts_hodge.scalars import from_float
 from potts_hodge import spectral
-from potts_hodge.spectral import KernelIdentityReport
+from potts_hodge.potts import KernelIdentityReport
 
 U12 = make_uniform(1, 2)
 U24 = make_uniform(2, 4)

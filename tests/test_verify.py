@@ -32,9 +32,13 @@ from potts_hodge import (
     SamplingFailureError,
     SymMatrix,
     VerificationReport,
+    bilinear,
     connected_graphs,
+    contract,
     derivative_degree,
     elementary_symmetric,
+    exact_nullspace,
+    exact_rank,
     generate_corpus,
     gradient,
     hessian,
@@ -42,6 +46,7 @@ from potts_hodge import (
     make_linear,
     make_rank_table,
     make_uniform,
+    one_positive_equivalence_check,
     parse_corpus_spec,
     rat,
     run_campaign,
@@ -52,6 +57,7 @@ from potts_hodge import (
 )
 from potts_hodge import sampling, verify
 from potts_hodge.errors import ImpossibleStateError
+from potts_hodge.matrices import mat_vec
 from potts_hodge.potts import quadratic_numerators, strata_numerators
 from potts_hodge.sampling import (
     child_rng,
@@ -603,6 +609,31 @@ def test_log_slice_second_difference():
         assert val <= 1e-8
     with pytest.raises(InvalidParametersError):
         log_slice_second_difference(U24, (1.0,) * 5, 0.5, w, (0.0,) * 5)
+    # Z_c is exact at the tiny float points, about 10^-1200, and rounds to
+    # 0.0, so its log is undefined
+    tiny = (1e-300,) * 5
+    with pytest.raises(InvalidParametersError, match="log Z is undefined"):
+        log_slice_second_difference(U24, (1.0,) * 5, 0.5, tiny, (1.0, 0.0, 0.0, 0.0, 0.0))
+
+
+def test_zero_line_sampling_gives_up_after_32_draws(monkeypatch):
+    # a constant sample projects to the zero vector, which is not a point
+    draws = []
+
+    def constant(rng, length):
+        draws.append(length)
+        return [1] * length
+
+    monkeypatch.setattr(verify, "sample_sign_mixed_numerators", constant)
+    with pytest.raises(InvalidParametersError, match="could not sample a nonzero point"):
+        verify._zero_line_point(U24, Fraction(1, 2), random.Random(0))
+    assert draws == [4] * 32
+
+
+def test_sign_mixed_sampling_of_an_empty_vector_fails():
+    # no vector of length 0 is nonzero
+    with pytest.raises(SamplingFailureError, match="nonzero sign-mixed vector"):
+        sampling.sample_sign_mixed_numerators(random.Random(0), 0)
 
 
 def test_dependent_mass_ratio():
@@ -1001,6 +1032,25 @@ def test_a_child_that_dies_after_streaming_a_unit_is_reported(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_child_that_cannot_be_placed_keeps_the_whole_set(monkeypatch):
+    # placement is best effort: an OSError for the child leaves it
+    # unpinned, and it still runs its units into the same report
+    _usable_cpus(monkeypatch, 2)
+    refused = []
+
+    def refuse(pid, cpus):
+        refused.append(pid)
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    texts = [json.dumps(run_campaign(SPAN_CORPUS, CampaignConfig(seed=4, samples=1, workers=workers))
+                        .to_json(), sort_keys=True) for workers in (1, 2)]
+    assert len(refused) == 1 and refused[0] != os.getpid()
+    assert texts[0] == texts[1]
+    assert _real_affinity(0) == _AFFINITY_AT_START
+    assert multiprocessing.active_children() == []
+
+
 def test_a_slow_child_unit_leaves_every_other_unit_to_the_caller(monkeypatch, tmp_path):
     # the child's first unit takes 0.3 s; meanwhile this process claims
     # and runs all the others, and the report is the serial one.  Each
@@ -1259,6 +1309,19 @@ def test_the_package_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_no_module_imports_another_modules_private_names():
+    # a module's leading-underscore names are its own: a relative import
+    # of one from another module of the package is a leak of its format
+    package = Path(verify.__file__).resolve().parent
+    leaks = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                leaks += [(path.name, node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+    assert leaks == []
+
+
 def test_exact_library_never_loads_numpy():
     # importing the package, running a campaign and printing a spectrum in
     # both modes and formats, in a fresh interpreter, leaves numpy out
@@ -1294,10 +1357,34 @@ def test_campaign_rejects_negative_samples_and_workers(monkeypatch):
                {"seed": 1.5}, {"seed": True}, {"samples": True}, {"samples": 2.5},
                {"workers": 2.5}, {"workers": True},
                {"q_grid": (0,)}, {"q_grid": (0.5,)}, {"q_grid": ("1/2",)},
-               {"corpus_label": 7}, {"corpus_label": None}]
+               {"corpus_label": 7}, {"corpus_label": None}, {"theorems": ()}]
     for fields in refused:
         with pytest.raises(InvalidParametersError):
             run_campaign(corpus, CampaignConfig(**fields))
+
+
+IDENTITY2 = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: exact_rank([[1, 2], [3]]), InvalidParametersError),
+    (lambda: exact_nullspace([[1, 2], [3]]), InvalidParametersError),
+    (lambda: bilinear((1,), IDENTITY2, (1, 1)), InvalidParametersError),
+    (lambda: mat_vec(IDENTITY2, (1,)), InvalidParametersError),
+    (lambda: contract(make_uniform(1, 2), True), InvalidParametersError),
+    (lambda: VerificationReport.from_json({"campaign": {}, "checks": 5, "summary": {}}),
+     ParseError),
+    (lambda: one_positive_equivalence_check(IDENTITY2, trials=2.5), InvalidParametersError),
+    (lambda: one_positive_equivalence_check(IDENTITY2, trials=-3), InvalidParametersError),
+], ids=["rank-ragged", "nullspace-ragged", "bilinear-length", "mat_vec-length", "contract-bool",
+        "report-checks", "trials-float", "trials-negative"])
+def test_public_entry_points_refuse_malformed_input(call, error):
+    # ragged rows, a vector of the wrong length, a bool for a subset, a
+    # non-list of checks and a non-integer or negative trial count raise
+    # the package's own errors, not IndexError or TypeError, and never
+    # return a result
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("workers, cpus, cap", [
