@@ -10,6 +10,9 @@ and it also refuses a zero denominator.  Rationals are the interface type
 only: the evaluators and the exact signature clear the denominators of
 their inputs once (clear_denominators) and run on ints, and JSON is built
 from the numerator and denominator of a value, which an int has as well.
+Inside a shared_wire block (a campaign runs in one) scalar_to_json
+returns one shared dict per distinct exact value, so the records that
+hold it are read-only data; outside one it returns a fresh dict.
 
 Float mode is a format of the command line.  from_float converts a finite
 double exactly to a rational, the library evaluates exactly, and to_float
@@ -18,6 +21,8 @@ rounds each result once.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 
 from .errors import InvalidParametersError, ParseError
@@ -124,15 +129,44 @@ def parse_rational(text):
         raise ParseError(f"not a rational literal: {text!r} (expected 'num' or 'num/den')") from exc
 
 
+# the table of the innermost shared_wire block: (numerator, denominator)
+# -> the one JSON dict of that value; None outside every block
+_wire = ContextVar("wire", default=None)
+
+
+@contextmanager
+def shared_wire():
+    """A block within which scalar_to_json returns one shared dict per
+    distinct exact value, built on its first call.  Equal values encode to
+    equal bytes, so sharing changes no report, only its memory; the dicts
+    are read-only data.  The table lives as long as the block, and a
+    process forked inside it fills its own copy."""
+    token = _wire.set({})
+    try:
+        yield
+    finally:
+        _wire.reset(token)
+
+
 def scalar_to_json(value):
-    """JSON form of one scalar: {"num": "...", "den": "..."} exact, bare double float."""
+    """JSON form of one scalar: {"num": "...", "den": "..."} exact, bare
+    double float.  An exact value's dict is fresh, or the shared one inside
+    a shared_wire block."""
     if type(value) is int:
-        return {"num": str(value), "den": "1"}
-    if type(value) is Fraction:
-        return {"num": str(value.numerator), "den": str(value.denominator)}
-    if isinstance(value, float):
+        key = value, 1
+    elif type(value) is Fraction:
+        key = value.numerator, value.denominator
+    elif isinstance(value, float):
         return value
-    raise InvalidParametersError(f"cannot serialize scalar {value!r}")
+    else:
+        raise InvalidParametersError(f"cannot serialize scalar {value!r}")
+    table = _wire.get()
+    obj = None if table is None else table.get(key)
+    if obj is None:
+        obj = {"num": str(key[0]), "den": str(key[1])}
+        if table is not None:
+            table[key] = obj
+    return obj
 
 
 def scalar_from_json(obj):

@@ -15,13 +15,15 @@ that draws its seeded inputs for one corpus member, its check function
 name and its input keys.  run_campaign's unit of work is one matroid:
 the unit generates and runs that matroid's tasks for every requested
 theorem, its records share one matroid JSON dict, and its checks compute
-structure and independent_set_counts once (_once).  With workers > 1
-this process and its forked children claim the units one at a time,
-costliest first, from one shared counter; a child streams each unit's
-records back over a pipe as soon as the unit is done, so the sampling
-runs where the checks do and no process waits on a fixed share.  When
-the processes fill the affinity set each child is pinned to a CPU of its
-own; the calling thread's set is never changed.
+structure and independent_set_counts once (_once).  Within a campaign
+(scalars.shared_wire) records also share one dict per distinct exact
+scalar, so records are read-only data.  With workers > 1 this process
+and its forked children claim the units one at a time, costliest first,
+from one shared counter; a child streams each unit's records back over
+a pipe as soon as the unit is done, so the sampling runs where the
+checks do and no process waits on a fixed share.  When the processes
+fill the affinity set each child is pinned to a CPU of its own; the
+calling thread's set is never changed.
 run_campaign validates its config before any unit runs, and every check
 validates all of its inputs (potts.validate_q, validate_point with the
 sign its theorem needs, validate_coeffs) before it returns any verdict.
@@ -91,8 +93,8 @@ from .potts import (
 # not called here, but perfbench/tracing.py wraps these names on this module
 from .potts import elementary_symmetric, f_all, gradient, hessian, zk_all  # noqa: F401
 from .scalars import (
-    clear_denominators, from_float, is_int, scalar_from_json, scalar_to_json, to_float,
-    vector_from_json, vector_to_json,
+    clear_denominators, from_float, is_int, scalar_from_json, scalar_to_json, shared_wire,
+    to_float, vector_from_json, vector_to_json,
 )
 from .sampling import (
     SIGN_MIXED_DEN, adversarial_points, child_rng, default_c_ratios, default_q_grid,
@@ -116,9 +118,15 @@ TAG_SIMPLIFICATION = "simplification"
 TAG_LOG_CONCAVITY = "logconcavity"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
-    """Outcome of a single theorem check on one input tuple."""
+    """Outcome of a single theorem check on one input tuple.
+
+    A record is read-only data, slotted and frozen: the records of one
+    campaign share the matroid JSON dict of their work unit and one dict
+    per distinct exact scalar, so editing a dict inside one record edits
+    every record that holds it.  Records cross processes as marshal
+    tuples; nothing pickles one."""
 
     theorem: str
     inputs: dict
@@ -147,8 +155,12 @@ class CheckResult:
             verdict = obj["verdict"]
             if verdict not in VERDICTS:
                 raise ParseError(f"unknown verdict {verdict!r}")
+            witness = obj.get("witness")
+            if not (witness is None or isinstance(witness, dict)):
+                raise ParseError(f"check witness must be an object or null, "
+                                 f"got {type(witness).__name__}")
             return CheckResult(theorem=obj["theorem"], inputs=obj["inputs"],
-                               verdict=verdict, witness=obj.get("witness"))
+                               verdict=verdict, witness=witness)
         except KeyError as exc:
             raise ParseError(f"check record is missing field {exc}") from exc
 
@@ -187,6 +199,10 @@ class VerificationReport:
         try:
             if not isinstance(obj["checks"], list):
                 raise ParseError(f"report checks must be a list, got {type(obj['checks']).__name__}")
+            for key in ("campaign", "summary"):
+                if not isinstance(obj[key], dict):
+                    raise ParseError(f"report {key} must be an object, "
+                                     f"got {type(obj[key]).__name__}")
             checks = tuple(CheckResult.from_json(c) for c in obj["checks"])
             return VerificationReport(campaign=obj["campaign"], checks=checks,
                                       summary=obj["summary"],
@@ -848,9 +864,10 @@ def _execute(units, workers):
     long units or starts late runs fewer, and no unit is bound to any
     process.  Tasks are sampled in the process that runs them.  A child
     sends each unit's records over its one-way pipe as soon as the unit is
-    done, as marshal data (the records are plain data, and a unit's
-    records still share one matroid JSON dict), then an end marker or the
-    exception that stopped it.  This process takes whatever has arrived
+    done, as marshal data (the records are plain data; marshal writes an
+    object repeated in one message once, so a unit's records still share
+    one matroid JSON dict and one dict per equal scalar), then an end
+    marker or the exception that stopped it.  This process takes whatever has arrived
     after each unit of its own, waits for every end marker, and then
     rebuilds the children's CheckResults.  When the processes fill the
     whole affinity set (cap equal to its size), this thread pins child s
@@ -930,15 +947,18 @@ def run_campaign(corpus, config=None):
 
     The unit of work is one matroid: it generates and runs that matroid's
     tasks for every requested theorem, and its records share one matroid
-    JSON dict.  At workers=1 every unit runs in this process; above it,
-    this process and at most workers - 1 child processes claim the units
-    one at a time and the children stream each unit's records back.  The
-    children are pinned to CPUs of their own when the processes fill the
-    affinity set; this thread's set is never changed (see _execute).  The
-    checks are reported theorem by theorem (in ALL_THEOREMS order),
-    matroid by matroid within a theorem.  The worker count affects wall
-    time only, so the report content is a function of (corpus, seed,
-    samples, theorems, q_grid) alone.
+    JSON dict.  While _execute runs (scalars.shared_wire), every record
+    holds one shared dict per distinct exact scalar; a forked child fills
+    its own table, and each unit's message carries its repeated dicts
+    once.  The records are read-only data.  At workers=1 every unit runs
+    in this process; above it, this process and at most workers - 1 child
+    processes claim the units one at a time and the children stream each
+    unit's records back.  The children are pinned to CPUs of their own
+    when the processes fill the affinity set; this thread's set is never
+    changed (see _execute).  The checks are reported theorem by theorem
+    (in ALL_THEOREMS order), matroid by matroid within a theorem.  The
+    worker count affects wall time only, so the report content is a
+    function of (corpus, seed, samples, theorems, q_grid) alone.
     """
     cfg = config or CampaignConfig()
     unknown = [t for t in cfg.theorems if t not in ALL_THEOREMS]
@@ -964,7 +984,8 @@ def run_campaign(corpus, config=None):
     q_grid = given_grid or default_q_grid()
     units = [(mi, matroid, theorems, cfg.seed, cfg.samples, q_grid)
              for mi, matroid in enumerate(corpus)]
-    per_matroid = _execute(units, cfg.workers)
+    with shared_wire():
+        per_matroid = _execute(units, cfg.workers)
     checks = [check for ti in range(len(theorems)) for unit in per_matroid for check in unit[ti]]
     elapsed = time.perf_counter() - start
     campaign = {"name": "verification-campaign", "corpus": cfg.corpus_label,

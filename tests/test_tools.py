@@ -1,6 +1,7 @@
 """Smoke tests for the developer tools under tools/."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,9 @@ def test_ab_campaign_on_one_tree(workload, workers, seed):
     # above one worker, each tree's CPU / wall shows whether its processes
     # ran side by side
     assert ("CPU/wall" in out.stdout) == (workers != "1")
+    # after the rounds, the memory each tree's report holds
+    assert re.search(rf"^{workload}: report memory parent \d+\.\d\d MB, change \d+\.\d\d MB$",
+                     out.stdout, re.MULTILINE)
 
 
 def test_src_lines_counts_lines_and_code_lines(tmp_path):

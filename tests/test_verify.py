@@ -65,7 +65,7 @@ from potts_hodge.sampling import (
     sample_positive_point,
     sample_sign_mixed_point,
 )
-from potts_hodge.scalars import scalar_to_json
+from potts_hodge.scalars import scalar_to_json, shared_wire
 from potts_hodge.verify import (
     ALL_THEOREMS,
     FAIL,
@@ -1190,6 +1190,70 @@ def test_editing_a_record_leaves_the_corpus_and_later_campaigns(monkeypatch, wor
             check_count_log_concavity(matroid).inputs["matroid"]
 
 
+def _scalar_dicts(check):
+    """The exact scalar dicts of a record's q and w, each with its value."""
+    objs = ([check.inputs["q"]] if "q" in check.inputs else []) + check.inputs.get("w", [])
+    return [((obj["num"], obj["den"]), obj) for obj in objs]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_campaign_shares_one_dict_per_distinct_scalar(monkeypatch, workers):
+    # serially, every record of the campaign holds one dict per distinct
+    # exact value; at workers=2 the caller here claims no unit, so a child
+    # runs both, and each unit's message shares its own dicts only
+    _usable_cpus(monkeypatch, 2)
+    caller = os.getpid()
+    claim = verify._claim
+    monkeypatch.setattr(verify, "_claim",
+                        lambda claims: None if os.getpid() == caller else claim(claims))
+    corpus = [K3, make_linear(2, [[1, 0, 1], [0, 1, 1]])]
+    config = CampaignConfig(seed=1, samples=2, workers=workers)
+    report = run_campaign(corpus, config)
+    assert report.to_json() == run_campaign(corpus, dataclasses.replace(config, workers=1)) \
+        .to_json()
+    members = [m.to_json() for m in corpus]
+    held = {}  # value -> {matroid index -> ids of the dicts that hold it}
+    uses = 0
+    for check in report.checks:
+        mi = members.index(check.inputs["matroid"])
+        for value, obj in _scalar_dicts(check):
+            held.setdefault(value, {}).setdefault(mi, set()).add(id(obj))
+            uses += 1
+    # one dict per value within each unit, for many more uses than values
+    assert all(len(ids) == 1 for per_unit in held.values() for ids in per_unit.values())
+    assert uses > 2 * len(held)
+    # a value that both units hold: one dict serially, one per unit message
+    across = [per_unit[0] | per_unit[1] for per_unit in held.values() if len(per_unit) == 2]
+    assert across and {len(ids) for ids in across} == {1 if workers == 1 else 2}
+
+
+def test_a_check_on_its_own_builds_fresh_dicts(monkeypatch):
+    q, w = rat(1, 2), (rat(1), rat(1), rat(1), rat(1))
+    first, second = check_one_positive(K3, q, w), check_one_positive(K3, q, w)
+    assert first.inputs == second.inputs
+    assert first.inputs["q"] is not second.inputs["q"]
+    assert len({id(obj) for obj in first.inputs["w"]}) == 4
+    # the block run_campaign opens shares the dicts of equal exact values,
+    # an int and its Fraction alike, and never a float
+    with shared_wire():
+        assert scalar_to_json(rat(1, 2)) is scalar_to_json(Fraction(2, 4))
+        assert scalar_to_json(1) is scalar_to_json(rat(1))
+        assert scalar_to_json(0.5) == 0.5
+        assert check_one_positive(K3, q, w).inputs["q"] is check_one_positive(K3, q, w).inputs["q"]
+    # and its table lives only as long as the campaign, which returned or raised
+    run_campaign([K3], CampaignConfig(theorems=("ulc",), samples=1))
+    assert scalar_to_json(q) is not scalar_to_json(q)
+
+    def broken(matroid, q, w):
+        raise RuntimeError("stubbed check")
+
+    monkeypatch.setattr(verify, "check_strata_ultra_log_concave", broken)
+    with pytest.raises(RuntimeError, match="stubbed check"):
+        run_campaign([K3], CampaignConfig(theorems=("ulc",), samples=1))
+    assert scalar_to_json(q) == scalar_to_json(q)
+    assert scalar_to_json(q) is not scalar_to_json(q)
+
+
 def test_theorems_report_in_canonical_order():
     corpus = generate_corpus("uniform,n<=3;graphic,K3")
     shuffled = (TAG_LOG_CONCAVITY, TAG_STRATA_ULC, TAG_ONE_POSITIVE, TAG_DEGREE_TWO)
@@ -1216,36 +1280,43 @@ def test_campaign_rejects_an_empty_corpus():
         run_campaign([], CampaignConfig(corpus_label="uniform,n<=1"))
 
 
-def test_campaign_under_the_benchmark_tracer():
+def test_campaign_under_the_benchmark_tracer(monkeypatch):
     # perfbench/tracing.py wraps names that potts_hodge.verify binds; a
-    # name the checks stop importing would break it with an AttributeError
+    # name the checks stop importing would break it with an AttributeError.
+    # Its counters must read the same at workers 1 and 2, as
+    # perfbench/selftest.py requires; one matroid would run serially
+    _usable_cpus(monkeypatch, 2)
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     import potts_hodge as ph
 
-    corpus = generate_corpus("graphic,K3")
+    corpus = generate_corpus("graphic,K3;uniform,n<=2")
     strata = CampaignConfig(theorems=("deg2", "ulc", "simplification"), seed=3, samples=2)
     for config, hessians in ((CampaignConfig(seed=1, samples=2), True), (strata, False)):
         expected = json.dumps(run_campaign(corpus, config).to_json(), sort_keys=True)
-        tracer = tracing.Tracer(ph)
-        try:
-            with tracer.installed():
-                report = run_campaign(corpus, config)
-            counts = tracer.counters.snapshot()
-        finally:
-            tracer.close()
-        assert json.dumps(report.to_json(), sort_keys=True) == expected
+        snapshots = []
+        for workers in (1, 2):
+            tracer = tracing.Tracer(ph)
+            try:
+                with tracer.installed():
+                    report = run_campaign(corpus, dataclasses.replace(config, workers=workers))
+                snapshots.append(tracer.counters.snapshot())
+            finally:
+                tracer.close()
+            assert json.dumps(report.to_json(), sort_keys=True) == expected
+        counts = snapshots[0]
+        assert snapshots[1] == counts
         assert counts["verify.check.calls"] == len(report.checks) > 0
         assert (counts["spectral.signature.calls"] > 0) == hessians
         assert counts["scalars.json.calls"] > 0
         assert counts["matroids.structure.calls"] >= 1
-    # one matroid: its work unit computes structure and the independent-set
+    # each matroid's work unit computes structure and the independent-set
     # counts once for all its deg2 and simplification checks, plus one
     # simplify, however many checks there are
-    assert len(report.checks) > 3
-    assert counts["matroids.structure.calls"] == 3
+    assert len(report.checks) > 3 * len(corpus)
+    assert counts["matroids.structure.calls"] == 3 * len(corpus)
 
 
 def test_benchmark_seeds_reproduce_their_pinned_reports(monkeypatch):
@@ -1374,13 +1445,22 @@ IDENTITY2 = [[1, 0], [0, 1]]
     (lambda: contract(make_uniform(1, 2), True), InvalidParametersError),
     (lambda: VerificationReport.from_json({"campaign": {}, "checks": 5, "summary": {}}),
      ParseError),
+    (lambda: VerificationReport.from_json({"campaign": {}, "checks": [], "summary": 5}),
+     ParseError),
+    (lambda: VerificationReport.from_json({"campaign": 3, "checks": [], "summary": {}}),
+     ParseError),
+    (lambda: CheckResult.from_json({"theorem": "qHR", "inputs": {}, "verdict": "pass",
+                                    "witness": 5}), ParseError),
     (lambda: one_positive_equivalence_check(IDENTITY2, trials=2.5), InvalidParametersError),
     (lambda: one_positive_equivalence_check(IDENTITY2, trials=-3), InvalidParametersError),
 ], ids=["rank-ragged", "nullspace-ragged", "bilinear-length", "mat_vec-length", "contract-bool",
-        "report-checks", "trials-float", "trials-negative"])
+        "report-checks", "report-summary", "report-campaign", "check-witness",
+        "trials-float", "trials-negative"])
 def test_public_entry_points_refuse_malformed_input(call, error):
     # ragged rows, a vector of the wrong length, a bool for a subset, a
-    # non-list of checks and a non-integer or negative trial count raise
+    # non-list of checks, a report's campaign or summary or a record's
+    # witness that is not an object, and a non-integer or negative trial
+    # count raise
     # the package's own errors, not IndexError or TypeError, and never
     # return a result
     with pytest.raises(error):

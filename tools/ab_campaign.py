@@ -23,7 +23,13 @@ quartiles from two rounds on).  Above one worker, each round line also
 gives the wall seconds and their ratio, and the summary gives the median
 wall ratio and, for each tree, the median CPU and wall seconds and the
 median CPU / wall of a run: about 1 when the processes took turns on one
-CPU, near the worker count when they ran side by side.  Exit status 1
+CPU, near the worker count when they ran side by side.  Last, after the
+timed rounds, each tree runs one more untimed campaign under tracemalloc,
+and the report memory line gives, per tree, the traced memory with that
+report still alive, after a full garbage collection, minus the traced
+memory before the campaign: the memory the report holds in this process
+(a child's allocations are not traced, but the records it sends are
+rebuilt here).  Exit status 1
 when any report's sha256 differs between the trees (or between rounds),
 else 0.
 
@@ -44,6 +50,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,6 +89,24 @@ def run_once(ph, corpus, config):
     cpu, wall = cpu_seconds() - cpu, time.perf_counter() - wall
     text = json.dumps(report.to_json(), sort_keys=True, indent=2)
     return cpu, wall, hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def report_megabytes(ph, corpus, config):
+    """MB that tracemalloc traces as held once run_campaign has returned,
+    with its report still alive, over what it traced before the call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = ph.run_campaign(corpus, config)
+        # a full collection also empties the interpreter's free lists,
+        # which would otherwise count blocks the campaign freed
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+        del report  # alive until measured
+    finally:
+        tracemalloc.stop()
+    return held / 1e6
 
 
 def main(argv=None):
@@ -137,6 +162,9 @@ def main(argv=None):
             f"wall {statistics.median(w[i] for w in walls):.3f} s "
             f"CPU/wall {statistics.median(c[i] / w[i] for c, w in zip(cpus, walls)):.2f}"
             for i, name in enumerate(("parent", "change"))))
+    print(f"{args.workload}: report memory " + ", ".join(
+        f"{name} {report_megabytes(*side):.2f} MB"
+        for name, side in zip(("parent", "change"), sides)))
     if len(digests) != 1:
         print(f"report sha256 differs: {sorted(digests)}", file=sys.stderr)
         return 1
