@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import ParseError, ResourceLimitError
-from .matroids import Matroid, make_graphic, make_linear, make_uniform
+from .matroids import MAX_N_ENV_VAR, enumeration_cap, make_graphic, make_linear, make_uniform
 from .sampling import child_rng
 
 DEFAULT_LINEAR_SEED = 271828
@@ -161,11 +161,20 @@ def structured_family():
 
 
 def generate_corpus(spec=None):
-    """Materialize the corpus for a CorpusSpec (or its parseable string form)."""
+    """Materialize the corpus for a CorpusSpec (or its parseable string
+    form).  A uniform or linear bound above enumeration_cap() raises
+    ResourceLimitError before any member is built, even a linear one whose
+    seeded draws would all stay below the cap."""
     if spec is None:
         spec = CorpusSpec()
     elif isinstance(spec, str):
         spec = parse_corpus_spec(spec)
+    # refused before any member is built, as a constructor would refuse it
+    cap = enumeration_cap()
+    for family, n in (("uniform", spec.uniform_max_n), ("linear", spec.linear_max_n)):
+        if family in spec.families and n > cap:
+            raise ResourceLimitError(f"the {family} family with n<={n} is above the enumeration "
+                                     f"cap {cap} (raise {MAX_N_ENV_VAR} to override)")
     out = []
     if "uniform" in spec.families:
         out.extend(uniform_family(spec.uniform_max_n))

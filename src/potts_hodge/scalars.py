@@ -11,8 +11,9 @@ only: the evaluators and the exact signature clear the denominators of
 their inputs once (clear_denominators) and run on ints, and JSON is built
 from the numerator and denominator of a value, which an int has as well.
 Inside a shared_wire block (a campaign runs in one) scalar_to_json
-returns one shared dict per distinct exact value, so the records that
-hold it are read-only data; outside one it returns a fresh dict.
+returns one shared dict per distinct exact value, whose strings are
+shared too, so the records that hold it are read-only data; outside one
+it returns a fresh dict.
 
 Float mode is a format of the command line.  from_float converts a finite
 double exactly to a rational, the library evaluates exactly, and to_float
@@ -130,17 +131,21 @@ def parse_rational(text):
 
 
 # the table of the innermost shared_wire block: (numerator, denominator)
-# -> the one JSON dict of that value; None outside every block
+# -> the one JSON dict of that value, and int -> its one str; None outside
+# every block
 _wire = ContextVar("wire", default=None)
 
 
 @contextmanager
 def shared_wire():
     """A block within which scalar_to_json returns one shared dict per
-    distinct exact value, built on its first call.  Equal values encode to
-    equal bytes, so sharing changes no report, only its memory; the dicts
-    are read-only data.  The table lives as long as the block, and a
-    process forked inside it fills its own copy."""
+    distinct exact value, built on its first call, and one shared str per
+    distinct numerator or denominator.  Equal values encode to equal
+    bytes, so sharing changes no report, only its memory; the dicts are
+    read-only data.  The table lives as long as the block, and a process
+    forked inside it fills its own copy.  A table of its own, not
+    sys.intern: inserting into the interpreter's interned-string table
+    raised a campaign's peak RSS."""
     token = _wire.set({})
     try:
         yield
@@ -151,7 +156,8 @@ def shared_wire():
 def scalar_to_json(value):
     """JSON form of one scalar: {"num": "...", "den": "..."} exact, bare
     double float.  An exact value's dict is fresh, or the shared one inside
-    a shared_wire block."""
+    a shared_wire block, whose equal numerators and denominators share one
+    str."""
     if type(value) is int:
         key = value, 1
     elif type(value) is Fraction:
@@ -161,11 +167,15 @@ def scalar_to_json(value):
     else:
         raise InvalidParametersError(f"cannot serialize scalar {value!r}")
     table = _wire.get()
-    obj = None if table is None else table.get(key)
+    if table is None:
+        return {"num": str(key[0]), "den": str(key[1])}
+    obj = table.get(key)
     if obj is None:
-        obj = {"num": str(key[0]), "den": str(key[1])}
-        if table is not None:
-            table[key] = obj
+        # the table also maps each int to one str of it, so equal numerators
+        # and denominators of different values share one string
+        num, den = key
+        obj = table[key] = {"num": table.get(num) or table.setdefault(num, str(num)),
+                            "den": table.get(den) or table.setdefault(den, str(den))}
     return obj
 
 

@@ -19,11 +19,12 @@ structure and independent_set_counts once (_once).  Within a campaign
 (scalars.shared_wire) records also share one dict per distinct exact
 scalar, so records are read-only data.  With workers > 1 this process
 and its forked children claim the units one at a time, costliest first,
-from one shared counter; a child streams each unit's records back over
-a pipe as soon as the unit is done, so the sampling runs where the
-checks do and no process waits on a fixed share.  When the processes
-fill the affinity set each child is pinned to a CPU of its own; the
-calling thread's set is never changed.
+from one claims file; a child writes all its records back to a file of
+its own in one write when its claims run out, so the sampling runs
+where the checks do and no process waits on a fixed share or on
+another process.  When the processes fill the affinity set each child
+is pinned to a CPU of its own; the calling thread's set is never
+changed.
 run_campaign validates its config before any unit runs, and every check
 validates all of its inputs (potts.validate_q, validate_point with the
 sign its theorem needs, validate_coeffs) before it returns any verdict.
@@ -125,8 +126,8 @@ class CheckResult:
     A record is read-only data, slotted and frozen: the records of one
     campaign share the matroid JSON dict of their work unit and one dict
     per distinct exact scalar, so editing a dict inside one record edits
-    every record that holds it.  Records cross processes as marshal
-    tuples; nothing pickles one."""
+    every record that holds it.  A campaign child writes its records to
+    a file as marshal tuples; nothing pickles one."""
 
     theorem: str
     inputs: dict
@@ -155,11 +156,14 @@ class CheckResult:
             verdict = obj["verdict"]
             if verdict not in VERDICTS:
                 raise ParseError(f"unknown verdict {verdict!r}")
+            theorem = obj["theorem"]
+            if not isinstance(theorem, str):
+                raise ParseError(f"check theorem must be a string, got {type(theorem).__name__}")
             witness = obj.get("witness")
             if not (witness is None or isinstance(witness, dict)):
                 raise ParseError(f"check witness must be an object or null, "
                                  f"got {type(witness).__name__}")
-            return CheckResult(theorem=obj["theorem"], inputs=obj["inputs"],
+            return CheckResult(theorem=theorem, inputs=obj["inputs"],
                                verdict=verdict, witness=witness)
         except KeyError as exc:
             raise ParseError(f"check record is missing field {exc}") from exc
@@ -203,10 +207,12 @@ class VerificationReport:
                 if not isinstance(obj[key], dict):
                     raise ParseError(f"report {key} must be an object, "
                                      f"got {type(obj[key]).__name__}")
+            timing = obj.get("timing_seconds")
+            if not (timing is None or type(timing) in (int, float)):
+                raise ParseError(f"report timing_seconds must be a number or null, got {timing!r}")
             checks = tuple(CheckResult.from_json(c) for c in obj["checks"])
             return VerificationReport(campaign=obj["campaign"], checks=checks,
-                                      summary=obj["summary"],
-                                      timing_seconds=obj.get("timing_seconds"))
+                                      summary=obj["summary"], timing_seconds=timing)
         except KeyError as exc:
             raise ParseError(f"report is missing field {exc}") from exc
 
@@ -802,53 +808,23 @@ def _claim(claims):
     return int.from_bytes(taken, "little") if taken else None
 
 
-def _run_claims(units, claims, sender):
-    """A campaign's child process: claim units until none is left and send
-    each one's records over the pipe end `sender` as soon as the unit is
-    done, as marshal data: (True, unit index, per theorem its records as
-    plain (theorem, inputs, verdict, witness) tuples), then (True, None,
-    None); or (False, None, the pickled exception that stopped it)."""
+def _run_claims(units, claims, out):
+    """A campaign's child process: claim units until none is left, keeping
+    each one's records as plain (theorem, inputs, verdict, witness) tuples,
+    then write to the file `out`, in one write, the marshal data (True,
+    [(unit index, per theorem its records), ...]), or (False, the pickled
+    exception that stopped it)."""
     try:
+        sent = []
         while (i := _claim(claims)) is not None:
-            records = [[(r.theorem, r.inputs, r.verdict, r.witness) for r in results]
-                       for results in _matroid_checks(*units[i])]
-            sender.send_bytes(marshal.dumps((True, i, records)))
+            sent.append((i, [[(r.theorem, r.inputs, r.verdict, r.witness) for r in results]
+                             for results in _matroid_checks(*units[i])]))
+        data = marshal.dumps((True, sent))
     except Exception as exc:  # the caller raises it
         import pickle
-        sender.send_bytes(marshal.dumps((False, None, pickle.dumps(exc))))
-    else:
-        sender.send_bytes(marshal.dumps((True, None, None)))
-    finally:
-        sender.close()
-
-
-def _receive(child, receiver, sent):
-    """Take one message from a child process: append a unit's (index,
-    records) to `sent` and return True, return False at the end marker,
-    or raise what stopped the child."""
-    try:
-        ok, i, records = marshal.loads(receiver.recv_bytes())
-    except EOFError:
-        child.join()
-        raise RuntimeError(
-            f"a campaign child process exited with code {child.exitcode} "
-            "without sending its records") from None
-    if not ok:
-        import pickle
-        raise pickle.loads(records)
-    if i is None:
-        return False
-    sent.append((i, records))
-    return True
-
-
-def _drain(child, receiver, sent):
-    """Take every message a child process has sent so far (see _receive);
-    False once its end marker has come."""
-    while receiver.poll():
-        if not _receive(child, receiver, sent):
-            return False
-    return True
+        data = marshal.dumps((False, pickle.dumps(exc)))
+    out.write(data)
+    out.flush()
 
 
 def _execute(units, workers):
@@ -862,23 +838,27 @@ def _execute(units, workers):
     units one at a time, costliest first (2^n down, then unit index),
     from one claims file whose offset they share: a process that draws
     long units or starts late runs fewer, and no unit is bound to any
-    process.  Tasks are sampled in the process that runs them.  A child
-    sends each unit's records over its one-way pipe as soon as the unit is
-    done, as marshal data (the records are plain data; marshal writes an
-    object repeated in one message once, so a unit's records still share
-    one matroid JSON dict and one dict per equal scalar), then an end
-    marker or the exception that stopped it.  This process takes whatever has arrived
-    after each unit of its own, waits for every end marker, and then
-    rebuilds the children's CheckResults.  When the processes fill the
-    whole affinity set (cap equal to its size), this thread pins child s
-    (s = 1, ..., cap - 1) to the s-th of its CPUs in sorted order,
-    counting from 0, as soon as the child has started, which leaves the
-    first free for this thread (a child that cannot be placed keeps the
-    whole set); this thread's own set is never changed.  Without
-    placement the kernel may keep a young child on the caller's CPU for
-    longer than a short campaign lasts, and the processes take turns
-    instead of running side by side.  A campaign that uses only part of
-    the set is not placed, so campaigns running side by side do not all
+    process.  Tasks are sampled in the process that runs them.  Each
+    child has a temporary file of its own, made before the fork; when its
+    claims run out it writes all its records there in one write, as
+    marshal data (the records are plain data; marshal writes an object
+    repeated in one message once, so a child's records still share one
+    matroid JSON dict per unit and one dict per equal scalar), or the
+    exception that stopped it.  A file never fills, so a child never waits
+    on this process.  Once its own claims run out, this process joins
+    each child, reads its file with one read, and rebuilds its
+    CheckResults; a child that exited with a nonzero code or wrote
+    nothing is a RuntimeError, and a child's exception is raised here,
+    only after this process has run the units that are left.  When the
+    processes fill the whole affinity set (cap equal to its size), this
+    thread pins child s (s = 1, ..., cap - 1) to the s-th of its CPUs in
+    sorted order, counting from 0, as soon as the child has started,
+    which leaves the first free for this thread (a child that cannot be
+    placed keeps the whole set); this thread's own set is never changed.
+    Without placement the kernel may keep a young child on the caller's
+    CPU for longer than a short campaign lasts, and the processes take
+    turns instead of running side by side.  A campaign that uses only part
+    of the set is not placed, so campaigns running side by side do not all
     pin children to the same lowest CPUs.  Every child is joined; one
     still running when the campaign raises is terminated first."""
     # more processes than units or usable CPUs (the affinity set, where the
@@ -888,6 +868,7 @@ def _execute(units, workers):
     if cap <= 1 or not hasattr(os, "fork"):
         return [_matroid_checks(*unit) for unit in units]
     import multiprocessing
+    import pickle
     import tempfile
 
     # the children inherit the claims file's descriptor, so they are forked
@@ -895,7 +876,7 @@ def _execute(units, workers):
     order = sorted(range(len(units)), key=lambda i: (-units[i][1].n, i))
     placed = cap == len(cpus)
     results = [None] * len(units)
-    sent, children = [], []
+    children = []
     # a regular file, not a memfd: concurrent reads through one memfd
     # offset have returned the same position to two processes
     with tempfile.TemporaryFile(buffering=0) as file:
@@ -904,13 +885,10 @@ def _execute(units, workers):
         claims = file.fileno()
         try:
             for s in range(1, cap):
-                receiver, sender = multiprocessing.Pipe(duplex=False)
-                child = fork.Process(target=_run_claims, args=(units, claims, sender))
-                children.append((child, receiver))
-                try:
-                    child.start()
-                finally:
-                    sender.close()
+                out = tempfile.TemporaryFile()
+                child = fork.Process(target=_run_claims, args=(units, claims, out))
+                children.append((child, out))
+                child.start()
                 if placed:
                     # best effort: a CPU the child may not use, or a child
                     # that has already exited, leaves it where it was
@@ -918,27 +896,31 @@ def _execute(units, workers):
                         os.sched_setaffinity(child.pid, (cpus[s],))
                     except OSError:
                         pass
-            running = children
             while (i := _claim(claims)) is not None:
                 results[i] = _matroid_checks(*units[i])
-                # drained after each unit, or a child blocks on a full pipe (1.4x wall)
-                running = [c for c in running if _drain(*c, sent)]
-            for child, receiver in running:
-                while _receive(child, receiver, sent):
-                    pass
-            # rebuilt here, not on arrival while a child runs (1.02x the wall time)
-            for i, records in sent:
-                results[i] = [[CheckResult(*r) for r in per_theorem] for per_theorem in records]
+            for child, out in children:
+                child.join()
+                out.seek(0)
+                data = out.read()
+                if child.exitcode or not data:
+                    raise RuntimeError(
+                        f"a campaign child process exited with code {child.exitcode} "
+                        "without sending its records")
+                ok, sent = marshal.loads(data)
+                if not ok:
+                    raise pickle.loads(sent)
+                for i, records in sent:
+                    results[i] = [[CheckResult(*r) for r in per_theorem] for per_theorem in records]
         except BaseException:
             for child, _ in children:
                 if child.is_alive():
                     child.terminate()
             raise
         finally:
-            for child, receiver in children:
+            for child, out in children:
                 if child.pid is not None:
                     child.join()
-                receiver.close()
+                out.close()
     return results
 
 
@@ -949,16 +931,17 @@ def run_campaign(corpus, config=None):
     tasks for every requested theorem, and its records share one matroid
     JSON dict.  While _execute runs (scalars.shared_wire), every record
     holds one shared dict per distinct exact scalar; a forked child fills
-    its own table, and each unit's message carries its repeated dicts
-    once.  The records are read-only data.  At workers=1 every unit runs
-    in this process; above it, this process and at most workers - 1 child
-    processes claim the units one at a time and the children stream each
-    unit's records back.  The children are pinned to CPUs of their own
-    when the processes fill the affinity set; this thread's set is never
-    changed (see _execute).  The checks are reported theorem by theorem
-    (in ALL_THEOREMS order), matroid by matroid within a theorem.  The
-    worker count affects wall time only, so the report content is a
-    function of (corpus, seed, samples, theorems, q_grid) alone.
+    its own table, and its one message carries its repeated dicts once.
+    The records are read-only data.  At workers=1 every unit runs in this
+    process; above it, this process and at most workers - 1 child
+    processes claim the units one at a time and each child writes all
+    its records back in one file write.  The children are pinned to CPUs
+    of their own when the processes fill the affinity set; this thread's
+    set is never changed (see _execute).  The checks are reported theorem
+    by theorem (in ALL_THEOREMS order), matroid by matroid within a
+    theorem.  The worker count affects wall time only, so the report
+    content is a function of (corpus, seed, samples, theorems, q_grid)
+    alone.
     """
     cfg = config or CampaignConfig()
     unknown = [t for t in cfg.theorems if t not in ALL_THEOREMS]
@@ -1009,6 +992,8 @@ def replay_check(check):
     if not isinstance(inputs, dict):
         raise ParseError(f"check inputs must be an object, got {type(inputs).__name__}")
     key = (check.theorem, inputs.get("aspect"))
+    if not (key[1] is None or isinstance(key[1], str)):
+        raise ParseError(f"check aspect must be a string, got {key[1]!r}")
     if key not in CHECKS:
         raise InvalidParametersError(f"cannot replay theorem {key[0]!r} with aspect {key[1]!r}")
     _, name, keys = CHECKS[key]

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from potts_hodge import CheckResult, VerificationReport
+from potts_hodge import CheckResult, VerificationReport, corpus
 from potts_hodge.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -574,6 +574,19 @@ def test_resource_limit_exit(monkeypatch, capsys):
                        "--w", "1,1,1,1")
     assert code == EXIT_RESOURCE
     assert "resource limit" in err
+
+
+@pytest.mark.parametrize("spec", ["uniform,n<=18", "linear,count=2,n<=18"])
+def test_corpus_bound_above_the_cap_is_refused_before_any_member(monkeypatch, capsys, spec):
+    # every smaller member would fit the cap; none of them is built
+    built = []
+    for name in ("make_uniform", "make_linear"):
+        monkeypatch.setattr(corpus, name, lambda *args: built.append(args))
+    monkeypatch.setenv(MAX_N_ENV_VAR, "17")
+    code, out, err = run(capsys, "corpus", "--spec", spec)
+    assert code == EXIT_RESOURCE
+    assert out == "" and built == []
+    assert "resource limit" in err and "above the enumeration cap 17" in err
 
 
 def test_graph_enumeration_limit_exit(capsys):

@@ -14,6 +14,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -1008,8 +1009,8 @@ def test_a_child_process_that_exits_without_sending_is_reported(monkeypatch):
 
 
 def test_a_child_that_dies_after_streaming_a_unit_is_reported(monkeypatch):
-    # the child sends its first unit's records, then exits on its second
-    # unit: the caller reads the first message, then the end of the pipe
+    # the child runs its first unit, then exits on its second before it
+    # writes anything: the caller finds exit code 3 and an empty file
     parent = os.getpid()
     original = verify.check_count_log_concavity
     done = []
@@ -1094,31 +1095,27 @@ def test_a_slow_child_unit_leaves_every_other_unit_to_the_caller(monkeypatch, tm
     assert multiprocessing.active_children() == []
 
 
-def test_a_child_sends_each_claimed_unit_as_one_message(monkeypatch, tmp_path):
-    # the child's side of the wire, run in this process: units in claims
-    # file order, one marshal message per unit holding the unit's records
-    # as plain tuples (they share one matroid JSON dict), then the end
-    # marker; a raised exception goes over pickled, after what was sent
+def test_a_child_writes_its_claimed_units_as_one_message(monkeypatch, tmp_path):
+    # the child's side of the file, run in this process: units in claims
+    # file order, all in one marshal message written to a real temporary
+    # file, their records as plain tuples (each unit's share one matroid
+    # JSON dict); a raised exception goes over pickled in place of them
     units = [(mi, m, ALL_THEOREMS, 1, 1, verify.default_q_grid()) for mi, m in enumerate([K3, U24])]
-    sent = []
-
-    class Sender:
-        send_bytes = sent.append
-
-        def close(self):
-            pass
 
     def run_claims(order):
-        sent.clear()
-        with open(tmp_path / "claims", "w+b", buffering=0) as file:
+        with open(tmp_path / "claims", "w+b", buffering=0) as file, \
+                tempfile.TemporaryFile() as out:
             file.write(b"".join(i.to_bytes(4, "little") for i in order))
             file.seek(0)
-            verify._run_claims(units, file.fileno(), Sender())
-        return [marshal.loads(data) for data in sent]
+            verify._run_claims(units, file.fileno(), out)
+            out.seek(0)
+            message = marshal.load(out)
+            assert out.read() == b""  # one message and nothing after it
+        return message
 
-    messages = run_claims([1, 0])
-    assert [m[:2] for m in messages] == [(True, 1), (True, 0), (True, None)]
-    for _, i, records in messages[:2]:
+    ok, sent = run_claims([1, 0])
+    assert ok and [i for i, _ in sent] == [1, 0]
+    for i, records in sent:
         assert records == [[(r.theorem, r.inputs, r.verdict, r.witness) for r in results]
                            for results in verify._matroid_checks(*units[i])]
         matroids = [inputs["matroid"] for per_theorem in records for _, inputs, _, _ in per_theorem]
@@ -1131,10 +1128,36 @@ def test_a_child_sends_each_claimed_unit_as_one_message(monkeypatch, tmp_path):
         return original(matroid)
 
     monkeypatch.setattr(verify, "check_count_log_concavity", check)
-    messages = run_claims([1, 0])
-    assert [m[:2] for m in messages] == [(True, 1), (False, None)]
+    ok, exc = run_claims([1, 0])
+    assert not ok
     with pytest.raises(SamplingFailureError, match="raised on K3"):
-        raise pickle.loads(messages[1][2])
+        raise pickle.loads(exc)
+
+
+def test_a_child_never_waits_on_the_caller(monkeypatch):
+    # the child's unit returns a witness larger than a pipe buffer, and it
+    # must exit while this process is still inside a long unit of its own
+    parent = os.getpid()
+    original = verify.check_count_log_concavity
+    exited = []
+
+    def check(matroid):
+        if os.getpid() != parent:
+            time.sleep(0.05)  # so this process claims the other unit
+            return dataclasses.replace(original(matroid), witness={"pad": "x" * 100_000})
+        deadline = time.monotonic() + 5
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        exited.append(not multiprocessing.active_children())
+        return original(matroid)
+
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "check_count_log_concavity", check)
+    report = run_campaign([K3, U24], CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY,),
+                                                    workers=2))
+    assert exited == [True]
+    assert [c.witness == {"pad": "x" * 100_000} for c in report.checks].count(True) == 1
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(len(_AFFINITY_AT_START or ()) < 2,
@@ -1198,9 +1221,9 @@ def _scalar_dicts(check):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_campaign_shares_one_dict_per_distinct_scalar(monkeypatch, workers):
-    # serially, every record of the campaign holds one dict per distinct
-    # exact value; at workers=2 the caller here claims no unit, so a child
-    # runs both, and each unit's message shares its own dicts only
+    # every record of the campaign holds one dict per distinct exact
+    # value: serially, and at workers=2, where the caller here claims no
+    # unit, so a child runs both and writes them in one message
     _usable_cpus(monkeypatch, 2)
     caller = os.getpid()
     claim = verify._claim
@@ -1222,9 +1245,9 @@ def test_a_campaign_shares_one_dict_per_distinct_scalar(monkeypatch, workers):
     # one dict per value within each unit, for many more uses than values
     assert all(len(ids) == 1 for per_unit in held.values() for ids in per_unit.values())
     assert uses > 2 * len(held)
-    # a value that both units hold: one dict serially, one per unit message
+    # and across the units: a value that both hold has one dict
     across = [per_unit[0] | per_unit[1] for per_unit in held.values() if len(per_unit) == 2]
-    assert across and {len(ids) for ids in across} == {1 if workers == 1 else 2}
+    assert across and {len(ids) for ids in across} == {1}
 
 
 def test_a_check_on_its_own_builds_fresh_dicts(monkeypatch):
@@ -1237,6 +1260,9 @@ def test_a_check_on_its_own_builds_fresh_dicts(monkeypatch):
     # an int and its Fraction alike, and never a float
     with shared_wire():
         assert scalar_to_json(rat(1, 2)) is scalar_to_json(Fraction(2, 4))
+        # and distinct values with equal numerators hold one str
+        assert scalar_to_json(rat(10**20 + 1, 3))["num"] is \
+            scalar_to_json(rat(10**20 + 1, 7))["num"]
         assert scalar_to_json(1) is scalar_to_json(rat(1))
         assert scalar_to_json(0.5) == 0.5
         assert check_one_positive(K3, q, w).inputs["q"] is check_one_positive(K3, q, w).inputs["q"]
@@ -1453,16 +1479,22 @@ IDENTITY2 = [[1, 0], [0, 1]]
                                     "witness": 5}), ParseError),
     (lambda: one_positive_equivalence_check(IDENTITY2, trials=2.5), InvalidParametersError),
     (lambda: one_positive_equivalence_check(IDENTITY2, trials=-3), InvalidParametersError),
+    (lambda: replay_check({"theorem": ["qHR"], "inputs": {}, "verdict": "pass"}), ParseError),
+    (lambda: replay_check({"theorem": "qHR", "inputs": {"aspect": ["x"]}, "verdict": "pass"}),
+     ParseError),
+    (lambda: VerificationReport.from_json({"campaign": {}, "checks": [], "summary": {},
+                                           "timing_seconds": "soon"}), ParseError),
 ], ids=["rank-ragged", "nullspace-ragged", "bilinear-length", "mat_vec-length", "contract-bool",
         "report-checks", "report-summary", "report-campaign", "check-witness",
-        "trials-float", "trials-negative"])
+        "trials-float", "trials-negative", "check-theorem", "replay-aspect", "report-timing"])
 def test_public_entry_points_refuse_malformed_input(call, error):
     # ragged rows, a vector of the wrong length, a bool for a subset, a
     # non-list of checks, a report's campaign or summary or a record's
-    # witness that is not an object, and a non-integer or negative trial
-    # count raise
-    # the package's own errors, not IndexError or TypeError, and never
-    # return a result
+    # witness that is not an object, a non-integer or negative trial
+    # count, a record's theorem or aspect that is not a string and a
+    # report's timing that is neither a number nor null raise the
+    # package's own errors, not IndexError or TypeError, and never return
+    # a result
     with pytest.raises(error):
         call()
 
@@ -1482,24 +1514,6 @@ def test_public_entry_points_refuse_malformed_input(call, error):
 def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
     started, placed, ran = [], [], []
 
-    class Channel:
-        """Stands in for a one-way pipe: keeps what is sent for recv_bytes."""
-
-        def __init__(self):
-            self.sent = []
-
-        def send_bytes(self, data):
-            self.sent.append(data)
-
-        def recv_bytes(self):
-            return self.sent.pop(0)
-
-        def poll(self):
-            return bool(self.sent)
-
-        def close(self):
-            pass
-
     class InProcessChild:
         """Stands in for a child process: takes a made-up pid and claims
         units in this process when started; starts nothing."""
@@ -1507,6 +1521,7 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
         def __init__(self, target, args):
             self._target, self._args = target, args
             self.pid = None
+            self.exitcode = 0
 
         def start(self):
             self.pid = 10**6 + len(started)
@@ -1519,10 +1534,6 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
         def join(self):
             pass
 
-    def pipe(duplex):
-        channel = Channel()
-        return channel, channel
-
     original = verify.check_count_log_concavity
 
     def check(matroid):
@@ -1530,7 +1541,6 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
         return original(matroid)
 
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", InProcessChild)
-    monkeypatch.setattr(multiprocessing, "Pipe", pipe)
     monkeypatch.setattr(verify, "check_count_log_concavity", check)
     # record each placement instead of pinning a process
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: placed.append((pid, set(cpus))),

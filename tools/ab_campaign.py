@@ -28,8 +28,8 @@ timed rounds, each tree runs one more untimed campaign under tracemalloc,
 and the report memory line gives, per tree, the traced memory with that
 report still alive, after a full garbage collection, minus the traced
 memory before the campaign: the memory the report holds in this process
-(a child's allocations are not traced, but the records it sends are
-rebuilt here).  Exit status 1
+(a child's allocations are not traced, but the records it writes back
+are rebuilt here).  Exit status 1
 when any report's sha256 differs between the trees (or between rounds),
 else 0.
 
