@@ -94,8 +94,46 @@ def _load_matroid(arg):
     return matroid_from_json(text)
 
 
+_FLOAT_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, indent="\n"):
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, one
+    join per container instead of json's pure-Python indented encoder;
+    TypeError for anything but JSON values with string keys."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOAT_JSON.get(text, text)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_json_text(x, inner) for x in obj])}{indent}]"
+    if not isinstance(obj, dict) or not all(isinstance(k, str) for k in obj):
+        raise TypeError(f"{type(obj).__name__} is left to json.dumps")
+    if not obj:
+        return "{}"
+    items = [f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
+    return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+
+
 def _dump_json(obj, file=None):
-    print(json.dumps(obj, sort_keys=True, indent=2), file=file)
+    try:
+        text = _json_text(obj)
+    except TypeError:
+        text = json.dumps(obj, sort_keys=True, indent=2)
+    print(text, file=file)
 
 
 def _format_scalar(x):

@@ -22,9 +22,8 @@ and its forked children claim the units one at a time, costliest first,
 from one claims file; a child writes all its records back to a file of
 its own in one write when its claims run out, so the sampling runs
 where the checks do and no process waits on a fixed share or on
-another process.  When the processes fill the affinity set each child
-is pinned to a CPU of its own; the calling thread's set is never
-changed.
+another process.  Every process runs where the kernel schedules it: a
+campaign changes no CPU set, and each child inherits the caller's.
 run_campaign validates its config before any unit runs, and every check
 validates all of its inputs (potts.validate_q, validate_point with the
 sign its theorem needs, validate_coeffs) before it returns any verdict.
@@ -849,22 +848,14 @@ def _execute(units, workers):
     each child, reads its file with one read, and rebuilds its
     CheckResults; a child that exited with a nonzero code or wrote
     nothing is a RuntimeError, and a child's exception is raised here,
-    only after this process has run the units that are left.  When the
-    processes fill the whole affinity set (cap equal to its size), this
-    thread pins child s (s = 1, ..., cap - 1) to the s-th of its CPUs in
-    sorted order, counting from 0, as soon as the child has started,
-    which leaves the first free for this thread (a child that cannot be
-    placed keeps the whole set); this thread's own set is never changed.
-    Without placement the kernel may keep a young child on the caller's
-    CPU for longer than a short campaign lasts, and the processes take
-    turns instead of running side by side.  A campaign that uses only part
-    of the set is not placed, so campaigns running side by side do not all
-    pin children to the same lowest CPUs.  Every child is joined; one
-    still running when the campaign raises is terminated first."""
+    only after this process has run the units that are left.  No process's
+    CPU set is changed: every child inherits this thread's.  Every child
+    is joined; one still running when the campaign raises is terminated
+    first."""
     # more processes than units or usable CPUs (the affinity set, where the
     # platform has one) gain nothing
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    cap = min(workers, len(units), len(cpus) or os.cpu_count() or 1)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
+    cap = min(workers, len(units), usable or os.cpu_count() or 1)
     if cap <= 1 or not hasattr(os, "fork"):
         return [_matroid_checks(*unit) for unit in units]
     import multiprocessing
@@ -874,7 +865,6 @@ def _execute(units, workers):
     # the children inherit the claims file's descriptor, so they are forked
     fork = multiprocessing.get_context("fork")
     order = sorted(range(len(units)), key=lambda i: (-units[i][1].n, i))
-    placed = cap == len(cpus)
     results = [None] * len(units)
     children = []
     # a regular file, not a memfd: concurrent reads through one memfd
@@ -884,18 +874,11 @@ def _execute(units, workers):
         file.seek(0)
         claims = file.fileno()
         try:
-            for s in range(1, cap):
+            for _ in range(cap - 1):
                 out = tempfile.TemporaryFile()
                 child = fork.Process(target=_run_claims, args=(units, claims, out))
                 children.append((child, out))
                 child.start()
-                if placed:
-                    # best effort: a CPU the child may not use, or a child
-                    # that has already exited, leaves it where it was
-                    try:
-                        os.sched_setaffinity(child.pid, (cpus[s],))
-                    except OSError:
-                        pass
             while (i := _claim(claims)) is not None:
                 results[i] = _matroid_checks(*units[i])
             for child, out in children:
@@ -935,13 +918,11 @@ def run_campaign(corpus, config=None):
     The records are read-only data.  At workers=1 every unit runs in this
     process; above it, this process and at most workers - 1 child
     processes claim the units one at a time and each child writes all
-    its records back in one file write.  The children are pinned to CPUs
-    of their own when the processes fill the affinity set; this thread's
-    set is never changed (see _execute).  The checks are reported theorem
-    by theorem (in ALL_THEOREMS order), matroid by matroid within a
-    theorem.  The worker count affects wall time only, so the report
-    content is a function of (corpus, seed, samples, theorems, q_grid)
-    alone.
+    its records back in one file write; no process's CPU set is changed
+    (see _execute).  The checks are reported theorem by theorem (in
+    ALL_THEOREMS order), matroid by matroid within a theorem.  The worker
+    count affects wall time only, so the report content is a function of
+    (corpus, seed, samples, theorems, q_grid) alone.
     """
     cfg = config or CampaignConfig()
     unknown = [t for t in cfg.theorems if t not in ALL_THEOREMS]
@@ -986,8 +967,7 @@ def run_campaign(corpus, config=None):
 def replay_check(check):
     """Re-run a stored check from its recorded inputs and return the fresh
     result; replaying a report must reproduce every verdict and witness."""
-    if isinstance(check, dict):
-        check = CheckResult.from_json(check)
+    check = CheckResult.from_json(check if isinstance(check, dict) else check.to_json())
     inputs = check.inputs
     if not isinstance(inputs, dict):
         raise ParseError(f"check inputs must be an object, got {type(inputs).__name__}")

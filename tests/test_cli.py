@@ -1,9 +1,12 @@
 """End-to-end command line tests via main(argv)."""
 
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from potts_hodge import CheckResult, VerificationReport, corpus
 from potts_hodge.cli import (
@@ -11,6 +14,7 @@ from potts_hodge.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    _dump_json,
     main,
 )
 from potts_hodge.matroids import MAX_N_ENV_VAR
@@ -526,6 +530,28 @@ def test_failing_witnesses_print_as_sorted_json(monkeypatch, capsys):
     assert code == EXIT_CHECK_FAILED
     assert '  violation: {"count": 12, "expected": 3, "k": 1, "reason": ' \
         '"equality-without-saturation"}' in out.splitlines()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=-2**200, max_value=2**200)
+    | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"": [], "\u00e9\u2603\U0001f600": {}, "b": [[], {}, [[]]]})
+@example([0.0, -0.0, float("inf"), float("-inf"), float("nan"), -(10**400), 10**400])
+@example({"a": {1: "int keys are left to json.dumps", 2: None}})
+def test_dumped_json_is_the_indented_sorted_json_dumps(value):
+    # the writer prints byte for byte what json.dumps(sort_keys=True,
+    # indent=2) does: nested empties, non-ASCII, huge ints, signed zeros,
+    # inf and nan, and anything it does not write itself, like int keys
+    out = io.StringIO()
+    _dump_json(value, out)
+    assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_unknown_theorem_tag_usage_error(capsys):

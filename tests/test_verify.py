@@ -325,6 +325,41 @@ def test_simplification_route_mismatch(monkeypatch):
     }
 
 
+# The FAIL branches of qHR, cqHR and logconcavity never run inside the
+# theorems' range 0 < q <= 1, which the paper proves them on.  These tests
+# let _q_in_range accept every q, so the arithmetic is the checks' own, and
+# pin the witness each reaches above q = 1.
+def test_main_theorem_fail_witnesses_above_q_one(monkeypatch):
+    monkeypatch.setattr(verify, "_q_in_range", lambda q: True)
+    res = check_one_positive(U12, rat(2), ONES3)
+    assert (res.verdict, res.witness) == (FAIL, {"signature": [2, 1, 0]})
+    flat = (0, 0, 0)
+    res = check_derivative_one_positive(U12, (10, 11, 10), rat(2), flat, ONES3)
+    assert (res.verdict, res.witness) == (FAIL, {"signature": [2, 1, 0], "active": [0, 1, 2]})
+    # one positive eigenvalue, but a zero one too: cqHR asks for none
+    res = check_derivative_one_positive(U12, (1, 2, 1), rat(4), flat, ONES3)
+    assert (res.verdict, res.witness) == (FAIL, {"signature": [1, 1, 1], "active": [0, 1, 2]})
+    # the ray identity holds at any q; the positive eigenvalue fails it
+    res = check_log_concavity_at(U12, (1, 1, 1), rat(2), ONES3)
+    assert (res.verdict, res.witness) == (FAIL, {
+        "signature": [1, 2, 0], "ray": {"num": "-25", "den": "2"},
+        "annotations": ["ray-identity"]})
+
+
+def test_degree_two_bound_is_strict_at_newtons_equality(monkeypatch):
+    # c = (1, 1, 1, 1) is log-concave but not strictly, so _coeffs must
+    # be let through; on U(2,3) at q = 1 and w = (1/2, 1/2, 1/2) the routes
+    # match and Z[1]^2 = bound = 9/4, which the strict bound refuses
+    monkeypatch.setattr(verify, "log_concave_integers", lambda ints, strict: True)
+    half = (rat(1, 2),) * 3
+    res = check_degree_two(make_uniform(2, 3), (1, 1, 1, 1), rat(1), half)
+    assert res.verdict == FAIL
+    assert res.witness == {
+        "z1": {"num": "3", "den": "2"}, "z2": {"num": "3", "den": "4"},
+        "bound": {"num": "9", "den": "4"}, "routes_match": True,
+        "annotations": ["route-match", "mean-bound-at-q1"]}
+
+
 def test_log_concave_coeffs_prints_a_rejected_ratio_as_a_rational():
     with pytest.raises(SamplingFailureError, match=r"needs ratio > 1, got 1/2$"):
         log_concave_coeffs(3, Fraction(1, 2))
@@ -913,36 +948,24 @@ _AFFINITY_AT_START = _real_affinity(0)
 
 
 def _usable_cpus(monkeypatch, count):
-    """Make a campaign see `count` usable CPUs whatever the host has: every
-    pid has a fake affinity set, this thread's (pid 0) CPUs 0..count-1 and
-    any other pid's the same until it is placed, and a placement changes
-    the fake set of the pid it names, never a real one.  Returns this
-    thread's fake set, which a campaign must leave as it found it."""
-    affinity = set(range(count))
-    placed = {}
+    """Make a campaign see `count` usable CPUs whatever the host has: the
+    affinity set it reads has that size."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
-    def set_affinity(pid, cpus):
-        if pid:
-            placed[pid] = set(cpus)
-        else:
-            affinity.clear()
-            affinity.update(cpus)
 
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(placed.get(pid, affinity)), raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity", set_affinity, raising=False)
-    return affinity
+def _refuse_affinity(pid, cpus):
+    """Stands in for os.sched_setaffinity, which a campaign never calls:
+    not an OSError, so no best-effort handler can swallow the call."""
+    raise AssertionError(f"a campaign changed the CPU set of pid {pid}")
 
 
 def test_per_matroid_units_are_worker_independent(monkeypatch):
     assert [m.n for m in SPAN_CORPUS] == list(range(9))
     # three usable CPUs, so workers=3 runs three processes, this one and
-    # two children, the children placed on CPUs 1 and 2; workers=2 fills
-    # two of them and is not placed
-    affinity = _usable_cpus(monkeypatch, 3)
+    # two children
+    _usable_cpus(monkeypatch, 3)
     reports = [run_campaign(SPAN_CORPUS, CampaignConfig(seed=4, samples=2, workers=workers))
                for workers in (1, 2, 3)]
-    assert affinity == {0, 1, 2}
     assert _real_affinity(0) == _AFFINITY_AT_START
     texts = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
     assert texts[0] == texts[1] == texts[2]
@@ -977,13 +1000,12 @@ def test_a_unit_exception_reaches_the_caller(monkeypatch, member):
             time.sleep(0.05)
         return original(matroid)
 
-    affinity = _usable_cpus(monkeypatch, 2)
+    _usable_cpus(monkeypatch, 2)
     config = CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY,))
     monkeypatch.setattr(verify, "check_count_log_concavity", check)
     for workers in (1, 2):
         with pytest.raises(SamplingFailureError, match=f"on member {member}$"):
             run_campaign(corpus, dataclasses.replace(config, workers=workers))
-        assert affinity == {0, 1}
         assert _real_affinity(0) == _AFFINITY_AT_START
         assert multiprocessing.active_children() == []
 
@@ -998,12 +1020,11 @@ def test_a_child_process_that_exits_without_sending_is_reported(monkeypatch):
         time.sleep(0.1)  # so the child claims a unit before this process takes them all
         return original(matroid)
 
-    affinity = _usable_cpus(monkeypatch, 2)
+    _usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(verify, "check_count_log_concavity", check)
     with pytest.raises(RuntimeError, match="exited with code 3"):
         run_campaign(generate_corpus("uniform,n<=3"),
                      CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY,), workers=2))
-    assert affinity == {0, 1}
     assert _real_affinity(0) == _AFFINITY_AT_START
     assert multiprocessing.active_children() == []
 
@@ -1023,31 +1044,11 @@ def test_a_child_that_dies_after_streaming_a_unit_is_reported(monkeypatch):
         done.append(matroid)
         return original(matroid)
 
-    affinity = _usable_cpus(monkeypatch, 2)
+    _usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(verify, "check_count_log_concavity", check)
     with pytest.raises(RuntimeError, match="exited with code 3 without sending its records"):
         run_campaign(generate_corpus("uniform,n<=3"),
                      CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY,), workers=2))
-    assert affinity == {0, 1}
-    assert _real_affinity(0) == _AFFINITY_AT_START
-    assert multiprocessing.active_children() == []
-
-
-def test_a_child_that_cannot_be_placed_keeps_the_whole_set(monkeypatch):
-    # placement is best effort: an OSError for the child leaves it
-    # unpinned, and it still runs its units into the same report
-    _usable_cpus(monkeypatch, 2)
-    refused = []
-
-    def refuse(pid, cpus):
-        refused.append(pid)
-        raise OSError(22, "Invalid argument")
-
-    monkeypatch.setattr(os, "sched_setaffinity", refuse)
-    texts = [json.dumps(run_campaign(SPAN_CORPUS, CampaignConfig(seed=4, samples=1, workers=workers))
-                        .to_json(), sort_keys=True) for workers in (1, 2)]
-    assert len(refused) == 1 and refused[0] != os.getpid()
-    assert texts[0] == texts[1]
     assert _real_affinity(0) == _AFFINITY_AT_START
     assert multiprocessing.active_children() == []
 
@@ -1160,34 +1161,35 @@ def test_a_child_never_waits_on_the_caller(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.skipif(len(_AFFINITY_AT_START or ()) < 2,
-                    reason="placement needs an affinity set of two CPUs or more")
-def test_children_run_on_their_own_cpus_and_the_caller_keeps_its_set(monkeypatch):
-    # narrow this thread to the last two CPUs of its set (so the set need
-    # not start at CPU 0), run a campaign that fills it, and read each
-    # check's process and affinity set off its witness
-    two = sorted(_AFFINITY_AT_START)[-2:]
+@pytest.mark.skipif(_AFFINITY_AT_START is None, reason="the platform has no affinity sets")
+def test_every_process_runs_on_the_callers_unchanged_set(monkeypatch):
+    # narrow this thread to the last CPU of its set (so the set differs
+    # from the one it started with on a host of two CPUs or more), run a
+    # workers=2 campaign while any change of a CPU set raises, and read
+    # each check's process and real affinity set off its witness
+    last = {max(_AFFINITY_AT_START)}
     original = verify.check_count_log_concavity
 
     def check(matroid):
         time.sleep(0.05)  # so both processes claim units
         result = original(matroid)
         return dataclasses.replace(
-            result, witness={"cpus": sorted(os.sched_getaffinity(0)), "pid": os.getpid()})
+            result, witness={"cpus": sorted(_real_affinity(0)), "pid": os.getpid()})
 
+    set_affinity = os.sched_setaffinity
+    _usable_cpus(monkeypatch, 2)
     monkeypatch.setattr(verify, "check_count_log_concavity", check)
-    os.sched_setaffinity(0, two)
+    set_affinity(0, last)
     try:
+        monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity)
         report = run_campaign(generate_corpus("uniform,n<=3"),
                               CampaignConfig(theorems=(TAG_COUNT_LOG_CONCAVITY,), workers=2))
-        assert os.sched_getaffinity(0) == set(two)
+        assert _real_affinity(0) == last
     finally:
-        os.sched_setaffinity(0, _AFFINITY_AT_START)
-    # the child ran its units on the second CPU alone; this process ran
-    # its own on its whole set, which the campaign never changed
+        set_affinity(0, _AFFINITY_AT_START)
+    # both processes ran their units on the set the caller had
     assert len({c.witness["pid"] for c in report.checks}) == 2
-    assert [c.witness["cpus"] for c in report.checks] == [
-        two if c.witness["pid"] == os.getpid() else [two[1]] for c in report.checks]
+    assert {tuple(c.witness["cpus"]) for c in report.checks} == {tuple(last)}
     assert multiprocessing.active_children() == []
 
 
@@ -1480,21 +1482,23 @@ IDENTITY2 = [[1, 0], [0, 1]]
     (lambda: one_positive_equivalence_check(IDENTITY2, trials=2.5), InvalidParametersError),
     (lambda: one_positive_equivalence_check(IDENTITY2, trials=-3), InvalidParametersError),
     (lambda: replay_check({"theorem": ["qHR"], "inputs": {}, "verdict": "pass"}), ParseError),
+    (lambda: replay_check(CheckResult(["qHR"], {}, "pass")), ParseError),
     (lambda: replay_check({"theorem": "qHR", "inputs": {"aspect": ["x"]}, "verdict": "pass"}),
      ParseError),
     (lambda: VerificationReport.from_json({"campaign": {}, "checks": [], "summary": {},
                                            "timing_seconds": "soon"}), ParseError),
 ], ids=["rank-ragged", "nullspace-ragged", "bilinear-length", "mat_vec-length", "contract-bool",
         "report-checks", "report-summary", "report-campaign", "check-witness",
-        "trials-float", "trials-negative", "check-theorem", "replay-aspect", "report-timing"])
+        "trials-float", "trials-negative", "check-theorem", "record-theorem", "replay-aspect",
+        "report-timing"])
 def test_public_entry_points_refuse_malformed_input(call, error):
     # ragged rows, a vector of the wrong length, a bool for a subset, a
     # non-list of checks, a report's campaign or summary or a record's
     # witness that is not an object, a non-integer or negative trial
-    # count, a record's theorem or aspect that is not a string and a
-    # report's timing that is neither a number nor null raise the
-    # package's own errors, not IndexError or TypeError, and never return
-    # a result
+    # count, a record's theorem (stored or in a CheckResult) or aspect
+    # that is not a string and a report's timing that is neither a number
+    # nor null raise the package's own errors, not IndexError or
+    # TypeError, and never return a result
     with pytest.raises(error):
         call()
 
@@ -1509,10 +1513,10 @@ def test_public_entry_points_refuse_malformed_input(call, error):
     # CPUs)
     (5000, (64, 1), None),  # taskset -c 63 on a large machine: serial
     (5000, (64, 3), 3),     # capped at the affinity set, not the machine
-    (2, (64, 3), 2),        # two of the set's three CPUs: not placed
+    (2, (64, 3), 2),        # two of the set's three CPUs
 ])
 def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
-    started, placed, ran = [], [], []
+    started, ran = [], []
 
     class InProcessChild:
         """Stands in for a child process: takes a made-up pid and claims
@@ -1542,16 +1546,15 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
 
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", InProcessChild)
     monkeypatch.setattr(verify, "check_count_log_concavity", check)
-    # record each placement instead of pinning a process
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: placed.append((pid, set(cpus))),
-                        raising=False)
+    # no process's CPU set changes, whatever the cap
+    monkeypatch.setattr(os, "sched_setaffinity", _refuse_affinity, raising=False)
     machine, usable = cpus if isinstance(cpus, tuple) else (cpus, None)
     monkeypatch.setattr(os, "cpu_count", lambda: machine)
     if usable is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
-        affinity = list(range(machine - usable, machine))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(machine - usable, machine)),
+                            raising=False)
     corpus = generate_corpus("uniform,n<=3")  # 7 matroids: 7 work units
     members = [m.to_json() for m in corpus]
     theorems = (TAG_COUNT_LOG_CONCAVITY,)
@@ -1563,13 +1566,6 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, cap):
     assert len(started) == (0 if cap is None else cap - 1)
     by_cost = [3, 4, 5, 6, 0, 1, 2]
     assert [members.index(m) for m in ran] == (list(range(7)) if cap is None else by_cost)
-    # when the processes fill the affinity set, child s goes to its s-th
-    # CPU, pinned by this thread as soon as it has started, and this
-    # thread is never placed; otherwise nothing is placed
-    if cap is None or cap != usable:
-        assert placed == []
-    else:
-        assert placed == [(pid, {cpu}) for pid, cpu in zip(started, affinity[1:])]
     ran.clear()
     serial = run_campaign(corpus, CampaignConfig(theorems=theorems))
     assert report.to_json() == serial.to_json()
