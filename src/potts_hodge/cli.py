@@ -120,8 +120,8 @@ def _json_text(obj, indent="\n"):
         if not obj:
             return "[]"
         return f"[{inner}{(',' + inner).join([_json_text(x, inner) for x in obj])}{indent}]"
-    if not isinstance(obj, dict) or not all(isinstance(k, str) for k in obj):
-        raise TypeError(f"{type(obj).__name__} is left to json.dumps")
+    if not isinstance(obj, dict):
+        raise TypeError(f"{type(obj).__name__} is not a JSON value")
     if not obj:
         return "{}"
     items = [f"{_encode_str(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
@@ -129,11 +129,7 @@ def _json_text(obj, indent="\n"):
 
 
 def _dump_json(obj, file=None):
-    try:
-        text = _json_text(obj)
-    except TypeError:
-        text = json.dumps(obj, sort_keys=True, indent=2)
-    print(text, file=file)
+    print(_json_text(obj), file=file)
 
 
 def _format_scalar(x):

@@ -544,14 +544,22 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 @example({"": [], "\u00e9\u2603\U0001f600": {}, "b": [[], {}, [[]]]})
 @example([0.0, -0.0, float("inf"), float("-inf"), float("nan"), -(10**400), 10**400])
-@example({"a": {1: "int keys are left to json.dumps", 2: None}})
 def test_dumped_json_is_the_indented_sorted_json_dumps(value):
     # the writer prints byte for byte what json.dumps(sort_keys=True,
     # indent=2) does: nested empties, non-ASCII, huge ints, signed zeros,
-    # inf and nan, and anything it does not write itself, like int keys
+    # inf and nan
     out = io.StringIO()
     _dump_json(value, out)
     assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{"a": {1: None}}, {"a": [{1, 2}]}, object()])
+def test_dumping_what_is_not_json_raises_type_error(value):
+    # the writer takes JSON values only: a non-JSON value raises TypeError
+    # as in json.dumps, and so does a non-string key, which json.dumps
+    # would coerce to a string (no report has one)
+    with pytest.raises(TypeError):
+        _dump_json(value, io.StringIO())
 
 
 def test_verify_unknown_theorem_tag_usage_error(capsys):
