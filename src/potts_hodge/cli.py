@@ -233,6 +233,8 @@ _PARSE_INPUT = {
 
 
 def _run_single_check(args):
+    if args.matroid is None:
+        raise InvalidParametersError("--c, --q, --alpha and --w need --matroid")
     for option in ("q_grid", "seed", "samples", "workers"):
         if getattr(args, option) is not None:
             raise InvalidParametersError(f"--{option.replace('_', '-')} applies to campaigns, "
@@ -284,7 +286,7 @@ def _cmd_verify(args):
                 os.remove(args.out)
         except OSError as exc:
             raise InvalidParametersError(f"cannot write --out file {args.out!r}: {exc}") from exc
-    if args.matroid is not None and any(getattr(args, key) is not None for key in _PARSE_INPUT):
+    if any(getattr(args, key) is not None for key in _PARSE_INPUT):
         report = _run_single_check(args)
     else:
         if args.matroid is not None:
@@ -294,15 +296,15 @@ def _cmd_verify(args):
         else:
             corpus_spec = args.corpus or "default"
             corpus = generate_corpus(parse_corpus_spec(corpus_spec))
-        theorems = tuple(args.theorem) if args.theorem else ALL_THEOREMS
-        # run_campaign validates the grid with the rest of the config
-        q_grid = () if args.q_grid is None else _parse_vector(args.q_grid, EXACT, "--q-grid")
-        config = CampaignConfig(
-            theorems=theorems, seed=0 if args.seed is None else args.seed,
-            samples=3 if args.samples is None else args.samples,
-            workers=1 if args.workers is None else args.workers,
-            corpus_label=corpus_spec, q_grid=q_grid)
-        report = run_campaign(corpus, config)
+        # CampaignConfig holds the default of every option not given
+        given = {key: getattr(args, key) for key in ("seed", "samples", "workers")
+                 if getattr(args, key) is not None}
+        if args.theorem:
+            given["theorems"] = tuple(args.theorem)
+        if args.q_grid is not None:
+            # run_campaign validates the grid with the rest of the config
+            given["q_grid"] = _parse_vector(args.q_grid, EXACT, "--q-grid")
+        report = run_campaign(corpus, CampaignConfig(corpus_label=corpus_spec, **given))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             _dump_json(report.to_json(include_timing=True), fh)
@@ -380,13 +382,14 @@ def build_parser():
     p_verify.add_argument("--theorem", action="append", choices=ALL_THEOREMS,
                           help="restrict to one theorem tag (repeatable)")
     # the campaign options default to None so that a single check can
-    # refuse them; a campaign reads None as seed 0, 3 samples, 1 worker
-    p_verify.add_argument("--seed", type=int, help="campaign seed (default 0)")
+    # refuse them
+    p_verify.add_argument("--seed", type=int, help=f"campaign seed (default {CampaignConfig.seed})")
     p_verify.add_argument("--samples", "--trials", type=int,
-                          help="sample count per randomized stream (default 3)")
+                          help=f"sample count per randomized stream (default {CampaignConfig.samples})")
     p_verify.add_argument("--q-grid", dest="q_grid",
                           help="comma-separated q values replacing the default grid")
-    p_verify.add_argument("--workers", type=int, help="worker processes (default 1)")
+    p_verify.add_argument("--workers", type=int,
+                          help=f"worker processes (default {CampaignConfig.workers})")
     p_verify.add_argument("--matroid", help="check one explicit input instead of a corpus")
     p_verify.add_argument("--c", help="coefficient sequence for single-input checks")
     p_verify.add_argument("--q", help="q for single-input checks")

@@ -19,8 +19,6 @@ from .errors import ParseError, ResourceLimitError
 from .matroids import MAX_N_ENV_VAR, enumeration_cap, make_graphic, make_linear, make_uniform
 from .sampling import child_rng
 
-DEFAULT_LINEAR_SEED = 271828
-
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -30,7 +28,7 @@ class CorpusSpec:
     graphic_max_edges: int = 5
     linear_count: int = 50
     linear_max_n: int = 8
-    linear_seed: int = DEFAULT_LINEAR_SEED
+    linear_seed: int = 271828
     families: tuple = ("uniform", "graphic", "linear", "structured")
 
 
@@ -118,16 +116,16 @@ def connected_graphs(max_edges):
     return tuple(sorted(found))
 
 
-def uniform_family(max_n=7):
+def uniform_family(max_n):
     return [make_uniform(r, n) for n in range(2, max_n + 1) for r in range(n + 1)]
 
 
-def graphic_family(max_edges=5):
+def graphic_family(max_edges):
     return [make_graphic(nv, [(u + 1, v + 1) for u, v in edges])
             for nv, edges in connected_graphs(max_edges)]
 
 
-def linear_family(count=50, max_n=8, seed=DEFAULT_LINEAR_SEED):
+def linear_family(count, max_n, seed):
     """Seeded random GF(2)/GF(3) column matroids on 2..max_n elements, none
     when max_n < 2; zero columns (loops) and repeated columns (parallel
     elements) arise naturally."""

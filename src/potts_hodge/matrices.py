@@ -47,9 +47,6 @@ class SymMatrix:
     def dim(self):
         return len(self.entries)
 
-    def rows(self):
-        return [list(row) for row in self.entries]
-
     def scaled_rows(self):
         """(rows, scale): integer rows and one positive integer scale, the
         lcm of the denominators, with entries[i][j] = rows[i][j] / scale.
@@ -67,10 +64,6 @@ class SymMatrix:
         if isinstance(rows, SymMatrix):
             return rows
         return SymMatrix(tuple(map(tuple, rows)))
-
-    def submatrix(self, indices):
-        idx = list(indices)
-        return SymMatrix(tuple(tuple(self.entries[i][j] for j in idx) for i in idx))
 
 
 def mat_vec(matrix, vector):

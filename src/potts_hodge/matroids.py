@@ -371,12 +371,11 @@ class StructureReport:
     """Loops and parallel classes of a matroid.
 
     parallel_classes partitions the non-loop elements; two non-loops are
-    parallel when their pair has rank 1.  rank_one_flats is the class count.
+    parallel when their pair has rank 1.
     """
 
     loops: frozenset
     parallel_classes: tuple
-    rank_one_flats: int
 
 
 def structure(matroid):
@@ -391,8 +390,8 @@ def structure(matroid):
                 classes.append([e])
             else:
                 cls.append(e)
-    tup = tuple(frozenset(x + 1 for x in cls) for cls in classes)
-    return StructureReport(loops=loops, parallel_classes=tup, rank_one_flats=len(tup))
+    return StructureReport(loops=loops,
+                           parallel_classes=tuple(frozenset(x + 1 for x in cls) for cls in classes))
 
 
 def simplify(matroid, info=None):

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, islice
 from operator import add, attrgetter, ge, gt, mul
@@ -497,7 +497,6 @@ class KernelIdentityReport:
     stacked_kernel_dim: int
     kernel_basis: tuple
     degree: int
-    notes: dict = field(default_factory=dict)
 
 
 def kernel_identity_check(matroid, c, q, alpha, w):
@@ -539,7 +538,6 @@ def kernel_identity_check(matroid, c, q, alpha, w):
         stacked_kernel_dim=dim - rank_stack,
         kernel_basis=tuple(basis),
         degree=d,
-        notes={"dim": dim},
     )
 
 

@@ -32,10 +32,6 @@ class EigenSignature(NamedTuple):
     n_neg: int
     n_zero: int
 
-    @property
-    def dim(self):
-        return self.n_pos + self.n_neg + self.n_zero
-
 
 def signature(matrix):
     """Inertia of a SymMatrix, or of raw rows of ints and rationals.

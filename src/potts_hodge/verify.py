@@ -389,7 +389,9 @@ def check_degree_two(matroid, c, q, w):
     Route equality: Z[1] and Z[2] read off the singleton and pair ranks
     (potts.quadratic_numerators) must match the parallel-class form e_1(y)
     and e_2(y) - (1-q) * sum over classes of e_2(y restricted to the
-    class), with y_i = q^(-rk({i})) w_i.
+    class), with y_i = q^(-rk({i})) w_i.  y is built from the same
+    singleton ranks, so Z[1] = e_1(y) holds term by term on every matroid
+    (rk({i}) <= 1): only the Z[2] half tests the parallel-class identity.
 
     Inequality: Z[1]^2 > 2 (c_0 c_2 / c_1^2) (n / (n-1)) Z[2] for every
     w != 0; the coefficient ratio is below one by strict log-concavity.
@@ -772,7 +774,7 @@ class CampaignConfig:
 
     theorems: tuple = ALL_THEOREMS
     seed: int = 0
-    samples: int = 5
+    samples: int = 3
     workers: int = 1
     corpus_label: str = "default"
     q_grid: tuple = ()
@@ -894,13 +896,10 @@ def _execute(units, workers):
                     raise pickle.loads(sent)
                 for i, records in sent:
                     results[i] = [[CheckResult(*r) for r in per_theorem] for per_theorem in records]
-        except BaseException:
-            for child, _ in children:
-                if child.is_alive():
-                    child.terminate()
-            raise
         finally:
             for child, out in children:
+                if child.is_alive():
+                    child.terminate()
                 if child.pid is not None:
                     child.join()
                 out.close()

@@ -244,6 +244,18 @@ def test_verify_single_check_needs_a_theorem(capsys):
     assert "exactly one --theorem" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--corpus", "graphic,K3", "--theorem", "mason", "--q", "1/2", "--w", "1,1,1"],
+    ["--theorem", "ulc", "--q", "1", "--w", "1,1,1"],
+])
+def test_verify_point_arguments_need_a_matroid(capsys, argv):
+    # any of --c/--q/--alpha/--w selects the single check, never a campaign
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "need --matroid" in err
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["--theorem", "mason", "--q", "7", "--alpha", "x"], "--q"),
     (["--theorem", "qHR", "--q", "1/2", "--w", "1,1,1,1", "--alpha", "x", "--c", "1"], "--c"),

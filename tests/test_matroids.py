@@ -496,7 +496,7 @@ def test_structure_linear_example():
     rep = structure(m)
     assert rep.loops == frozenset()
     assert [sorted(c) for c in rep.parallel_classes] == [[1, 4], [2], [3]]
-    assert rep.rank_one_flats == 3
+    assert len(rep.parallel_classes) == 3
 
 
 def test_structure_with_loops():

@@ -76,7 +76,7 @@ def test_signature_frozen_examples():
     assert signature([[rat(0), rat(1)], [rat(1), rat(0)]]) == EigenSignature(1, 1, 0)
     assert signature([[rat(0)]]) == EigenSignature(0, 0, 1)
     assert signature([]) == EigenSignature(0, 0, 0)
-    assert signature(H_U12).dim == 3
+    assert sum(signature(H_U12)) == 3
     assert signature(H_U12).n_pos == 1
     assert signature([[rat(1), rat(0)], [rat(0), rat(1)]]).n_pos == 2  # two positive
     assert signature(all_ones(3)).n_pos == 1
@@ -123,7 +123,7 @@ def rational_congruence_diagonalize(matrix):
     2*a_ij; the subsequent pair of 1x1 pivots contributes one positive and
     one negative inertia index, exactly as the hyperbolic 2x2 block would.
     """
-    rows = matrix.rows() if isinstance(matrix, SymMatrix) else [list(r) for r in matrix]
+    rows = matrix.entries if isinstance(matrix, SymMatrix) else matrix
     d = len(rows)
     a = [[rat(x) for x in row] for row in rows]
     basis = [[rat(1) if i == j else rat(0) for i in range(d)] for j in range(d)]
@@ -670,7 +670,7 @@ def reference_kernel_identity_check(matroid, c, q, alpha, w):
         hypothesis_ok=not failures, hypothesis_failures=tuple(failures),
         kernels_equal=sympy_rank(ker_f) == sympy_rank(ker_stack) == joint,
         kernel_dim=len(ker_f), stacked_kernel_dim=len(ker_stack), kernel_basis=tuple(ker_f),
-        degree=sympy.Poly(f, *ws).total_degree(), notes={"dim": dim})
+        degree=sympy.Poly(f, *ws).total_degree())
 
 
 # all four constructors, with loops and parallel classes

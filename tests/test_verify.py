@@ -59,7 +59,7 @@ from potts_hodge import (
 from potts_hodge import sampling, verify
 from potts_hodge.errors import ImpossibleStateError
 from potts_hodge.matrices import mat_vec
-from potts_hodge.potts import quadratic_numerators, strata_numerators
+from potts_hodge.potts import log_concave_integers, quadratic_numerators, strata_numerators
 from potts_hodge.sampling import (
     child_rng,
     log_concave_coeffs,
@@ -416,7 +416,8 @@ def reference_one_positive(matroid, q, w):
 
 def reference_derivative_one_positive(matroid, c, q, alpha, w):
     active = [0] + [i for i in range(1, matroid.n + 1) if alpha[i] == 0]
-    sig = signature(hessian(matroid, c, q, alpha, w).submatrix(active))
+    h = hessian(matroid, c, q, alpha, w).entries
+    sig = signature([[h[i][j] for j in active] for i in active])
     ok = sig.n_pos == 1 and sig.n_zero == 0 and sig.n_neg == len(active) - 1
     return (PASS if ok else FAIL), {"signature": list(sig), "active": active}
 
@@ -1421,6 +1422,23 @@ def test_no_module_imports_another_modules_private_names():
     assert leaks == []
 
 
+def test_sampling_and_corpus_import_nothing_from_potts():
+    # sampling and corpus build a campaign's inputs; the evaluators that
+    # read those inputs are below neither of them in the import graph
+    package = Path(verify.__file__).resolve().parent
+    found = []
+    for name in ("sampling.py", "corpus.py"):
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [(name, m) for m in modules if m.split(".")[-1] == "potts"]
+    assert found == []
+
+
 def test_exact_library_never_loads_numpy():
     # importing the package, running a campaign and printing a spectrum in
     # both modes and formats, in a fresh interpreter, leaves numpy out
@@ -1662,6 +1680,11 @@ def test_sampled_points_are_positive():
         w = sample_positive_point(child_rng(0, 99, j), 5)
         assert len(w) == 5
         assert all(x > 0 for x in w)
+    # the sampled coefficient sequences are strictly log-concave integers
+    for n in range(9):
+        for j in range(10):
+            c = sampling.sample_log_concave_coeffs(child_rng(0, 98, n, j), n)
+            assert len(c) == n + 1 and log_concave_integers(c)
     # the stress points of an empty ground set are the one empty point
     assert sampling.adversarial_points(0) == [()]
 
